@@ -30,7 +30,6 @@ from .functionals import (
     lambda_linearity_check,
 )
 from .norms import (
-    NormSpec,
     QuadratureWarning,
     duren_coefficient_check,
     hardy_from_lq_check,
@@ -102,7 +101,6 @@ __all__ = [
     "approx_reciprocal_s",
     "lambda_linearity_check",
     "coefficient_tail_slope",
-    "NormSpec",
     "QuadratureWarning",
     "lq_norm",
     "weighted_l2_norm",

@@ -3,7 +3,7 @@
 Runners:
 
 * ``run_lq_convergence``: l^q distance of sum_{k=2..n} mu(k) (I - S) h_k
-  from 1 - z, with a truncation tail bound built from divisor counts.
+  from 1 - z, with a proved Minkowski bound on the truncated tail.
 * ``run_hp_convergence``: H^p quasi-norm distance of sum mu(k) h_k from 1
   for 0 < p < 1, with quadrature-refinement control.
 * ``run_lambda_sweep``: residuals of the identity Lambda^(s)(h_k) = G_k(s)
@@ -30,17 +30,11 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from ._version import __version__
-from .arith import (
-    DivisorCountTable,
-    MobiusTable,
-    build_divisor_counts,
-    build_mobius,
-    mobius_sum_over_k,
-)
+from .arith import MobiusTable, build_mobius, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s, lambda_apply
 from .norms import QuadratureWarning, hp_norm_estimate, lq_norm
-from .series import TruncatedSeries, accumulate_ims, hk_coeffs, inverse_index
+from .series import TruncatedSeries, hk_coeffs, mobius_ims_partial_sums
 from .special import g_k, lambda_on_constant
 from .weights import ClassificationResult, ProbeResult
 
@@ -52,9 +46,7 @@ __all__ = [
     "build_manifest",
     "rerun",
     "run_lq_convergence",
-    "lq_residual_direct",
     "lq_tail_bound",
-    "tau_envelope_constant",
     "run_hp_convergence",
     "run_lambda_sweep",
     "run_pointwise_approx",
@@ -154,46 +146,69 @@ def _check_n_list(n_list: Sequence[int], table: MobiusTable, coeff_cutoff: int) 
     return ns
 
 
-_TAU_CACHE: dict[int, DivisorCountTable] = {}
-_TAU_ENVELOPE_EXPONENT = 0.3
-
-
-def _tau_table(limit: int) -> DivisorCountTable:
-    if limit not in _TAU_CACHE:
-        _TAU_CACHE[limit] = build_divisor_counts(limit)
-    return _TAU_CACHE[limit]
-
-
-def tau_envelope_constant(tau: DivisorCountTable) -> float:
-    """Fitted C with tau(j) <= C j^0.3 on the table range (heuristic beyond)."""
-    j = np.arange(1, tau.limit + 1, dtype=np.float64)
-    return float(np.max(tau.counts[1:] / j**_TAU_ENVELOPE_EXPONENT))
+# 1 + 2^-40 covers the relative rounding error of lq_tail_bound (at most
+# 220 u, u = 2^-53, derived in its docstring) with a wide margin.
+_TAIL_ROUNDING_FACTOR = 1.0 + 2.0**-40
 
 
 def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> float:
-    """Bound on the l^q mass of the residual coefficients beyond the cutoff.
+    """Proved bound on the l^q norm of the residual coefficients beyond the cutoff.
 
-    The residual coefficient at degree j > n is (s_n - D_j(n))/j with
-    |D_j(n)| <= tau(j), where s_n is the Möbius partial sum and D_j(n) the
-    divisor sum cut at n.  Divisor counts are taken from a table up to
-    2 * coeff_cutoff and replaced by the fitted envelope C j^0.3 beyond;
-    for q <= 10/7 the envelope integral diverges and the bound is +inf.
+    Statement.  With N = coeff_cutoff, 2 <= n <= N < 2^53 and q > 1, the
+    residual sum_{k=2..n} mu(k) (I - S) h_k - (1 - z) has the coefficients
+    w_j = (c_n - D_j(n))/j for j > N, where c_n = sum_{k=2..n} mu(k)/k and
+    D_j(n) = sum_{d | j, 2 <= d <= n} mu(d).  The returned value is at
+    least (sum_{j>N} |w_j|^q)^(1/q).  It is finite for every q > 1, costs
+    O(n) and needs no divisor table.
+
+    Proof.  Write w = c_n e - sum_d mu(d) e_d with e_j = 1/j and
+    (e_d)_j = [d | j]/j, over squarefree 2 <= d <= n.  Minkowski's
+    inequality on l^q(j > N) gives
+
+        ||w|| <= |c_n| ||e|| + sum_d ||e_d||.
+
+    The multiples of d beyond N are j = d i with i > M_d = floor(N/d), and
+    M_d >= 1 because d <= n <= N, so ||e_d||^q = d^-q sum_{i>M_d} i^-q.
+    For M >= 1, sum_{i>M} i^-q <= int_M^inf x^-q dx = M^(1-q)/(q-1),
+    since i^-q <= x^-q on [i - 1, i].  With r = 1 - 1/q and
+    A = (q - 1)^(-1/q) this yields the exact bound
+
+        B = A (|c_n| N^-r + sum_d M_d^-r / d).
+
+    Rounding.  u = 2^-53; N, M_d and d are exact doubles; +, -, *, / and
+    the int-to-float conversions are correctly rounded; ``math.fsum`` is
+    exactly rounded; ``pow`` (libm or numpy) is within 4 ulp, a relative
+    error of at most 8u.  L = ln N < 36.8 bounds ln M_d and ln n.
+      1. r~ = fl(1 - fl(1/q)) has |r~ - r| <= 2u, so for 1 <= M <= N,
+         M^-r <= M^-r~ e^(2uL) <= (1 + 74u) M^-r~.
+      2. A~ = pow(fl(q - 1), -fl(1/q)): the input error (1 + u)^(1/q),
+         the exponent error e^(u |ln(q - 1)|/q) with q - 1 >= 2^-52, and
+         pow give A <= (1 + 48u) A~.
+      3. Each term t~_d = fl(pow(M_d, -r~)/d) and P~ = pow(N, -r~) give,
+         with 1., M_d^-r/d <= (1 + 84u) t~_d and N^-r <= (1 + 83u) P~;
+         the fsum S~ of the t~_d keeps sum_d M_d^-r/d <= (1 + 86u) S~.
+      4. c~ = fl(mobius_sum_over_k(n) - 1) carries the rounding of each
+         term mu(k)/k, |c_n| <= (1 + 3u)(|c~| + u) + u ln n.  The
+         additive part is at most u (L + 2) P~ <= 2u (L + 2) S~ <= 80u S~,
+         since the d = 2 term alone makes S~ >= P~/2 (1 - 20u).
+      5. X~ = fl(fl(|c~| P~) + S~) then satisfies
+         |c_n| N^-r + sum_d M_d^-r/d <= (1 + 170u) X~, and B~ = fl(A~ X~)
+         satisfies B <= (1 + 220u) B~.
+    The returned fl(B~ F), F = 1 + 2^-40 = 1 + 8192u, is at least
+    B~ (1 + 8192u)(1 - u) >= (1 + 220u) B~ >= B.  []
     """
     if q <= 1.0:
         raise ValueError("q must be > 1")
-    tau = _tau_table(2 * coeff_cutoff)
-    s_n = abs(mobius_sum_over_k(table, n))
-    j = np.arange(coeff_cutoff + 1, tau.limit + 1, dtype=np.float64)
-    head = float(np.sum(((s_n + tau.counts[coeff_cutoff + 1 :]) / j) ** q))
-    t = float(tau.limit)
-    b1 = s_n * (t ** (1.0 - q) / (q - 1.0)) ** (1.0 / q)
-    decay = (1.0 - _TAU_ENVELOPE_EXPONENT) * q
-    if decay > 1.0:
-        c_fit = tau_envelope_constant(tau)
-        b2 = c_fit * (t ** (1.0 - decay) / (decay - 1.0)) ** (1.0 / q)
-    else:
-        b2 = math.inf
-    return (head + (b1 + b2) ** q) ** (1.0 / q)
+    if not 2 <= n <= coeff_cutoff < 2**53:
+        raise ValueError("need 2 <= n <= coeff_cutoff < 2^53")
+    inv_q = 1.0 / q
+    r = 1.0 - inv_q
+    d = np.flatnonzero(table.values[2 : n + 1]) + 2
+    m_d = (coeff_cutoff // d).astype(np.float64)
+    s = math.fsum((m_d ** -r / d).tolist())
+    c_n = abs(mobius_sum_over_k(table, n) - 1.0)
+    x = c_n * math.pow(coeff_cutoff, -r) + s
+    return math.pow(q - 1.0, -inv_q) * x * _TAIL_ROUNDING_FACTOR
 
 
 def run_lq_convergence(
@@ -201,30 +216,23 @@ def run_lq_convergence(
 ) -> list[ConvergenceRecord]:
     """l^q residual of the Möbius partial sums against 1 - z, per truncation n.
 
-    The partial sum is advanced in place from one checkpoint to the next
-    (increasing k), so a sweep over n costs one pass.  q must exceed 1;
-    values at q >= 2 are covered by the same run.  Trends should be read
-    across decades of n, not adjacent values: the Möbius fluctuations make
-    pointwise monotonicity false.
+    The partial sums come from the closed-form kernel
+    ``mobius_ims_partial_sums``, advanced from one checkpoint to the next,
+    so a sweep costs O(N log n) for N = coeff_cutoff.  Each record carries
+    the proved tail bound ``lq_tail_bound`` on the coefficients beyond N.
+    q must exceed 1.  Trends should be read across decades of n, not
+    adjacent values: the Möbius fluctuations make pointwise monotonicity
+    false.
     """
     if q <= 1.0:
         raise ValueError("q must be > 1")
     ns = _check_n_list(n_list, table, coeff_cutoff)
-    acc = np.zeros(coeff_cutoff + 1, dtype=np.float64)
-    inv = inverse_index(coeff_cutoff)
-    target = np.zeros(coeff_cutoff + 1, dtype=np.float64)
-    target[0] = 1.0
-    target[1] = -1.0
     records: list[ConvergenceRecord] = []
-    prev = 1
     t_mark = time.perf_counter()
-    for n in ns:
-        for k in range(prev + 1, n + 1):
-            mu = int(table.values[k])
-            if mu:
-                accumulate_ims(acc, k, float(mu), inv)
-        prev = n
-        value = lq_norm(TruncatedSeries(acc - target), q)
+    for n, residual in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
+        residual[0] -= 1.0  # subtract the target 1 - z
+        residual[1] += 1.0
+        value = lq_norm(TruncatedSeries(residual), q)
         tail = lq_tail_bound(q, n, coeff_cutoff, table)
         now = time.perf_counter()
         records.append(
@@ -242,38 +250,6 @@ def run_lq_convergence(
     return records
 
 
-def lq_residual_direct(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> float:
-    """Residual norm recomputed from the closed-form coefficients.
-
-    Independent of the accumulation path: the degree-j coefficient is
-    assembled from the scalar Möbius partial sum and an exact integer
-    divisor sieve, then the norm is taken in one shot.
-    """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    if n < 2 or n > table.limit:
-        raise ValueError("n out of range")
-    d = np.zeros(coeff_cutoff + 1, dtype=np.int64)
-    for k in range(2, n + 1):
-        mu = int(table.values[k])
-        if mu:
-            d[k::k] += mu
-    c_n = mobius_sum_over_k(table, n) - 1.0  # sum over k = 2..n
-    res = np.empty(coeff_cutoff + 1, dtype=np.float64)
-    res[0] = (
-        math.fsum(
-            -int(table.values[k]) * math.log(k) / k
-            for k in range(2, n + 1)
-            if table.values[k]
-        )
-        - 1.0
-    )
-    m = np.arange(1, coeff_cutoff + 1, dtype=np.float64)
-    res[1:] = (c_n - d[1:]) / m
-    res[1] += 1.0
-    return lq_norm(TruncatedSeries(res), q)
-
-
 def run_hp_convergence(
     p: float,
     n_list: Sequence[int],
@@ -283,6 +259,8 @@ def run_hp_convergence(
 ) -> list[ConvergenceRecord]:
     """H^p quasi-norm of sum_{k=2..n} mu(k) h_k - 1 for 0 < p < 1.
 
+    The coefficients are the running sums (h_k = (I - S)^-1 (I - S) h_k)
+    of the closed-form kernel ``mobius_ims_partial_sums``, taken in place.
     Each record's ``tail_bound`` column carries the quadrature refinement
     discrepancy |value at nodes - value at 2 nodes|: the truncation tail
     has no usable closed-form bound on the boundary, so the refinement
@@ -291,18 +269,10 @@ def run_hp_convergence(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     ns = _check_n_list(n_list, table, coeff_cutoff)
-    acc = np.zeros(coeff_cutoff + 1, dtype=np.float64)
-    inv = inverse_index(coeff_cutoff)
     records: list[ConvergenceRecord] = []
-    prev = 1
     t_mark = time.perf_counter()
-    for n in ns:
-        for k in range(prev + 1, n + 1):
-            mu = int(table.values[k])
-            if mu:
-                accumulate_ims(acc, k, float(mu), inv)
-        prev = n
-        coeffs = np.cumsum(acc)
+    for n, coeffs in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
+        np.cumsum(coeffs, out=coeffs)
         coeffs[0] -= 1.0
         residual = TruncatedSeries(coeffs)
         # undersampling is expected at the default parameters; the refinement

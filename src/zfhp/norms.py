@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -21,7 +20,6 @@ from .series import TruncatedSeries
 from .weights import WeightFamily
 
 __all__ = [
-    "NormSpec",
     "QuadratureWarning",
     "default_node_count",
     "boundary_values",
@@ -40,26 +38,6 @@ __all__ = [
 
 class QuadratureWarning(UserWarning):
     """The node count undersamples the series degree."""
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Descriptor of a norm: kind 'lq', 'weighted_l2' or 'hp' plus parameters."""
-
-    kind: str
-    q: float | None = None
-    p: float | None = None
-    family: WeightFamily | None = None
-    nodes: int | None = None
-    radius_policy: str = "boundary"
-
-    @property
-    def param(self) -> float:
-        if self.kind == "lq":
-            return float(self.q)
-        if self.kind == "hp":
-            return float(self.p)
-        return 0.0
 
 
 def default_node_count(degree: int) -> int:

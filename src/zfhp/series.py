@@ -14,6 +14,13 @@ because its Taylor coefficients have the closed form
 obtained from log(1 - z^k) = -sum_j z^(jk)/j and log(1 - z) = -sum_j z^j/j.
 h_k itself is the cumulative sum (formal multiplication by 1/(1 - z)).
 
+Summing the closed form against mu(k) gives the Möbius partial sums of
+the paper's convergence statement in closed form as well: coefficient m of
+sum_{k=2..n} mu(k) (I - S) h_k is an exact integer divisor sum combined
+with one scalar.  ``mobius_ims_partial_sums`` is the single kernel that
+evaluates it; the l^q and H^p convergence runners and
+``mobius_partial_sum_ims`` all call it.
+
 Everything here is value-semantic: operations return fresh series and the
 stored coefficient arrays are read-only.
 """
@@ -22,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import MobiusTable
+from .arith import MobiusTable, mobius_logsum_over_k, mobius_sum_over_k
 
 __all__ = [
     "TruncatedSeries",
@@ -33,6 +41,7 @@ __all__ = [
     "cumulative_sum",
     "ims_hk_coeffs",
     "hk_coeffs",
+    "mobius_ims_partial_sums",
     "mobius_partial_sum_ims",
     "wn_operator",
 ]
@@ -137,46 +146,72 @@ def hk_coeffs(k: int, degree: int) -> TruncatedSeries:
     return cumulative_sum(ims_hk_coeffs(k, degree))
 
 
+def mobius_ims_partial_sums(
+    n_list: Sequence[int], degree: int, table: MobiusTable
+) -> Iterator[np.ndarray]:
+    """Coefficients of sum_{k=2..n} mu(k) (I - S) h_k for each n in ``n_list``.
+
+    This is the one Möbius partial-sum kernel.  It uses the closed form
+
+        [.]_0 = -sum_{k=2..n} mu(k) log(k)/k,
+        [.]_m = (c_n - D_m(n)) / m                       (m >= 1),
+
+    with c_n = sum_{k=2..n} mu(k)/k and D_m(n) = sum_{d | m, 2 <= d <= n}
+    mu(d).  The log sum is ``mobius_logsum_over_k`` (exactly rounded; its
+    k = 1 term is 0) and c_n is ``mobius_sum_over_k(table, n) - 1``.
+    D_m(n) is an exact integer divisor sieve, ``d[k::k] += mu(k)``,
+    advanced from one checkpoint n to the next, so a sweep costs
+    O(degree log n) and each coefficient m >= 1 is one subtraction and one
+    division of exact integers.  D is int32: |D_m(n)| <= tau(m) < 2^31.
+
+    ``n_list`` must be strictly increasing with 2 <= n <= table.limit.
+    Each yielded float64 array has length degree + 1 and belongs to the
+    caller.
+    """
+    ns = [int(n) for n in n_list]
+    if not ns or ns[0] < 2:
+        raise ValueError("n must be >= 2")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n values must be strictly increasing")
+    if ns[-1] > table.limit:
+        raise ValueError(f"n = {ns[-1]} exceeds table limit {table.limit}")
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    d = np.zeros(degree + 1, dtype=np.int32)
+    prev = 1
+    for n in ns:
+        yield _advance_ims(d, prev, n, table)
+        prev = n
+
+
+def _advance_ims(d: np.ndarray, prev: int, n: int, table: MobiusTable) -> np.ndarray:
+    """Sieve mu(k), prev < k <= n, into ``d``; return the closed form at n.
+
+    A module-level function rather than the generator body, so that the
+    work is attributed to this module by tracers that wrap its functions.
+    """
+    for k in range(prev + 1, min(n, d.size - 1) + 1):
+        mu = int(table.values[k])
+        if mu:
+            d[k::k] += mu
+    c_n = mobius_sum_over_k(table, n) - 1.0
+    out = np.empty(d.size, dtype=np.float64)
+    out[0] = -mobius_logsum_over_k(table, n)
+    np.subtract(c_n, d[1:], out=out[1:])
+    out[1:] /= np.arange(1, d.size, dtype=np.float64)
+    return out
+
+
 def mobius_partial_sum_ims(n: int, degree: int, table: MobiusTable) -> TruncatedSeries:
     """Sum over k = 2..n of mu(k) * (I - S) h_k, truncated at ``degree``.
 
-    Accumulation runs in increasing k, giving deterministic results.  For
-    m >= 1 the z^m coefficient equals
+    One step of ``mobius_ims_partial_sums``: for m >= 1 the z^m
+    coefficient is
 
-        (1/m) * ( sum_{k=2..n} mu(k)/k  -  sum_{d | m, 2 <= d <= n} mu(d) ),
-
-    which the tests use as an independent cross-check.
+        (1/m) * ( sum_{k=2..n} mu(k)/k  -  sum_{d | m, 2 <= d <= n} mu(d) ).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n > table.limit:
-        raise ValueError(f"n = {n} exceeds table limit {table.limit}")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    acc = np.zeros(degree + 1, dtype=np.float64)
-    inv = inverse_index(degree)
-    for k in range(2, n + 1):
-        mu = int(table.values[k])
-        if mu:
-            accumulate_ims(acc, k, float(mu), inv)
-    return TruncatedSeries(acc)
-
-
-def inverse_index(degree: int) -> np.ndarray:
-    """Array [0, 1, 1/2, ..., 1/degree]; entry 0 is a placeholder."""
-    inv = np.zeros(degree + 1, dtype=np.float64)
-    if degree >= 1:
-        inv[1:] = 1.0 / np.arange(1, degree + 1, dtype=np.float64)
-    return inv
-
-
-def accumulate_ims(acc: np.ndarray, k: int, weight: float, inv: np.ndarray) -> None:
-    """Add weight * (I - S) h_k to ``acc`` in place (``inv`` from inverse_index)."""
-    acc[0] += weight * (-math.log(k) / k)
-    if acc.size > 1:
-        acc[1:] += (weight / k) * inv[1:]
-        if k < acc.size:
-            acc[k::k] -= weight * inv[k::k]
+    (coeffs,) = mobius_ims_partial_sums([n], degree, table)
+    return TruncatedSeries(coeffs)
 
 
 def wn_operator(f: TruncatedSeries, n: int, cap: int | None = None) -> TruncatedSeries:

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  Every tolerance is fixed here, not tuned at runtime;
 oracles (trial division, divisor enumeration, direct Dirichlet sums,
 independent coefficient paths, polyval evaluation) are implemented inline
-or imported from the module tests.
+or imported from ``oracles.py``.
 """
 
 import csv
@@ -38,7 +38,6 @@ from zfhp import (
 from zfhp.special import f_k, fk_upper_bound, fk_values
 from zfhp.experiments import (
     build_manifest,
-    lq_residual_direct,
     rerun,
     run_hp_convergence,
     run_lambda_sweep,
@@ -48,6 +47,8 @@ from zfhp.experiments import (
     write_lambda_csv,
 )
 from zfhp.weights import WeightFamily, all_integers, extremal_probe
+
+from oracles import lq_residual_oracle
 
 GRID = [complex(re, im) for re in (0.6, 0.75, 1.5, 2.0) for im in (0.0, 1.0, 5.0)]
 
@@ -176,7 +177,7 @@ def test_criterion_06_lq_convergence():
         details.append(f"q={q}: " + " > ".join(f"{v:.4f}" for v in values))
         if q == 2.0:
             rel = max(
-                abs(r.value - lq_residual_direct(2.0, r.n, 10**5, table)) / r.value
+                abs(r.value - lq_residual_oracle(2.0, r.n, 10**5, table)) / r.value
                 for r in records
             )
             ok = ok and rel <= 1e-10

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from zfhp import DomainError, TruncatedSeries, build_mobius, classify, hk_coeffs
 from zfhp.experiments import (
     build_manifest,
-    lq_residual_direct,
     lq_tail_bound,
     rerun,
     run_hp_convergence,
@@ -25,6 +25,8 @@ from zfhp.experiments import (
 )
 from zfhp.norms import half_offset_points
 from zfhp.weights import WeightFamily, all_integers, extremal_probe
+
+from oracles import lq_residual_oracle
 
 
 def csv_rows(render, records) -> list[dict]:
@@ -53,16 +55,29 @@ class TestLqConvergence:
     def test_matches_direct_coefficient_oracle(self, mobius_1k):
         records = run_lq_convergence(2.0, [10, 100], 10**4, mobius_1k)
         for record in records:
-            direct = lq_residual_direct(2.0, record.n, 10**4, mobius_1k)
+            direct = lq_residual_oracle(2.0, record.n, 10**4, mobius_1k)
             assert abs(record.value - direct) <= 1e-10 * direct
 
     def test_tail_bound_finite_for_q_above_ten_sevenths(self, mobius_1k):
         assert math.isfinite(lq_tail_bound(1.5, 10, 1000, mobius_1k))
         assert math.isfinite(lq_tail_bound(2.0, 10, 1000, mobius_1k))
 
-    def test_tail_bound_infinite_when_envelope_diverges(self, mobius_1k):
-        # the divisor envelope j^0.3 gives a divergent l^q tail for q <= 10/7
-        assert math.isinf(lq_tail_bound(1.2, 10, 1000, mobius_1k))
+    def test_tail_bound_finite_and_above_brute_force_tail(self, mobius_1k):
+        # the exact residual (c_n - D_j(n))/j over (N, 40N], with D from an
+        # integer sieve and c_n from exact rationals
+        cutoff, top = 1000, 40 * 1000
+        j = np.arange(cutoff + 1, top + 1)
+        for n in (10, 100):
+            c_n = float(sum(Fraction(int(mobius_1k.values[k]), k) for k in range(2, n + 1)))
+            d = np.zeros(top + 1, dtype=np.int64)
+            for k in range(2, n + 1):
+                d[k::k] += int(mobius_1k.values[k])
+            tail = np.abs((c_n - d[cutoff + 1 :]) / j)
+            for q in (1.2, 1.5, 2.0):
+                bound = lq_tail_bound(q, n, cutoff, mobius_1k)
+                brute = math.fsum((tail**q).tolist()) ** (1.0 / q)
+                assert math.isfinite(bound)
+                assert bound >= brute, (q, n, bound, brute)
 
     def test_validation(self, mobius_1k):
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ from zfhp import (
     wn_operator,
 )
 
+from oracles import accumulated_ims
+
 
 def log_series_oracle(f0_coeffs: np.ndarray) -> np.ndarray:
     """Taylor coefficients of log(f) from those of f (f(0) != 0).
@@ -156,6 +158,19 @@ class TestMobiusPartialSums:
             divisor_part = bounded_divisor_sum(int(m), n, mobius_1k) - 1  # drop d = 1
             want = (c_n - divisor_part) / m
             assert got.coeffs[m] == pytest.approx(want, abs=1e-12), m
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_matches_accumulation_oracle(self, n, mobius_1k):
+        # the oracle makes at most 2n roundings into coefficient m >= 1, of
+        # terms whose absolute sum is at most (n + 1)/m, so it is off by at
+        # most (n + 1)^2 eps/m (read m as 1 at m = 0); the closed form's own
+        # error fits in the rest of (n + 2)^2 eps/m
+        degree = 5000
+        got = mobius_partial_sum_ims(n, degree, mobius_1k).coeffs
+        want = accumulated_ims(n, degree, mobius_1k)
+        m = np.maximum(np.arange(degree + 1), 1)
+        tol = (n + 2) ** 2 * np.finfo(np.float64).eps / m
+        assert np.all(np.abs(got - want) <= tol)
 
     def test_residual_shrinks_from_n10_to_n100(self, mobius_1k):
         degree = 10**5
