@@ -6,8 +6,9 @@ Runners:
   from 1 - z, with a proved Minkowski bound on the truncated tail.
 * ``run_hp_convergence``: H^p quasi-norm distance of sum mu(k) h_k from 1
   for 0 < p < 1, with quadrature-refinement control.
-* ``run_lambda_sweep``: residuals of the identity Lambda^(s)(h_k) = G_k(s)
-  against their reported tail bounds.
+* ``run_lambda_sweep``: residuals of the identity Lambda^(s)(h_k) = G_k(s),
+  with h_k truncated and the functional evaluated in closed form, against
+  a proved tail bound plus derived rounding and zeta budgets.
 * ``run_pointwise_approx``: residuals of sum mu(k) G_k(s) against -1/s.
 
 Every record carries its coefficient cutoff and, where applicable, a tail
@@ -32,10 +33,10 @@ import numpy as np
 from ._version import __version__
 from .arith import MobiusTable, build_mobius, mobius_sum_over_k
 from .errors import DomainError
-from .functionals import approx_reciprocal_s, lambda_apply
+from .functionals import approx_reciprocal_s, lambda_hk_truncated
 from .norms import QuadratureWarning, hp_norm_estimate, lq_norm
-from .series import TruncatedSeries, hk_coeffs, mobius_ims_partial_sums
-from .special import g_k, lambda_on_constant
+from .series import TruncatedSeries, mobius_ims_partial_sums
+from .special import g_k, g_k_error_bound, lambda_on_constant
 from .weights import ClassificationResult, ProbeResult
 
 __all__ = [
@@ -147,7 +148,8 @@ def _check_n_list(n_list: Sequence[int], table: MobiusTable, coeff_cutoff: int) 
 
 
 # 1 + 2^-40 covers the relative rounding error of lq_tail_bound (at most
-# 220 u, u = 2^-53, derived in its docstring) with a wide margin.
+# 220 u, u = 2^-53, derived in its docstring) and that of a residual and
+# its budget in run_lambda_sweep (under 8 u) with a wide margin.
 _TAIL_ROUNDING_FACTOR = 1.0 + 2.0**-40
 
 
@@ -301,9 +303,20 @@ def run_lambda_sweep(
     k_list: Iterable[int],
     s_grid: Iterable[complex],
     coeff_cutoff: int,
-    slack: float = 1e-8,
 ) -> list[LambdaRecord]:
-    """Residuals |Lambda^(s)(h_k) - G_k(s)| with pass flags against tail bounds.
+    """Residuals |Lambda^(s)(h_k) - G_k(s)| with pass flags, k-major order.
+
+    Lambda^(s) is applied to h_k truncated at N = coeff_cutoff by the
+    closed form ``lambda_hk_truncated``: one pass over j^(-s) per s and
+    O(1) work per (k, s), no coefficient table.  ``tail_bound`` is the
+    proved truncation bound from the envelope ``hk_coefficient_envelope``.
+    A record passes when
+
+        residual <= tail_bound + R + Z,
+
+    with R the closed form's rounding bound and Z = ``g_k_error_bound``,
+    the zeta target plus rounding of G_k(s); each bounds its part of
+    |value - G_k(s)|, so a failure contradicts the identity.
 
     Grid points must satisfy Re(s) > 1/2 (the functionals are bounded on
     the underlying Hardy-Hilbert space only there) and s != 1 (pole).
@@ -317,24 +330,20 @@ def run_lambda_sweep(
             )
         if abs(s - 1.0) < 1e-12:
             raise DomainError("s = 1 rejected: zeta pole")
-    ks = [int(k) for k in k_list]
-    if any(k < 2 for k in ks):
-        raise ValueError("k values must be >= 2")
     records: list[LambdaRecord] = []
-    for k in ks:
-        h = hk_coeffs(k, coeff_cutoff)
-        for s in grid:
-            ev = lambda_apply(h, s)
-            residual = abs(ev.value - g_k(k, s))
-            records.append(
-                LambdaRecord(
-                    k=k,
-                    s=s,
-                    residual=residual,
-                    tail_bound=ev.tail_bound,
-                    passed=residual <= ev.tail_bound + slack,
-                )
+    for ev in lambda_hk_truncated(k_list, grid, coeff_cutoff):
+        g = g_k(ev.k, ev.s)
+        residual = abs(ev.value - g)
+        budget = ev.tail_bound + ev.rounding_bound + g_k_error_bound(ev.k, ev.s, g)
+        records.append(
+            LambdaRecord(
+                k=ev.k,
+                s=ev.s,
+                residual=residual,
+                tail_bound=ev.tail_bound,
+                passed=residual <= budget * _TAIL_ROUNDING_FACTOR,
             )
+        )
     return records
 
 

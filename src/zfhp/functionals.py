@@ -5,23 +5,31 @@ is the finite sum a_0 (-1/s) + sum_{n=1..N} a_n f_n(s).  Because the h_k
 coefficients decay like C/m, the discarded tail beyond degree N admits the
 bound C (|1-s|/|s|) N^(-sigma) / sigma with sigma = Re(s), reported next to
 every value instead of being silently dropped.
+
+``lambda_apply`` sums any truncated series term by term.  On the generators
+h_k, ``lambda_hk_truncated`` evaluates the same finite sum in closed form,
+with a proved coefficient envelope and a proved rounding bound.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arith import MobiusTable
-from .series import TruncatedSeries
-from .special import fk_values, require_right_half_plane, zeta
+from .series import TruncatedSeries, hk_coefficient_envelope
+from .special import _U, fk_values, require_right_half_plane, zeta
 
 __all__ = [
     "FunctionalEvaluation",
+    "GeneratorEvaluation",
     "coefficient_tail_slope",
     "lambda_apply",
+    "lambda_hk_truncated",
     "approx_reciprocal_s",
     "lambda_linearity_check",
 ]
@@ -73,12 +81,181 @@ def lambda_apply(f: TruncatedSeries, s, coeff_bound: float | None = None) -> Fun
     c = coefficient_tail_slope(f) if coeff_bound is None else float(coeff_bound)
     if c < 0.0:
         raise ValueError("coeff_bound must be nonnegative")
-    if c == 0.0 or n == 0:
-        tail = 0.0
-    else:
-        sigma = s.real
-        tail = c * (abs(1.0 - s) / abs(s)) * float(n) ** (-sigma) / sigma
+    tail = 0.0 if c == 0.0 or n == 0 else _tail_bound(c, s, n)
     return FunctionalEvaluation(s=s, value=value, tail_bound=tail, degree_used=n)
+
+
+def _tail_bound(c: float, s: complex, n: int) -> float:
+    """C (|1-s|/|s|) n^(-sigma) / sigma, sigma = Re(s).
+
+    Bounds sum_{m>n} |a_m f_m(s)| when |a_m| <= C/m for m > n >= 1, by
+    |f_m(s)| <= (|1-s|/|s|) m^(-sigma) (``fk_upper_bound``) and
+    sum_{m>n} m^(-1-sigma) <= int_n^inf x^(-1-sigma) dx.
+    """
+    sigma = s.real
+    return c * (abs(1.0 - s) / abs(s)) * float(n) ** (-sigma) / sigma
+
+
+
+@dataclass(frozen=True)
+class GeneratorEvaluation:
+    """Lambda^(s) of h_k truncated at degree N, with its two error bounds.
+
+    ``tail_bound`` bounds |Lambda^(s)(h_k) - exact truncated value| and
+    ``rounding_bound`` bounds |value - exact truncated value|.
+    """
+
+    k: int
+    s: complex
+    value: complex
+    tail_bound: float
+    rounding_bound: float
+
+
+def lambda_hk_truncated(
+    k_list: Iterable[int], s_grid: Iterable[complex], degree: int
+) -> list[GeneratorEvaluation]:
+    """Lambda^(s)(h_k truncated at N = degree), in closed form, k-major order.
+
+    Value.  With M = floor(N/k), E = (N+1)^(1-s), P_c = sum_{j<=c} j^(-s)
+    and D_k = H_N - H_M - log k (H_c the harmonic numbers),
+
+        Lambda^(s)(h_k truncated at N) = [(P_N - k^(1-s) P_M) - E D_k] / (k s).
+
+    This is the same finite sum that ``lambda_apply(hk_coeffs(k, N), s)``
+    adds term by term.  Write the coefficients as a = cumsum(b), with b the
+    closed form of (I - S) h_k (``ims_hk_coeffs``): b_0 = -log(k)/k and
+    b_j = (1/j)(1/k - [k | j]).  With g = (-1/s, f_1(s), ..., f_N(s)),
+    summation by parts gives sum_m a_m g_m = sum_j b_j G_j, where the
+    suffix sums G_j = sum_{j<=m<=N} g_m telescope: G_j = (j^(1-s) - E)/s
+    for j >= 1 and G_0 = -1/s + G_1 = -E/s.  Then
+
+        sum_{j>=1} b_j j^(1-s) = P_N/k - k^(-s) P_M,
+        sum_{j>=1} b_j = (H_N - H_M)/k,
+
+    and collecting terms gives the formula.
+
+    Cost.  Each s needs one pass over j^(-s), j <= N, keeping only P at the
+    distinct cut points {floor(N/k)} and N, each an exactly rounded
+    (``math.fsum``) sum of exactly rounded block sums.  D_k does not
+    depend on s: it is one ``math.fsum`` of 1/j, M < j <= N, and -log k.
+    Each (k, s) pair then costs O(1).  The cancellations, in
+    P_N - k^(1-s) P_M and in the small D_k, fall only on these
+    compensated sums.  The block boundaries depend on the whole of
+    ``k_list``, so a value's last bits may too; the rounding bound below
+    holds for every choice.
+
+    Tail.  ``tail_bound`` is ``_tail_bound`` with the proved envelope
+    C = ``hk_coefficient_envelope(k, N)``, so it bounds the discarded
+    sum_{m>N} a_m f_m(s).
+
+    Rounding.  u = 2^-53.  Assumed: log, exp, cos and sin are within
+    4 ulp (a relative 8u), complex exp is e^x (cos y + i sin y) from these,
+    float +, -, *, / are correctly rounded per component, complex * is
+    within 3u and complex / within 8u (normwise), and ``math.fsum`` is
+    exactly rounded.  Let e(a, L) = u (12 a L + 24), sigma = Re(s) and
+    S_c = sum_{j<=c} j^(-sigma) <= 1 + int_1^c x^(-sigma) dx.
+      1. exp(-w log j), for w = s or w = 1 - s, is within
+         e(|w|, log j) |j^(-w)|: the rounded argument is off by at most
+         10u |w| log j, which perturbs the power by a factor e^d with
+         e^|d| - 1 <= 11u |w| log j, and exp, cos, sin and two products
+         add at most 18u.
+      2. Block sums and their sum are exactly rounded per component, so
+         |P~_c - P_c| <= (e(|s|, log c) + 3u) S_c; |P_c| <= S_c.
+      3. The 1/j are within u/j, log k within 8u log k, so
+         |D~ - D| <= u (2 |D| + 10 log k).
+      4. k^(1-s) P_M is within k^(1-sigma) S_M (e(|s|, log M) +
+         e(|1-s|, log k) + 7u); E D within (N+1)^(1-sigma)
+         ((e(|1-s|, log(N+1)) + 5u) |D| + 10u log k).
+      5. The two subtractions add at most 2u, the product k s and the
+         division at most 10u, times the sum of the operand bounds.
+    Hence |value - exact| is at most
+
+        R = [(e_N + 24u) S_N + k^(1-sigma) (e_M + e_k + 24u) S_M
+             + (N+1)^(1-sigma) ((e_E + 24u) |D| + 10u log k)] / (k |s|)
+
+    with e_N = e(|s|, log N), e_M = e(|s|, log M), e_k = e(|1-s|, log k)
+    and e_E = e(|1-s|, log(N+1)).  The constant 24u exceeds the 19u of
+    steps 2 to 5 by more than the second-order terms and the rounding of R
+    itself.  R is ``rounding_bound``.
+    """
+    ks = [int(k) for k in k_list]
+    grid = [require_right_half_plane(s) for s in s_grid]
+    n = int(degree)
+    if any(k < 2 for k in ks):
+        raise ValueError("k values must be >= 2")
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    cuts = sorted({n // k for k in ks} | {n})
+    prefix = [_power_prefix_sums(s, cuts) for s in grid]
+    log_n1 = math.log(n + 1)
+    out: list[GeneratorEvaluation] = []
+    for k in ks:
+        m = n // k
+        log_k = math.log(k)
+        terms = (1.0 / np.arange(m + 1, n + 1, dtype=np.float64)).tolist()
+        terms.append(-log_k)
+        gap = math.fsum(terms)
+        envelope = hk_coefficient_envelope(k, n)
+        for s, p in zip(grid, prefix):
+            e = cmath.exp((1.0 - s) * log_n1)
+            kappa = cmath.exp((1.0 - s) * log_k)
+            value = ((p[n] - kappa * p[m]) - e * gap) / (k * s)
+            out.append(
+                GeneratorEvaluation(
+                    k=k,
+                    s=s,
+                    value=value,
+                    tail_bound=_tail_bound(envelope, s, n),
+                    rounding_bound=_closed_form_rounding(k, s, n, gap),
+                )
+            )
+    return out
+
+
+def _power_prefix_sums(s: complex, cuts: Sequence[int]) -> dict[int, complex]:
+    """P_c = sum_{j<=c} j^(-s) at the sorted cut points, via exact block sums."""
+    terms = np.exp(-s * np.log(np.arange(1, cuts[-1] + 1, dtype=np.float64)))
+    blocks_re: list[float] = []
+    blocks_im: list[float] = []
+    prefix: dict[int, complex] = {}
+    lo = 0
+    for c in cuts:
+        block = terms[lo:c]
+        blocks_re.append(math.fsum(block.real.tolist()))
+        blocks_im.append(math.fsum(block.imag.tolist()))
+        prefix[c] = complex(math.fsum(blocks_re), math.fsum(blocks_im))
+        lo = c
+    return prefix
+
+
+def _closed_form_rounding(k: int, s: complex, n: int, gap: float) -> float:
+    """R of ``lambda_hk_truncated``, derived in its docstring."""
+    sigma = s.real
+    abs_s = abs(s)
+    abs_1s = abs(1.0 - s)
+    m = n // k
+    log_k = math.log(k)
+
+    def e(a: float, log_c: float) -> float:
+        return _U * (12.0 * a * log_c + 24.0)
+
+    def power_sum(c: int) -> float:  # upper bound on S_c
+        if c == 0:
+            return 0.0
+        log_c = math.log(c)
+        x = (1.0 - sigma) * log_c
+        return 1.0 + log_c * (math.expm1(x) / x if x else 1.0)
+
+    head = (e(abs_s, math.log(n)) + 24.0 * _U) * power_sum(n)
+    cut = 0.0
+    if m:
+        cut_rel = e(abs_s, math.log(m)) + e(abs_1s, log_k) + 24.0 * _U
+        cut = k ** (1.0 - sigma) * cut_rel * power_sum(m)
+    gap_term = (n + 1.0) ** (1.0 - sigma) * (
+        (e(abs_1s, math.log(n + 1)) + 24.0 * _U) * abs(gap) + 10.0 * _U * log_k
+    )
+    return (head + cut + gap_term) / (k * abs_s)
 
 
 def approx_reciprocal_s(n: int, s, table: MobiusTable) -> complex:

@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .series import TruncatedSeries
 from .weights import WeightFamily
@@ -171,6 +170,8 @@ def circle_abs_power_integral(beta: float) -> float:
     """
     if beta <= -1.0:
         raise ValueError("beta must be > -1 for integrability")
+    from scipy.special import gamma as _gamma  # deferred: keeps scipy out of import time
+
     return float(
         (2.0**beta / math.pi)
         * math.sqrt(math.pi)

@@ -41,6 +41,7 @@ __all__ = [
     "cumulative_sum",
     "ims_hk_coeffs",
     "hk_coeffs",
+    "hk_coefficient_envelope",
     "mobius_ims_partial_sums",
     "mobius_partial_sum_ims",
     "wn_operator",
@@ -144,6 +145,67 @@ def hk_coeffs(k: int, degree: int) -> TruncatedSeries:
     ``ims_hk_coeffs(k, N)`` up to floating-point associativity.
     """
     return cumulative_sum(ims_hk_coeffs(k, degree))
+
+
+# 1 + 2^-40 = 1 + 8192 u covers the rounding of hk_coefficient_envelope and
+# of the tail formula C |1-s|/|s| N^-sigma / sigma it feeds (under 40 u).
+_ENVELOPE_ROUNDING_FACTOR = 1.0 + 2.0**-40
+
+
+def hk_coefficient_envelope(k: int, degree: int) -> float:
+    """Proved C with |a_m| <= C/m for every coefficient a_m of h_k, m > degree.
+
+    Statement.  With N = degree >= 0 and M0 = floor((N + 1)/k), the value
+
+        c(M) = (k-1)/(2k) + (k-1)(k-2)/(2 k^2 M) + (M+1)/(12 M^2)
+
+    at M = M0 bounds m |a_m| for every m > N when M0 >= 1, and
+    max(1, c(1)) does so when M0 = 0.  As N grows, c(M0) decreases to the
+    sharp constant (k-1)/(2k).
+
+    Proof.  The coefficients are a_m = (1/k)(H_m - H_M - log k) with
+    M = floor(m/k), the running sums of ``ims_hk_coeffs``.  Use
+    H_n = log n + gamma + 1/(2n) - e_n with 0 < e_n < 1/(12 n^2), n >= 1.
+    Let m >= k, so M >= 1, and write m = kM + r with 0 <= r <= k-1 and
+    x = r/(kM) in [0, 1), so that m = kM (1 + x).  Then
+
+        m k a_m = m log(1 + x) + 1/2 - k(1 + x)/2 - m e_m + m e_M.
+
+    Upper side: log(1 + x) <= x gives m log(1 + x) <= r (1 + x), and
+    m e_M < k(M+1)/(12 M^2) since m < k(M+1).  So
+
+        m k a_m < r - (k-1)/2 + x (r - k/2) + k(M+1)/(12 M^2),
+
+    where r - (k-1)/2 <= (k-1)/2 and x (r - k/2) <= (k-1)(k-2)/(2kM)
+    (it is <= 0 for r <= k/2, and x <= (k-1)/(kM) otherwise).  This is
+    k c(M).  Lower side: log(1 + x) >= x - x^2/2 gives
+    m log(1 + x) >= r (1 + x/2 - x^2/2) >= r, and m e_M > 0, so
+
+        m k a_m > r - (k-1)/2 - r/(2M) - 1/(12m) >= -(k-1)/2 - 1/(12m),
+
+    and (k-1)/2 + 1/(12m) <= k c(M) because m >= M gives
+    1/(12m) <= 1/(12M) < k(M+1)/(12 M^2).  Hence m |a_m| <= c(M), and c
+    decreases in M.  If M0 >= 1, every m > N has m >= N + 1 >= k and
+    M >= M0, so c(M0) is a bound.  If M0 = 0, the m >= k are covered by
+    c(1), and for 1 <= m < k, with t = m/k in (0, 1): H_m - log k <=
+    1 + log t (since H_m <= 1 + log m) and log k - H_m < -log t (since
+    H_m > log(m+1)), so m |a_m| < t max(1 + log t, -log t) < 1.
+
+    Rounding.  c is evaluated in fewer than ten correctly rounded
+    operations, a relative error below 10 u (u = 2^-53); the factor
+    1 + 2^-40 = 1 + 8192 u makes the returned value exceed the exact
+    bound, with room for the rounding of the tail formula it is used in.
+    """
+    _check_k(k)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+
+    def c(m0: int) -> float:
+        return (k - 1) / (2 * k) + (k - 1) * (k - 2) / (2 * k * k * m0) + (m0 + 1) / (12 * m0 * m0)
+
+    m0 = (degree + 1) // k
+    bound = c(m0) if m0 >= 1 else max(1.0, c(1))
+    return bound * _ENVELOPE_ROUNDING_FACTOR
 
 
 def mobius_ims_partial_sums(

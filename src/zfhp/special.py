@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConditioningError, DomainError, PoleError
 
@@ -29,6 +28,7 @@ __all__ = [
     "lambda_on_constant",
     "zeta",
     "g_k",
+    "g_k_error_bound",
     "mellin_step_pk",
     "mellin_rho_alpha",
     "rho_alpha_tail_bound",
@@ -40,6 +40,9 @@ _ACCEL = 3.0 + math.sqrt(8.0)
 # d_n in the accelerated eta series grows like (3 + sqrt 8)^n; keep it well
 # inside float range.
 _MAX_ETA_TERMS = 280
+# Relative error that ``zeta`` aims for by default.
+ZETA_TARGET = 1e-13
+_U = 2.0**-53  # unit roundoff of float64
 
 
 def require_right_half_plane(s) -> complex:
@@ -111,7 +114,7 @@ class ZetaValue:
     terms_used: int
 
 
-def zeta(s, *, target: float = 1e-13) -> ZetaValue:
+def zeta(s, *, target: float = ZETA_TARGET) -> ZetaValue:
     """zeta(s) for Re(s) > 0, s != 1, via the accelerated alternating series.
 
     Computes eta(s) = sum (-1)^(k-1) k^(-s) with Chebyshev-weighted series
@@ -171,7 +174,35 @@ def g_k(k: int, s) -> complex:
     return -(z / s) * (cmath.exp(-s * math.log(k)) - 1.0 / k)
 
 
+def g_k_error_bound(k: int, s, value: complex) -> float:
+    """Bound on |value - G_k(s)| for value = ``g_k(k, s)``.
+
+    ``g_k`` forms value = -w q with w = fl(z/s), z = zeta(s) within
+    ZETA_TARGET relative, and q = fl(p - 1/k), p = exp(-s log k).  With
+    u = 2^-53 and the accuracy assumed in ``lambda_hk_truncated`` (log,
+    exp, cos, sin within 4 ulp), p is within u (12 |s| log k + 24) k^(-Re s)
+    and 1/k within u/k, so |q - (k^(-s) - 1/k)| <= d + u |q| with
+    d = u (12 |s| log k + 24) k^(-Re s) + 2u/k.  The quotient is within
+    8u and the product within 3u, so |w| <= (|value|/|q|)(1 + 4u) and
+
+        |value - G_k| <= |value| (ZETA_TARGET + 16u) + 2 d |value|/|q|,
+
+    the factor 2 covering |zeta/s| <= |w| (1 + ZETA_TARGET + 9u).  The
+    bound needs no lower bound on |k^(-s) - 1/k|, which vanishes on the
+    points s = 1 + 2 pi i m/log k.  It is infinite only if q is exactly 0.
+    """
+    s = complex(s)
+    log_k = math.log(k)
+    q = abs(cmath.exp(-s * log_k) - 1.0 / k)
+    if q == 0.0:
+        return math.inf
+    d = _U * (12.0 * abs(s) * log_k + 24.0) * k ** (-s.real) + 2.0 * _U / k
+    return abs(value) * (ZETA_TARGET + 16.0 * _U + 2.0 * d / q)
+
+
 def _quad_complex(f, a: float, b: float) -> complex:
+    from scipy.integrate import quad  # deferred: only the Mellin checks need scipy
+
     re = quad(lambda x: f(x).real, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     im = quad(lambda x: f(x).imag, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     return complex(re, im)

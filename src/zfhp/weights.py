@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammaincc as _gammaincc
 
 __all__ = [
     "WeightFamily",
@@ -278,6 +276,9 @@ def _rm_tail(family: WeightFamily, t: int) -> float:
         return math.exp(-c * big_l) / c
     if family.kind == "stretchedexp":
         # int_t^inf exp(-2 x^alpha) dx = Gamma(1/alpha, 2 t^alpha) / (alpha 2^(1/alpha))
+        from scipy.special import gamma as _gamma  # deferred: keeps scipy out of import time
+        from scipy.special import gammaincc as _gammaincc
+
         a = family.alpha
         inv = 1.0 / a
         return float(_gamma(inv) * _gammaincc(inv, 2.0 * t**a) / (a * 2.0**inv))

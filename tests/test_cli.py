@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zfhp
 from zfhp.cli import main, parse_complex, parse_int_range, parse_s_grid
 
 
@@ -224,3 +229,18 @@ class TestOtherCommands:
     def test_mellin_verify_fails_on_absurd_tol(self, capsys):
         code = main(["mellin", "verify", "--k", "1..3", "--s", "2+1i", "--tol", "1e-30", "--check"])
         assert code == 4
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed by the Mellin quadrature and two special-function
+    # bounds; a fresh interpreter importing the CLI must not load it
+    src = str(Path(zfhp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, zfhp.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]"

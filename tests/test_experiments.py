@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zfhp import DomainError, TruncatedSeries, build_mobius, classify, hk_coeffs
+from zfhp import DomainError, TruncatedSeries, build_mobius, classify, g_k, hk_coeffs
+from zfhp import experiments
 from zfhp.experiments import (
     build_manifest,
     lq_tail_bound,
@@ -125,6 +126,20 @@ class TestLambdaSweep:
         records = run_lambda_sweep([2, 3], [2.0, 1.5 + 1.0j], 10**4)
         assert len(records) == 4
         assert all(r.passed for r in records)
+
+    def test_records_in_k_major_order(self):
+        ks, grid = [5, 2, 3], [2.0 + 0j, 0.75 + 1j, 1.5 + 5j]
+        records = run_lambda_sweep(ks, grid, 500)
+        assert [(r.k, r.s) for r in records] == [(k, s) for k in ks for s in grid]
+
+    def test_pass_budget_is_derived_not_a_slack(self, monkeypatch):
+        # at Re s = 2 and N = 1e4 the truncation bound is below 1e-9, so a
+        # G_k(s) off by 2e-9 must fail (a fixed slack of 1e-8 would pass it)
+        (record,) = run_lambda_sweep([2], [2.0], 10**4)
+        assert record.passed and record.tail_bound < 1e-9
+        monkeypatch.setattr(experiments, "g_k", lambda k, s: g_k(k, s) + 2e-9)
+        (shifted,) = run_lambda_sweep([2], [2.0], 10**4)
+        assert not shifted.passed
 
     def test_rejects_left_of_half_line(self):
         with pytest.raises(DomainError) as err:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,9 @@ from zfhp import (
     lambda_apply,
     lambda_linearity_check,
 )
+from zfhp.functionals import lambda_hk_truncated
+
+U = 2.0**-53
 
 
 def monomial(k: int) -> TruncatedSeries:
@@ -70,6 +74,95 @@ class TestLambdaApply:
         m = np.arange(1, 101, dtype=np.float64)
         f = TruncatedSeries(np.concatenate([[0.0], 1.0 / m]))
         assert coefficient_tail_slope(f) == pytest.approx(1.0, abs=1e-12)
+
+
+def lambda_apply_error_bound(k: int, s: complex, n: int, value: complex) -> float:
+    """Rounding bound of lambda_apply(hk_coeffs(k, n), s) against its exact finite sum.
+
+    Each closed-form term b_j of (I - S) h_k is within 6u |b_j| (at most
+    two divisions and a subtraction, where |b_j| >= (1/j)/2 for k | j), and
+    coefficient m is a sequential running sum of m + 1 of them, so it is
+    off by at most gamma_{m+7} S_m with S_m = log(k)/k + sum_{j<=m} |b_j|,
+    which also bounds |a_m|.  f_m(s) from ``fk_values`` is within
+    u (12 |1-s| log(m+1) + 64) relative: the power exp((1-s) log m) as in
+    ``lambda_hk_truncated``, plus expm1 of (1-s) log1p(1/m), which is well
+    conditioned for |1-s| log 2 < 4 as on the grids below.  With
+    |f_m(s)| <= |1-s|/|s| m^-sigma, the product (3u) and the exactly
+    rounded sum (u |value|), the oracle's error is at most the returned value.
+    """
+    m = np.arange(1, n + 1, dtype=np.float64)
+    b = (1.0 / k) / m
+    b[k - 1 :: k] -= 1.0 / m[k - 1 :: k]
+    s_m = (math.log(k) / k + np.cumsum(np.abs(b))) * (1.0 + 1e-12)
+    gamma = (m + 7.0) * U / (1.0 - (m + 7.0) * U)
+    f_rel = U * (12.0 * abs(1.0 - s) * np.log(m + 1.0) + 64.0)
+    f_bound = abs(1.0 - s) / abs(s) * m ** (-s.real)
+    head = 4 * U * math.log(k) / k / abs(s)
+    return float(np.sum((gamma + f_rel + 3 * U) * s_m * f_bound)) + head + U * abs(value)
+
+
+def lambda_hk_exact(k: int, s: complex, n: int, dps: int = 40) -> complex:
+    """Lambda^(s)(h_k truncated at n) as the term-by-term sum, in mpmath.
+
+    a_m = (H_m - H_{floor(m/k)} - log k)/k and f_m(s) from its definition,
+    independent of both the closed form and the float oracle.
+    """
+    with mpmath.workdps(dps):
+        sm = mpmath.mpc(s.real, s.imag)
+        harmonic = [mpmath.mpf(0)]
+        for j in range(1, n + 1):
+            harmonic.append(harmonic[-1] + mpmath.mpf(1) / j)
+        log_k = mpmath.log(k)
+        total = (log_k / k) / sm
+        for j in range(1, n + 1):
+            a = (harmonic[j] - harmonic[j // k] - log_k) / k
+            total += a * (-(mpmath.power(j + 1, 1 - sm) - mpmath.power(j, 1 - sm)) / sm)
+        return complex(total)
+
+
+class TestLambdaHkTruncated:
+    @pytest.mark.parametrize("n", [5, 50, 2000])
+    @pytest.mark.parametrize("s", [0.6, 0.75 + 1j, 1.5 + 5j, 2.0])
+    @pytest.mark.parametrize("k", [2, 3, 7, 20])
+    def test_matches_lambda_apply_oracle(self, k, s, n):
+        # covers n < k (5 with k = 7, 20) and k | n (50 with k = 2; 2000 with k = 2, 20)
+        s = complex(s)
+        (ev,) = lambda_hk_truncated([k], [s], n)
+        oracle = lambda_apply(hk_coeffs(k, n), s).value
+        tol = ev.rounding_bound + lambda_apply_error_bound(k, s, n, oracle)
+        assert abs(ev.value - oracle) <= tol
+        assert ev.k == k and ev.s == s
+
+    @pytest.mark.parametrize("k, s", [(5, 0.6 + 0j), (7, 1.5 + 5j)])
+    def test_within_rounding_bound_of_40_digit_value(self, k, s):
+        (ev,) = lambda_hk_truncated([k], [s], 2000)
+        exact = lambda_hk_exact(k, s, 2000)
+        assert abs(ev.value - exact) <= ev.rounding_bound
+        # the bound is derived, but not vacuous
+        assert ev.rounding_bound < 1e-11 * max(1.0, abs(exact))
+
+    def test_tail_bound_uses_proved_envelope(self):
+        (ev,) = lambda_hk_truncated([2], [2.0], 1000)
+        fitted = lambda_apply(hk_coeffs(2, 1000), 2.0)
+        assert ev.tail_bound >= fitted.tail_bound
+        assert ev.tail_bound == pytest.approx(fitted.tail_bound, rel=1e-2)
+
+    def test_k_major_order_and_shared_tables(self):
+        ks, grid = [3, 2, 7], [2.0 + 0j, 0.75 + 1j]
+        evs = lambda_hk_truncated(ks, grid, 300)
+        assert [(e.k, e.s) for e in evs] == [(k, s) for k in ks for s in grid]
+        for e in evs:
+            # other k add cut points, which may move the last bits only
+            (alone,) = lambda_hk_truncated([e.k], [e.s], 300)
+            assert abs(alone.value - e.value) <= alone.rounding_bound + e.rounding_bound
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            lambda_hk_truncated([1], [2.0], 100)
+        with pytest.raises(ValueError):
+            lambda_hk_truncated([2], [2.0], 0)
+        with pytest.raises(DomainError):
+            lambda_hk_truncated([2], [-1.0], 100)
 
 
 class TestLinearity:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from zfhp import (
     TruncatedSeries,
     apply_one_minus_shift,
     bounded_divisor_sum,
+    coefficient_tail_slope,
     cumulative_sum,
     hk_coeffs,
     ims_hk_coeffs,
@@ -15,6 +17,7 @@ from zfhp import (
     mobius_sum_over_k,
     wn_operator,
 )
+from zfhp.series import hk_coefficient_envelope
 
 from oracles import accumulated_ims
 
@@ -136,6 +139,78 @@ class TestHkGenerators:
         coeffs = hk_coeffs(k, n).coeffs
         m = np.arange(k * k + 1, n + 1, dtype=np.float64)
         assert np.all(np.abs(coeffs[k * k + 1 :]) < 10.0 * k / m)
+
+
+U = 2.0**-53
+
+
+def m_times_hk_coeff(k: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m |a_m| for the h_k coefficients, with a bound on its error.
+
+    a_m = (H_m - H_M - log k)/k, M = floor(m/k).  For M < 16 the harmonic
+    numbers come from mpmath at 40 digits (error below one rounding of the
+    result, 2u).  For M >= 16, with m = kM + r, H_m - H_M - log k equals
+
+        log1p(r/(kM)) + c(m) - c(M),  c(n) = 1/(2n) - 1/(12n^2) + 1/(120n^4) - 1/(252n^6),
+
+    up to 2/(240 M^8) (Euler-Maclaurin: |H_n - log n - gamma - c(n)| <=
+    1/(240 n^8)).  Evaluated in float (log1p within 4 ulp), each of the
+    three terms is below 1/M in size and within 9u/M, the two sums add
+    6u/M, and m/k <= 2M, so m |a_m| is within 64u + 1/(60 M^7).
+    """
+    m = np.asarray(m, dtype=np.int64)
+    big_m = m // k
+    out = np.empty(m.size)
+    err = np.empty(m.size)
+    small = big_m < 16
+    with mpmath.workdps(40):
+        log_k = mpmath.log(k)
+        for i in np.flatnonzero(small):
+            mi = int(m[i])
+            d = mpmath.harmonic(mi) - mpmath.harmonic(mi // k) - log_k
+            out[i] = float(abs(d) * mi / k)
+    err[small] = 2 * U
+    mf = m[~small].astype(np.float64)
+    mm = big_m[~small].astype(np.float64)
+    r = mf - k * mm
+
+    def c(n):
+        return 1 / (2 * n) - 1 / (12 * n**2) + 1 / (120 * n**4) - 1 / (252 * n**6)
+
+    d = np.log1p(r / (k * mm)) + c(mf) - c(mm)
+    out[~small] = mf * np.abs(d) / k
+    err[~small] = 64 * U + 1 / (60 * mm**7)
+    return out, err
+
+
+class TestHkCoefficientEnvelope:
+    @pytest.mark.parametrize("n", [5, 100, 10**4])
+    @pytest.mark.parametrize("k", [2, 3, 7, 20])
+    def test_bounds_every_coefficient_beyond_cutoff(self, k, n):
+        m = np.arange(n + 1, 50 * n + 1)
+        values, err = m_times_hk_coeff(k, m)
+        bound = hk_coefficient_envelope(k, n)
+        assert np.all(values + err <= bound)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 20])
+    def test_approaches_sharp_constant(self, k):
+        sharp = (k - 1) / (2 * k)
+        assert sharp < hk_coefficient_envelope(k, 10**5) < sharp * (1 + 1e-3)
+        m = np.arange(10**5 - 2 * k, 10**5 + 1)
+        values, _ = m_times_hk_coeff(k, m)
+        assert np.max(values) > sharp * (1 - 1e-3)
+
+    @pytest.mark.parametrize("k", [2, 20])
+    def test_covers_the_fitted_slope(self, k):
+        # max m |a_m| over the top half of the stored range, the estimate it replaces
+        fitted = coefficient_tail_slope(hk_coeffs(k, 10**5))
+        assert hk_coefficient_envelope(k, 10**5) > fitted
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            hk_coefficient_envelope(1, 10)
+        with pytest.raises(ValueError):
+            hk_coefficient_envelope(2, -1)
 
 
 class TestMobiusPartialSums:
