@@ -1,9 +1,11 @@
 """Number-theoretic kernel: Möbius function, divisor counts, partial sums.
 
 Tables are built once by a sieve and are immutable afterwards, so they can
-be shared freely between threads.  All partial sums run over increasing
-index and use exactly rounded compensated accumulation (``math.fsum``), so
-repeated runs on one platform reproduce results bit for bit.
+be shared freely between threads.  The Möbius table comes from a numpy
+sieve over the primes up to sqrt(limit) only (``build_mobius``).  All
+partial sums run over increasing index and use exactly rounded compensated
+accumulation (``math.fsum``), so repeated runs on one platform reproduce
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ __all__ = [
     "mobius_logsum_over_k",
     "bounded_divisor_sum",
 ]
+
+# entries per block of build_mobius's final compare (4 MB int32 temporaries)
+_SIEVE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,33 +59,48 @@ class DivisorCountTable:
 
 
 def build_mobius(limit: int) -> MobiusTable:
-    """Sieve mu(n) for all n <= limit with the linear (one-pass) sieve.
+    """Sieve mu(n) for all n <= limit over the primes p <= r = isqrt(limit).
 
-    Each composite is crossed off exactly once by its smallest prime
-    factor, giving O(limit) work.
+    For each such p, ``mu[p::p]`` is negated, ``mu[p*p::p*p]`` zeroed and
+    the radical ``rad[p::p]`` multiplied by p, so afterwards mu[n] is
+    (-1)^w 0^e and rad[n] = prod p, over the primes p <= r dividing n (w
+    of them, e of them with p^2 | n).
+
+    Large prime factors.  Let n <= limit, and let m = n / rad[n] when no
+    p^2 with p <= r divides n (e = 0), so that every prime factor of m
+    exceeds r.  Two of them, equal or not, would make n >= (r + 1)^2 >
+    limit.  So m is 1 or one prime q > r, n is squarefree, and
+    mu(n) = -mu[n] exactly when rad[n] != n.  When e > 0, mu[n] is already
+    mu(n) = 0 and negating it changes nothing, so one final pass negates
+    every mu[n] with rad[n] != n.
+
+    rad[n] divides n, so rad fits int32 for limit < 2^31; larger limits are
+    refused before anything is allocated.  The final compare runs in
+    blocks, so no full-length temporary is wider than int32.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    mu = [0] * (limit + 1)
-    mu[1] = 1
-    is_comp = bytearray(limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            is_comp[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    values = np.array(mu, dtype=np.int8)
-    values.setflags(write=False)
-    return MobiusTable(limit=limit, values=values)
+    if limit >= 2**31:
+        raise ValueError(f"limit = {limit} too large: the Möbius sieve needs limit < 2^31")
+    r = math.isqrt(limit)
+    is_prime = np.ones(r + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(r) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    mu = np.ones(limit + 1, dtype=np.int8)
+    rad = np.ones(limit + 1, dtype=np.int32)
+    for p in np.flatnonzero(is_prime).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        rad[p::p] *= p
+    for lo in range(0, limit + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, limit + 1)
+        block = mu[lo:hi]
+        np.negative(block, out=block, where=rad[lo:hi] != np.arange(lo, hi, dtype=np.int32))
+    mu[0] = 0
+    mu.setflags(write=False)
+    return MobiusTable(limit=limit, values=mu)
 
 
 def build_divisor_counts(limit: int) -> DivisorCountTable:

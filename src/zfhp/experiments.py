@@ -33,10 +33,10 @@ import numpy as np
 from ._version import __version__
 from .arith import MobiusTable, build_mobius, mobius_sum_over_k
 from .errors import DomainError
-from .functionals import approx_reciprocal_s, lambda_hk_truncated
+from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import QuadratureWarning, hp_norm_estimate, lq_norm
 from .series import TruncatedSeries, mobius_ims_partial_sums
-from .special import g_k, g_k_error_bound, lambda_on_constant
+from .special import _g_k_given_zeta, g_k_error_bound, lambda_on_constant, zeta
 from .weights import ClassificationResult, ProbeResult
 
 __all__ = [
@@ -331,8 +331,10 @@ def run_lambda_sweep(
         if abs(s - 1.0) < 1e-12:
             raise DomainError("s = 1 rejected: zeta pole")
     records: list[LambdaRecord] = []
-    for ev in lambda_hk_truncated(k_list, grid, coeff_cutoff):
-        g = g_k(ev.k, ev.s)
+    evaluations = lambda_hk_truncated(k_list, grid, coeff_cutoff)
+    zetas = {s: zeta(s).value for s in dict.fromkeys(grid)}
+    for ev in evaluations:
+        g = _g_k_given_zeta(ev.k, ev.s, zetas[ev.s])
         residual = abs(ev.value - g)
         budget = ev.tail_bound + ev.rounding_bound + g_k_error_bound(ev.k, ev.s, g)
         records.append(
@@ -352,7 +354,10 @@ def run_pointwise_approx(
 ) -> list[ApproxRecord]:
     """Residuals |sum_{k=2..n} mu(k) G_k(s) + 1/s| over the n sweep.
 
-    Reporting only: convergence is not asserted for Re(s) <= 1.
+    Each s costs one pass of ``approx_reciprocal_s_partial_sums`` over the
+    squarefree k <= max(n_list), with every n a checkpoint; each value is
+    the exactly rounded sum of all its terms.  Reporting only: convergence
+    is not asserted for Re(s) <= 1.
     """
     grid = [complex(s) for s in s_grid]
     for s in grid:
@@ -368,8 +373,8 @@ def run_pointwise_approx(
     records: list[ApproxRecord] = []
     for s in grid:
         target = lambda_on_constant(s)
-        for n in ns:
-            value = approx_reciprocal_s(n, s, table)
+        values = approx_reciprocal_s_partial_sums(ns, s, table)
+        for n, value in zip(ns, values):
             records.append(ApproxRecord(s=s, n=n, residual=abs(value - target)))
     return records
 

@@ -9,6 +9,9 @@ every value instead of being silently dropped.
 ``lambda_apply`` sums any truncated series term by term.  On the generators
 h_k, ``lambda_hk_truncated`` evaluates the same finite sum in closed form,
 with a proved coefficient envelope and a proved rounding bound.
+
+``approx_reciprocal_s_partial_sums`` forms the Möbius combinations
+sum_{k<=n} mu(k) G_k(s) at many n in one pass over the squarefree k.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "lambda_apply",
     "lambda_hk_truncated",
     "approx_reciprocal_s",
+    "approx_reciprocal_s_partial_sums",
     "lambda_linearity_check",
 ]
 
@@ -258,24 +262,75 @@ def _closed_form_rounding(k: int, s: complex, n: int, gap: float) -> float:
     return (head + cut + gap_term) / (k * abs_s)
 
 
+# k per block of the approx kernel: the block's terms are a few numpy
+# temporaries of this length, and each block adds only a few parts.
+_APPROX_BLOCK = 1 << 16
+
+
 def approx_reciprocal_s(n: int, s, table: MobiusTable) -> complex:
     """Partial linear combination sum_{k=2..n} mu(k) G_k(s).
 
     The candidate approximant to -1/s; convergence is guaranteed for
     Re(s) > 1 (where sum mu(k) k^(-s) = 1/zeta(s)), while for
     1/2 < Re(s) <= 1 the residual is reported without any convergence
-    claim.
+    claim.  One checkpoint of ``approx_reciprocal_s_partial_sums``.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n > table.limit:
-        raise ValueError(f"n = {n} exceeds table limit {table.limit}")
+    return approx_reciprocal_s_partial_sums([n], s, table)[0]
+
+
+def approx_reciprocal_s_partial_sums(
+    n_list: Iterable[int], s, table: MobiusTable
+) -> list[complex]:
+    """sum_{k=2..n} mu(k) G_k(s) for every n in ``n_list``, in its order.
+
+    With G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), each value is
+    -(zeta(s)/s) times fsum_k mu(k) (k^(-s) - 1/k), the sum exactly rounded
+    per component.  One increasing pass over k <= max(n_list), in blocks
+    of ``_APPROX_BLOCK`` split at the checkpoints, forms the terms of the
+    squarefree k only (mu(k) = 0 terms are exact zeros) with the same
+    elementwise numpy expression as a single full-range pass.
+
+    Exactness.  Each block's exact sum is kept as a short float expansion:
+    hi = fsum(block) is appended to the parts and -hi to the block until
+    fsum returns 0, so the parts add up exactly to the exact block sum
+    (a finite dyadic, which the loop therefore reaches).  ``math.fsum`` is
+    correctly rounded whatever the order and grouping of its inputs, so the
+    fsum of all parts up to a checkpoint is the same float as the fsum of
+    every term up to it.  For real s every imaginary part is +-0, so that
+    sum is skipped and taken as 0.0.
+    """
+    ns = [int(n) for n in n_list]
+    for n in ns:
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        if n > table.limit:
+            raise ValueError(f"n = {n} exceeds table limit {table.limit}")
     z = zeta(s).value
     s = complex(s)
-    k = np.arange(2, n + 1, dtype=np.float64)
-    mu = table.values[2 : n + 1].astype(np.float64)
-    terms = mu * (np.exp(-s * np.log(k)) - 1.0 / k)
-    return -(z / s) * _fsum_complex(terms)
+    parts_re: list[float] = []
+    parts_im: list[float] = []
+    sums: dict[int, complex] = {}
+    lo = 2
+    for n in sorted(set(ns)):
+        while lo <= n:
+            hi = min(lo + _APPROX_BLOCK, n + 1)
+            mu = table.values[lo:hi]
+            nz = np.flatnonzero(mu)
+            k = (nz + lo).astype(np.float64)
+            terms = mu[nz].astype(np.float64) * (np.exp(-s * np.log(k)) - 1.0 / k)
+            _extend_exact(parts_re, terms.real.tolist())
+            if s.imag != 0.0:
+                _extend_exact(parts_im, terms.imag.tolist())
+            lo = hi
+        sums[n] = -(z / s) * complex(math.fsum(parts_re), math.fsum(parts_im))
+    return [sums[n] for n in ns]
+
+
+def _extend_exact(parts: list[float], block: list[float]) -> None:
+    """Append to ``parts`` floats whose exact sum is the exact sum of ``block``."""
+    while hi := math.fsum(block):
+        parts.append(hi)
+        block.append(-hi)
 
 
 def lambda_linearity_check(f: TruncatedSeries, g: TruncatedSeries, a, b, s) -> float:

@@ -170,7 +170,11 @@ def g_k(k: int, s) -> complex:
     if k < 2:
         raise ValueError("k must be an integer >= 2")
     z = zeta(s).value
-    s = complex(s)
+    return _g_k_given_zeta(k, complex(s), z)
+
+
+def _g_k_given_zeta(k: int, s: complex, z: complex) -> complex:
+    """``g_k`` with z = zeta(s).value already computed, for sweeps over k."""
     return -(z / s) * (cmath.exp(-s * math.log(k)) - 1.0 / k)
 
 

@@ -11,6 +11,8 @@ from zfhp import (
     mobius_sum_over_k,
 )
 
+from oracles import mobius_linear_sieve
+
 
 def mu_by_trial_division(n: int, primes: list[int]) -> int:
     """Independent oracle: factor n over a precomputed prime list."""
@@ -71,9 +73,33 @@ def test_mobius_matches_trial_division_oracle(mobius_100k):
         assert values[n] == mu_by_trial_division(n, primes), n
 
 
+def test_mobius_matches_linear_sieve_for_small_limits():
+    # covers limit = p^2 and p^2 - 1, and prime and composite isqrt(limit)
+    for limit in range(1, 401):
+        assert np.array_equal(build_mobius(limit).values, mobius_linear_sieve(limit)), limit
+
+
+def test_mobius_matches_linear_sieve(mobius_100k):
+    assert np.array_equal(mobius_100k.values, mobius_linear_sieve(10**5))
+
+
+def test_mobius_table_contract(mobius_100k):
+    values = mobius_100k.values
+    assert values.dtype == np.int8
+    assert not values.flags.writeable
+    assert values[0] == 0
+    assert values.size == 10**5 + 1
+
+
 def test_mobius_rejects_zero_limit():
     with pytest.raises(ValueError):
         build_mobius(0)
+
+
+def test_mobius_rejects_limit_beyond_int32_radical():
+    # refused before any allocation; never test this by allocating
+    with pytest.raises(ValueError, match="2\\^31"):
+        build_mobius(2**31)
 
 
 def test_divisor_counts_trivial():

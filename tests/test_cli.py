@@ -56,6 +56,11 @@ class TestExitCodes:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_approx_refuses_mobius_limit_beyond_int32(self, capsys):
+        # rejected before the sieve allocates anything
+        assert main(["approx", "--s", "2+0i", "--n", "2147483648"]) == 2
+        assert "2^31" in capsys.readouterr().err
+
     def test_lambda_domain_violation(self):
         code = main(["lambda", "--k", "2..3", "--s-grid", "0.4 x 0", "--coeff-cutoff", "100"])
         assert code == 3

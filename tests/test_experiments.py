@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zfhp import DomainError, TruncatedSeries, build_mobius, classify, g_k, hk_coeffs
+from zfhp import DomainError, TruncatedSeries, build_mobius, classify, g_k, hk_coeffs, zeta
 from zfhp import experiments
 from zfhp.experiments import (
     build_manifest,
@@ -137,9 +137,22 @@ class TestLambdaSweep:
         # G_k(s) off by 2e-9 must fail (a fixed slack of 1e-8 would pass it)
         (record,) = run_lambda_sweep([2], [2.0], 10**4)
         assert record.passed and record.tail_bound < 1e-9
-        monkeypatch.setattr(experiments, "g_k", lambda k, s: g_k(k, s) + 2e-9)
+        monkeypatch.setattr(experiments, "_g_k_given_zeta", lambda k, s, z: g_k(k, s) + 2e-9)
         (shifted,) = run_lambda_sweep([2], [2.0], 10**4)
         assert not shifted.passed
+
+    def test_one_zeta_call_per_distinct_s(self, monkeypatch):
+        calls = []
+
+        def counting_zeta(s):
+            calls.append(s)
+            return zeta(s)
+
+        monkeypatch.setattr(experiments, "zeta", counting_zeta)
+        grid = [2.0 + 0j, 0.75 + 1j, 2.0 + 0j, 1.5 + 5j]
+        records = run_lambda_sweep(range(2, 12), grid, 500)
+        assert len(records) == 40 and all(r.passed for r in records)
+        assert calls == [2.0 + 0j, 0.75 + 1j, 1.5 + 5j]
 
     def test_rejects_left_of_half_line(self):
         with pytest.raises(DomainError) as err:

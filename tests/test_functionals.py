@@ -16,7 +16,9 @@ from zfhp import (
     lambda_apply,
     lambda_linearity_check,
 )
-from zfhp.functionals import lambda_hk_truncated
+from zfhp.functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
+
+from oracles import approx_reciprocal_s_oracle
 
 U = 2.0**-53
 
@@ -205,11 +207,22 @@ class TestApproxReciprocal:
         got = approx_reciprocal_s(10**6, 2.0, mobius_1m)
         assert abs(got + 0.5) < 0.05
 
+    @pytest.mark.parametrize("s", [2.0, 1.5, 0.75 + 3j, 2.0 + 14.13j])
+    def test_kernel_equals_full_range_oracle(self, s, mobius_100k):
+        # unsorted, with duplicates, across the 2^16 block boundary, ending at the limit
+        ns = [1000, 2, 65538, 100, 1000, 65537, 2, 10**5]
+        got = approx_reciprocal_s_partial_sums(ns, s, mobius_100k)
+        assert got == [approx_reciprocal_s_oracle(n, s, mobius_100k) for n in ns]
+
     def test_out_of_range(self, mobius_1k):
         with pytest.raises(ValueError):
             approx_reciprocal_s(1001, 2.0, mobius_1k)
         with pytest.raises(ValueError):
             approx_reciprocal_s(1, 2.0, mobius_1k)
+        with pytest.raises(ValueError):
+            approx_reciprocal_s_partial_sums([10, 1], 2.0, mobius_1k)
+        with pytest.raises(ValueError):
+            approx_reciprocal_s_partial_sums([10, 1001], 2.0, mobius_1k)
 
     def test_domain_errors(self, mobius_1k):
         with pytest.raises(PoleError):
