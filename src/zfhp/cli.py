@@ -2,9 +2,9 @@
 
 One binary, ``zfhp``, with subcommands for the convergence experiments,
 the functional identity sweep, the pointwise approximation of -1/s, weight
-classification, Mellin verification and zeta evaluation.  Results are
-emitted as CSV (stdout, or ``--out FILE`` plus a ``*.manifest.json``
-sidecar that reproduces the run).
+classification, Mellin verification and zeta evaluation.  Experiment
+commands run exactly ``rerun(manifest)``.  Results are CSV on stdout, or in
+``--out FILE`` plus, for experiments, a ``*.manifest.json`` sidecar.
 
 Exit codes: 0 success, 2 invalid arguments, 3 domain error (pole or
 half-plane violation), 4 check failed in ``--check`` mode.
@@ -14,26 +14,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
-from .arith import build_mobius
 from .errors import ConditioningError, DomainError
 from .experiments import (
     build_manifest,
-    run_hp_convergence,
-    run_lambda_sweep,
-    run_lq_convergence,
-    run_pointwise_approx,
+    rerun,
     write_approx_csv,
     write_convergence_csv,
     write_lambda_csv,
     write_manifest,
+    write_mellin_csv,
     write_probe_csv,
     write_weights_csv,
 )
-from .special import f_k, mellin_step_pk, zeta
+from .special import zeta
 from .weights import (
+    TABLE1_STRIPS,
     TABLE_FAMILIES,
     all_integers,
     arithmetic_progression,
@@ -55,9 +52,12 @@ def parse_complex(text: str) -> complex:
 
 def parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"cannot parse integer list from {text!r}") from None
+    if not values:
+        raise ValueError(f"empty integer list {text!r}")
+    return values
 
 
 def parse_int_range(text: str) -> list[int]:
@@ -96,92 +96,82 @@ def _subsequence(text: str):
     raise ValueError(f"unknown subsequence {text!r} (want all | primes | arith:START,STEP)")
 
 
-@contextmanager
-def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-
-
 def _emit(path: str | None, writer, records, manifest=None) -> None:
-    with _open_out(path) as out:
+    if path is None:
+        writer(records, sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
         writer(records, out)
-    if path is not None and manifest is not None:
-        sidecar = Path(path).with_suffix(".manifest.json")
-        with open(sidecar, "w", encoding="utf-8") as out:
+    if manifest is not None:
+        with open(Path(path).with_suffix(".manifest.json"), "w", encoding="utf-8") as out:
             write_manifest(manifest, out)
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    n_list = parse_int_list(args.n)
-    mobius_limit = args.mobius_limit if args.mobius_limit else max(n_list)
-    table = build_mobius(mobius_limit)
-    if args.space == "lq":
-        if args.q is None:
-            raise ValueError("--q is required for --space lq")
-        records = run_lq_convergence(args.q, n_list, args.coeff_cutoff, table)
-        manifest = build_manifest(
-            "lq_convergence",
-            q=args.q,
-            n_list=n_list,
-            coeff_cutoff=args.coeff_cutoff,
-            mobius_limit=mobius_limit,
-        )
-    else:
-        if args.p is None:
-            raise ValueError("--p is required for --space hp")
-        records = run_hp_convergence(args.p, n_list, args.coeff_cutoff, args.nodes, table)
-        manifest = build_manifest(
-            "hp_convergence",
-            p=args.p,
-            n_list=n_list,
-            coeff_cutoff=args.coeff_cutoff,
-            nodes=args.nodes,
-            mobius_limit=mobius_limit,
-        )
-    _emit(args.out, write_convergence_csv, records, manifest)
-    if args.check:
-        values = [r.value for r in records]
-        if any(b >= a for a, b in zip(values, values[1:])):
-            print("check failed: values are not strictly decreasing", file=sys.stderr)
-            return CHECK_FAILED
-    return 0
+def _run(args: argparse.Namespace, manifest, writer) -> list:
+    """The one path from a command to its runner: ``rerun(manifest)``, then write."""
+    records = rerun(manifest)
+    _emit(args.out, writer, records, manifest)
+    return records
 
 
-def _cmd_lambda(args: argparse.Namespace) -> int:
-    k_list = parse_int_range(args.k)
-    grid = parse_s_grid(args.s_grid)
-    records = run_lambda_sweep(k_list, grid, args.coeff_cutoff)
-    manifest = build_manifest(
-        "lambda_sweep",
-        k_list=k_list,
-        s_grid=[[s.real, s.imag] for s in grid],
-        coeff_cutoff=args.coeff_cutoff,
-    )
-    _emit(args.out, write_lambda_csv, records, manifest)
-    if args.check and not all(r.passed for r in records):
-        bad = [r for r in records if not r.passed]
-        print(f"check failed: {len(bad)} of {len(records)} residuals above bound", file=sys.stderr)
+def _check(args: argparse.Namespace, failure) -> int:
+    """Exit code: 4 under ``--check`` when ``failure`` names a failed check, else 0."""
+    if args.check and failure:
+        print(f"check failed: {failure}", file=sys.stderr)
         return CHECK_FAILED
     return 0
 
 
+def _n_list_and_mobius_limit(args: argparse.Namespace) -> tuple[list[int], int]:
+    """``--n`` and ``--mobius-limit``, which defaults to the largest n."""
+    n_list = parse_int_list(args.n)
+    return n_list, args.mobius_limit or max(n_list)
+
+
+def _cmd_convergence(args: argparse.Namespace) -> int:
+    n_list, mobius_limit = _n_list_and_mobius_limit(args)
+    common = dict(n_list=n_list, coeff_cutoff=args.coeff_cutoff, mobius_limit=mobius_limit)
+    if args.space == "lq":
+        if args.q is None:
+            raise ValueError("--q is required for --space lq")
+        manifest = build_manifest("lq_convergence", q=args.q, **common)
+    else:
+        if args.p is None:
+            raise ValueError("--p is required for --space hp")
+        manifest = build_manifest("hp_convergence", p=args.p, nodes=args.nodes, **common)
+    records = _run(args, manifest, write_convergence_csv)
+    rising = any(b.value >= a.value for a, b in zip(records, records[1:]))
+    return _check(args, rising and "values are not strictly decreasing")
+
+
+def _cmd_lambda(args: argparse.Namespace) -> int:
+    k_list = parse_int_range(args.k)
+    s_grid = [[s.real, s.imag] for s in parse_s_grid(args.s_grid)]
+    manifest = build_manifest(
+        "lambda_sweep", k_list=k_list, s_grid=s_grid, coeff_cutoff=args.coeff_cutoff
+    )
+    records = _run(args, manifest, write_lambda_csv)
+    bad = sum(not r.passed for r in records)
+    return _check(args, bad and f"{bad} of {len(records)} residuals above bound")
+
+
 def _cmd_approx(args: argparse.Namespace) -> int:
     s = parse_complex(args.s)
-    n_list = parse_int_list(args.n)
-    mobius_limit = args.mobius_limit if args.mobius_limit else max(n_list)
-    table = build_mobius(mobius_limit)
-    records = run_pointwise_approx([s], n_list, table)
+    n_list, mobius_limit = _n_list_and_mobius_limit(args)
     manifest = build_manifest(
-        "pointwise_approx",
-        s_grid=[[s.real, s.imag]],
-        n_list=n_list,
-        mobius_limit=mobius_limit,
+        "pointwise_approx", s_grid=[[s.real, s.imag]], n_list=n_list, mobius_limit=mobius_limit
     )
-    _emit(args.out, write_approx_csv, records, manifest)
+    _run(args, manifest, write_approx_csv)
     return 0
+
+
+def _cmd_mellin_verify(args: argparse.Namespace) -> int:
+    k_list = parse_int_range(args.k)
+    s = parse_complex(args.s)
+    manifest = build_manifest("mellin_verify", k_list=k_list, s=[s.real, s.imag], tol=args.tol)
+    records = _run(args, manifest, write_mellin_csv)
+    bad = sum(not r.ok for r in records)
+    return _check(args, bad and f"{bad} of {len(records)} beyond tol={args.tol:g}")
 
 
 def _cmd_weights_classify(args: argparse.Namespace) -> int:
@@ -190,18 +180,11 @@ def _cmd_weights_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXPECTED_STRIPS = ("Right", "Right", "Right", "None", "None", "Left", "Left")
-
-
 def _cmd_weights_table1(args: argparse.Namespace) -> int:
     results = [classify(fam) for fam in TABLE_FAMILIES]
     _emit(args.out, write_weights_csv, results)
-    if args.check:
-        strips = tuple(r.strip for r in results)
-        if strips != _EXPECTED_STRIPS:
-            print(f"check failed: strips {strips} != {_EXPECTED_STRIPS}", file=sys.stderr)
-            return CHECK_FAILED
-    return 0
+    wrong = [r.family.label for r in results if r.strip != TABLE1_STRIPS[r.family.kind]]
+    return _check(args, wrong and f"strips differ from the table for {', '.join(wrong)}")
 
 
 def _cmd_weights_probe(args: argparse.Namespace) -> int:
@@ -213,23 +196,6 @@ def _cmd_weights_probe(args: argparse.Namespace) -> int:
         f"family={family.label} r={args.r:g} count={args.count} "
         f"running_min={result.running_min!r} running_max={result.running_max!r}"
     )
-    return 0
-
-
-def _cmd_mellin_verify(args: argparse.Namespace) -> int:
-    k_list = parse_int_range(args.k)
-    s = parse_complex(args.s)
-    failures = 0
-    with _open_out(args.out) as out:
-        out.write("k,s_re,s_im,abs_err,ok\n")
-        for k in k_list:
-            err = abs(mellin_step_pk(k, s) - f_k(k, s))
-            ok = err <= args.tol
-            failures += not ok
-            out.write(f"{k},{s.real!r},{s.imag!r},{err!r},{'true' if ok else 'false'}\n")
-    if args.check and failures:
-        print(f"check failed: {failures} of {len(k_list)} beyond tol={args.tol:g}", file=sys.stderr)
-        return CHECK_FAILED
     return 0
 
 

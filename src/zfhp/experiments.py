@@ -10,11 +10,14 @@ Runners:
   with h_k truncated and the functional evaluated in closed form, against
   a proved tail bound plus derived rounding and zeta budgets.
 * ``run_pointwise_approx``: residuals of sum mu(k) G_k(s) against -1/s.
+* ``run_mellin_verify``: quadrature of the Mellin transform of the step
+  function p_k against the closed form f_k(s).
 
 Every record carries its coefficient cutoff and, where applicable, a tail
 bound, so no number leaves this module without its truncation context.
-A manifest (parameters + code version) fully determines a rerun; values
-reproduce bit for bit on one platform, wall times of course do not.
+A manifest (parameters + code version) fully determines a run: ``rerun``
+is the one dispatch from a manifest to its runner, the CLI included.
+Values reproduce bit for bit on one platform, wall times of course do not.
 """
 
 from __future__ import annotations
@@ -36,13 +39,14 @@ from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import QuadratureWarning, hp_norm_estimate, lq_norm
 from .series import TruncatedSeries, mobius_ims_partial_sums
-from .special import _g_k_given_zeta, g_k_error_bound, lambda_on_constant, zeta
+from .special import _g_k_given_zeta, f_k, g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta
 from .weights import ClassificationResult, ProbeResult
 
 __all__ = [
     "ConvergenceRecord",
     "LambdaRecord",
     "ApproxRecord",
+    "MellinRecord",
     "ExperimentManifest",
     "build_manifest",
     "rerun",
@@ -51,9 +55,11 @@ __all__ = [
     "run_hp_convergence",
     "run_lambda_sweep",
     "run_pointwise_approx",
+    "run_mellin_verify",
     "write_convergence_csv",
     "write_lambda_csv",
     "write_approx_csv",
+    "write_mellin_csv",
     "write_weights_csv",
     "write_probe_csv",
     "write_manifest",
@@ -85,6 +91,14 @@ class ApproxRecord:
     s: complex
     n: int
     residual: float
+
+
+@dataclass(frozen=True)
+class MellinRecord:
+    k: int
+    s: complex
+    abs_err: float
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,22 @@ def rerun(manifest: ExperimentManifest):
         table = build_mobius(p["mobius_limit"])
         grid = [complex(re, im) for re, im in p["s_grid"]]
         return run_pointwise_approx(grid, p["n_list"], table)
+    if name == "mellin_verify":
+        return run_mellin_verify(p["k_list"], complex(*p["s"]), p["tol"])
     raise ValueError(f"unknown experiment {name!r}")
+
+
+def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
+    grid = [complex(s) for s in s_grid]
+    for s in grid:
+        if s.real <= 0.5:
+            raise DomainError(
+                f"s = {s} rejected: need Re(s) > 1/2, where the evaluation functionals "
+                "are bounded on the Hardy-Hilbert space of the disk"
+            )
+        if abs(s - 1.0) < 1e-12:
+            raise DomainError("s = 1 rejected: zeta pole")
+    return grid
 
 
 def _check_n_list(n_list: Sequence[int], table: MobiusTable, coeff_cutoff: int) -> list[int]:
@@ -321,15 +350,7 @@ def run_lambda_sweep(
     Grid points must satisfy Re(s) > 1/2 (the functionals are bounded on
     the underlying Hardy-Hilbert space only there) and s != 1 (pole).
     """
-    grid = [complex(s) for s in s_grid]
-    for s in grid:
-        if s.real <= 0.5:
-            raise DomainError(
-                f"s = {s} rejected: the evaluation functionals are bounded on the "
-                "Hardy-Hilbert space of the disk only for Re(s) > 1/2"
-            )
-        if abs(s - 1.0) < 1e-12:
-            raise DomainError("s = 1 rejected: zeta pole")
+    grid = _check_grid(s_grid)
     records: list[LambdaRecord] = []
     evaluations = lambda_hk_truncated(k_list, grid, coeff_cutoff)
     zetas = {s: zeta(s).value for s in dict.fromkeys(grid)}
@@ -359,12 +380,7 @@ def run_pointwise_approx(
     the exactly rounded sum of all its terms.  Reporting only: convergence
     is not asserted for Re(s) <= 1.
     """
-    grid = [complex(s) for s in s_grid]
-    for s in grid:
-        if s.real <= 0.5:
-            raise DomainError(f"s = {s} rejected: need Re(s) > 1/2")
-        if abs(s - 1.0) < 1e-12:
-            raise DomainError("s = 1 rejected: zeta pole")
+    grid = _check_grid(s_grid)
     ns = [int(n) for n in n_list]
     if not ns or any(n < 2 for n in ns):
         raise ValueError("n values must be >= 2")
@@ -377,6 +393,12 @@ def run_pointwise_approx(
         for n, value in zip(ns, values):
             records.append(ApproxRecord(s=s, n=n, residual=abs(value - target)))
     return records
+
+
+def run_mellin_verify(k_list: Iterable[int], s: complex, tol: float) -> list[MellinRecord]:
+    """|M[p_k](s) - f_k(s)| per k (``mellin_step_pk`` quadrature), ok when at most tol."""
+    errs = ((k, abs(mellin_step_pk(k, s) - f_k(k, s))) for k in k_list)
+    return [MellinRecord(k=k, s=s, abs_err=err, ok=err <= tol) for k, err in errs]
 
 
 # ----------------------------------------------------------------------------
@@ -426,6 +448,11 @@ def write_approx_csv(records: Sequence[ApproxRecord], out: TextIO) -> None:
         ("s_re", "s_im", "n", "residual"),
         ((r.s.real, r.s.imag, r.n, r.residual) for r in records),
     )
+
+
+def write_mellin_csv(records: Sequence[MellinRecord], out: TextIO) -> None:
+    rows = ((r.k, r.s.real, r.s.imag, r.abs_err, r.ok) for r in records)
+    _write_rows(out, ("k", "s_re", "s_im", "abs_err", "ok"), rows)
 
 
 def write_weights_csv(results: Sequence[ClassificationResult], out: TextIO) -> None:

@@ -49,6 +49,7 @@ __all__ = [
     "prime_indices",
     "arithmetic_progression",
     "TABLE_FAMILIES",
+    "TABLE1_STRIPS",
 ]
 
 _KINDS = {
@@ -324,6 +325,12 @@ TABLE_FAMILIES: tuple[WeightFamily, ...] = (
     WeightFamily("geometric", eps=0.5),
     WeightFamily("superexp", alpha=2.0),
 )
+
+# The strip each kind of TABLE_FAMILIES classifies into (``weights table1 --check``).
+TABLE1_STRIPS: dict[str, str] = {
+    "identity": "Right", "power": "Right", "powerlog": "Right", "quasiexp": "None",
+    "stretchedexp": "None", "geometric": "Left", "superexp": "Left",
+}
 
 
 @dataclass(frozen=True)

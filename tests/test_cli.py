@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,18 @@ from pathlib import Path
 import pytest
 
 import zfhp
+import zfhp.cli
+import zfhp.experiments
 from zfhp.cli import main, parse_complex, parse_int_range, parse_s_grid
+from zfhp.errors import ConditioningError
+from zfhp.experiments import (
+    ExperimentManifest,
+    rerun,
+    write_approx_csv,
+    write_convergence_csv,
+    write_lambda_csv,
+    write_mellin_csv,
+)
 
 
 class TestParsers:
@@ -25,6 +38,9 @@ class TestParsers:
         assert parse_int_range("1,4,9") == [1, 4, 9]
         with pytest.raises(ValueError):
             parse_int_range("5..2")
+        for text in ("", ",", " , "):
+            with pytest.raises(ValueError, match="empty integer list"):
+                parse_int_range(text)
 
     def test_parse_s_grid(self):
         grid = parse_s_grid("0.6,2 x 0,1")
@@ -64,6 +80,30 @@ class TestExitCodes:
     def test_lambda_domain_violation(self):
         code = main(["lambda", "--k", "2..3", "--s-grid", "0.4 x 0", "--coeff-cutoff", "100"])
         assert code == 3
+
+    # an empty list must not make --check pass on zero rows
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", "--k", "", "--s-grid", "2 x 0", "--check"],
+            ["mellin", "verify", "--k", ",", "--s", "2", "--check"],
+            ["approx", "--s", "2", "--n", ","],
+        ],
+    )
+    def test_empty_integer_list(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "empty integer list" in captured.err
+        assert captured.out == ""
+
+    def test_mellin_conditioning_error_leaves_no_csv(self, tmp_path, monkeypatch):
+        def refuse(k, s):
+            raise ConditioningError(f"quadrature disagrees for k={k}")
+
+        monkeypatch.setattr(zfhp.experiments, "mellin_step_pk", refuse)
+        out = tmp_path / "mellin.csv"
+        assert main(["mellin", "verify", "--k", "1..3", "--s", "2+1i", "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestConvergenceCommand:
@@ -195,6 +235,20 @@ class TestOtherCommands:
         assert out.count("Left") == 2
         assert out.count("None") == 2
 
+    def test_weights_table1_check_fails_on_wrong_strip(self, monkeypatch, capsys):
+        real_classify = zfhp.cli.classify
+
+        def wrong_for_geometric(family):
+            result = real_classify(family)
+            if family.kind != "geometric":
+                return result
+            return dataclasses.replace(result, strip="Right")
+
+        monkeypatch.setattr(zfhp.cli, "classify", wrong_for_geometric)
+        assert main(["weights", "table1", "--check"]) == 4
+        err = capsys.readouterr().err
+        assert "geometric" in err and "superexp" not in err
+
     def test_weights_probe_summary_and_csv(self, tmp_path, capsys):
         out = tmp_path / "probe.csv"
         code = main(
@@ -234,6 +288,40 @@ class TestOtherCommands:
     def test_mellin_verify_fails_on_absurd_tol(self, capsys):
         code = main(["mellin", "verify", "--k", "1..3", "--s", "2+1i", "--tol", "1e-30", "--check"])
         assert code == 4
+
+
+def _without_wall_time(text):
+    """The CSV bytes with the wall_time_ms column (last where present) cut off."""
+    lines = text.split("\n")
+    if lines[0].endswith(",wall_time_ms"):
+        lines = [line.rpartition(",")[0] for line in lines]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "argv, writer",
+    [
+        (["convergence", "--space", "lq", "--q", "1.5", "--n", "10,100",
+          "--coeff-cutoff", "1000"], write_convergence_csv),
+        (["convergence", "--space", "hp", "--p", "0.5", "--n", "10,100",
+          "--coeff-cutoff", "1000", "--nodes", "256"], write_convergence_csv),
+        (["lambda", "--k", "2..4", "--s-grid", "0.75,2 x 0,1", "--coeff-cutoff", "1000"],
+         write_lambda_csv),
+        (["approx", "--s", "0.8+3i", "--n", "100,10,1000"], write_approx_csv),
+        (["mellin", "verify", "--k", "1..4", "--s", "2+1i", "--tol", "1e-8"], write_mellin_csv),
+    ],
+    ids=["lq", "hp", "lambda", "approx", "mellin"],
+)
+def test_sidecar_reproduces_cli_output(tmp_path, argv, writer):
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    payload = json.loads((tmp_path / "run.manifest.json").read_text())
+    manifest_id = payload.pop("id")
+    manifest = ExperimentManifest(**payload)
+    assert manifest.manifest_id == manifest_id
+    rendered = io.StringIO()
+    writer(rerun(manifest), rendered)
+    assert _without_wall_time(rendered.getvalue()) == _without_wall_time(out.open(newline="").read())
 
 
 def test_cli_import_loads_no_scipy():
