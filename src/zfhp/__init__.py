@@ -3,7 +3,7 @@
 The package computes, on spaces of analytic functions over the unit disk,
 the ingredients of a Nyman-Beurling-style approach to zero-free regions of
 the Riemann zeta function: the generator family h_k and its shifted images,
-evaluation functionals with explicit tail bounds, weight-family
+evaluation functionals with proved tail bounds, weight-family
 classification for weighted l2 spaces, Hardy-space quasi-norm estimates,
 and Möbius-weighted convergence experiments.
 
@@ -15,7 +15,6 @@ from ._version import __version__
 from .arith import (
     DivisorCountTable,
     MobiusTable,
-    bounded_divisor_sum,
     build_divisor_counts,
     build_mobius,
     mobius_logsum_over_k,
@@ -24,10 +23,7 @@ from .arith import (
 from .errors import ConditioningError, DomainError, PoleError
 from .functionals import (
     FunctionalEvaluation,
-    approx_reciprocal_s,
-    coefficient_tail_slope,
     lambda_apply,
-    lambda_linearity_check,
 )
 from .norms import (
     QuadratureWarning,
@@ -36,16 +32,11 @@ from .norms import (
     hp_norm_estimate,
     lq_norm,
     reverse_holder_check,
-    weighted_l2_norm,
 )
 from .series import (
     TruncatedSeries,
-    apply_one_minus_shift,
-    cumulative_sum,
     hk_coeffs,
     ims_hk_coeffs,
-    mobius_partial_sum_ims,
-    wn_operator,
 )
 from .special import (
     ZetaValue,
@@ -78,14 +69,9 @@ __all__ = [
     "build_divisor_counts",
     "mobius_sum_over_k",
     "mobius_logsum_over_k",
-    "bounded_divisor_sum",
     "TruncatedSeries",
-    "apply_one_minus_shift",
-    "cumulative_sum",
     "ims_hk_coeffs",
     "hk_coeffs",
-    "mobius_partial_sum_ims",
-    "wn_operator",
     "ZetaValue",
     "f_k",
     "fk_values",
@@ -98,12 +84,8 @@ __all__ = [
     "rho_alpha_tail_bound",
     "FunctionalEvaluation",
     "lambda_apply",
-    "approx_reciprocal_s",
-    "lambda_linearity_check",
-    "coefficient_tail_slope",
     "QuadratureWarning",
     "lq_norm",
-    "weighted_l2_norm",
     "hp_norm_estimate",
     "duren_coefficient_check",
     "hardy_from_lq_check",

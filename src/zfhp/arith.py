@@ -22,7 +22,6 @@ __all__ = [
     "build_divisor_counts",
     "mobius_sum_over_k",
     "mobius_logsum_over_k",
-    "bounded_divisor_sum",
 ]
 
 # entries per block of build_mobius's final compare (4 MB int32 temporaries)
@@ -128,29 +127,6 @@ def mobius_logsum_over_k(table: MobiusTable, cutoff: int) -> float:
     k = np.arange(1, cutoff + 1, dtype=np.float64)
     terms = table.values[1 : cutoff + 1] * np.log(k) / k
     return math.fsum(terms.tolist())
-
-
-def bounded_divisor_sum(j: int, n: int, table: MobiusTable) -> int:
-    """Sum of mu(d) over the divisors d of j with d <= n.
-
-    The result is an exact integer and satisfies |result| <= tau(j).  Every
-    divisor of j that is <= n must be covered by the table.
-    """
-    if j < 1 or n < 1:
-        raise ValueError("j and n must be positive integers")
-    total = 0
-    for a in range(1, math.isqrt(j) + 1):
-        if j % a:
-            continue
-        b = j // a
-        for d in (a, b) if a != b else (a,):
-            if d <= n:
-                if d > table.limit:
-                    raise ValueError(
-                        f"divisor {d} of {j} is <= n but beyond the table limit {table.limit}"
-                    )
-                total += int(table.values[d])
-    return total
 
 
 def _check_cutoff(table: MobiusTable, cutoff: int) -> None:

@@ -163,15 +163,10 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
     return grid
 
 
-def _check_n_list(n_list: Sequence[int], table: MobiusTable, coeff_cutoff: int) -> list[int]:
+def _check_coeff_cutoff(n_list: Sequence[int], coeff_cutoff: int) -> list[int]:
+    """``n_list`` as ints; ``mobius_ims_partial_sums`` checks all but the cutoff."""
     ns = [int(n) for n in n_list]
-    if not ns or ns[0] < 2:
-        raise ValueError("n_list must start at n >= 2")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    if ns[-1] > table.limit:
-        raise ValueError(f"max n = {ns[-1]} exceeds table limit {table.limit}")
-    if coeff_cutoff < ns[-1]:
+    if coeff_cutoff < max(ns, default=0):
         raise ValueError("coeff_cutoff must be >= max(n_list)")
     return ns
 
@@ -257,7 +252,7 @@ def run_lq_convergence(
     """
     if q <= 1.0:
         raise ValueError("q must be > 1")
-    ns = _check_n_list(n_list, table, coeff_cutoff)
+    ns = _check_coeff_cutoff(n_list, coeff_cutoff)
     records: list[ConvergenceRecord] = []
     t_mark = time.perf_counter()
     for n, residual in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
@@ -299,7 +294,7 @@ def run_hp_convergence(
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    ns = _check_n_list(n_list, table, coeff_cutoff)
+    ns = _check_coeff_cutoff(n_list, coeff_cutoff)
     records: list[ConvergenceRecord] = []
     t_mark = time.perf_counter()
     for n, coeffs in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
@@ -382,10 +377,6 @@ def run_pointwise_approx(
     """
     grid = _check_grid(s_grid)
     ns = [int(n) for n in n_list]
-    if not ns or any(n < 2 for n in ns):
-        raise ValueError("n values must be >= 2")
-    if max(ns) > table.limit:
-        raise ValueError(f"max n = {max(ns)} exceeds table limit {table.limit}")
     records: list[ApproxRecord] = []
     for s in grid:
         target = lambda_on_constant(s)

@@ -1,10 +1,10 @@
-"""Evaluation functionals applied to truncated series, with honest tail bounds.
+"""Evaluation functionals applied to truncated series, with proved tail bounds.
 
 The functional sends 1 to -1/s and z^n to f_n(s); on a truncated series it
-is the finite sum a_0 (-1/s) + sum_{n=1..N} a_n f_n(s).  Because the h_k
-coefficients decay like C/m, the discarded tail beyond degree N admits the
-bound C (|1-s|/|s|) N^(-sigma) / sigma with sigma = Re(s), reported next to
-every value instead of being silently dropped.
+is the finite sum a_0 (-1/s) + sum_{n=1..N} a_n f_n(s).  Given a proved
+envelope |a_m| <= C/m beyond the degree N, the discarded tail admits the
+bound C (|1-s|/|s|) N^(-sigma) / sigma with sigma = Re(s); without one no
+tail bound is reported.
 
 ``lambda_apply`` sums any truncated series term by term.  On the generators
 h_k, ``lambda_hk_truncated`` evaluates the same finite sum in closed form,
@@ -30,12 +30,9 @@ from .special import _U, fk_values, require_right_half_plane, zeta
 __all__ = [
     "FunctionalEvaluation",
     "GeneratorEvaluation",
-    "coefficient_tail_slope",
     "lambda_apply",
     "lambda_hk_truncated",
-    "approx_reciprocal_s",
     "approx_reciprocal_s_partial_sums",
-    "lambda_linearity_check",
 ]
 
 
@@ -43,8 +40,7 @@ __all__ = [
 class FunctionalEvaluation:
     s: complex
     value: complex
-    tail_bound: float
-    degree_used: int
+    tail_bound: float | None
 
 
 def _fsum_complex(terms: np.ndarray) -> complex:
@@ -52,27 +48,14 @@ def _fsum_complex(terms: np.ndarray) -> complex:
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-def coefficient_tail_slope(f: TruncatedSeries) -> float:
-    """Fitted C with |a_m| <= C/m over the top half of the stored range.
-
-    Returns max of m |a_m| for ceil(N/2) <= m <= N (0 when the series is a
-    constant), the empirical substitute for a true tail envelope.
-    """
-    n = f.degree
-    if n < 1:
-        return 0.0
-    lo = (n + 1) // 2
-    m = np.arange(lo, n + 1, dtype=np.float64)
-    return float(np.max(m * np.abs(f.coeffs[lo:])))
-
-
 def lambda_apply(f: TruncatedSeries, s, coeff_bound: float | None = None) -> FunctionalEvaluation:
     """Apply the evaluation functional to a truncated series.
 
     Terms are summed in increasing degree with exactly rounded compensated
-    accumulation.  ``coeff_bound`` overrides the fitted tail constant C;
-    the reported ``tail_bound`` is C (|1-s|/|s|) N^(-Re s)/Re(s), monotone
-    nonincreasing in the degree for fixed C.
+    accumulation.  ``coeff_bound`` is a caller-proved C with |a_m| <= C/m
+    for every discarded m > N; the reported ``tail_bound`` is then
+    C (|1-s|/|s|) N^(-Re s)/Re(s), monotone nonincreasing in the degree for
+    fixed C.  Without it ``tail_bound`` is None.
     """
     s = require_right_half_plane(s)
     a = f.coeffs
@@ -82,11 +65,13 @@ def lambda_apply(f: TruncatedSeries, s, coeff_bound: float | None = None) -> Fun
     if n >= 1:
         terms[1:] = a[1:] * fk_values(n, s)
     value = _fsum_complex(terms)
-    c = coefficient_tail_slope(f) if coeff_bound is None else float(coeff_bound)
+    if coeff_bound is None:
+        return FunctionalEvaluation(s=s, value=value, tail_bound=None)
+    c = float(coeff_bound)
     if c < 0.0:
         raise ValueError("coeff_bound must be nonnegative")
     tail = 0.0 if c == 0.0 or n == 0 else _tail_bound(c, s, n)
-    return FunctionalEvaluation(s=s, value=value, tail_bound=tail, degree_used=n)
+    return FunctionalEvaluation(s=s, value=value, tail_bound=tail)
 
 
 def _tail_bound(c: float, s: complex, n: int) -> float:
@@ -98,7 +83,6 @@ def _tail_bound(c: float, s: complex, n: int) -> float:
     """
     sigma = s.real
     return c * (abs(1.0 - s) / abs(s)) * float(n) ** (-sigma) / sigma
-
 
 
 @dataclass(frozen=True)
@@ -267,17 +251,6 @@ def _closed_form_rounding(k: int, s: complex, n: int, gap: float) -> float:
 _APPROX_BLOCK = 1 << 16
 
 
-def approx_reciprocal_s(n: int, s, table: MobiusTable) -> complex:
-    """Partial linear combination sum_{k=2..n} mu(k) G_k(s).
-
-    The candidate approximant to -1/s; convergence is guaranteed for
-    Re(s) > 1 (where sum mu(k) k^(-s) = 1/zeta(s)), while for
-    1/2 < Re(s) <= 1 the residual is reported without any convergence
-    claim.  One checkpoint of ``approx_reciprocal_s_partial_sums``.
-    """
-    return approx_reciprocal_s_partial_sums([n], s, table)[0]
-
-
 def approx_reciprocal_s_partial_sums(
     n_list: Iterable[int], s, table: MobiusTable
 ) -> list[complex]:
@@ -300,6 +273,8 @@ def approx_reciprocal_s_partial_sums(
     sum is skipped and taken as 0.0.
     """
     ns = [int(n) for n in n_list]
+    if not ns:
+        raise ValueError("n_list must not be empty")
     for n in ns:
         if n < 2:
             raise ValueError("n must be >= 2")
@@ -331,12 +306,3 @@ def _extend_exact(parts: list[float], block: list[float]) -> None:
     while hi := math.fsum(block):
         parts.append(hi)
         block.append(-hi)
-
-
-def lambda_linearity_check(f: TruncatedSeries, g: TruncatedSeries, a, b, s) -> float:
-    """|Lambda(a f + b g) - a Lambda(f) - b Lambda(g)| at the point s."""
-    s = require_right_half_plane(s)
-    combo = a * f + b * g
-    lhs = lambda_apply(combo, s).value
-    rhs = a * lambda_apply(f, s).value + b * lambda_apply(g, s).value
-    return abs(lhs - rhs)

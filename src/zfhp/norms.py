@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 
 from .series import TruncatedSeries
-from .weights import WeightFamily
 
 __all__ = [
     "QuadratureWarning",
@@ -24,7 +23,6 @@ __all__ = [
     "boundary_values",
     "circle_mean",
     "lq_norm",
-    "weighted_l2_norm",
     "hp_norm_estimate",
     "sup_norm_estimate",
     "duren_coefficient_check",
@@ -97,13 +95,6 @@ def lq_norm(f: TruncatedSeries, q: float) -> float:
     return float(np.sum(mags**q) ** (1.0 / q))
 
 
-def weighted_l2_norm(f: TruncatedSeries, family: WeightFamily) -> float:
-    """(sum |a_n|^2 / w_n^2)^(1/2) for the given weight family."""
-    log_w = family.log_w(np.arange(f.coeffs.size))
-    scaled = np.abs(f.coeffs) * np.exp(-log_w)
-    return float(math.sqrt(np.sum(scaled**2)))
-
-
 def hp_norm_estimate(f: TruncatedSeries, p: float, nodes: int | None = None) -> float:
     """Boundary estimate of the H^p (quasi-)norm of a truncated series.
 
@@ -170,13 +161,11 @@ def circle_abs_power_integral(beta: float) -> float:
     """
     if beta <= -1.0:
         raise ValueError("beta must be > -1 for integrability")
-    from scipy.special import gamma as _gamma  # deferred: keeps scipy out of import time
-
-    return float(
+    return (
         (2.0**beta / math.pi)
         * math.sqrt(math.pi)
-        * _gamma((beta + 1.0) / 2.0)
-        / _gamma(beta / 2.0 + 1.0)
+        * math.gamma((beta + 1.0) / 2.0)
+        / math.gamma(beta / 2.0 + 1.0)
     )
 
 

@@ -12,17 +12,15 @@ because its Taylor coefficients have the closed form
     [(I - S) h_k]_m = (1/m) * (1/k - [k | m])       (m >= 1),
 
 obtained from log(1 - z^k) = -sum_j z^(jk)/j and log(1 - z) = -sum_j z^j/j.
-h_k itself is the cumulative sum (formal multiplication by 1/(1 - z)).
+h_k itself is their running sum (formal multiplication by 1/(1 - z)).
 
 Summing the closed form against mu(k) gives the Möbius partial sums of
 the paper's convergence statement in closed form as well: coefficient m of
 sum_{k=2..n} mu(k) (I - S) h_k is an exact integer divisor sum combined
 with one scalar.  ``mobius_ims_partial_sums`` is the single kernel that
-evaluates it; the l^q and H^p convergence runners and
-``mobius_partial_sum_ims`` all call it.
+evaluates it, for both the l^q and the H^p convergence runners.
 
-Everything here is value-semantic: operations return fresh series and the
-stored coefficient arrays are read-only.
+A ``TruncatedSeries`` stores its coefficients read-only.
 """
 
 from __future__ import annotations
@@ -37,14 +35,10 @@ from .arith import MobiusTable, mobius_logsum_over_k, mobius_sum_over_k
 
 __all__ = [
     "TruncatedSeries",
-    "apply_one_minus_shift",
-    "cumulative_sum",
     "ims_hk_coeffs",
     "hk_coeffs",
     "hk_coefficient_envelope",
     "mobius_ims_partial_sums",
-    "mobius_partial_sum_ims",
-    "wn_operator",
 ]
 
 
@@ -76,51 +70,6 @@ class TruncatedSeries:
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = _padded(self.coeffs, other.coeffs)
-        return TruncatedSeries(a + b)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = _padded(self.coeffs, other.coeffs)
-        return TruncatedSeries(a - b)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.coeffs)
-
-    def __mul__(self, scalar) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-def _padded(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if a.size == b.size:
-        return a, b
-    size = max(a.size, b.size)
-    if a.size < size:
-        a = np.concatenate([a, np.zeros(size - a.size, dtype=a.dtype)])
-    else:
-        b = np.concatenate([b, np.zeros(size - b.size, dtype=b.dtype)])
-    return a, b
-
-
-def apply_one_minus_shift(f: TruncatedSeries) -> TruncatedSeries:
-    """(I - S) f = (1 - z) f, truncated to the degree of f."""
-    a = f.coeffs
-    out = np.empty_like(a)
-    out[0] = a[0]
-    if a.size > 1:
-        out[1:] = a[1:] - a[:-1]
-    return TruncatedSeries(out)
-
-
-def cumulative_sum(f: TruncatedSeries) -> TruncatedSeries:
-    """Formal multiplication by 1/(1 - z): running sums of the coefficients."""
-    return TruncatedSeries(np.cumsum(f.coeffs))
-
 
 def ims_hk_coeffs(k: int, degree: int) -> TruncatedSeries:
     """Taylor coefficients of (I - S) h_k up to ``degree`` (closed form)."""
@@ -138,13 +87,8 @@ def ims_hk_coeffs(k: int, degree: int) -> TruncatedSeries:
 
 
 def hk_coeffs(k: int, degree: int) -> TruncatedSeries:
-    """Taylor coefficients of h_k up to ``degree``.
-
-    Computed as the cumulative sum of the (I - S) h_k coefficients, so
-    ``apply_one_minus_shift(hk_coeffs(k, N))`` recovers
-    ``ims_hk_coeffs(k, N)`` up to floating-point associativity.
-    """
-    return cumulative_sum(ims_hk_coeffs(k, degree))
+    """Taylor coefficients of h_k up to ``degree``, the running sums of ``ims_hk_coeffs``."""
+    return TruncatedSeries(np.cumsum(ims_hk_coeffs(k, degree).coeffs))
 
 
 # 1 + 2^-40 = 1 + 8192 u covers the rounding of hk_coefficient_envelope and
@@ -226,13 +170,14 @@ def mobius_ims_partial_sums(
     O(degree log n) and each coefficient m >= 1 is one subtraction and one
     division of exact integers.  D is int32: |D_m(n)| <= tau(m) < 2^31.
 
-    ``n_list`` must be strictly increasing with 2 <= n <= table.limit.
+    ``n_list`` must be strictly increasing with 2 <= n <= table.limit;
+    the arguments are checked at the call, before any array is yielded.
     Each yielded float64 array has length degree + 1 and belongs to the
     caller.
     """
     ns = [int(n) for n in n_list]
     if not ns or ns[0] < 2:
-        raise ValueError("n must be >= 2")
+        raise ValueError("n_list must be nonempty, with every n >= 2")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly increasing")
     if ns[-1] > table.limit:
@@ -240,16 +185,13 @@ def mobius_ims_partial_sums(
     if degree < 0:
         raise ValueError("degree must be >= 0")
     d = np.zeros(degree + 1, dtype=np.int32)
-    prev = 1
-    for n in ns:
-        yield _advance_ims(d, prev, n, table)
-        prev = n
+    return (_advance_ims(d, prev, n, table) for prev, n in zip([1, *ns], ns))
 
 
 def _advance_ims(d: np.ndarray, prev: int, n: int, table: MobiusTable) -> np.ndarray:
     """Sieve mu(k), prev < k <= n, into ``d``; return the closed form at n.
 
-    A module-level function rather than the generator body, so that the
+    A module-level function rather than a generator body, so that the
     work is attributed to this module by tracers that wrap its functions.
     """
     for k in range(prev + 1, min(n, d.size - 1) + 1):
@@ -262,35 +204,6 @@ def _advance_ims(d: np.ndarray, prev: int, n: int, table: MobiusTable) -> np.nda
     np.subtract(c_n, d[1:], out=out[1:])
     out[1:] /= np.arange(1, d.size, dtype=np.float64)
     return out
-
-
-def mobius_partial_sum_ims(n: int, degree: int, table: MobiusTable) -> TruncatedSeries:
-    """Sum over k = 2..n of mu(k) * (I - S) h_k, truncated at ``degree``.
-
-    One step of ``mobius_ims_partial_sums``: for m >= 1 the z^m
-    coefficient is
-
-        (1/m) * ( sum_{k=2..n} mu(k)/k  -  sum_{d | m, 2 <= d <= n} mu(d) ).
-    """
-    (coeffs,) = mobius_ims_partial_sums([n], degree, table)
-    return TruncatedSeries(coeffs)
-
-
-def wn_operator(f: TruncatedSeries, n: int, cap: int | None = None) -> TruncatedSeries:
-    """Weighted composition W_n f(z) = (1 + z + ... + z^(n-1)) f(z^n).
-
-    The m-th output coefficient is a_{floor(m/n)}; the result has degree
-    n * deg(f) + n - 1, truncated at ``cap`` when given.  The family is a
-    semigroup: W_m (W_n f) = W_{mn} f within the degree cap.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    out = np.repeat(f.coeffs, n)
-    if cap is not None:
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        out = out[: cap + 1]
-    return TruncatedSeries(out)
 
 
 def _check_k(k: int) -> None:

@@ -40,7 +40,7 @@ _ACCEL = 3.0 + math.sqrt(8.0)
 # d_n in the accelerated eta series grows like (3 + sqrt 8)^n; keep it well
 # inside float range.
 _MAX_ETA_TERMS = 280
-# Relative error that ``zeta`` aims for by default.
+# Relative error that ``zeta`` aims for.
 ZETA_TARGET = 1e-13
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -114,13 +114,14 @@ class ZetaValue:
     terms_used: int
 
 
-def zeta(s, *, target: float = ZETA_TARGET) -> ZetaValue:
+def zeta(s) -> ZetaValue:
     """zeta(s) for Re(s) > 0, s != 1, via the accelerated alternating series.
 
     Computes eta(s) = sum (-1)^(k-1) k^(-s) with Chebyshev-weighted series
     acceleration and divides by 1 - 2^(1-s).  The term count is chosen from
-    the proven error envelope (1 + 2|t|) e^(pi |t| / 2) / (3 + sqrt 8)^n,
-    giving relative error well below 1e-10 on moderate |Im(s)|.
+    the proven error envelope (1 + 2|t|) e^(pi |t| / 2) / (3 + sqrt 8)^n
+    to reach the relative error ``ZETA_TARGET``, which ``g_k_error_bound``
+    and the ``lambda`` sweep's budget assume.
 
     Raises ``PoleError`` at s = 1, ``ConditioningError`` on the line of
     spurious zeros of 1 - 2^(1-s) (s = 1 + 2 pi i m / log 2, m != 0).
@@ -133,14 +134,14 @@ def zeta(s, *, target: float = ZETA_TARGET) -> ZetaValue:
         raise ConditioningError(
             f"1 - 2^(1-s) vanishes near s = {s}; the eta-ratio evaluator is unusable there"
         )
-    n = _eta_terms(s, target)
+    n = _eta_terms(s)
     eta = _eta_accelerated(s, n)
     return ZetaValue(value=eta / denom, method="accelerated-eta", terms_used=n)
 
 
-def _eta_terms(s: complex, target: float) -> int:
+def _eta_terms(s: complex) -> int:
     t = abs(s.imag)
-    need = (math.log(3.0 / target) + math.log1p(2.0 * t) + 0.5 * math.pi * t) / math.log(_ACCEL)
+    need = (math.log(3.0 / ZETA_TARGET) + math.log1p(2.0 * t) + 0.5 * math.pi * t) / math.log(_ACCEL)
     n = int(math.ceil(need)) + 4
     if s.real < 0.5:
         n += 10
@@ -225,7 +226,7 @@ def _power_integral_from_zero(s: complex, upper: float) -> complex:
     return _quad_complex(lambda v: cmath.exp(-s * v), v0, v1)
 
 
-def mellin_step_pk(k: int, s, *, check_tol: float = 1e-6) -> complex:
+def mellin_step_pk(k: int, s) -> complex:
     """Mellin transform of the step function p_k, evaluated by quadrature.
 
     p_k equals k on [1/(k+1), 1/k), equals -1 on (0, 1/(k+1)) and vanishes
@@ -234,8 +235,8 @@ def mellin_step_pk(k: int, s, *, check_tol: float = 1e-6) -> complex:
         int_{1/(k+1)}^{1/k} k x^(s-1) dx - int_0^{1/(k+1)} x^(s-1) dx,
 
     which equals f_k(s).  Both integrals are evaluated by adaptive
-    quadrature; the power-rule closed form is recomputed alongside as an
-    internal consistency check.
+    quadrature; the power-rule closed form is recomputed alongside, and a
+    relative disagreement above 1e-6 raises ``ConditioningError``.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -244,7 +245,7 @@ def mellin_step_pk(k: int, s, *, check_tol: float = 1e-6) -> complex:
     hi = 1.0 / k
     value = _quad_complex(lambda x: k * x ** (s - 1.0), lo, hi) - _power_integral_from_zero(s, lo)
     closed = (k * (hi**s - lo**s) - lo**s) / s
-    if abs(value - closed) > check_tol * max(1.0, abs(closed)):
+    if abs(value - closed) > 1e-6 * max(1.0, abs(closed)):
         raise ConditioningError(
             f"quadrature {value} and closed form {closed} disagree for k={k}, s={s}"
         )

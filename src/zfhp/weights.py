@@ -28,6 +28,7 @@ documentation example with a test-level spot check, not an operation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -40,7 +41,6 @@ __all__ = [
     "ProbeResult",
     "parse_weight_family",
     "c4_halfplane",
-    "c4_partial_sums",
     "rm_is_bounded",
     "rm_sequence",
     "classify",
@@ -178,24 +178,6 @@ def c4_halfplane(family: WeightFamily) -> float | None:
     return None
 
 
-def c4_partial_sums(family: WeightFamily, r: float, checkpoints: Iterable[int]) -> list[float]:
-    """Partial sums of (w_k / k^r)^2 at the given checkpoints.
-
-    Numerical falsification aid for ``c4_halfplane``: below r* the sums
-    keep growing between checkpoints, above r* they flatten.  Divergent
-    families may saturate to +inf, which counts as growth.
-    """
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[0] < 1:
-        raise ValueError("checkpoints must be positive integers")
-    k_max = checkpoints[-1]
-    k = np.arange(1, k_max + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        terms = np.exp(2.0 * (family.log_w(k) - r * np.log(k)))
-    csum = np.cumsum(terms)
-    return [float(csum[c - 1]) for c in checkpoints]
-
-
 def rm_is_bounded(family: WeightFamily) -> bool:
     """Whether r_m = w_m^2 sum_{n>=m} w_n^(-2) stays bounded (per kind).
 
@@ -277,12 +259,12 @@ def _rm_tail(family: WeightFamily, t: int) -> float:
         return math.exp(-c * big_l) / c
     if family.kind == "stretchedexp":
         # int_t^inf exp(-2 x^alpha) dx = Gamma(1/alpha, 2 t^alpha) / (alpha 2^(1/alpha))
-        from scipy.special import gamma as _gamma  # deferred: keeps scipy out of import time
+        # deferred: keeps scipy out of import time
         from scipy.special import gammaincc as _gammaincc
 
         a = family.alpha
         inv = 1.0 / a
-        return float(_gamma(inv) * _gammaincc(inv, 2.0 * t**a) / (a * 2.0**inv))
+        return float(math.gamma(inv) * _gammaincc(inv, 2.0 * t**a) / (a * 2.0**inv))
     # superexp: terms decay faster than geometrically; bracket by the first
     # omitted term over one minus the (shrinking) ratio
     a = family.alpha
@@ -390,11 +372,8 @@ def _take(it: Iterable[int], count: int) -> Iterator[int]:
     raise ValueError(f"subsequence yielded only {produced} of {count} indices")
 
 
-def all_integers(start: int = 1) -> Iterator[int]:
-    n = start
-    while True:
-        yield n
-        n += 1
+def all_integers() -> Iterator[int]:
+    return itertools.count(1)
 
 
 def prime_indices() -> Iterator[int]:

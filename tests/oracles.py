@@ -10,6 +10,11 @@ from divisor sums.
 ``zfhp.arith.build_mobius`` replaced, and ``approx_reciprocal_s_oracle``
 the per-n full-range sum that ``approx_reciprocal_s_partial_sums``
 replaced.
+
+``bounded_divisor_sum`` sums mu(d) over the divisors of j by trial
+division, the cross-check for the divisor sieve in
+``mobius_ims_partial_sums``; ``c4_partial_sums`` sums (w_k / k^r)^2 to
+falsify ``zfhp.weights.c4_halfplane`` numerically.
 """
 
 import math
@@ -71,3 +76,43 @@ def approx_reciprocal_s_oracle(n: int, s, table) -> complex:
     mu = table.values[2 : n + 1].astype(np.float64)
     terms = mu * (np.exp(-s * np.log(k)) - 1.0 / k)
     return -(z / s) * complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def bounded_divisor_sum(j: int, n: int, table) -> int:
+    """Sum of mu(d) over the divisors d of j with d <= n.
+
+    The result is an exact integer and satisfies |result| <= tau(j).  Every
+    divisor of j that is <= n must be covered by the table.
+    """
+    if j < 1 or n < 1:
+        raise ValueError("j and n must be positive integers")
+    total = 0
+    for a in range(1, math.isqrt(j) + 1):
+        if j % a:
+            continue
+        b = j // a
+        for d in (a, b) if a != b else (a,):
+            if d <= n:
+                if d > table.limit:
+                    raise ValueError(
+                        f"divisor {d} of {j} is <= n but beyond the table limit {table.limit}"
+                    )
+                total += int(table.values[d])
+    return total
+
+
+def c4_partial_sums(family, r: float, checkpoints) -> list[float]:
+    """Partial sums of (w_k / k^r)^2 at the given checkpoints.
+
+    Below the threshold r* of ``c4_halfplane`` the sums keep growing between
+    checkpoints, above r* they flatten.  Divergent families may saturate to
+    +inf, which counts as growth.
+    """
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError("checkpoints must be positive integers")
+    k = np.arange(1, checkpoints[-1] + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        terms = np.exp(2.0 * (family.log_w(k) - r * np.log(k)))
+    csum = np.cumsum(terms)
+    return [float(csum[c - 1]) for c in checkpoints]

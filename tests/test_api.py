@@ -1,0 +1,28 @@
+import importlib
+import pkgutil
+
+import zfhp
+
+# Every name here is reached by a CLI command, a runner or an acceptance
+# criterion; a name leaves this list only together with its last such user.
+PUBLIC = [
+    "ClassificationResult", "ConditioningError", "DivisorCountTable", "DomainError",
+    "FunctionalEvaluation", "MobiusTable", "PoleError", "ProbeResult", "QuadratureWarning",
+    "TruncatedSeries", "WeightFamily", "ZetaValue", "__version__", "build_divisor_counts",
+    "build_mobius", "c4_halfplane", "classify", "duren_coefficient_check", "extremal_probe",
+    "f_k", "fk_upper_bound", "fk_values", "g_k", "hardy_from_lq_check", "hk_coeffs",
+    "hp_norm_estimate", "ims_hk_coeffs", "lambda_apply", "lambda_on_constant", "lq_norm",
+    "mellin_rho_alpha", "mellin_step_pk", "mobius_logsum_over_k", "mobius_sum_over_k",
+    "parse_weight_family", "reverse_holder_check", "rho_alpha_tail_bound", "rm_sequence", "zeta",
+]
+
+
+def test_public_surface():
+    modules = [zfhp] + [
+        importlib.import_module(f"zfhp.{info.name}") for info in pkgutil.iter_modules(zfhp.__path__)
+    ]
+    for module in modules:
+        exec(f"from {module.__name__} import *", {})  # a stale __all__ entry raises here
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), module.__name__
+    assert sorted(zfhp.__all__) == PUBLIC

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from zfhp import (
-    bounded_divisor_sum,
     build_divisor_counts,
     build_mobius,
     mobius_logsum_over_k,
     mobius_sum_over_k,
 )
 
-from oracles import mobius_linear_sieve
+from oracles import bounded_divisor_sum, mobius_linear_sieve
 
 
 def mu_by_trial_division(n: int, primes: list[int]) -> int:

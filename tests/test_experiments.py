@@ -89,6 +89,8 @@ class TestLqConvergence:
             run_lq_convergence(2.0, [10], 5, mobius_1k)
         with pytest.raises(ValueError):
             run_lq_convergence(2.0, [2000], 5000, mobius_1k)
+        with pytest.raises(ValueError):
+            run_lq_convergence(2.0, [], 100, mobius_1k)
 
 
 class TestHpConvergence:
@@ -119,6 +121,14 @@ class TestHpConvergence:
     def test_validation(self, mobius_1k):
         with pytest.raises(ValueError):
             run_hp_convergence(1.5, [10], 100, 64, mobius_1k)
+        with pytest.raises(ValueError):
+            run_hp_convergence(0.5, [10, 10], 100, 64, mobius_1k)
+        with pytest.raises(ValueError):
+            run_hp_convergence(0.5, [10], 5, 64, mobius_1k)
+        with pytest.raises(ValueError):
+            run_hp_convergence(0.5, [2000], 5000, 64, mobius_1k)
+        with pytest.raises(ValueError):
+            run_hp_convergence(0.5, [], 100, 64, mobius_1k)
 
 
 class TestLambdaSweep:
@@ -180,6 +190,11 @@ class TestPointwiseApprox:
     def test_domain_validation(self, mobius_1k):
         with pytest.raises(DomainError):
             run_pointwise_approx([0.4], [10], mobius_1k)
+
+    def test_n_validation(self, mobius_1k):
+        for ns in ([], [1, 10], [10, 1001]):
+            with pytest.raises(ValueError):
+                run_pointwise_approx([2.0], ns, mobius_1k)
 
 
 class TestManifests:

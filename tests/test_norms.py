@@ -7,13 +7,11 @@ from scipy.integrate import quad
 from zfhp import (
     QuadratureWarning,
     TruncatedSeries,
-    WeightFamily,
     duren_coefficient_check,
     hardy_from_lq_check,
     hp_norm_estimate,
     lq_norm,
     reverse_holder_check,
-    weighted_l2_norm,
 )
 from zfhp.norms import (
     boundary_values,
@@ -53,26 +51,9 @@ class TestLqNorm:
         for _ in range(20):
             f = TruncatedSeries(rng.normal(size=30))
             g = TruncatedSeries(rng.normal(size=30))
-            lhs = lq_norm(f + g, q) ** q
+            lhs = lq_norm(TruncatedSeries(f.coeffs + g.coeffs), q) ** q
             rhs = lq_norm(f, q) ** q + lq_norm(g, q) ** q
             assert lhs <= rhs * (1 + 1e-12)
-
-
-class TestWeightedL2:
-    def test_identity_weights_match_l2(self):
-        f = TruncatedSeries([1.0, -2.0, 3.0])
-        assert weighted_l2_norm(f, WeightFamily("identity")) == pytest.approx(
-            lq_norm(f, 2.0), abs=1e-15
-        )
-
-    def test_power_weight_at_one(self):
-        f = TruncatedSeries([0.0, 1.0])
-        assert weighted_l2_norm(f, WeightFamily("power", alpha=1.0)) == pytest.approx(1.0)
-
-    def test_geometric_weight(self):
-        f = TruncatedSeries([0.0, 0.0, 1.0])
-        got = weighted_l2_norm(f, WeightFamily("geometric", eps=0.5))
-        assert got == pytest.approx(0.25, abs=1e-15)
 
 
 class TestBoundaryValues:

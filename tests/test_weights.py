@@ -15,10 +15,11 @@ from zfhp.weights import (
     TABLE_FAMILIES,
     all_integers,
     arithmetic_progression,
-    c4_partial_sums,
     prime_indices,
     rm_is_bounded,
 )
+
+from oracles import c4_partial_sums
 
 ACCEPTANCE_FAMILIES = [
     *(WeightFamily("power", alpha=a) for a in (0.25, 1.0, 2.0)),
