@@ -1,11 +1,10 @@
-"""Number-theoretic kernel: Möbius function, divisor counts, partial sums.
+"""Number-theoretic kernel: Möbius function, divisor counts, exact sums.
 
 Tables are built once by a sieve and are immutable afterwards, so they can
 be shared freely between threads.  The Möbius table comes from a numpy
-sieve over the primes up to sqrt(limit) only (``build_mobius``).  All
-partial sums run over increasing index and use exactly rounded compensated
-accumulation (``math.fsum``), so repeated runs on one platform reproduce
-results bit for bit.
+sieve over the primes up to sqrt(limit) only (``build_mobius``).
+``exact_sum`` is the package's one exactly rounded sum of a float array:
+it does not depend on the order or grouping of the terms.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ __all__ = [
     "build_divisor_counts",
     "mobius_sum_over_k",
     "mobius_logsum_over_k",
+    "exact_parts",
+    "exact_sum",
 ]
 
 # entries per block of build_mobius's final compare (4 MB int32 temporaries)
@@ -117,16 +118,14 @@ def mobius_sum_over_k(table: MobiusTable, cutoff: int) -> float:
     """Partial sum of mu(k)/k for k = 1..cutoff (limit 0 as cutoff grows)."""
     _check_cutoff(table, cutoff)
     k = np.arange(1, cutoff + 1, dtype=np.float64)
-    terms = table.values[1 : cutoff + 1] / k
-    return math.fsum(terms.tolist())
+    return exact_sum(table.values[1 : cutoff + 1] / k)
 
 
 def mobius_logsum_over_k(table: MobiusTable, cutoff: int) -> float:
     """Partial sum of mu(k) log(k)/k for k = 1..cutoff (limit -1)."""
     _check_cutoff(table, cutoff)
     k = np.arange(1, cutoff + 1, dtype=np.float64)
-    terms = table.values[1 : cutoff + 1] * np.log(k) / k
-    return math.fsum(terms.tolist())
+    return exact_sum(table.values[1 : cutoff + 1] * np.log(k) / k)
 
 
 def _check_cutoff(table: MobiusTable, cutoff: int) -> None:
@@ -134,3 +133,47 @@ def _check_cutoff(table: MobiusTable, cutoff: int) -> None:
         raise ValueError("cutoff must be a positive integer")
     if cutoff > table.limit:
         raise ValueError(f"cutoff {cutoff} exceeds table limit {table.limit}")
+
+
+def exact_parts(x) -> list[float]:
+    """Floats whose exact sum is the exact sum of the real array ``x``.
+
+    Error-free extraction, proved in ``exact_sum``.  Non-finite input, and
+    input where sigma + x could overflow, comes back as ``x.tolist()``, so
+    ``math.fsum`` keeps its value or error on it.
+    """
+    x = np.array(x, dtype=np.float64)  # a copy: the passes subtract in place
+    big = float(np.max(np.abs(x), initial=0.0))
+    scale = (x.size + 1).bit_length()  # ceil(log2(L + 2))
+    if not math.isfinite(big) or math.frexp(big)[1] + scale > 1022:
+        return x.tolist()
+    parts: list[float] = []
+    while big:
+        sigma = math.ldexp(1.0, math.frexp(big)[1] + scale)
+        q = (x + sigma) - sigma
+        x -= q
+        parts.append(float(np.sum(q)))
+        big = float(np.max(np.abs(x)))
+    return parts
+
+
+def exact_sum(x) -> float | complex:
+    """The exact sum of the array ``x`` rounded once to nearest, per component.
+
+    Lemma (binary64, round to nearest).  Let L = len(x), max|x| < 2^e and
+    sigma = 2^(e + ceil(log2(L + 2))).  Then q = (sigma + x) - sigma and
+    x - q are computed exactly, |x_i - q_i| <= 2^-53 sigma, and each q_i is
+    a multiple of 2^-53 sigma with |q_i| <= 2^e (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008, Lemma 3.2).  Every partial sum of q, in any order, is a multiple
+    of max(2^-53 sigma, 2^-1074) below L 2^e < sigma in magnitude, hence a
+    float, so sum(q) is exact.  ``exact_parts`` appends sum(q) and repeats
+    on x - q; e falls by at least 52 - ceil(log2(L + 2)) per pass, and once
+    sigma <= 2^-1022 a pass takes all of x.  So the parts add up exactly to
+    sum(x), and ``math.fsum`` rounds that once: the result depends only on
+    the exact sum, not on the order, grouping or blocks of the terms.
+    """
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return complex(math.fsum(exact_parts(x.real)), math.fsum(exact_parts(x.imag)))
+    return math.fsum(exact_parts(x))

@@ -29,12 +29,12 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
 from ._version import __version__
-from .arith import MobiusTable, build_mobius, mobius_sum_over_k
+from .arith import MobiusTable, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import QuadratureWarning, hp_norm_estimate, lq_norm
@@ -152,6 +152,8 @@ def rerun(manifest: ExperimentManifest):
 
 def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
     grid = [complex(s) for s in s_grid]
+    if not grid:
+        raise ValueError("s_grid must not be empty")
     for s in grid:
         if s.real <= 0.5:
             raise DomainError(
@@ -163,12 +165,28 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
     return grid
 
 
-def _check_coeff_cutoff(n_list: Sequence[int], coeff_cutoff: int) -> list[int]:
-    """``n_list`` as ints; ``mobius_ims_partial_sums`` checks all but the cutoff."""
+def _convergence_records(
+    norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int, table: MobiusTable,
+    row: Callable[[int, np.ndarray], tuple[float, float]],
+) -> list[ConvergenceRecord]:
+    """One record per n of ``row(n, coeffs) -> (value, tail_bound)``.
+
+    ``coeffs`` is ``mobius_ims_partial_sums`` at n, which checks ``n_list``
+    apart from the cutoff; a record's wall time covers the kernel's advance
+    to n and the row.
+    """
     ns = [int(n) for n in n_list]
     if coeff_cutoff < max(ns, default=0):
         raise ValueError("coeff_cutoff must be >= max(n_list)")
-    return ns
+    records: list[ConvergenceRecord] = []
+    t_mark = time.perf_counter()
+    for n, coeffs in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
+        value, tail = row(n, coeffs)
+        now = time.perf_counter()
+        ms = int(round((now - t_mark) * 1000.0))
+        records.append(ConvergenceRecord(n, norm_kind, param, coeff_cutoff, value, tail, ms))
+        t_mark = now
+    return records
 
 
 # 1 + 2^-40 covers the relative rounding error of lq_tail_bound (at most
@@ -202,9 +220,10 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
         B = A (|c_n| N^-r + sum_d M_d^-r / d).
 
     Rounding.  u = 2^-53; N, M_d and d are exact doubles; +, -, *, / and
-    the int-to-float conversions are correctly rounded; ``math.fsum`` is
-    exactly rounded; ``pow`` (libm or numpy) is within 4 ulp, a relative
-    error of at most 8u.  L = ln N < 36.8 bounds ln M_d and ln n.
+    the int-to-float conversions are correctly rounded; ``exact_sum`` is
+    exactly rounded (the lemma of ``arith.exact_sum``); ``pow`` (libm or
+    numpy) is within 4 ulp, a relative error of at most 8u.  L = ln N < 36.8
+    bounds ln M_d and ln n.
       1. r~ = fl(1 - fl(1/q)) has |r~ - r| <= 2u, so for 1 <= M <= N,
          M^-r <= M^-r~ e^(2uL) <= (1 + 74u) M^-r~.
       2. A~ = pow(fl(q - 1), -fl(1/q)): the input error (1 + u)^(1/q),
@@ -212,7 +231,8 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
          pow give A <= (1 + 48u) A~.
       3. Each term t~_d = fl(pow(M_d, -r~)/d) and P~ = pow(N, -r~) give,
          with 1., M_d^-r/d <= (1 + 84u) t~_d and N^-r <= (1 + 83u) P~;
-         the fsum S~ of the t~_d keeps sum_d M_d^-r/d <= (1 + 86u) S~.
+         their exactly rounded sum S~ (``exact_sum``) keeps
+         sum_d M_d^-r/d <= (1 + 86u) S~.
       4. c~ = fl(mobius_sum_over_k(n) - 1) carries the rounding of each
          term mu(k)/k, |c_n| <= (1 + 3u)(|c~| + u) + u ln n.  The
          additive part is at most u (L + 2) P~ <= 2u (L + 2) S~ <= 80u S~,
@@ -231,7 +251,7 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
     r = 1.0 - inv_q
     d = np.flatnonzero(table.values[2 : n + 1]) + 2
     m_d = (coeff_cutoff // d).astype(np.float64)
-    s = math.fsum((m_d ** -r / d).tolist())
+    s = exact_sum(m_d ** -r / d)
     c_n = abs(mobius_sum_over_k(table, n) - 1.0)
     x = c_n * math.pow(coeff_cutoff, -r) + s
     return math.pow(q - 1.0, -inv_q) * x * _TAIL_ROUNDING_FACTOR
@@ -252,28 +272,13 @@ def run_lq_convergence(
     """
     if q <= 1.0:
         raise ValueError("q must be > 1")
-    ns = _check_coeff_cutoff(n_list, coeff_cutoff)
-    records: list[ConvergenceRecord] = []
-    t_mark = time.perf_counter()
-    for n, residual in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
+
+    def row(n: int, residual: np.ndarray) -> tuple[float, float]:
         residual[0] -= 1.0  # subtract the target 1 - z
         residual[1] += 1.0
-        value = lq_norm(TruncatedSeries(residual), q)
-        tail = lq_tail_bound(q, n, coeff_cutoff, table)
-        now = time.perf_counter()
-        records.append(
-            ConvergenceRecord(
-                n=n,
-                norm_kind="lq",
-                param=q,
-                coeff_cutoff=coeff_cutoff,
-                value=value,
-                tail_bound=tail,
-                wall_time_ms=int(round((now - t_mark) * 1000.0)),
-            )
-        )
-        t_mark = now
-    return records
+        return lq_norm(TruncatedSeries(residual), q), lq_tail_bound(q, n, coeff_cutoff, table)
+
+    return _convergence_records("lq", q, n_list, coeff_cutoff, table, row)
 
 
 def run_hp_convergence(
@@ -294,33 +299,20 @@ def run_hp_convergence(
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    ns = _check_coeff_cutoff(n_list, coeff_cutoff)
-    records: list[ConvergenceRecord] = []
-    t_mark = time.perf_counter()
-    for n, coeffs in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
+
+    def row(n: int, coeffs: np.ndarray) -> tuple[float, float]:
         np.cumsum(coeffs, out=coeffs)
         coeffs[0] -= 1.0
         residual = TruncatedSeries(coeffs)
         # undersampling is expected at the default parameters; the refinement
-        # column below is the operative quadrature control for these records
+        # column is the operative quadrature control for these records
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureWarning)
             value = hp_norm_estimate(residual, p, nodes)
             refined = hp_norm_estimate(residual, p, 2 * nodes)
-        now = time.perf_counter()
-        records.append(
-            ConvergenceRecord(
-                n=n,
-                norm_kind="hp",
-                param=p,
-                coeff_cutoff=coeff_cutoff,
-                value=value,
-                tail_bound=abs(value - refined),
-                wall_time_ms=int(round((now - t_mark) * 1000.0)),
-            )
-        )
-        t_mark = now
-    return records
+        return value, abs(value - refined)
+
+    return _convergence_records("hp", p, n_list, coeff_cutoff, table, row)
 
 
 def run_lambda_sweep(
@@ -388,7 +380,10 @@ def run_pointwise_approx(
 
 def run_mellin_verify(k_list: Iterable[int], s: complex, tol: float) -> list[MellinRecord]:
     """|M[p_k](s) - f_k(s)| per k (``mellin_step_pk`` quadrature), ok when at most tol."""
-    errs = ((k, abs(mellin_step_pk(k, s) - f_k(k, s))) for k in k_list)
+    ks = list(k_list)
+    if not ks:
+        raise ValueError("k_list must not be empty")
+    errs = ((k, abs(mellin_step_pk(k, s) - f_k(k, s))) for k in ks)
     return [MellinRecord(k=k, s=s, abs_err=err, ok=err <= tol) for k, err in errs]
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import MobiusTable
+from .arith import MobiusTable, exact_parts, exact_sum
 from .series import TruncatedSeries, hk_coefficient_envelope
 from .special import _U, fk_values, require_right_half_plane, zeta
 
@@ -43,17 +43,12 @@ class FunctionalEvaluation:
     tail_bound: float | None
 
 
-def _fsum_complex(terms: np.ndarray) -> complex:
-    terms = np.asarray(terms, dtype=np.complex128)
-    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
-
-
 def lambda_apply(f: TruncatedSeries, s, coeff_bound: float | None = None) -> FunctionalEvaluation:
     """Apply the evaluation functional to a truncated series.
 
-    Terms are summed in increasing degree with exactly rounded compensated
-    accumulation.  ``coeff_bound`` is a caller-proved C with |a_m| <= C/m
-    for every discarded m > N; the reported ``tail_bound`` is then
+    The terms are added by ``exact_sum``, exactly rounded per component.
+    ``coeff_bound`` is a caller-proved C with |a_m| <= C/m for every
+    discarded m > N; the reported ``tail_bound`` is then
     C (|1-s|/|s|) N^(-Re s)/Re(s), monotone nonincreasing in the degree for
     fixed C.  Without it ``tail_bound`` is None.
     """
@@ -64,7 +59,7 @@ def lambda_apply(f: TruncatedSeries, s, coeff_bound: float | None = None) -> Fun
     terms[0] = complex(a[0]) * (-1.0 / s)
     if n >= 1:
         terms[1:] = a[1:] * fk_values(n, s)
-    value = _fsum_complex(terms)
+    value = exact_sum(terms)
     if coeff_bound is None:
         return FunctionalEvaluation(s=s, value=value, tail_bound=None)
     c = float(coeff_bound)
@@ -123,15 +118,13 @@ def lambda_hk_truncated(
 
     and collecting terms gives the formula.
 
-    Cost.  Each s needs one pass over j^(-s), j <= N, keeping only P at the
-    distinct cut points {floor(N/k)} and N, each an exactly rounded
-    (``math.fsum``) sum of exactly rounded block sums.  D_k does not
-    depend on s: it is one ``math.fsum`` of 1/j, M < j <= N, and -log k.
-    Each (k, s) pair then costs O(1).  The cancellations, in
-    P_N - k^(1-s) P_M and in the small D_k, fall only on these
-    compensated sums.  The block boundaries depend on the whole of
-    ``k_list``, so a value's last bits may too; the rounding bound below
-    holds for every choice.
+    Cost.  One pass over 1/j, j <= N, and one over j^(-s) per s keep the
+    ``exact_parts`` of the prefix sums at the cut points {floor(N/k)} and N.
+    P_c is the ``exact_sum`` of its parts, per component, and D_k that of
+    the parts of H_N and of -H_M, and -log k; each (k, s) pair costs O(1).
+    The cancellations, in P_N - k^(1-s) P_M and in the small D_k, fall only
+    on these exactly rounded sums, so no value depends on the rest of
+    ``k_list``.
 
     Tail.  ``tail_bound`` is ``_tail_bound`` with the proved envelope
     C = ``hk_coefficient_envelope(k, N)``, so it bounds the discarded
@@ -140,16 +133,17 @@ def lambda_hk_truncated(
     Rounding.  u = 2^-53.  Assumed: log, exp, cos and sin are within
     4 ulp (a relative 8u), complex exp is e^x (cos y + i sin y) from these,
     float +, -, *, / are correctly rounded per component, complex * is
-    within 3u and complex / within 8u (normwise), and ``math.fsum`` is
-    exactly rounded.  Let e(a, L) = u (12 a L + 24), sigma = Re(s) and
-    S_c = sum_{j<=c} j^(-sigma) <= 1 + int_1^c x^(-sigma) dx.
+    within 3u and complex / within 8u (normwise), and ``exact_sum`` is
+    exactly rounded (its lemma).  Let e(a, L) = u (12 a L + 24),
+    sigma = Re(s) and S_c = sum_{j<=c} j^(-sigma) <= 1 + int_1^c x^(-sigma) dx.
       1. exp(-w log j), for w = s or w = 1 - s, is within
          e(|w|, log j) |j^(-w)|: the rounded argument is off by at most
          10u |w| log j, which perturbs the power by a factor e^d with
          e^|d| - 1 <= 11u |w| log j, and exp, cos, sin and two products
          add at most 18u.
-      2. Block sums and their sum are exactly rounded per component, so
-         |P~_c - P_c| <= (e(|s|, log c) + 3u) S_c; |P_c| <= S_c.
+      2. P~_c is the exactly rounded sum of the computed powers, per
+         component, so |P~_c - P_c| <= (e(|s|, log c) + 3u) S_c;
+         |P_c| <= S_c.
       3. The 1/j are within u/j, log k within 8u log k, so
          |D~ - D| <= u (2 |D| + 10 log k).
       4. k^(1-s) P_M is within k^(1-sigma) S_M (e(|s|, log M) +
@@ -170,20 +164,27 @@ def lambda_hk_truncated(
     ks = [int(k) for k in k_list]
     grid = [require_right_half_plane(s) for s in s_grid]
     n = int(degree)
+    if not ks:
+        raise ValueError("k_list must not be empty")
     if any(k < 2 for k in ks):
         raise ValueError("k values must be >= 2")
     if n < 1:
         raise ValueError("degree must be >= 1")
     cuts = sorted({n // k for k in ks} | {n})
-    prefix = [_power_prefix_sums(s, cuts) for s in grid]
+    j = np.arange(1, n + 1, dtype=np.float64)
+    harmonic = _prefix_parts(1.0 / j, cuts)
+    log_j = np.log(j)
+    prefix = []
+    for s in grid:
+        powers = np.exp(-s * log_j)
+        re, im = _prefix_parts(powers.real, cuts), _prefix_parts(powers.imag, cuts)
+        prefix.append({c: complex(exact_sum(re[c]), exact_sum(im[c])) for c in cuts})
     log_n1 = math.log(n + 1)
     out: list[GeneratorEvaluation] = []
     for k in ks:
         m = n // k
         log_k = math.log(k)
-        terms = (1.0 / np.arange(m + 1, n + 1, dtype=np.float64)).tolist()
-        terms.append(-log_k)
-        gap = math.fsum(terms)
+        gap = exact_sum(harmonic[n] + [-h for h in harmonic[m]] + [-log_k])
         envelope = hk_coefficient_envelope(k, n)
         for s, p in zip(grid, prefix):
             e = cmath.exp((1.0 - s) * log_n1)
@@ -201,18 +202,14 @@ def lambda_hk_truncated(
     return out
 
 
-def _power_prefix_sums(s: complex, cuts: Sequence[int]) -> dict[int, complex]:
-    """P_c = sum_{j<=c} j^(-s) at the sorted cut points, via exact block sums."""
-    terms = np.exp(-s * np.log(np.arange(1, cuts[-1] + 1, dtype=np.float64)))
-    blocks_re: list[float] = []
-    blocks_im: list[float] = []
-    prefix: dict[int, complex] = {}
+def _prefix_parts(terms: np.ndarray, cuts: Sequence[int]) -> dict[int, list[float]]:
+    """Exact parts of sum_{j<=c} terms[j-1] at each of the sorted cut points c."""
+    parts: list[float] = []
+    prefix: dict[int, list[float]] = {}
     lo = 0
     for c in cuts:
-        block = terms[lo:c]
-        blocks_re.append(math.fsum(block.real.tolist()))
-        blocks_im.append(math.fsum(block.imag.tolist()))
-        prefix[c] = complex(math.fsum(blocks_re), math.fsum(blocks_im))
+        parts += exact_parts(terms[lo:c])
+        prefix[c] = list(parts)
         lo = c
     return prefix
 
@@ -257,20 +254,15 @@ def approx_reciprocal_s_partial_sums(
     """sum_{k=2..n} mu(k) G_k(s) for every n in ``n_list``, in its order.
 
     With G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), each value is
-    -(zeta(s)/s) times fsum_k mu(k) (k^(-s) - 1/k), the sum exactly rounded
+    -(zeta(s)/s) times sum_k mu(k) (k^(-s) - 1/k), the sum exactly rounded
     per component.  One increasing pass over k <= max(n_list), in blocks
     of ``_APPROX_BLOCK`` split at the checkpoints, forms the terms of the
     squarefree k only (mu(k) = 0 terms are exact zeros) with the same
     elementwise numpy expression as a single full-range pass.
 
-    Exactness.  Each block's exact sum is kept as a short float expansion:
-    hi = fsum(block) is appended to the parts and -hi to the block until
-    fsum returns 0, so the parts add up exactly to the exact block sum
-    (a finite dyadic, which the loop therefore reaches).  ``math.fsum`` is
-    correctly rounded whatever the order and grouping of its inputs, so the
-    fsum of all parts up to a checkpoint is the same float as the fsum of
-    every term up to it.  For real s every imaginary part is +-0, so that
-    sum is skipped and taken as 0.0.
+    Exactness.  Each block adds its ``exact_parts`` to the parts so far, and
+    a checkpoint takes their ``exact_sum``: by the lemma of ``exact_sum``
+    the same float as one exactly rounded sum of every term up to it.
     """
     ns = [int(n) for n in n_list]
     if not ns:
@@ -293,16 +285,8 @@ def approx_reciprocal_s_partial_sums(
             nz = np.flatnonzero(mu)
             k = (nz + lo).astype(np.float64)
             terms = mu[nz].astype(np.float64) * (np.exp(-s * np.log(k)) - 1.0 / k)
-            _extend_exact(parts_re, terms.real.tolist())
-            if s.imag != 0.0:
-                _extend_exact(parts_im, terms.imag.tolist())
+            parts_re += exact_parts(terms.real)
+            parts_im += exact_parts(terms.imag)
             lo = hi
-        sums[n] = -(z / s) * complex(math.fsum(parts_re), math.fsum(parts_im))
+        sums[n] = -(z / s) * complex(exact_sum(parts_re), exact_sum(parts_im))
     return [sums[n] for n in ns]
-
-
-def _extend_exact(parts: list[float], block: list[float]) -> None:
-    """Append to ``parts`` floats whose exact sum is the exact sum of ``block``."""
-    while hi := math.fsum(block):
-        parts.append(hi)
-        block.append(-hi)

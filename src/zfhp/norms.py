@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from .arith import exact_sum
 from .series import TruncatedSeries
 
 __all__ = [
@@ -202,10 +203,7 @@ def reverse_holder_check(
     _validate_nodes(nodes)
     z = half_offset_points(nodes)
     hv = boundary_values(h, nodes)
-    h_at_one = math.fsum(h.coeffs.real.tolist())
-    if np.iscomplexobj(h.coeffs):
-        h_at_one = complex(h_at_one, math.fsum(h.coeffs.imag.tolist()))
-    base = abs(h_at_one) ** q
+    base = abs(exact_sum(h.coeffs)) ** q
     sing = np.abs(1.0 - z) ** (-q)
     integral = base * circle_abs_power_integral(-q) + float(
         np.mean((np.abs(hv) ** q - base) * sing)

@@ -1,7 +1,10 @@
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import zfhp
+from zfhp.arith import exact_parts
 
 # Every name here is reached by a CLI command, a runner or an acceptance
 # criterion; a name leaves this list only together with its last such user.
@@ -26,3 +29,11 @@ def test_public_surface():
         names = getattr(module, "__all__", [])
         assert len(names) == len(set(names)), module.__name__
     assert sorted(zfhp.__all__) == PUBLIC
+
+
+def test_one_summation_path():
+    # every exactly rounded sum goes through exact_parts; a second, ad-hoc
+    # fsum anywhere else in the package fails here
+    home = Path(inspect.getsourcefile(exact_parts))
+    users = [path.name for path in sorted(home.parent.glob("*.py")) if "fsum" in path.read_text()]
+    assert users == [home.name]

@@ -10,6 +10,8 @@ from zfhp import (
     mobius_sum_over_k,
 )
 
+from zfhp.arith import exact_parts, exact_sum
+
 from oracles import bounded_divisor_sum, mobius_linear_sieve
 
 
@@ -170,3 +172,99 @@ def test_bounded_divisor_sum_needs_table_coverage():
 def test_tables_are_read_only(mobius_1k):
     with pytest.raises(ValueError):
         mobius_1k.values[3] = 1
+
+
+# exact_parts / exact_sum against math.fsum, the oracle: both are exactly
+# rounded, so they must agree with ==, the sign of a zero result included.
+
+
+def assert_same_float(got: float, want: float) -> None:
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def check_against_fsum(x: np.ndarray) -> None:
+    assert_same_float(exact_sum(x), math.fsum(x.tolist()))
+    # the lemma itself: the parts add up exactly to the terms.  Every float
+    # is a multiple of 2^-1074, so a nonzero exact difference rounds to a
+    # nonzero float.
+    if np.all(np.isfinite(x)) and np.max(np.abs(x), initial=0.0) < 1e300:
+        assert math.fsum(exact_parts(x) + (-x).tolist()) == 0.0
+
+
+def spread_array(rng, size: int) -> np.ndarray:
+    """Mixed signs, magnitudes spread over e^-30 .. e^30."""
+    return rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-30.0, 30.0, size))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_sum_matches_fsum_on_spread_magnitudes(seed):
+    rng = np.random.default_rng(seed)
+    for size in (3, 17, 1000, int(rng.integers(2, 70000))):
+        check_against_fsum(spread_array(rng, size))
+
+
+def test_exact_sum_matches_fsum_with_cancellation():
+    rng = np.random.default_rng(11)
+    x = spread_array(rng, 5000)
+    check_against_fsum(np.concatenate([x, -x[::-1], [1e-300, 2.0**-1074]]))
+    check_against_fsum(np.array([1.0, 2.0**-53, -1.0, 2.0**-106, 3.0 * 2.0**-160]))
+
+
+def test_exact_sum_matches_fsum_on_subnormals():
+    rng = np.random.default_rng(3)
+    tiny = 2.0**-1074
+    x = rng.integers(-(2**40), 2**40, 4096).astype(np.float64) * tiny
+    assert np.all(np.abs(x) < 2.0**-1022)
+    check_against_fsum(x)
+    check_against_fsum(np.concatenate([x, spread_array(rng, 4096)]))
+
+
+@pytest.mark.parametrize(
+    "zeros", [[0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0, 0.0], [-0.0] * 70000]
+)
+def test_exact_sum_of_signed_zeros(zeros):
+    check_against_fsum(np.array(zeros))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1])
+def test_exact_sum_at_block_edges(size):
+    check_against_fsum(spread_array(np.random.default_rng(size), size))
+
+
+def test_exact_sum_complex_is_per_component():
+    rng = np.random.default_rng(5)
+    z = spread_array(rng, 3000) + 1j * spread_array(rng, 3000)
+    got = exact_sum(z)
+    assert isinstance(got, complex)
+    assert got == complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+
+
+def test_exact_sum_near_overflow_takes_the_fallback():
+    x = np.array([1e308, -1e308, 1.5e308, 1e292, -3.0])
+    assert exact_parts(x) == x.tolist()
+    check_against_fsum(x)
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308])
+    with pytest.raises(OverflowError):
+        exact_sum(np.array([1e308, 1e308]))
+
+
+@pytest.mark.parametrize("values", [[math.inf], [math.nan], [1.0, -math.inf, 2.0]])
+def test_exact_sum_of_non_finite_matches_fsum(values):
+    assert_same_float(exact_sum(np.array(values)), math.fsum(values))
+
+
+def test_exact_sum_of_opposite_infinities_raises_like_fsum():
+    with pytest.raises(ValueError) as want:
+        math.fsum([math.inf, -math.inf])
+    with pytest.raises(ValueError) as got:
+        exact_sum(np.array([math.inf, -math.inf]))
+    assert str(got.value) == str(want.value)
+
+
+def test_exact_parts_leaves_its_input_alone():
+    x = np.array([1.0, 2.0**-60, -3.5])
+    before = x.copy()
+    exact_parts(x)
+    assert np.array_equal(x, before)

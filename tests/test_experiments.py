@@ -225,6 +225,19 @@ class TestManifests:
         c, d = rerun(approx), rerun(approx)
         assert [r.residual for r in c] == [r.residual for r in d]
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            build_manifest("pointwise_approx", s_grid=[], n_list=[1], mobius_limit=10),
+            build_manifest("lambda_sweep", k_list=[], s_grid=[[2.0, 0.0]], coeff_cutoff=100),
+            build_manifest("mellin_verify", k_list=[], s=[2.0, 1.0], tol=1e-8),
+        ],
+        ids=["approx-empty-grid", "lambda-empty-k", "mellin-empty-k"],
+    )
+    def test_rerun_refuses_empty_lists(self, manifest):
+        with pytest.raises(ValueError):
+            rerun(manifest)
+
     def test_rerun_unknown_experiment(self):
         with pytest.raises(ValueError):
             rerun(build_manifest("nope"))

@@ -146,11 +146,21 @@ class TestLambdaHkTruncated:
         evs = lambda_hk_truncated(ks, grid, 300)
         assert [(e.k, e.s) for e in evs] == [(k, s) for k in ks for s in grid]
         for e in evs:
-            # other k add cut points, which may move the last bits only
             (alone,) = lambda_hk_truncated([e.k], [e.s], 300)
-            assert abs(alone.value - e.value) <= alone.rounding_bound + e.rounding_bound
+            assert alone.value == e.value
+
+    def test_value_independent_of_k_list(self):
+        # the seed-0 lambda-grid sweep: other k add cut points, and the
+        # exactly rounded prefix sums do not depend on them
+        grid = [complex(re, im) for re in (0.6, 0.75, 1.5, 2.0) for im in (0.0, 1.0, 5.0)]
+        sweep = {(e.k, e.s): e.value for e in lambda_hk_truncated(range(2, 21), grid, 100000)}
+        for k in range(2, 21):
+            for e in lambda_hk_truncated([k], grid, 100000):
+                assert e.value == sweep[k, e.s], (k, e.s)
 
     def test_validation(self):
+        with pytest.raises(ValueError):
+            lambda_hk_truncated([], [2.0], 100)
         with pytest.raises(ValueError):
             lambda_hk_truncated([1], [2.0], 100)
         with pytest.raises(ValueError):
