@@ -7,13 +7,15 @@ commands run exactly ``rerun(manifest)``.  Results are CSV on stdout, or in
 ``--out FILE`` plus, for experiments, a ``*.manifest.json`` sidecar.
 
 Exit codes: 0 success, 2 invalid arguments, 3 domain error (pole or
-half-plane violation), 4 check failed in ``--check`` mode.
+half-plane violation), 4 check failed in ``--check`` mode.  Warnings, such
+as an undersampling ``QuadratureWarning``, go to stderr as one line each.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import ConditioningError, DomainError
@@ -278,11 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

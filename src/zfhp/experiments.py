@@ -37,7 +37,7 @@ from ._version import __version__
 from .arith import MobiusTable, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
-from .norms import QuadratureWarning, hp_norm_estimate, lq_norm
+from .norms import QuadratureWarning, _check_two_level_nodes, lq_norm, two_level_means
 from .series import TruncatedSeries, mobius_ims_partial_sums
 from .special import _g_k_given_zeta, f_k, g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta
 from .weights import ClassificationResult, ProbeResult
@@ -292,24 +292,32 @@ def run_hp_convergence(
 
     The coefficients are the running sums (h_k = (I - S)^-1 (I - S) h_k)
     of the closed-form kernel ``mobius_ims_partial_sums``, taken in place.
+    Both quadrature levels, ``nodes`` and 2 ``nodes`` half-offset nodes,
+    come from one real FFT per checkpoint (``norms.two_level_means``).
     Each record's ``tail_bound`` column carries the quadrature refinement
     discrepancy |value at nodes - value at 2 nodes|: the truncation tail
     has no usable closed-form bound on the boundary, so the refinement
     control is the honest error indicator here.
+
+    ``nodes`` (even, >= 16, with transform buffers that fit in physical
+    memory) is checked before the kernel allocates.  A node count below
+    coeff_cutoff + 1 undersamples the series; the run then warns once
+    (``QuadratureWarning``) and the records are computed as usual.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    _check_two_level_nodes(nodes)
+    if nodes < coeff_cutoff + 1:
+        warnings.warn(
+            f"nodes = {nodes} undersamples degree {coeff_cutoff}; the circle mean may alias",
+            QuadratureWarning,
+            stacklevel=2,
+        )
 
     def row(n: int, coeffs: np.ndarray) -> tuple[float, float]:
         np.cumsum(coeffs, out=coeffs)
         coeffs[0] -= 1.0
-        residual = TruncatedSeries(coeffs)
-        # undersampling is expected at the default parameters; the refinement
-        # column is the operative quadrature control for these records
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuadratureWarning)
-            value = hp_norm_estimate(residual, p, nodes)
-            refined = hp_norm_estimate(residual, p, 2 * nodes)
+        value, refined = two_level_means(coeffs, p, nodes)
         return value, abs(value - refined)
 
     return _convergence_records("hp", p, n_list, coeff_cutoff, table, row)

@@ -6,11 +6,17 @@ up to the boundary, so the supremum over radii is the boundary mean.
 Quadrature nodes sit at half-step offsets 2 pi (j + 1/2)/nodes, so z = 1 is
 never sampled; evaluation at all nodes is exact (coefficient folding plus
 one FFT), and the only quadrature error is in the mean itself.
+
+``boundary_values`` takes complex coefficients and radii below 1, for the
+inequality battery.  ``two_level_means`` serves the H^p convergence runner:
+for real coefficients it returns the p-means at M and 2M nodes from one
+real FFT of length 4M, without phase factors.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -23,6 +29,7 @@ __all__ = [
     "default_node_count",
     "boundary_values",
     "circle_mean",
+    "two_level_means",
     "lq_norm",
     "hp_norm_estimate",
     "sup_norm_estimate",
@@ -86,6 +93,55 @@ def circle_mean(f: TruncatedSeries, p: float, nodes: int, radius: float = 1.0) -
         raise ValueError("p must be positive")
     vals = np.abs(boundary_values(f, nodes, radius=radius))
     return float(np.mean(vals**p) ** (1.0 / p))
+
+
+def _check_two_level_nodes(nodes: int) -> None:
+    """Refuse node counts that are odd, below 16 or beyond physical memory.
+
+    The estimate covers the buffers of ``two_level_means``: 4M float64 in,
+    2M + 1 complex128 out and M float64 magnitudes.
+    """
+    _validate_nodes(nodes)
+    need = 8 * 4 * nodes + 16 * (2 * nodes + 1) + 8 * nodes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"nodes = {nodes} needs an estimated {need / 2**30:,.1f} GiB of transform "
+            f"buffers, more than the {have / 2**30:,.1f} GiB of physical memory"
+        )
+
+
+def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, float]:
+    """p-means of |f| at M = ``nodes`` and at 2M half-offset nodes, for real coefficients.
+
+    The M nodes exp(2 pi i (j + 1/2)/M) are exp(2 pi i l/4M) with l = 4j + 2,
+    the 2M nodes those with l = 2j + 1 odd.  So one real FFT X of the
+    coefficients, folded modulo 4M (z^(4M) = 1 at every such node) and
+    zero-padded to 4M, holds both levels: |f| at the node of index l is
+    |X_l|.  For real coefficients X_(4M-l) = conj(X_l), and l -> 4M - l maps
+    each index set (l = 2 mod 4, l odd) onto itself.  Its fixed points are
+    0 and 2M, both even and, because M is even, both 0 (mod 4), so it fixes
+    no index of either set: the half spectrum l <= 2M holds exactly one
+    index of each mirror pair, and its plain mean over a set is the mean
+    over all of that set's nodes.
+    """
+    if p <= 0:
+        raise ValueError("p must be positive")
+    _check_two_level_nodes(nodes)
+    a = np.asarray(coeffs, dtype=np.float64)
+    size = 4 * nodes
+    if a.size > size:
+        whole = a.size - a.size % size
+        folded = a[:whole].reshape(-1, size).sum(axis=0)
+        folded[: a.size - whole] += a[whole:]
+        a = folded
+    spectrum = np.fft.rfft(a, n=size)
+    means = []
+    for level in (spectrum[2::4], spectrum[1::2]):
+        mags = np.abs(level)
+        mags **= p
+        means.append(float(np.mean(mags) ** (1.0 / p)))
+    return means[0], means[1]
 
 
 def lq_norm(f: TruncatedSeries, q: float) -> float:

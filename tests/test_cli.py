@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zfhp
@@ -164,6 +166,36 @@ class TestConvergenceCommand:
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["norm_kind"] == "hp"
         assert len(rows) == 2
+
+    def test_hp_undersampling_named_on_stderr(self, capsys):
+        argv = ["convergence", "--space", "hp", "--p", "0.5", "--n", "10,50", "--coeff-cutoff", "100"]
+        assert main([*argv, "--nodes", "64"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: nodes = 64 undersamples degree 100; the circle mean may alias\n"
+        assert len(out.splitlines()) == 3
+        assert main([*argv, "--nodes", "256"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("nodes", [15, 2**40])
+    def test_hp_nodes_refused_before_allocation(self, nodes, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel or FFT called")
+
+        monkeypatch.setattr(zfhp.experiments, "mobius_ims_partial_sums", refuse)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        tracemalloc.start()
+        try:
+            code = main(["convergence", "--space", "hp", "--p", "0.5", "--n", "10",
+                         "--coeff-cutoff", "20000000", "--nodes", str(nodes)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid arguments: nodes") and "Traceback" not in err
+        assert nodes == 15 or "GiB of transform buffers" in err
+        assert peak < 2**20
 
     def test_determinism_across_runs(self, tmp_path):
         argv = [

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zfhp import DomainError, TruncatedSeries, build_mobius, classify, g_k, hk_coeffs, zeta
+from zfhp import DomainError, QuadratureWarning, TruncatedSeries, build_mobius, classify, g_k, hk_coeffs, zeta
 from zfhp import experiments
 from zfhp.experiments import (
     build_manifest,
@@ -129,6 +130,28 @@ class TestHpConvergence:
             run_hp_convergence(0.5, [2000], 5000, 64, mobius_1k)
         with pytest.raises(ValueError):
             run_hp_convergence(0.5, [], 100, 64, mobius_1k)
+
+    @pytest.mark.parametrize("nodes", [15, 8, 2**40])
+    def test_nodes_checked_before_kernel(self, nodes, mobius_1k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(experiments, "mobius_ims_partial_sums", refuse)
+        with pytest.raises(ValueError, match="nodes"):
+            run_hp_convergence(0.5, [10], 20_000_000, nodes, mobius_1k)
+
+    def test_undersampling_warns_once_per_run(self, mobius_1k):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_hp_convergence(0.5, [10, 20, 50], 100, 64, mobius_1k)
+        assert [w.category for w in caught] == [QuadratureWarning]
+        assert "nodes = 64 undersamples degree 100" in str(caught[0].message)
+
+    @pytest.mark.parametrize("nodes, cutoff", [(256, 100), (256, 255)])
+    def test_silent_when_nodes_cover_the_degree(self, nodes, cutoff, mobius_1k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_hp_convergence(0.5, [10, 50], cutoff, nodes, mobius_1k)
 
 
 class TestLambdaSweep:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from zfhp.norms import (
     half_offset_points,
     reverse_holder_constant,
     sup_norm_estimate,
+    two_level_means,
 )
 
 
@@ -129,6 +132,142 @@ class TestHpNorm:
                 means = [circle_mean(f, p, nodes, radius=r) for r in (0.3, 0.7, 1.0)]
                 assert means[0] <= means[1] + 1e-12
                 assert means[1] <= means[2] + 1e-12
+
+
+U = 2.0**-53
+
+
+def gamma(n: float) -> float:
+    return n * U / (1.0 - n * U)
+
+
+def fold(x: np.ndarray, size: int) -> np.ndarray:
+    """x summed modulo size, zero-padded to size (exact model, no rounding claim)."""
+    out = np.zeros(-(-x.size // size) * size)
+    out[: x.size] = x
+    return out.reshape(-1, size).sum(axis=0)
+
+
+def fft_error_bound(size: int, input_norm: float, input_err: float) -> float:
+    """2-norm bound on the output error of a computed power-of-two FFT.
+
+    Higham ("Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    Thm 24.2): a radix-2 FFT of size 2^t with twiddle factors accurate to
+    mu has relative 2-norm error at most t eta/(1 - t eta), eta = mu +
+    gamma_4 (sqrt 2 + mu); here mu = 2u.  The real FFT is taken under the
+    same model.  An input error d adds its exact transform, of 2-norm
+    sqrt(size) |d|, and the exact output has norm sqrt(size) |x|.
+    """
+    t = math.log2(size)
+    assert t == int(t)
+    eta = 2.0 * U + gamma(4) * (math.sqrt(2.0) + 2.0 * U)
+    kappa = t * eta / (1.0 - t * eta)
+    return math.sqrt(size) * (input_err + kappa * (input_norm + input_err))
+
+
+def per_level_error(a: np.ndarray, nodes: int) -> float:
+    """2-norm error bound on ``boundary_values`` of real ``a`` at ``nodes`` (a power of two).
+
+    The phase exp(i pi m/nodes) is formed from an angle with relative error
+    at most 5u and cos/sin within 2u each, and one rounding multiplies it
+    by a_m: an error of |a_m| (5 pi m/nodes + 4) u.  Folding r blocks adds
+    gamma_(r-1) times the folded |a| (Higham, sec. 4.2).  The inverse FFT
+    scales each output by 1/nodes, one more rounding; the scaling back by
+    a power of two is exact.
+    """
+    r = -(-a.size // nodes)
+    m = np.arange(a.size, dtype=np.float64)
+    phase = np.abs(a) * (5.0 * math.pi * m / nodes + 4.0) * U
+    err = (1.0 + gamma(r - 1)) * fold(phase, nodes) + gamma(r - 1) * fold(np.abs(a), nodes)
+    norm, err_norm = float(np.linalg.norm(fold(np.abs(a), nodes))), float(np.linalg.norm(err))
+    return fft_error_bound(nodes, norm, err_norm) + 2.0 * U * math.sqrt(nodes) * (norm + err_norm)
+
+
+def one_fft_error(a: np.ndarray, nodes: int) -> float:
+    """2-norm error bound on the real FFT of ``two_level_means``: a real fold, then one FFT."""
+    size = 4 * nodes
+    r = -(-a.size // size)
+    folded = fold(np.abs(a), size)
+    return fft_error_bound(size, float(np.linalg.norm(folded)), gamma(r - 1) * float(np.linalg.norm(folded)))
+
+
+def p_mean_deviation(value: float, count: int, p: float, lower: np.ndarray, err: float) -> float:
+    """Bound on |value - exact p-mean| for a p-mean of ``count`` computed node values.
+
+    ``lower`` bounds both the computed and the exact |f| at each node from
+    below, and ``err`` the 2-norm of their differences.  For 0 < p <= 1,
+    | |x|^p - |y|^p | <= p |x - y| min(|x|, |y|)^(p-1) and <= |x - y|^p;
+    the first, summed by Cauchy-Schwarz, serves nodes with lower >= err,
+    the second, summed by Hölder, the others.  The mean of |x|^p carries
+    the rounding of abs, pow and a pairwise sum, gamma_(count + 6) in
+    all; the final pow(., 1/p) adds 4u, and (A + D)^(1/p) - A^(1/p) bounds
+    the effect of a shift |D| in A, since t^(1/p) is convex.
+    """
+    large = lower >= err
+    small = count - int(np.count_nonzero(large))
+    shift = p * err * math.sqrt(float(np.sum(lower[large] ** (2.0 * p - 2.0))))
+    shift += small ** (1.0 - p / 2.0) * err**p
+    mean = value**p * (1.0 + 8.0 * U)
+    d = shift / count + 2.0 * gamma(count + 6) * mean
+    return (mean + d) ** (1.0 / p) - mean ** (1.0 / p) + 4.0 * U * value
+
+
+class TestTwoLevelMeans:
+    @pytest.mark.parametrize("nodes", [16, 1024])
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("length", ["below", "equal", "above"])
+    def test_matches_per_level_oracle(self, nodes, p, length):
+        # oracle: hp_norm_estimate at nodes and 2 nodes, each by its own
+        # phase multiply, fold and complex FFT; degree 4M - 1 is "equal"
+        size = 4 * nodes
+        count = {"below": size - nodes // 2, "equal": size, "above": 3 * size + nodes // 2 + 7}[length]
+        rng = np.random.default_rng(nodes + count + int(100 * p))
+        a = rng.normal(size=count)
+        got = two_level_means(a, p, nodes)
+        new_err = one_fft_error(a, nodes)
+        for level, value in zip((nodes, 2 * nodes), got):
+            f = TruncatedSeries(a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuadratureWarning)
+                want = hp_norm_estimate(f, p, level)
+            old_mags = np.abs(boundary_values(f, level))
+            old_err = per_level_error(a, level)
+            # abs carries 2u; the real FFT reads the first half of the nodes
+            # of each level, where the old and exact |f| are within old_err
+            lower = old_mags * (1.0 - 2.0 * U) - old_err
+            tol = p_mean_deviation(want, level, p, lower, old_err) + p_mean_deviation(
+                value, level // 2, p, lower[: level // 2] - new_err, new_err
+            )
+            assert abs(value - want) <= tol, (level, value, want, tol)
+            assert tol <= 1e-11 * want  # the derived bound still tells the paths apart
+
+    def test_parseval_at_p2(self):
+        a = np.random.default_rng(7).normal(size=100)
+        coarse, fine = two_level_means(a, 2.0, 128)
+        assert coarse == pytest.approx(float(np.linalg.norm(a)), rel=1e-13)
+        assert fine == pytest.approx(float(np.linalg.norm(a)), rel=1e-13)
+
+    def test_validation(self):
+        a = np.ones(4)
+        for nodes in (8, 15, 17):
+            with pytest.raises(ValueError, match="even integer >= 16"):
+                two_level_means(a, 0.5, nodes)
+        with pytest.raises(ValueError, match="positive"):
+            two_level_means(a, 0.0, 16)
+
+    def test_refuses_nodes_beyond_memory_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB of transform buffers"):
+                two_level_means(np.ones(4), 0.5, 2**40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDuren:
