@@ -2,7 +2,11 @@
 
 Tables are built once by a sieve and are immutable afterwards, so they can
 be shared freely between threads.  The Möbius table comes from a numpy
-sieve over the primes up to sqrt(limit) only (``build_mobius``).
+sieve over the primes up to sqrt(limit) only, run in cache-sized segments
+that each carry their own int32 radical, so the int8 table is the only
+full-length array (``build_mobius``).  ``_check_memory`` is the package's
+one physical-memory guard: sizes whose buffers cannot fit are refused
+before anything is allocated.
 ``exact_sum`` is the package's one exactly rounded sum of a float array:
 it does not depend on the order or grouping of the terms.
 """
@@ -10,6 +14,7 @@ it does not depend on the order or grouping of the terms.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +30,10 @@ __all__ = [
     "exact_sum",
 ]
 
-# entries per block of build_mobius's final compare (4 MB int32 temporaries)
-_SIEVE_BLOCK = 1 << 20
+# Entries per segment of build_mobius: its int32 radical, int32 index range
+# and bool compare take 9 bytes per entry, 4.5 MB at 2^19, the fastest of
+# 2^16..2^20 at limit 10^7 (CHANGES.md).
+_SIEVE_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -61,43 +68,54 @@ class DivisorCountTable:
 def build_mobius(limit: int) -> MobiusTable:
     """Sieve mu(n) for all n <= limit over the primes p <= r = isqrt(limit).
 
-    For each such p, ``mu[p::p]`` is negated, ``mu[p*p::p*p]`` zeroed and
-    the radical ``rad[p::p]`` multiplied by p, so afterwards mu[n] is
-    (-1)^w 0^e and rad[n] = prod p, over the primes p <= r dividing n (w
-    of them, e of them with p^2 | n).
+    The table is filled in segments [lo, hi) of ``_SIEVE_BLOCK`` entries,
+    each with its own int32 radical rad[lo:hi].  For each prime p <= r,
+    the multiples n >= p of p in the segment have mu[n] negated and
+    rad[n] multiplied by p, and the multiples n >= p^2 of p^2 have mu[n]
+    zeroed.  So afterwards, in every segment, mu[n] is (-1)^w 0^e and
+    rad[n] = prod p, over the primes p <= r dividing n (w of them, e of
+    them with p^2 | n).
 
     Large prime factors.  Let n <= limit, and let m = n / rad[n] when no
     p^2 with p <= r divides n (e = 0), so that every prime factor of m
     exceeds r.  Two of them, equal or not, would make n >= (r + 1)^2 >
     limit.  So m is 1 or one prime q > r, n is squarefree, and
     mu(n) = -mu[n] exactly when rad[n] != n.  When e > 0, mu[n] is already
-    mu(n) = 0 and negating it changes nothing, so one final pass negates
-    every mu[n] with rad[n] != n.
+    mu(n) = 0 and negating it changes nothing, so the segment ends with one
+    pass that negates every mu[n] with rad[n] != n.  r is the same for
+    every segment, so this holds segment by segment.
 
-    rad[n] divides n, so rad fits int32 for limit < 2^31; larger limits are
-    refused before anything is allocated.  The final compare runs in
-    blocks, so no full-length temporary is wider than int32.
+    rad[n] divides n, so rad fits int32 for limit < 2^31; larger limits,
+    and tables that with the segment buffers exceed physical memory, are
+    refused before anything is allocated.  Peak memory is the int8 table,
+    limit + 1 bytes, plus about 9 bytes per segment entry.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     if limit >= 2**31:
         raise ValueError(f"limit = {limit} too large: the Möbius sieve needs limit < 2^31")
+    need = limit + 1 + 9 * min(_SIEVE_BLOCK, limit + 1)
+    _check_memory(need, f"limit = {limit}", "Möbius table and sieve segments")
     r = math.isqrt(limit)
     is_prime = np.ones(r + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(r) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
+    primes = np.flatnonzero(is_prime).tolist()
     mu = np.ones(limit + 1, dtype=np.int8)
-    rad = np.ones(limit + 1, dtype=np.int32)
-    for p in np.flatnonzero(is_prime).tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        rad[p::p] *= p
     for lo in range(0, limit + 1, _SIEVE_BLOCK):
         hi = min(lo + _SIEVE_BLOCK, limit + 1)
-        block = mu[lo:hi]
-        np.negative(block, out=block, where=rad[lo:hi] != np.arange(lo, hi, dtype=np.int32))
+        segment = mu[lo:hi]
+        rad = np.ones(hi - lo, dtype=np.int32)
+        for p in primes:
+            # offsets of the first multiples of p and p^2 at or past max(lo, p), max(lo, p^2)
+            i = max(p - lo, -lo % p)
+            segment[i::p] *= -1
+            rad[i::p] *= p
+            pp = p * p
+            segment[max(pp - lo, -lo % pp) :: pp] = 0
+        np.negative(segment, out=segment, where=rad != np.arange(lo, hi, dtype=np.int32))
     mu[0] = 0
     mu.setflags(write=False)
     return MobiusTable(limit=limit, values=mu)
@@ -126,6 +144,16 @@ def mobius_logsum_over_k(table: MobiusTable, cutoff: int) -> float:
     _check_cutoff(table, cutoff)
     k = np.arange(1, cutoff + 1, dtype=np.float64)
     return exact_sum(table.values[1 : cutoff + 1] * np.log(k) / k)
+
+
+def _check_memory(need: int, subject: str, buffers: str) -> None:
+    """Refuse, before it is allocated, a ``need`` of bytes beyond physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{subject} needs an estimated {need / 2**30:,.1f} GiB of {buffers}, "
+            f"more than the {have / 2**30:,.1f} GiB of physical memory"
+        )
 
 
 def _check_cutoff(table: MobiusTable, cutoff: int) -> None:

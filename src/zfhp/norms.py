@@ -16,12 +16,11 @@ real FFT of length 4M, without phase factors.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 
 import numpy as np
 
-from .arith import exact_sum
+from .arith import _check_memory, exact_sum
 from .series import TruncatedSeries
 
 __all__ = [
@@ -103,12 +102,7 @@ def _check_two_level_nodes(nodes: int) -> None:
     """
     _validate_nodes(nodes)
     need = 8 * 4 * nodes + 16 * (2 * nodes + 1) + 8 * nodes
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"nodes = {nodes} needs an estimated {need / 2**30:,.1f} GiB of transform "
-            f"buffers, more than the {have / 2**30:,.1f} GiB of physical memory"
-        )
+    _check_memory(need, f"nodes = {nodes}", "transform buffers")
 
 
 def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, float]:

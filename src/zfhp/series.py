@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import MobiusTable, mobius_logsum_over_k, mobius_sum_over_k
+from .arith import MobiusTable, _check_memory, mobius_logsum_over_k, mobius_sum_over_k
 
 __all__ = [
     "TruncatedSeries",
@@ -171,7 +171,9 @@ def mobius_ims_partial_sums(
     division of exact integers.  D is int32: |D_m(n)| <= tau(m) < 2^31.
 
     ``n_list`` must be strictly increasing with 2 <= n <= table.limit;
-    the arguments are checked at the call, before any array is yielded.
+    the arguments are checked at the call, before any array is yielded,
+    and a degree whose int32 ``d`` and float64 output, 12 (degree + 1)
+    bytes, exceed physical memory is refused before either is allocated.
     Each yielded float64 array has length degree + 1 and belongs to the
     caller.
     """
@@ -184,6 +186,7 @@ def mobius_ims_partial_sums(
         raise ValueError(f"n = {ns[-1]} exceeds table limit {table.limit}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    _check_memory(12 * (degree + 1), f"degree = {degree}", "partial-sum buffers")
     d = np.zeros(degree + 1, dtype=np.int32)
     return (_advance_ims(d, prev, n, table) for prev, n in zip([1, *ns], ns))
 

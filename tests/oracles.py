@@ -7,9 +7,10 @@ O(n * degree), from the generator's own coefficient formula rather than
 from divisor sums.
 
 ``mobius_linear_sieve`` is the pure-Python linear sieve that
-``zfhp.arith.build_mobius`` replaced, and ``approx_reciprocal_s_oracle``
-the per-n full-range sum that ``approx_reciprocal_s_partial_sums``
-replaced.
+``zfhp.arith.build_mobius`` replaced, ``mobius_whole_table_sieve`` the
+whole-table numpy sieve with a full-length int32 radical that its
+segmented form replaced, and ``approx_reciprocal_s_oracle`` the per-n
+full-range sum that ``approx_reciprocal_s_partial_sums`` replaced.
 
 ``bounded_divisor_sum`` sums mu(d) over the divisors of j by trial
 division, the cross-check for the divisor sieve in
@@ -66,6 +67,30 @@ def mobius_linear_sieve(limit: int) -> np.ndarray:
                 break
             mu[ip] = -mu[i]
     return np.array(mu, dtype=np.int8)
+
+
+def mobius_whole_table_sieve(limit: int) -> np.ndarray:
+    """mu(0..limit) as int8 from one sieve over the whole table and a full int32 radical.
+
+    For each prime p <= r = isqrt(limit), mu[p::p] is negated,
+    mu[p*p::p*p] zeroed and rad[p::p] multiplied by p; a final pass
+    negates every mu[n] with rad[n] != n, the one prime factor above r.
+    """
+    r = math.isqrt(limit)
+    is_prime = np.ones(r + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(r) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    mu = np.ones(limit + 1, dtype=np.int8)
+    rad = np.ones(limit + 1, dtype=np.int32)
+    for p in np.flatnonzero(is_prime).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        rad[p::p] *= p
+    np.negative(mu, out=mu, where=rad != np.arange(limit + 1, dtype=np.int32))
+    mu[0] = 0
+    return mu
 
 
 def approx_reciprocal_s_oracle(n: int, s, table) -> complex:

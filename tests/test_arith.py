@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from zfhp import (
     mobius_sum_over_k,
 )
 
-from zfhp.arith import exact_parts, exact_sum
+from zfhp.arith import _SIEVE_BLOCK, exact_parts, exact_sum
 
-from oracles import bounded_divisor_sum, mobius_linear_sieve
+from oracles import bounded_divisor_sum, mobius_linear_sieve, mobius_whole_table_sieve
 
 
 def mu_by_trial_division(n: int, primes: list[int]) -> int:
@@ -101,6 +103,68 @@ def test_mobius_rejects_limit_beyond_int32_radical():
     # refused before any allocation; never test this by allocating
     with pytest.raises(ValueError, match="2\\^31"):
         build_mobius(2**31)
+
+
+def segment_edge_limits() -> dict[str, int]:
+    """Limits that put the last segment, or a multiple of some p^2, at a segment edge."""
+    # lo = 1 (mod 9): the multiples lo - 1 and lo + 8 of 9 straddle the boundary lo
+    lo = pow(_SIEVE_BLOCK, -1, 9) * _SIEVE_BLOCK
+    # the smallest prime p with p^2 longer than a segment: a segment holds
+    # at most one multiple of p^2, here p^2 and 2 p^2 in two segments
+    p = next(m for m in range(math.isqrt(_SIEVE_BLOCK) + 1, _SIEVE_BLOCK) if is_prime(m))
+    assert (lo - 1) % 9 == 0 and lo > _SIEVE_BLOCK and p * p > _SIEVE_BLOCK
+    return {
+        "block-1": _SIEVE_BLOCK - 1,
+        "block": _SIEVE_BLOCK,
+        "block+1": _SIEVE_BLOCK + 1,
+        "2block+1": 2 * _SIEVE_BLOCK + 1,
+        "9-straddles": lo + 8,
+        "p^2-beyond-block": 2 * p * p,
+        "1e6+7": 10**6 + 7,
+    }
+
+
+def is_prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+@pytest.mark.parametrize("limit", segment_edge_limits().values(), ids=segment_edge_limits().keys())
+def test_segmented_sieve_matches_whole_table_sieve(limit):
+    assert np.array_equal(build_mobius(limit).values, mobius_whole_table_sieve(limit))
+
+
+def test_mobius_peak_memory_is_the_table_plus_one_segment():
+    limit = 2**22
+    tracemalloc.start()
+    try:
+        build_mobius(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (limit + 1) + 16 * _SIEVE_BLOCK
+
+
+def refuse_allocation(*args, **kwargs):
+    raise AssertionError("allocated before the memory guard refused")
+
+
+def half_a_gib_of_physical_memory(name: str) -> int:
+    return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**17}[name]
+
+
+def test_mobius_refuses_tables_beyond_physical_memory(monkeypatch):
+    # never test this by allocating: the guard must refuse first
+    monkeypatch.setattr(os, "sysconf", half_a_gib_of_physical_memory)
+    monkeypatch.setattr(np, "ones", refuse_allocation)
+    monkeypatch.setattr(np, "empty", refuse_allocation)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"needs an estimated 1\.9 GiB of Möbius.* 0\.5 GiB"):
+            build_mobius(2 * 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_divisor_counts_trivial():

@@ -79,6 +79,28 @@ class TestExitCodes:
         assert main(["approx", "--s", "2+0i", "--n", "2147483648"]) == 2
         assert "2^31" in capsys.readouterr().err
 
+    def test_approx_table_beyond_physical_memory_refused(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieve or kernel allocated")
+
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**17}  # 0.5 GiB
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(np, "ones", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(zfhp.experiments, "approx_reciprocal_s_partial_sums", refuse)
+        tracemalloc.start()
+        try:
+            code = main(["approx", "--s", "2+0i", "--n", "2147483647"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid arguments: limit = 2147483647 needs an estimated 2.0 GiB")
+        assert "Traceback" not in err
+        assert peak < 2**20
+
     def test_lambda_domain_violation(self):
         code = main(["lambda", "--k", "2..3", "--s-grid", "0.4 x 0", "--coeff-cutoff", "100"])
         assert code == 3
@@ -195,6 +217,25 @@ class TestConvergenceCommand:
         assert out == ""
         assert err.startswith("invalid arguments: nodes") and "Traceback" not in err
         assert nodes == 15 or "GiB of transform buffers" in err
+        assert peak < 2**20
+
+    def test_coeff_cutoff_beyond_any_memory_refused(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        tracemalloc.start()
+        try:
+            code = main(["convergence", "--space", "lq", "--q", "2", "--n", "10",
+                         "--coeff-cutoff", str(2**60)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid arguments: degree = {2**60} needs an estimated")
+        assert "GiB of partial-sum buffers" in err and "Traceback" not in err
         assert peak < 2**20
 
     def test_determinism_across_runs(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -228,3 +229,18 @@ class TestMobiusPartialSums:
         for ns in ([1], [1001], [], [10, 10]):
             with pytest.raises(ValueError):
                 mobius_ims_partial_sums(ns, 10, mobius_1k)
+
+    def test_refuses_degree_beyond_memory_before_allocating(self, mobius_1k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the memory guard refused")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB of partial-sum buffers"):
+                mobius_ims_partial_sums([10], 2**60, mobius_1k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
