@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from ._version import __version__
-from .arith import MobiusTable, build_mobius, exact_sum, mobius_sum_over_k
+from .arith import MobiusTable, _check_memory, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import QuadratureWarning, _check_two_level_nodes, lq_norm, two_level_means
@@ -167,20 +167,28 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
 
 def _convergence_records(
     norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int, table: MobiusTable,
-    row: Callable[[int, np.ndarray], tuple[float, float]],
+    row: Callable[[int, np.ndarray], tuple[float, float]], row_bytes: int,
+    warning: str | None = None,
 ) -> list[ConvergenceRecord]:
     """One record per n of ``row(n, coeffs) -> (value, tail_bound)``.
 
     ``coeffs`` is ``mobius_ims_partial_sums`` at n, which checks ``n_list``
     apart from the cutoff; a record's wall time covers the kernel's advance
-    to n and the row.
+    to n and the row.  A cutoff whose ``row_bytes`` per coefficient, the
+    kernel's buffers and the row's together, exceed physical memory is
+    refused before the kernel allocates.  ``warning``, if any, is issued as
+    a ``QuadratureWarning`` once every argument has passed.
     """
     ns = [int(n) for n in n_list]
     if coeff_cutoff < max(ns, default=0):
         raise ValueError("coeff_cutoff must be >= max(n_list)")
+    _check_memory(row_bytes * (coeff_cutoff + 1), f"degree = {coeff_cutoff}", "partial-sum buffers")
+    partial_sums = mobius_ims_partial_sums(ns, coeff_cutoff, table)
+    if warning:
+        warnings.warn(warning, QuadratureWarning, stacklevel=3)
     records: list[ConvergenceRecord] = []
     t_mark = time.perf_counter()
-    for n, coeffs in zip(ns, mobius_ims_partial_sums(ns, coeff_cutoff, table)):
+    for n, coeffs in zip(ns, partial_sums):
         value, tail = row(n, coeffs)
         now = time.perf_counter()
         ms = int(round((now - t_mark) * 1000.0))
@@ -278,7 +286,10 @@ def run_lq_convergence(
         residual[1] += 1.0
         return lq_norm(TruncatedSeries(residual), q), lq_tail_bound(q, n, coeff_cutoff, table)
 
-    return _convergence_records("lq", q, n_list, coeff_cutoff, table, row)
+    # Peak bytes per coefficient, inside lq_norm: the kernel's int32 divisor
+    # sums (4) and the yielded residual (8), the TruncatedSeries copy (8),
+    # and lq_norm's |a| and |a|^q (8 + 8).
+    return _convergence_records("lq", q, n_list, coeff_cutoff, table, row, row_bytes=36)
 
 
 def run_hp_convergence(
@@ -293,7 +304,9 @@ def run_hp_convergence(
     The coefficients are the running sums (h_k = (I - S)^-1 (I - S) h_k)
     of the closed-form kernel ``mobius_ims_partial_sums``, taken in place.
     Both quadrature levels, ``nodes`` and 2 ``nodes`` half-offset nodes,
-    come from one real FFT per checkpoint (``norms.two_level_means``).
+    come from two complex FFTs per checkpoint, of ``nodes`` and
+    ``nodes``/2 points, that compute only the spectrum the means read
+    (``norms.two_level_means``).
     Each record's ``tail_bound`` column carries the quadrature refinement
     discrepancy |value at nodes - value at 2 nodes|: the truncation tail
     has no usable closed-form bound on the boundary, so the refinement
@@ -301,18 +314,16 @@ def run_hp_convergence(
 
     ``nodes`` (even, >= 16, with transform buffers that fit in physical
     memory) is checked before the kernel allocates.  A node count below
-    coeff_cutoff + 1 undersamples the series; the run then warns once
-    (``QuadratureWarning``) and the records are computed as usual.
+    coeff_cutoff + 1 undersamples the series; once every argument has
+    passed, the run then warns once (``QuadratureWarning``) and the
+    records are computed as usual.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     _check_two_level_nodes(nodes)
+    warning = None
     if nodes < coeff_cutoff + 1:
-        warnings.warn(
-            f"nodes = {nodes} undersamples degree {coeff_cutoff}; the circle mean may alias",
-            QuadratureWarning,
-            stacklevel=2,
-        )
+        warning = f"nodes = {nodes} undersamples degree {coeff_cutoff}; the circle mean may alias"
 
     def row(n: int, coeffs: np.ndarray) -> tuple[float, float]:
         np.cumsum(coeffs, out=coeffs)
@@ -320,7 +331,11 @@ def run_hp_convergence(
         value, refined = two_level_means(coeffs, p, nodes)
         return value, abs(value - refined)
 
-    return _convergence_records("hp", p, n_list, coeff_cutoff, table, row)
+    # The row works in place on the kernel's int32 divisor sums and its
+    # float64 output (4 + 8 bytes per coefficient); the transform buffers
+    # depend on nodes alone and are checked above.
+    return _convergence_records("hp", p, n_list, coeff_cutoff, table, row, row_bytes=12,
+                                warning=warning)
 
 
 def run_lambda_sweep(

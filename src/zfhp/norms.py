@@ -9,12 +9,14 @@ one FFT), and the only quadrature error is in the mean itself.
 
 ``boundary_values`` takes complex coefficients and radii below 1, for the
 inequality battery.  ``two_level_means`` serves the H^p convergence runner:
-for real coefficients it returns the p-means at M and 2M nodes from one
-real FFT of length 4M, without phase factors.
+for real coefficients it returns the p-means at M and 2M nodes from two
+complex FFTs, of M and M/2 points, that compute only the spectrum the
+means read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -90,52 +92,141 @@ def circle_mean(f: TruncatedSeries, p: float, nodes: int, radius: float = 1.0) -
     """((1/nodes) sum_j |f(radius e^(i theta_j))|^p)^(1/p) at half-offset nodes."""
     if p <= 0:
         raise ValueError("p must be positive")
-    vals = np.abs(boundary_values(f, nodes, radius=radius))
-    return float(np.mean(vals**p) ** (1.0 / p))
+    return _p_mean(boundary_values(f, nodes, radius=radius), p)
+
+
+def _p_mean(values: np.ndarray, p: float) -> float:
+    """(mean |values|^p)^(1/p)."""
+    mags = np.abs(values)
+    mags **= p
+    return float(np.mean(mags) ** (1.0 / p))
 
 
 def _check_two_level_nodes(nodes: int) -> None:
     """Refuse node counts that are odd, below 16 or beyond physical memory.
 
-    The estimate covers the buffers of ``two_level_means``: 4M float64 in,
-    2M + 1 complex128 out and M float64 magnitudes.
+    The estimate bounds the peak of ``two_level_means`` at M = ``nodes``,
+    in bytes per node.  Kept between phases: the cached table h (M
+    complex128, 16) and numpy's FFT plans for M and M/2 points, which it
+    may keep between calls (at most one complex copy of their points each,
+    24).  Then the largest phase: for an input longer than M, the fold
+    modulo 4M (32), the residue-1 input c (16), the signed fold x (8) and
+    one quarter sum (8), 64 in all.  The 2M-node level holds c, the FFT's
+    work buffer, x and M float64 magnitudes (16 + 16 + 8 + 8 = 48).  The
+    M-node level never holds more than three arrays of 8 bytes per node
+    at once (x with the packed input and its twiddles; later the
+    transform, its mirror and the difference).  So 16 + 24 + 64 = 104
+    bytes per node bound the peak.
     """
     _validate_nodes(nodes)
-    need = 8 * 4 * nodes + 16 * (2 * nodes + 1) + 8 * nodes
-    _check_memory(need, f"nodes = {nodes}", "transform buffers")
+    _check_memory(104 * nodes, f"nodes = {nodes}", "transform buffers")
+
+
+@functools.lru_cache(maxsize=1)
+def _quarter_turn(nodes: int) -> np.ndarray:
+    """h_m = exp(-i pi m/(2M)), m = 0..M-1, for M = ``nodes``: a quarter turn.
+
+    One ``np.cos`` pass gives c_m = cos(pi m/(2M)) for m = 0..M, and
+    sin(pi m/(2M)) = c_(M-m) is the same table reflected, so
+    h_m = c_m - i c_(M-m).  Cached for the checkpoints of a run; the
+    table is read-only.
+    """
+    c = np.cos(np.arange(nodes + 1) * (math.pi / (2 * nodes)))
+    h = np.empty(nodes, dtype=np.complex128)
+    h.real = c[:nodes]
+    h.imag = c[nodes:0:-1]
+    np.negative(h.imag, out=h.imag)
+    h.setflags(write=False)
+    return h
+
+
+def _half_turn(h: np.ndarray, start: int, scale: complex) -> np.ndarray:
+    """scale h_(4j+start) for j = 0..M/2-1, reading h_(m+M) = -i h_m past the table."""
+    first = h[start::4]
+    out = np.empty(h.size // 2, dtype=np.complex128)
+    np.multiply(first, scale, out=out[: first.size])
+    np.multiply(h[(start - h.size) % 4 :: 4], -1j * scale, out=out[first.size :])
+    return out
 
 
 def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, float]:
     """p-means of |f| at M = ``nodes`` and at 2M half-offset nodes, for real coefficients.
 
-    The M nodes exp(2 pi i (j + 1/2)/M) are exp(2 pi i l/4M) with l = 4j + 2,
-    the 2M nodes those with l = 2j + 1 odd.  So one real FFT X of the
-    coefficients, folded modulo 4M (z^(4M) = 1 at every such node) and
-    zero-padded to 4M, holds both levels: |f| at the node of index l is
-    |X_l|.  For real coefficients X_(4M-l) = conj(X_l), and l -> 4M - l maps
-    each index set (l = 2 mod 4, l odd) onto itself.  Its fixed points are
-    0 and 2M, both even and, because M is even, both 0 (mod 4), so it fixes
-    no index of either set: the half spectrum l <= 2M holds exactly one
-    index of each mirror pair, and its plain mean over a set is the mean
-    over all of that set's nodes.
+    Both levels are nodes exp(2 pi i l/4M): l = 4j + 2 for the M nodes,
+    l odd for the 2M.  With b the coefficients folded modulo 4M
+    (z^(4M) = 1 at every such node) and omega = exp(-2 pi i/4M), |f| at the
+    node of index l is |X_l| for X_l = sum_(m<4M) b_m omega^(lm), and for
+    l = 4j + r
+
+        X_(4j+r) = sum_(m<M) [sum_(q<4) b_(m+qM) omega^(r(m+qM))] e^(-2 pi i jm/M),
+
+    a DFT of length M of the fold modulo M of b_m omega^(rm).
+    omega^M = -i, so only the residues r = 1 and r = 2 need work.
+
+    The 2M-node level.  For r = 1 the inner sum is h_m (u_m - i v_m) with
+    h_m = omega^m, u = b_[0,M) - b_[2M,3M) and v = b_[M,2M) - b_[3M,4M):
+    one complex FFT of length M gives X_l for every l = 1 (mod 4).  For
+    real b, X_(4M-l) = conj(X_l), and 4M - (4j + 1) = 4(M - 1 - j) + 3, so
+    the residue-3 values are the residue-1 values conjugated, and the mean
+    over the M residue-1 values is the mean over all 2M odd l.
+
+    The M-node level.  For r = 2 the inner sum is omega^(2m) x_m with the
+    real signed fold x_m = sum_q (-1)^q b_(m+qM), so X_(4j+2) = A_j with
+    A_j = sum_m x_m e^(-2 pi i (j + 1/2) m/M), and A_(M-1-j) = conj(A_j):
+    the values j < K = M/2 are the whole level.  Pack
+    z_t = (x_(2t) + i x_(2t+1)) e^(-i pi t/K) / 2 for t < K and take one
+    complex FFT Z of length K.  Let E and O be the DFTs of length K of
+    e_t = x_(2t) e^(-i pi t/K) and o_t = x_(2t+1) e^(-i pi t/K), so that
+    2 Z = E + i O and A_j = E_j + e^(-2 pi i (j + 1/2)/M) O_j.  Because x
+    is real, conj(E_(K-1-j)) = E_j and likewise for O, so
+    2 conj(Z_(K-1-j)) = E_j - i O_j, and the butterfly
+
+        E_j = Z_j + conj(Z_(K-1-j)),   O_j = -i (Z_j - conj(Z_(K-1-j)))
+
+    splits them; the 1/2 in z spares a halving here.  M even makes K
+    whole; M need not be a power of two.
+
+    Twiddles.  Every factor is h_n for some n < 2M: omega^m = h_m,
+    e^(-i pi t/K) = h_(4t) and e^(-2 pi i (j + 1/2)/M) = h_(4j+2), with
+    h_(n+M) = -i h_n past the quarter-turn table ``_quarter_turn``.  The
+    scalings by -i and 1/2 are exact.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     _check_two_level_nodes(nodes)
-    a = np.asarray(coeffs, dtype=np.float64)
-    size = 4 * nodes
-    if a.size > size:
+    h = _quarter_turn(nodes)
+    a = np.ascontiguousarray(coeffs, dtype=np.float64)
+    if a.size > nodes:
+        size = 4 * nodes
+        b = np.zeros(size)
         whole = a.size - a.size % size
-        folded = a[:whole].reshape(-1, size).sum(axis=0)
-        folded[: a.size - whole] += a[whole:]
-        a = folded
-    spectrum = np.fft.rfft(a, n=size)
-    means = []
-    for level in (spectrum[2::4], spectrum[1::2]):
-        mags = np.abs(level)
-        mags **= p
-        means.append(float(np.mean(mags) ** (1.0 / p)))
-    return means[0], means[1]
+        if whole:
+            a[:whole].reshape(-1, size).sum(axis=0, out=b)
+        b[: a.size - whole] += a[whole:]
+        b = b.reshape(4, nodes)
+        c = np.empty(nodes, dtype=np.complex128)
+        np.subtract(b[0], b[2], out=c.real)
+        np.subtract(b[3], b[1], out=c.imag)
+        x = b[0] + b[2]
+        x -= b[1] + b[3]
+        del b
+    else:
+        x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
+        c = x.astype(np.complex128)
+    c *= h
+    fine = _p_mean(np.fft.fft(c, out=c), p)
+    del c
+
+    z = x.view(np.complex128) * _half_turn(h, 0, 0.5)
+    del x
+    np.fft.fft(z, out=z)
+    mirror = np.conj(z[::-1])
+    odd = z - mirror
+    z += mirror
+    del mirror
+    odd *= _half_turn(h, 2, -1j)
+    odd += z
+    return _p_mean(odd, p), fine
 
 
 def lq_norm(f: TruncatedSeries, q: float) -> float:

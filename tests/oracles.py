@@ -12,6 +12,10 @@ whole-table numpy sieve with a full-length int32 radical that its
 segmented form replaced, and ``approx_reciprocal_s_oracle`` the per-n
 full-range sum that ``approx_reciprocal_s_partial_sums`` replaced.
 
+``two_level_means_rfft`` is the H^p two-level transform that
+``zfhp.norms.two_level_means`` replaced: one real FFT of all 4M points of
+the fold modulo 4M, read at the indices of both levels.
+
 ``bounded_divisor_sum`` sums mu(d) over the divisors of j by trial
 division, the cross-check for the divisor sieve in
 ``mobius_ims_partial_sums``; ``c4_partial_sums`` sums (w_k / k^r)^2 to
@@ -101,6 +105,32 @@ def approx_reciprocal_s_oracle(n: int, s, table) -> complex:
     mu = table.values[2 : n + 1].astype(np.float64)
     terms = mu * (np.exp(-s * np.log(k)) - 1.0 / k)
     return -(z / s) * complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def two_level_means_rfft(coeffs, p: float, nodes: int) -> tuple[float, float]:
+    """p-means of |f| at M = ``nodes`` and 2M half-offset nodes from one real FFT of length 4M.
+
+    The M nodes exp(2 pi i (j + 1/2)/M) are exp(2 pi i l/4M) with l = 4j + 2,
+    the 2M nodes those with l odd, so the real FFT X of the coefficients
+    folded modulo 4M gives |f| = |X_l| at both.  For real coefficients
+    X_(4M-l) = conj(X_l), and l -> 4M - l maps each index set onto itself
+    without fixed points (M is even), so the half spectrum l <= 2M holds one
+    index of each mirror pair and its plain mean over a set is the level's.
+    """
+    a = np.asarray(coeffs, dtype=np.float64)
+    size = 4 * nodes
+    if a.size > size:
+        whole = a.size - a.size % size
+        folded = a[:whole].reshape(-1, size).sum(axis=0)
+        folded[: a.size - whole] += a[whole:]
+        a = folded
+    spectrum = np.fft.rfft(a, n=size)
+    means = []
+    for level in (spectrum[2::4], spectrum[1::2]):
+        mags = np.abs(level)
+        mags **= p
+        means.append(float(np.mean(mags) ** (1.0 / p)))
+    return means[0], means[1]
 
 
 def bounded_divisor_sum(j: int, n: int, table) -> int:

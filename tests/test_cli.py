@@ -204,6 +204,7 @@ class TestConvergenceCommand:
             raise AssertionError("kernel or FFT called")
 
         monkeypatch.setattr(zfhp.experiments, "mobius_ims_partial_sums", refuse)
+        monkeypatch.setattr(np.fft, "fft", refuse)
         monkeypatch.setattr(np.fft, "rfft", refuse)
         tracemalloc.start()
         try:
@@ -236,6 +237,44 @@ class TestConvergenceCommand:
         assert out == ""
         assert err.startswith(f"invalid arguments: degree = {2**60} needs an estimated")
         assert "GiB of partial-sum buffers" in err and "Traceback" not in err
+        assert peak < 2**20
+
+    def test_hp_refusal_comes_before_the_undersampling_warning(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel allocated")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        # the default 8192 nodes undersample this degree, but the run never starts
+        code = main(["convergence", "--space", "hp", "--p", "0.5", "--n", "10",
+                     "--coeff-cutoff", str(2**60)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid arguments: degree = {2**60} needs an estimated")
+        assert err.count("\n") == 1 and "warning" not in err
+
+    def test_lq_row_beyond_memory_refused(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel allocated")
+
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}  # 1 GiB
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(zfhp.experiments, "mobius_ims_partial_sums", refuse)
+        cutoff = 2**30 // 24
+        # the kernel's 12 bytes per coefficient fit, the l^q row's 36 do not
+        assert 12 * (cutoff + 1) <= 2**30 < 36 * (cutoff + 1)
+        tracemalloc.start()
+        try:
+            code = main(["convergence", "--space", "lq", "--q", "2", "--n", "10",
+                         "--coeff-cutoff", str(cutoff)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid arguments: degree = {cutoff} needs an estimated 1.5 GiB")
+        assert "Traceback" not in err
         assert peak < 2**20
 
     def test_determinism_across_runs(self, tmp_path):

@@ -16,6 +16,7 @@ from zfhp import (
     reverse_holder_check,
 )
 from zfhp.norms import (
+    _quarter_turn,
     boundary_values,
     circle_abs_power_integral,
     circle_mean,
@@ -25,6 +26,8 @@ from zfhp.norms import (
     sup_norm_estimate,
     two_level_means,
 )
+
+from oracles import two_level_means_rfft
 
 
 def random_polynomials(count: int, max_degree: int = 64, seed: int = 20260809):
@@ -148,47 +151,125 @@ def fold(x: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(-1, size).sum(axis=0)
 
 
-def fft_error_bound(size: int, input_norm: float, input_err: float) -> float:
-    """2-norm bound on the output error of a computed power-of-two FFT.
+def prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + [n] * (n > 1)
 
-    Higham ("Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-    Thm 24.2): a radix-2 FFT of size 2^t with twiddle factors accurate to
-    mu has relative 2-norm error at most t eta/(1 - t eta), eta = mu +
-    gamma_4 (sqrt 2 + mu); here mu = 2u.  The real FFT is taken under the
-    same model.  An input error d adds its exact transform, of 2-norm
-    sqrt(size) |d|, and the exact output has norm sqrt(size) |x|.
+
+def fft_error_bound(size: int, input_norm: float, input_err: float) -> float:
+    """2-norm bound on the output error of a computed FFT of any length.
+
+    Model: a mixed-radix FFT makes one pass per prime factor r of the size
+    (a pass of radix 4 counts as two of radix 2); the pass multiplies by a
+    matrix of 2-norm sqrt(r) and is computed with normwise relative error
+    eta_r.  Higham ("Accuracy and Stability of Numerical Algorithms", 2nd
+    ed., Thm 24.2, whose proof goes pass by pass) then bounds the relative
+    2-norm error of the output by prod (1 + eta_r) - 1 <= H/(1 - H), with
+    H = sum eta_r.  For r = 2, eta = mu + gamma_4 (sqrt 2 + mu) with
+    twiddle factors accurate to mu = 2u (Higham).  For an odd prime r,
+    each output of a pass is a sum of r products x_m c_m with |c_m| = 1,
+    c_m a twiddle times a root of unity, each accurate to mu: two complex
+    products (sqrt 2 gamma_2 each, Higham Lemma 3.5) and a sum of r terms
+    give a relative error e_r = (1 + mu)^2 (1 + sqrt 2 gamma_2)^2
+    (1 + gamma_(r-1)) - 1 of sum |x_m| <= sqrt(r) |x|, so
+    eta_r = sqrt(r) e_r.  For a power of two this is Higham's
+    t eta/(1 - t eta).  The real FFT is taken under the same model.  An
+    input error d adds its exact transform, of 2-norm sqrt(size) |d|, and
+    the exact output has norm sqrt(size) |x|.
     """
-    t = math.log2(size)
-    assert t == int(t)
-    eta = 2.0 * U + gamma(4) * (math.sqrt(2.0) + 2.0 * U)
-    kappa = t * eta / (1.0 - t * eta)
+    mu = 2.0 * U
+    eta = {2: mu + gamma(4) * (math.sqrt(2.0) + mu)}
+    total = 0.0
+    for r in prime_factors(size):
+        if r not in eta:
+            e_r = (1.0 + mu) ** 2 * (1.0 + math.sqrt(2.0) * gamma(2)) ** 2 * (1.0 + gamma(r - 1)) - 1.0
+            eta[r] = math.sqrt(r) * e_r
+        total += eta[r]
+    kappa = total / (1.0 - total)
     return math.sqrt(size) * (input_err + kappa * (input_norm + input_err))
 
 
 def per_level_error(a: np.ndarray, nodes: int) -> float:
-    """2-norm error bound on ``boundary_values`` of real ``a`` at ``nodes`` (a power of two).
+    """2-norm error bound on ``boundary_values`` of real ``a`` at ``nodes`` points.
 
     The phase exp(i pi m/nodes) is formed from an angle with relative error
     at most 5u and cos/sin within 2u each, and one rounding multiplies it
     by a_m: an error of |a_m| (5 pi m/nodes + 4) u.  Folding r blocks adds
     gamma_(r-1) times the folded |a| (Higham, sec. 4.2).  The inverse FFT
-    scales each output by 1/nodes, one more rounding; the scaling back by
-    a power of two is exact.
+    scales each output by 1/nodes, one more rounding (2u for a complex
+    value); for a power of two the scaling back by nodes is exact,
+    otherwise 1/nodes and the product with nodes add two roundings, gamma_3
+    in all.
     """
     r = -(-a.size // nodes)
     m = np.arange(a.size, dtype=np.float64)
     phase = np.abs(a) * (5.0 * math.pi * m / nodes + 4.0) * U
     err = (1.0 + gamma(r - 1)) * fold(phase, nodes) + gamma(r - 1) * fold(np.abs(a), nodes)
     norm, err_norm = float(np.linalg.norm(fold(np.abs(a), nodes))), float(np.linalg.norm(err))
-    return fft_error_bound(nodes, norm, err_norm) + 2.0 * U * math.sqrt(nodes) * (norm + err_norm)
+    out = fft_error_bound(nodes, norm, err_norm)
+    scale = 2.0 * U if nodes & (nodes - 1) == 0 else gamma(3)
+    return out + scale * (math.sqrt(nodes) * norm + out)
 
 
-def one_fft_error(a: np.ndarray, nodes: int) -> float:
-    """2-norm error bound on the real FFT of ``two_level_means``: a real fold, then one FFT."""
+def rfft_error(a: np.ndarray, nodes: int) -> float:
+    """2-norm error bound on the real FFT of ``two_level_means_rfft``: a real fold, then one FFT."""
     size = 4 * nodes
     r = -(-a.size // size)
     folded = fold(np.abs(a), size)
     return fft_error_bound(size, float(np.linalg.norm(folded)), gamma(r - 1) * float(np.linalg.norm(folded)))
+
+
+# |h~_m - h_m| for the table h_m = exp(-i pi m/(2M)) of two_level_means: the
+# angle m fl(pi/(2M)) carries three roundings, at most gamma_3 pi/2 at angles
+# up to pi/2; cos is within 2u of the cosine of its argument, and the sine
+# is the cosine at the reflected angle, so each part is within
+# gamma_3 pi/2 + 2u.  The scalings by -i and 1/2 are exact.
+TWIDDLE_ERR = math.sqrt(2.0) * (gamma(3) * math.pi / 2.0 + 2.0 * U)
+
+
+def pruned_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
+    """2-norm error bounds (coarse, fine) on the values ``two_level_means`` reads.
+
+    Fine: Y_j = X_(4j+1), j < M; coarse: A_j = X_(4j+2), j < K = M/2.
+    F is |a| folded modulo M, so |u_m - i v_m| <= F_m and |x_m| <= F_m.
+
+    Inputs.  The fold modulo 4M sums at most r = ceil(size/4M) terms per
+    entry (gamma_(r-1)); u, v and x add at most two more levels of sums,
+    so each entry of u - iv and of x is within gamma_(r+1) F_m (exact when
+    size <= M).  One complex product with h~ (sqrt 2 gamma_2, Higham
+    Lemma 3.5) makes c~_m within rho F_m of c_m = h_m (u_m - i v_m), with
+    rho = (1 + tau)(1 + gamma_(r+1))(1 + sqrt 2 gamma_2) - 1 and
+    tau = ``TWIDDLE_ERR``; the same holds for the packed
+    z_t = (x_(2t) + i x_(2t+1)) g_t / 2, with the exact halving.
+
+    Fine level: one FFT of length M of c, |c| <= |F|.  Coarse level: one
+    FFT of length K of z, |z| <= |F|/2, whose output Z~ is within dz of
+    Z.  The butterfly A = S + w D, S = Z + conj(Z_rev), D = Z - conj(Z_rev),
+    |w| = 1, maps an error d of Z to (1 + w) d + (1 - w) conj(d_rev), of
+    2-norm at most 2 sqrt 2 |d|, since |1 + w|^2 + |1 - w|^2 = 4.  Its own
+    roundings (S and D one each, w~ D with |w~ - w| <= tau and
+    sqrt 2 gamma_2, the final sum one) are at most
+    sigma (|S_j| + |D_j|) per entry, sigma = (1 + tau)(1 + u)^2
+    (1 + sqrt 2 gamma_2) - 1, and |S| + |D| has 2-norm at most
+    2 sqrt 2 |Z~| by the parallelogram law.
+    """
+    size = 4 * nodes
+    r = -(-a.size // size)
+    norm = float(np.linalg.norm(fold(np.abs(a), nodes)))
+    tau, product = TWIDDLE_ERR, math.sqrt(2.0) * gamma(2)
+    rho = (1.0 + tau) * (1.0 + gamma(r + 1)) * (1.0 + product) - 1.0
+    fine = fft_error_bound(nodes, norm, rho * norm)
+    half = nodes // 2
+    dz = fft_error_bound(half, norm / 2.0, rho * norm / 2.0)
+    sigma = (1.0 + tau) * (1.0 + U) ** 2 * (1.0 + product) - 1.0
+    z_norm = math.sqrt(half) * norm / 2.0 + dz
+    coarse = 2.0 * math.sqrt(2.0) * (dz + sigma * z_norm)
+    return coarse, fine
 
 
 def p_mean_deviation(value: float, count: int, p: float, lower: np.ndarray, err: float) -> float:
@@ -213,33 +294,59 @@ def p_mean_deviation(value: float, count: int, p: float, lower: np.ndarray, err:
 
 
 class TestTwoLevelMeans:
-    @pytest.mark.parametrize("nodes", [16, 1024])
+    LENGTHS = {
+        "below": lambda m: m - 5,
+        "equal": lambda m: m,
+        "between": lambda m: 2 * m + m // 2 + 3,
+        "above": lambda m: 12 * m + m // 2 + 7,
+    }
+
+    @pytest.mark.parametrize("nodes", [16, 18, 1024, 1030])
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
-    @pytest.mark.parametrize("length", ["below", "equal", "above"])
+    @pytest.mark.parametrize("length", ["below", "equal", "between", "above"])
     def test_matches_per_level_oracle(self, nodes, p, length):
-        # oracle: hp_norm_estimate at nodes and 2 nodes, each by its own
-        # phase multiply, fold and complex FFT; degree 4M - 1 is "equal"
-        size = 4 * nodes
-        count = {"below": size - nodes // 2, "equal": size, "above": 3 * size + nodes // 2 + 7}[length]
+        # oracles: hp_norm_estimate at nodes and 2 nodes, each by its own
+        # phase multiply, fold and complex FFT; and the 4M-point real FFT
+        # that two_level_means replaced, which reads the first half of the
+        # nodes of each level
+        count = self.LENGTHS[length](nodes)
         rng = np.random.default_rng(nodes + count + int(100 * p))
         a = rng.normal(size=count)
         got = two_level_means(a, p, nodes)
-        new_err = one_fft_error(a, nodes)
-        for level, value in zip((nodes, 2 * nodes), got):
-            f = TruncatedSeries(a)
+        old = two_level_means_rfft(a, p, nodes)
+        new_errs = pruned_error(a, nodes)
+        old_err = rfft_error(a, nodes)
+        f = TruncatedSeries(a)
+        # coarse: A_j is node j of the M level, j < M/2; fine: Y_j = X_(4j+1)
+        # is node 2j of the 2M level, j < M
+        for level, value, ref, new_err, read in zip(
+            (nodes, 2 * nodes), got, old, new_errs, (slice(0, nodes // 2), slice(0, None, 2))
+        ):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuadratureWarning)
                 want = hp_norm_estimate(f, p, level)
-            old_mags = np.abs(boundary_values(f, level))
-            old_err = per_level_error(a, level)
-            # abs carries 2u; the real FFT reads the first half of the nodes
-            # of each level, where the old and exact |f| are within old_err
-            lower = old_mags * (1.0 - 2.0 * U) - old_err
-            tol = p_mean_deviation(want, level, p, lower, old_err) + p_mean_deviation(
-                value, level // 2, p, lower[: level // 2] - new_err, new_err
-            )
+            level_err = per_level_error(a, level)
+            # abs carries 2u; the exact |f| is within level_err of the
+            # per-level path at each node
+            lower = np.abs(boundary_values(f, level)) * (1.0 - 2.0 * U) - level_err
+            mine = lower[read]
+            new_dev = p_mean_deviation(value, mine.size, p, mine - new_err, new_err)
+            tol = p_mean_deviation(want, level, p, lower, level_err) + new_dev
             assert abs(value - want) <= tol, (level, value, want, tol)
             assert tol <= 1e-11 * want  # the derived bound still tells the paths apart
+            half = lower[: level // 2]
+            tol = p_mean_deviation(ref, level // 2, p, half - old_err, old_err) + new_dev
+            assert abs(value - ref) <= tol, (level, value, ref, tol)
+
+    def test_cold_and_warm_table_agree_bit_for_bit(self):
+        a = np.random.default_rng(11).normal(size=3 * 1030 + 17)
+        _quarter_turn.cache_clear()
+        cold = two_level_means(a, 0.5, 1030)
+        warm = two_level_means(a, 0.5, 1030)
+        assert _quarter_turn.cache_info().hits == 1
+        two_level_means(a, 0.5, 16)  # evicts the 1030-node table
+        again = two_level_means(a, 0.5, 1030)
+        assert cold == warm == again
 
     def test_parseval_at_p2(self):
         a = np.random.default_rng(7).normal(size=100)
@@ -259,6 +366,7 @@ class TestTwoLevelMeans:
         def refuse(*args, **kwargs):
             raise AssertionError("FFT called")
 
+        monkeypatch.setattr(np.fft, "fft", refuse)
         monkeypatch.setattr(np.fft, "rfft", refuse)
         tracemalloc.start()
         try:
