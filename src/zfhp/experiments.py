@@ -167,22 +167,19 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
 
 def _convergence_records(
     norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int, table: MobiusTable,
-    row: Callable[[int, np.ndarray], tuple[float, float]], row_bytes: int,
-    warning: str | None = None,
+    row: Callable[[int, np.ndarray], tuple[float, float]], warning: str | None = None,
 ) -> list[ConvergenceRecord]:
     """One record per n of ``row(n, coeffs) -> (value, tail_bound)``.
 
     ``coeffs`` is ``mobius_ims_partial_sums`` at n, which checks ``n_list``
-    apart from the cutoff; a record's wall time covers the kernel's advance
-    to n and the row.  A cutoff whose ``row_bytes`` per coefficient, the
-    kernel's buffers and the row's together, exceed physical memory is
-    refused before the kernel allocates.  ``warning``, if any, is issued as
-    a ``QuadratureWarning`` once every argument has passed.
+    apart from the cutoff and its own buffers against physical memory; a
+    record's wall time covers the kernel's advance to n and the row.
+    ``warning``, if any, is issued as a ``QuadratureWarning`` once every
+    argument has passed.
     """
     ns = [int(n) for n in n_list]
     if coeff_cutoff < max(ns, default=0):
         raise ValueError("coeff_cutoff must be >= max(n_list)")
-    _check_memory(row_bytes * (coeff_cutoff + 1), f"degree = {coeff_cutoff}", "partial-sum buffers")
     partial_sums = mobius_ims_partial_sums(ns, coeff_cutoff, table)
     if warning:
         warnings.warn(warning, QuadratureWarning, stacklevel=3)
@@ -288,8 +285,9 @@ def run_lq_convergence(
 
     # Peak bytes per coefficient, inside lq_norm: the kernel's int32 divisor
     # sums (4) and the yielded residual (8), the TruncatedSeries copy (8),
-    # and lq_norm's |a| and |a|^q (8 + 8).
-    return _convergence_records("lq", q, n_list, coeff_cutoff, table, row, row_bytes=36)
+    # and lq_norm's |a| and |a|^q (8 + 8).  The kernel guards only its own 12.
+    _check_memory(36 * (coeff_cutoff + 1), f"degree = {coeff_cutoff}", "partial-sum buffers")
+    return _convergence_records("lq", q, n_list, coeff_cutoff, table, row)
 
 
 def run_hp_convergence(
@@ -331,11 +329,10 @@ def run_hp_convergence(
         value, refined = two_level_means(coeffs, p, nodes)
         return value, abs(value - refined)
 
-    # The row works in place on the kernel's int32 divisor sums and its
-    # float64 output (4 + 8 bytes per coefficient); the transform buffers
-    # depend on nodes alone and are checked above.
-    return _convergence_records("hp", p, n_list, coeff_cutoff, table, row, row_bytes=12,
-                                warning=warning)
+    # The row works in place on the kernel's buffers, which the kernel
+    # guards; the transform buffers depend on nodes alone and are checked
+    # above.
+    return _convergence_records("hp", p, n_list, coeff_cutoff, table, row, warning=warning)
 
 
 def run_lambda_sweep(

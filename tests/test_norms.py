@@ -299,11 +299,13 @@ class TestTwoLevelMeans:
         "equal": lambda m: m,
         "between": lambda m: 2 * m + m // 2 + 3,
         "above": lambda m: 12 * m + m // 2 + 7,
+        "fold_once": lambda m: 4 * m,
+        "fold_twice": lambda m: 8 * m,
     }
 
     @pytest.mark.parametrize("nodes", [16, 18, 1024, 1030])
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
-    @pytest.mark.parametrize("length", ["below", "equal", "between", "above"])
+    @pytest.mark.parametrize("length", list(LENGTHS))
     def test_matches_per_level_oracle(self, nodes, p, length):
         # oracles: hp_norm_estimate at nodes and 2 nodes, each by its own
         # phase multiply, fold and complex FFT; and the 4M-point real FFT
