@@ -34,11 +34,11 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from ._version import __version__
-from .arith import MobiusTable, _check_memory, build_mobius, exact_sum, mobius_sum_over_k
+from .arith import MobiusTable, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
-from .norms import QuadratureWarning, _check_two_level_nodes, lq_norm, two_level_means
-from .series import TruncatedSeries, mobius_ims_partial_sums
+from .norms import QuadratureWarning, _check_two_level_nodes, _lq_of_magnitudes, two_level_means
+from .series import mobius_ims_partial_sums
 from .special import _g_k_given_zeta, f_k, g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta
 from .weights import ClassificationResult, ProbeResult
 
@@ -174,6 +174,9 @@ def _convergence_records(
     ``coeffs`` is ``mobius_ims_partial_sums`` at n, which checks ``n_list``
     apart from the cutoff and its own buffers against physical memory; a
     record's wall time covers the kernel's advance to n and the row.
+    ``coeffs`` is the kernel's one output buffer, the same array at every
+    n: ``row`` may overwrite it, and must be done with it when it returns,
+    because the next advance overwrites it.
     ``warning``, if any, is issued as a ``QuadratureWarning`` once every
     argument has passed.
     """
@@ -271,6 +274,8 @@ def run_lq_convergence(
     ``mobius_ims_partial_sums``, advanced from one checkpoint to the next,
     so a sweep costs O(N log n) for N = coeff_cutoff.  Each record carries
     the proved tail bound ``lq_tail_bound`` on the coefficients beyond N.
+    The norm is taken in place on the kernel's output buffer, so the row
+    holds the kernel's 12 bytes per coefficient and no more.
     q must exceed 1.  Trends should be read across decades of n, not
     adjacent values: the Möbius fluctuations make pointwise monotonicity
     false.
@@ -281,12 +286,16 @@ def run_lq_convergence(
     def row(n: int, residual: np.ndarray) -> tuple[float, float]:
         residual[0] -= 1.0  # subtract the target 1 - z
         residual[1] += 1.0
-        return lq_norm(TruncatedSeries(residual), q), lq_tail_bound(q, n, coeff_cutoff, table)
+        value = _lq_of_magnitudes(np.abs(residual, out=residual), q)
+        # value is finite exactly when the sum of the nonnegative |r_m|^q
+        # is, and that sum is finite only if every term is
+        if not math.isfinite(value):
+            raise ValueError("all coefficients must be finite")
+        return value, lq_tail_bound(q, n, coeff_cutoff, table)
 
-    # Peak bytes per coefficient, inside lq_norm: the kernel's int32 divisor
-    # sums (4) and the yielded residual (8), the TruncatedSeries copy (8),
-    # and lq_norm's |a| and |a|^q (8 + 8).  The kernel guards only its own 12.
-    _check_memory(36 * (coeff_cutoff + 1), f"degree = {coeff_cutoff}", "partial-sum buffers")
+    # Peak bytes per coefficient: the kernel's int32 divisor sums (4) and
+    # its float64 output (8), which the row overwrites with |r|^q; the
+    # kernel's own guard on these 12 is the row's memory guard.
     return _convergence_records("lq", q, n_list, coeff_cutoff, table, row)
 
 

@@ -207,13 +207,13 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
         c = np.empty(nodes, dtype=np.complex128)
         np.subtract(b[0], b[2], out=c.real)
         np.subtract(b[3], b[1], out=c.imag)
+        c *= h
         x = b[0] + b[2]
         x -= b[1] + b[3]
         del b
     else:
         x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
-        c = x.astype(np.complex128)
-    c *= h
+        c = np.multiply(x, h)
     fine = _p_mean(np.fft.fft(c, out=c), p)
     del c
 
@@ -233,8 +233,13 @@ def lq_norm(f: TruncatedSeries, q: float) -> float:
     """(sum |a_n|^q)^(1/q); a quasi-norm when q < 1 (triangle fails)."""
     if q <= 0:
         raise ValueError("q must be positive")
-    mags = np.abs(f.coeffs)
-    return float(np.sum(mags**q) ** (1.0 / q))
+    return _lq_of_magnitudes(np.abs(f.coeffs), q)
+
+
+def _lq_of_magnitudes(mags: np.ndarray, q: float) -> float:
+    """(sum mags^q)^(1/q) for a float64 array of magnitudes, raised to q in place."""
+    mags **= q
+    return float(np.sum(mags) ** (1.0 / q))
 
 
 def hp_norm_estimate(f: TruncatedSeries, p: float, nodes: int | None = None) -> float:

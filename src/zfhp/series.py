@@ -152,6 +152,12 @@ def hk_coefficient_envelope(k: int, degree: int) -> float:
     return bound * _ENVELOPE_ROUNDING_FACTOR
 
 
+# Coefficients per block of the division by m in _advance_ims: the block's
+# float64 range of m is 256 KiB at 2^15, against 8 bytes per coefficient
+# for a full-length range; 2^13..2^19 time alike at degree 10^6 (CHANGES.md).
+_DIVIDE_BLOCK = 1 << 15
+
+
 def mobius_ims_partial_sums(
     n_list: Sequence[int], degree: int, table: MobiusTable
 ) -> Iterator[np.ndarray]:
@@ -174,8 +180,9 @@ def mobius_ims_partial_sums(
     the arguments are checked at the call, before any array is yielded,
     and a degree whose int32 ``d`` and float64 output, 12 (degree + 1)
     bytes, exceed physical memory is refused before either is allocated.
-    Each yielded float64 array has length degree + 1 and belongs to the
-    caller.
+    The output is allocated once: every checkpoint yields the same float64
+    array of length degree + 1, overwritten at the next advance, so a
+    caller reads or modifies it in place before asking for the next one.
     """
     ns = [int(n) for n in n_list]
     if not ns or ns[0] < 2:
@@ -188,24 +195,31 @@ def mobius_ims_partial_sums(
         raise ValueError("degree must be >= 0")
     _check_memory(12 * (degree + 1), f"degree = {degree}", "partial-sum buffers")
     d = np.zeros(degree + 1, dtype=np.int32)
-    return (_advance_ims(d, prev, n, table) for prev, n in zip([1, *ns], ns))
+    out = np.empty(degree + 1, dtype=np.float64)
+    return (_advance_ims(d, out, prev, n, table) for prev, n in zip([1, *ns], ns))
 
 
-def _advance_ims(d: np.ndarray, prev: int, n: int, table: MobiusTable) -> np.ndarray:
-    """Sieve mu(k), prev < k <= n, into ``d``; return the closed form at n.
+def _advance_ims(
+    d: np.ndarray, out: np.ndarray, prev: int, n: int, table: MobiusTable
+) -> np.ndarray:
+    """Sieve mu(k), prev < k <= n, into ``d``; overwrite ``out`` with the closed form at n.
 
-    A module-level function rather than a generator body, so that the
-    work is attributed to this module by tracers that wrap its functions.
+    The division by m runs in blocks of ``_DIVIDE_BLOCK`` coefficients,
+    each over its own float64 range of m; the m are exact integers, so
+    every quotient is the one a full-length range gives.  A module-level
+    function rather than a generator body, so that the work is attributed
+    to this module by tracers that wrap its functions.
     """
     for k in range(prev + 1, min(n, d.size - 1) + 1):
         mu = int(table.values[k])
         if mu:
             d[k::k] += mu
     c_n = mobius_sum_over_k(table, n) - 1.0
-    out = np.empty(d.size, dtype=np.float64)
     out[0] = -mobius_logsum_over_k(table, n)
     np.subtract(c_n, d[1:], out=out[1:])
-    out[1:] /= np.arange(1, d.size, dtype=np.float64)
+    for lo in range(1, d.size, _DIVIDE_BLOCK):
+        hi = min(lo + _DIVIDE_BLOCK, d.size)
+        out[lo:hi] /= np.arange(lo, hi, dtype=np.float64)
     return out
 
 

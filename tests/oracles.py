@@ -6,6 +6,10 @@ mu(k) (I - S) h_k one k at a time over the full coefficient range, in
 O(n * degree), from the generator's own coefficient formula rather than
 from divisor sums.
 
+``advance_ims_allocating`` is the kernel step that
+``zfhp.series._advance_ims`` replaced: it returns a new output array at
+every checkpoint and divides by one full-length float64 range of m.
+
 ``mobius_linear_sieve`` is the pure-Python linear sieve that
 ``zfhp.arith.build_mobius`` replaced, ``mobius_whole_table_sieve`` the
 whole-table numpy sieve with a full-length int32 radical that its
@@ -27,6 +31,7 @@ import math
 import numpy as np
 
 from zfhp import zeta
+from zfhp.arith import mobius_logsum_over_k, mobius_sum_over_k
 
 
 def accumulated_ims(n: int, degree: int, table) -> np.ndarray:
@@ -41,6 +46,20 @@ def accumulated_ims(n: int, degree: int, table) -> np.ndarray:
             acc[1:] += (mu / k) * inv[1:]
             acc[k::k] -= mu * inv[k::k]
     return acc
+
+
+def advance_ims_allocating(d: np.ndarray, prev: int, n: int, table) -> np.ndarray:
+    """Sieve mu(k), prev < k <= n, into the int32 ``d``; return the closed form at n, newly allocated."""
+    for k in range(prev + 1, min(n, d.size - 1) + 1):
+        mu = int(table.values[k])
+        if mu:
+            d[k::k] += mu
+    c_n = mobius_sum_over_k(table, n) - 1.0
+    out = np.empty(d.size, dtype=np.float64)
+    out[0] = -mobius_logsum_over_k(table, n)
+    np.subtract(c_n, d[1:], out=out[1:])
+    out[1:] /= np.arange(1, d.size, dtype=np.float64)
+    return out
 
 
 def lq_residual_oracle(q: float, n: int, degree: int, table) -> float:

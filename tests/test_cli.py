@@ -254,15 +254,11 @@ class TestConvergenceCommand:
         assert err.count("\n") == 1 and "warning" not in err
 
     def test_lq_row_beyond_memory_refused(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("kernel allocated")
-
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}  # 1 GiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        monkeypatch.setattr(zfhp.experiments, "mobius_ims_partial_sums", refuse)
-        cutoff = 2**30 // 24
-        # the kernel's 12 bytes per coefficient fit, the l^q row's 36 do not
-        assert 12 * (cutoff + 1) <= 2**30 < 36 * (cutoff + 1)
+        cutoff = 2**30 // 12
+        # the smallest cutoff whose 12 bytes per coefficient do not fit
+        assert 12 * cutoff <= 2**30 < 12 * (cutoff + 1)
         tracemalloc.start()
         try:
             code = main(["convergence", "--space", "lq", "--q", "2", "--n", "10",
@@ -273,7 +269,9 @@ class TestConvergenceCommand:
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err.startswith(f"invalid arguments: degree = {cutoff} needs an estimated 1.5 GiB")
+        assert err.startswith(
+            f"invalid arguments: degree = {cutoff} needs an estimated 1.0 GiB of partial-sum buffers"
+        )
         assert "Traceback" not in err
         assert peak < 2**20
 

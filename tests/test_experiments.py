@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -80,6 +81,30 @@ class TestLqConvergence:
                 brute = math.fsum((tail**q).tolist()) ** (1.0 / q)
                 assert math.isfinite(bound)
                 assert bound >= brute, (q, n, bound, brute)
+
+    def test_row_holds_only_the_kernel_buffers(self, mobius_1k):
+        # the kernel's int32 divisor sums and float64 output, 12 bytes per
+        # coefficient, plus one division block; a copy of the residual
+        # would add 8 more
+        cutoff = 10**6
+        tracemalloc.start()
+        try:
+            run_lq_convergence(2.0, [10, 100], cutoff, mobius_1k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5 * (cutoff + 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_a_nonfinite_residual(self, bad, mobius_1k, monkeypatch):
+        def poisoned(n_list, degree, table):
+            coeffs = np.zeros(degree + 1)
+            coeffs[degree] = bad
+            return iter([coeffs])
+
+        monkeypatch.setattr(experiments, "mobius_ims_partial_sums", poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            run_lq_convergence(2.0, [10], 100, mobius_1k)
 
     def test_validation(self, mobius_1k):
         with pytest.raises(ValueError):

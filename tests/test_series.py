@@ -12,9 +12,9 @@ from zfhp import (
     lq_norm,
     mobius_sum_over_k,
 )
-from zfhp.series import hk_coefficient_envelope, mobius_ims_partial_sums
+from zfhp.series import _DIVIDE_BLOCK, hk_coefficient_envelope, mobius_ims_partial_sums
 
-from oracles import accumulated_ims, bounded_divisor_sum
+from oracles import accumulated_ims, advance_ims_allocating, bounded_divisor_sum
 
 
 def log_series_oracle(f0_coeffs: np.ndarray) -> np.ndarray:
@@ -213,6 +213,25 @@ class TestMobiusPartialSums:
         m = np.maximum(np.arange(degree + 1), 1)
         tol = (n + 2) ** 2 * np.finfo(np.float64).eps / m
         assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.parametrize(
+        "degree", [_DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 1, 3 * _DIVIDE_BLOCK + 5]
+    )
+    def test_bit_equal_to_allocating_oracle_across_division_blocks(self, degree, mobius_1k):
+        ns = [10, 100, 1000]
+        d = np.zeros(degree + 1, dtype=np.int32)
+        for prev, n, got in zip([1, *ns], ns, mobius_ims_partial_sums(ns, degree, mobius_1k)):
+            want = advance_ims_allocating(d, prev, n, mobius_1k)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+    def test_one_buffer_overwritten_at_each_advance(self, mobius_1k):
+        partial_sums = mobius_ims_partial_sums([10, 100], 500, mobius_1k)
+        first = next(partial_sums)
+        at_10 = first.copy()
+        assert next(partial_sums) is first
+        assert not np.array_equal(first, at_10)
+        (at_100,) = mobius_ims_partial_sums([100], 500, mobius_1k)
+        assert np.array_equal(first, at_100)
 
     def test_residual_shrinks_from_n10_to_n100(self, mobius_1k):
         degree = 10**5
