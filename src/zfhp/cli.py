@@ -6,9 +6,10 @@ classification, Mellin verification and zeta evaluation.  Experiment
 commands run exactly ``rerun(manifest)``.  Results are CSV on stdout, or in
 ``--out FILE`` plus, for experiments, a ``*.manifest.json`` sidecar.
 
-Exit codes: 0 success, 2 invalid arguments, 3 domain error (pole or
-half-plane violation), 4 check failed in ``--check`` mode.  Warnings, such
-as an undersampling ``QuadratureWarning``, go to stderr as one line each.
+Exit codes: 0 success, 2 invalid arguments, 3 domain or conditioning error
+(pole, half-plane violation, lost accuracy), 4 check failed in ``--check``
+mode.  Warnings, such as an undersampling ``QuadratureWarning``, go to
+stderr as one line each.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mellin = sub.add_parser("mellin", help="Mellin transform verification")
     msub = mellin.add_subparsers(dest="mellin_command", required=True)
-    mverify = msub.add_parser("verify", help="quadrature of the step transforms against f_k")
+    mverify = msub.add_parser("verify", help="piecewise-exact step transforms against f_k")
     mverify.add_argument("--k", required=True, help="range 1..10 or comma list")
     mverify.add_argument("--s", required=True, help="complex point, e.g. 2+1i")
     mverify.add_argument("--tol", type=float, default=1e-8)

@@ -10,8 +10,8 @@ Runners:
   with h_k truncated and the functional evaluated in closed form, against
   a proved tail bound plus derived rounding and zeta budgets.
 * ``run_pointwise_approx``: residuals of sum mu(k) G_k(s) against -1/s.
-* ``run_mellin_verify``: quadrature of the Mellin transform of the step
-  function p_k against the closed form f_k(s).
+* ``run_mellin_verify``: the Mellin transform of the step function p_k,
+  integrated piece by piece, against the closed form f_k(s).
 
 Every record carries its coefficient cutoff and, where applicable, a tail
 bound, so no number leaves this module without its truncation context.
@@ -251,8 +251,8 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
     The returned fl(B~ F), F = 1 + 2^-40 = 1 + 8192u, is at least
     B~ (1 + 8192u)(1 - u) >= (1 + 220u) B~ >= B.  []
     """
-    if q <= 1.0:
-        raise ValueError("q must be > 1")
+    if not 1.0 < q < math.inf:
+        raise ValueError("q must be finite and > 1")
     if not 2 <= n <= coeff_cutoff < 2**53:
         raise ValueError("need 2 <= n <= coeff_cutoff < 2^53")
     inv_q = 1.0 / q
@@ -276,12 +276,12 @@ def run_lq_convergence(
     the proved tail bound ``lq_tail_bound`` on the coefficients beyond N.
     The norm is taken in place on the kernel's output buffer, so the row
     holds the kernel's 12 bytes per coefficient and no more.
-    q must exceed 1.  Trends should be read across decades of n, not
-    adjacent values: the Möbius fluctuations make pointwise monotonicity
-    false.
+    q must be finite and exceed 1.  Trends should be read across decades
+    of n, not adjacent values: the Möbius fluctuations make pointwise
+    monotonicity false.
     """
-    if q <= 1.0:
-        raise ValueError("q must be > 1")
+    if not 1.0 < q < math.inf:
+        raise ValueError("q must be finite and > 1")
 
     def row(n: int, residual: np.ndarray) -> tuple[float, float]:
         residual[0] -= 1.0  # subtract the target 1 - z
@@ -408,7 +408,7 @@ def run_pointwise_approx(
 
 
 def run_mellin_verify(k_list: Iterable[int], s: complex, tol: float) -> list[MellinRecord]:
-    """|M[p_k](s) - f_k(s)| per k (``mellin_step_pk`` quadrature), ok when at most tol."""
+    """|M[p_k](s) - f_k(s)| per k (``mellin_step_pk``), ok when at most tol."""
     ks = list(k_list)
     if not ks:
         raise ValueError("k_list must not be empty")

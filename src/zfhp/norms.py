@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 
 from .arith import _check_memory, exact_sum
+from .errors import ConditioningError
 from .series import TruncatedSeries
 
 __all__ = [
@@ -231,13 +232,30 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
 
 def lq_norm(f: TruncatedSeries, q: float) -> float:
     """(sum |a_n|^q)^(1/q); a quasi-norm when q < 1 (triangle fails)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not 0.0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
     return _lq_of_magnitudes(np.abs(f.coeffs), q)
 
 
 def _lq_of_magnitudes(mags: np.ndarray, q: float) -> float:
-    """(sum mags^q)^(1/q) for a float64 array of magnitudes, raised to q in place."""
+    """(sum mags^q)^(1/q) for a float64 array of magnitudes, raised to q in place.
+
+    With b = max mags and L = mags.size, the sum S lies in [b^q, L b^q].
+    A term is computed within a few u = 2^-53 of itself, or within a few
+    2^-1074 below 2^-1022.  So if b^q >= 2^-1022 = 2^52 2^-1074, then
+    S >= 2^-1022 and the terms' errors add up to a few L u S, the order
+    of the sum's own rounding.  If 0 < b^q < 2^-1022, the largest term is
+    subnormal or 0 and S has lost its digits; if L b^q >= 2^1024, S can
+    overflow.  Both raise ``ConditioningError``, tested as q log2 b < -1022
+    and q log2 b + log2 L >= 1024.  Non-finite magnitudes pass through.
+    """
+    big = float(np.max(mags, initial=0.0))
+    if 0.0 < big < math.inf:
+        e = q * math.log2(big)
+        if e < -1022.0 or e + math.log2(mags.size) >= 1024.0:
+            raise ConditioningError(
+                f"the largest |r|^q = 2^{e:.6g} is outside the normal range of the l^q sum"
+            )
     mags **= q
     return float(np.sum(mags) ** (1.0 / q))
 

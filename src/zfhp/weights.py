@@ -13,7 +13,9 @@ strip label:
 Classification is analytic-first: the per-kind decisions below are proved
 by comparison tests, and the numerical routines exist to falsify, not to
 prove.  All evaluators work in log space so that fast-growing families
-degrade to +inf instead of raising overflow errors.
+degrade to +inf instead of raising overflow errors, and every tail of r_m
+has a closed-form bound: for stretchedexp, one on the incomplete gamma
+function.
 
 Worked note (power weights, why bounded r_m fails there): in the space
 with w_n = n^alpha, the function f_delta(z) = sum m^delta z^m belongs to
@@ -34,6 +36,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from .arith import _check_memory
 
 __all__ = [
     "WeightFamily",
@@ -190,12 +194,6 @@ def rm_is_bounded(family: WeightFamily) -> bool:
     return family.kind in ("geometric", "superexp")
 
 
-def _default_tail_cutoff(family: WeightFamily) -> int:
-    if family.kind in ("identity", "power", "powerlog"):
-        return 10**7
-    return 10**3
-
-
 def rm_sequence(
     family: WeightFamily, m_max: int, tail_cutoff: int | None = None
 ) -> np.ndarray:
@@ -212,7 +210,7 @@ def rm_sequence(
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     if tail_cutoff is None:
-        tail_cutoff = _default_tail_cutoff(family)
+        tail_cutoff = 10**7 if family.kind in ("identity", "power", "powerlog") else 10**3
     if m_max > tail_cutoff:
         raise ValueError("m_max must not exceed tail_cutoff")
     if family.kind == "identity" or (
@@ -242,7 +240,22 @@ def rm_sequence(
 
 
 def _rm_tail(family: WeightFamily, t: int) -> float:
-    """Upper bound (exact for geometric) on sum_{n > t} w_n^(-2)."""
+    """Upper bound (exact for geometric) on sum_{n > t} w_n^(-2).
+
+    stretchedexp: the terms decrease, so the tail is at most
+    int_t^inf exp(-2 y^alpha) dy = Gamma(a, x) / (alpha 2^a), a = 1/alpha > 1,
+    x = 2 t^alpha.  log is concave, so for y >= x and c = (a - 1)/x,
+    y^(a-1) <= x^(a-1) e^(c (y - x)); for x > a - 1, c < 1 and
+
+        Gamma(a, x) <= x^(a-1) e^(-x) int_x^inf e^((c - 1)(y - x)) dy
+                     = x^(a-1) e^(-x) / (1 - c),
+
+    while always Gamma(a, x) <= Gamma(a).  The smaller is taken in log
+    space, so neither overflows; where it is the first, 1/(1 - c) is below
+    3 a^(1/2) (Stirling), so 1 - c keeps its digits.  Rounding moves each
+    log term by a few u (1 + |term|), u = 2^-53; the 2^-44 = 512 u margin
+    covers that and the exp.
+    """
     if family.kind == "geometric":
         e2 = family.eps * family.eps
         return e2 ** (t + 1) / (1.0 - e2)
@@ -258,13 +271,15 @@ def _rm_tail(family: WeightFamily, t: int) -> float:
         c = 2.0 * big_l**family.alpha - 1.0
         return math.exp(-c * big_l) / c
     if family.kind == "stretchedexp":
-        # int_t^inf exp(-2 x^alpha) dx = Gamma(1/alpha, 2 t^alpha) / (alpha 2^(1/alpha))
-        # deferred: keeps scipy out of import time
-        from scipy.special import gammaincc as _gammaincc
-
-        a = family.alpha
-        inv = 1.0 / a
-        return float(math.gamma(inv) * _gammaincc(inv, 2.0 * t**a) / (a * 2.0**inv))
+        a = 1.0 / family.alpha
+        x = 2.0 * float(t) ** family.alpha
+        log_gamma = math.lgamma(a)
+        if x > a - 1.0:
+            log_gamma = min(log_gamma, (a - 1.0) * math.log(x) - x - math.log1p((1.0 - a) / x))
+        terms = (log_gamma, -math.log(family.alpha), -a * math.log(2.0))
+        log_tail = sum(terms) + 2.0**-44 * (1.0 + sum(map(abs, terms)))
+        with np.errstate(over="ignore"):
+            return float(np.exp(log_tail))
     # superexp: terms decay faster than geometrically; bracket by the first
     # omitted term over one minus the (shrinking) ratio
     a = family.alpha
@@ -345,13 +360,21 @@ def extremal_probe(
     w_n supported both diagnostics at level r, this ratio would have to
     oscillate between 0 and infinity along every such subsequence; for
     any single classified family at most one diagnostic holds, so a tame
-    trace here contradicts nothing.
+    trace here contradicts nothing.  A ``count`` whose buffers would
+    exceed physical memory is refused before anything is allocated.
     """
     if not 0.5 < r < 1.0:
         raise ValueError("r must lie in (1/2, 1)")
     if count < 1:
         raise ValueError("count must be >= 1")
-    idx = np.fromiter(_take(subsequence, count), dtype=np.int64, count=count)
+    # Peak bytes per index: the int64 indices, their float64 copy and at
+    # most five float64 arrays in log_w (powerlog's), 56.  prime_indices()
+    # also holds per prime the int (32), a key (36), a list of up to four
+    # slots (88) and dict tables, old and new while resizing (30 + 60): 246.
+    # tracemalloc peaks at 49 and 292 (numpy elides a temporary in log_w).
+    sieve = getattr(subsequence, "gi_code", None) is prime_indices.__code__
+    _check_memory((56 + 246 * sieve) * count, f"count = {count}", "probe buffers")
+    idx = np.fromiter(itertools.islice(subsequence, count), dtype=np.int64, count=count)
     if idx[0] < 1:
         raise ValueError("subsequence indices must be >= 1")
     if np.any(np.diff(idx) <= 0):
@@ -360,16 +383,6 @@ def extremal_probe(
     with np.errstate(over="ignore"):
         ratios = np.exp(family.log_w(nf) - (r - 0.5) * np.log(nf))
     return ProbeResult(indices=idx, ratios=ratios)
-
-
-def _take(it: Iterable[int], count: int) -> Iterator[int]:
-    produced = 0
-    for value in it:
-        yield int(value)
-        produced += 1
-        if produced == count:
-            return
-    raise ValueError(f"subsequence yielded only {produced} of {count} indices")
 
 
 def all_integers() -> Iterator[int]:
@@ -393,11 +406,4 @@ def prime_indices() -> Iterator[int]:
 def arithmetic_progression(start: int, step: int) -> Iterator[int]:
     if start < 1 or step < 1:
         raise ValueError("start and step must be positive")
-
-    def generate() -> Iterator[int]:
-        n = start
-        while True:
-            yield n
-            n += step
-
-    return generate()
+    return itertools.count(start, step)

@@ -20,15 +20,24 @@ full-range sum that ``approx_reciprocal_s_partial_sums`` replaced.
 ``zfhp.norms.two_level_means`` replaced: one real FFT of all 4M points of
 the fold modulo 4M, read at the indices of both levels.
 
+``mellin_step_pk_quadrature`` is the adaptive quadrature that
+``zfhp.special.mellin_step_pk`` replaced with the exact integral of each
+constant piece of p_k, and ``stretchedexp_tail_gammaincc`` the
+regularized incomplete gamma function that ``zfhp.weights._rm_tail``
+replaced with a closed-form upper bound on Gamma(a, x).
+
 ``bounded_divisor_sum`` sums mu(d) over the divisors of j by trial
 division, the cross-check for the divisor sieve in
 ``mobius_ims_partial_sums``; ``c4_partial_sums`` sums (w_k / k^r)^2 to
 falsify ``zfhp.weights.c4_halfplane`` numerically.
 """
 
+import cmath
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from zfhp import zeta
 from zfhp.arith import mobius_logsum_over_k, mobius_sum_over_k
@@ -190,3 +199,30 @@ def c4_partial_sums(family, r: float, checkpoints) -> list[float]:
         terms = np.exp(2.0 * (family.log_w(k) - r * np.log(k)))
     csum = np.cumsum(terms)
     return [float(csum[c - 1]) for c in checkpoints]
+
+
+def _quad_complex(f, a: float, b: float) -> complex:
+    re = quad(lambda x: f(x).real, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    im = quad(lambda x: f(x).imag, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    return complex(re, im)
+
+
+def mellin_step_pk_quadrature(k: int, s) -> complex:
+    """int_{1/(k+1)}^{1/k} k x^(s-1) dx - int_0^{1/(k+1)} x^(s-1) dx by adaptive quadrature.
+
+    The second integral is taken after x = exp(-v), which maps the singular
+    oscillatory endpoint at x = 0 to the damped integrand exp(-s v) on
+    [-log(1/(k+1)), infinity); truncating 40/Re(s) past the left edge
+    leaves a remainder below exp(-40) of the head scale.
+    """
+    s = complex(s)
+    lo = 1.0 / (k + 1)
+    v0 = -math.log(lo)
+    head = _quad_complex(lambda x: k * x ** (s - 1.0), lo, 1.0 / k)
+    return head - _quad_complex(lambda v: cmath.exp(-s * v), v0, v0 + 40.0 / s.real)
+
+
+def stretchedexp_tail_gammaincc(alpha: float, t: int) -> float:
+    """int_t^inf exp(-2 x^alpha) dx = Gamma(1/alpha, 2 t^alpha) / (alpha 2^(1/alpha))."""
+    inv = 1.0 / alpha
+    return float(math.gamma(inv) * gammaincc(inv, 2.0 * t**alpha) / (alpha * 2.0**inv))

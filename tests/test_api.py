@@ -37,3 +37,11 @@ def test_one_summation_path():
     home = Path(inspect.getsourcefile(exact_parts))
     users = [path.name for path in sorted(home.parent.glob("*.py")) if "fsum" in path.read_text()]
     assert users == [home.name]
+
+
+def test_no_scipy_in_the_package():
+    # scipy is a test-only dependency: the package has closed forms for
+    # what it once took from scipy.integrate and scipy.special
+    home = Path(inspect.getsourcefile(exact_parts)).parent
+    users = [path.name for path in sorted(home.glob("*.py")) if "scipy" in path.read_text().lower()]
+    assert users == []

@@ -101,6 +101,35 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "subsequence, per_index", [("all", 56), ("primes", 56 + 246)], ids=["all", "primes"]
+    )
+    def test_probe_count_beyond_physical_memory_refused(self, subsequence, per_index, capsys,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("probe allocated")
+
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**17}  # 0.5 GiB
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(np, "fromiter", refuse)
+        # the smallest count whose estimate does not fit; for primes, the
+        # arrays alone (56 bytes per index) would still fit
+        count = 2**29 // per_index + 1
+        if subsequence == "primes":
+            assert 56 * count <= 2**29
+        tracemalloc.start()
+        try:
+            code = main(["weights", "probe", "--family", "identity", "--r", "0.6",
+                         "--subsequence", subsequence, "--count", str(count)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid arguments: count = {count} needs an estimated 0.5 GiB")
+        assert peak < 2**20
+
     def test_lambda_domain_violation(self):
         code = main(["lambda", "--k", "2..3", "--s-grid", "0.4 x 0", "--coeff-cutoff", "100"])
         assert code == 3
@@ -122,7 +151,7 @@ class TestExitCodes:
 
     def test_mellin_conditioning_error_leaves_no_csv(self, tmp_path, monkeypatch):
         def refuse(k, s):
-            raise ConditioningError(f"quadrature disagrees for k={k}")
+            raise ConditioningError(f"no accurate value for k={k}")
 
         monkeypatch.setattr(zfhp.experiments, "mellin_step_pk", refuse)
         out = tmp_path / "mellin.csv"
@@ -131,6 +160,24 @@ class TestExitCodes:
 
 
 class TestConvergenceCommand:
+    def test_lq_refuses_an_underflowing_q(self, capsys):
+        # max |r_m| is 0.216 and 0.142, and 0.216^500 < 2^-1022
+        code = main(["convergence", "--space", "lq", "--q", "500", "--n", "10,100",
+                     "--coeff-cutoff", "1000"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("conditioning error: the largest |r|^q")
+
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_lq_refuses_a_nonfinite_q(self, q, capsys):
+        code = main(["convergence", "--space", "lq", "--q", q, "--n", "10,100",
+                     "--coeff-cutoff", "1000"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "q must be finite" in err
+
     def test_lq_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "results.csv"
         code = main(
@@ -434,16 +481,33 @@ def test_sidecar_reproduces_cli_output(tmp_path, argv, writer):
     assert _without_wall_time(rendered.getvalue()) == _without_wall_time(out.open(newline="").read())
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is only needed by the Mellin quadrature and two special-function
-    # bounds; a fresh interpreter importing the CLI must not load it
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this checkout's zfhp."""
     src = str(Path(zfhp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency (the oracles use it); a fresh
+    # interpreter importing the CLI must not load it
+    out = _run_python(
         "import sys, zfhp.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_with_scipy_blocked():
+    # None in sys.modules makes every import of scipy raise ImportError
+    out = _run_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from zfhp.cli import main\n"
+        "from zfhp.weights import parse_weight_family, rm_sequence\n"
+        "code = main(['mellin', 'verify', '--k', '1..10', '--s', '2+1i', '--check'])\n"
+        "rm = rm_sequence(parse_weight_family('stretchedexp:0.5'), 5)\n"
+        "print('exit', code, 'finite', bool(all(v < float('inf') for v in rm)))"
+    )
+    assert out.stdout.splitlines()[-1] == "exit 0 finite True"

@@ -109,6 +109,11 @@ class TestLqConvergence:
     def test_validation(self, mobius_1k):
         with pytest.raises(ValueError):
             run_lq_convergence(1.0, [10], 100, mobius_1k)
+        for q in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                run_lq_convergence(q, [10], 100, mobius_1k)
+            with pytest.raises(ValueError, match="finite"):
+                lq_tail_bound(q, 10, 100, mobius_1k)
         with pytest.raises(ValueError):
             run_lq_convergence(2.0, [10, 10], 100, mobius_1k)
         with pytest.raises(ValueError):

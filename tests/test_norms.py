@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from zfhp import (
+    ConditioningError,
     QuadratureWarning,
     TruncatedSeries,
     duren_coefficient_check,
@@ -50,6 +51,26 @@ class TestLqNorm:
     def test_rejects_nonpositive_q(self):
         with pytest.raises(ValueError):
             lq_norm(TruncatedSeries([1.0]), 0.0)
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_rejects_nonfinite_q(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            lq_norm(TruncatedSeries([1.0]), q)
+
+    @pytest.mark.parametrize(
+        "coeffs, q",
+        [([0.5, 0.25], 1100.0), ([0.0, 1e-300], 4.0), ([2.0] * 4, 1023.0), ([1e300], 4.0)],
+        ids=["subnormal", "underflow-to-zero", "sum-overflows", "term-overflows"],
+    )
+    def test_refuses_terms_outside_the_normal_range(self, coeffs, q):
+        with pytest.raises(ConditioningError):
+            lq_norm(TruncatedSeries(coeffs), q)
+
+    def test_edges_of_the_normal_range(self):
+        # the largest term exactly 2^-1022, and a sum of 2^1023 that fits
+        assert lq_norm(TruncatedSeries([0.5, 0.0]), 1022.0) == 0.5
+        assert lq_norm(TruncatedSeries([2.0]), 1023.0) == 2.0
+        assert lq_norm(TruncatedSeries([0.0, 0.0]), 1e6) == 0.0
 
     def test_quasi_triangle_below_one(self):
         rng = np.random.default_rng(5)

@@ -21,6 +21,8 @@ from zfhp import (
     zeta,
 )
 
+from oracles import mellin_step_pk_quadrature
+
 GRID = [complex(re, im) for re in (0.6, 0.75, 1.5, 2.0) for im in (0.0, 1.0, 5.0)]
 
 
@@ -178,6 +180,11 @@ class TestMellinStep:
     def test_k5_complex_point(self):
         s = 2.0 + 1.0j
         assert abs(mellin_step_pk(5, s) - f_k(5, s)) < 1e-8
+
+    @pytest.mark.parametrize("s", GRID)
+    def test_matches_quadrature_oracle(self, s):
+        for k in range(1, 11):
+            assert abs(mellin_step_pk(k, s) - mellin_step_pk_quadrature(k, s)) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from zfhp import (
 )
 from zfhp.weights import (
     TABLE_FAMILIES,
+    _rm_tail,
     all_integers,
     arithmetic_progression,
     prime_indices,
     rm_is_bounded,
 )
 
-from oracles import c4_partial_sums
+from oracles import c4_partial_sums, stretchedexp_tail_gammaincc
 
 ACCEPTANCE_FAMILIES = [
     *(WeightFamily("power", alpha=a) for a in (0.25, 1.0, 2.0)),
@@ -145,14 +147,29 @@ class TestRmSequence:
         ],
     )
     def test_doubling_cutoff_stays_within_tail_bound(self, fam, cutoff):
-        from zfhp.weights import _rm_tail
-
         m_max = 20
         base = rm_sequence(fam, m_max, cutoff)
         refined = rm_sequence(fam, m_max, 2 * cutoff)
         w_sq = fam.w(np.arange(m_max + 1)) ** 2
         allowance = w_sq * _rm_tail(fam, cutoff) + 1e-12 * np.abs(base)
         assert np.all(np.abs(refined - base) <= allowance)
+
+    def test_stretchedexp_tail_bounds_the_gammaincc_oracle(self):
+        branches = set()
+        for alpha in (0.05, 0.1, 0.2, 0.5, 0.9, 0.99):
+            a = 1.0 / alpha
+            for t in (1, 3, 10, 10**3, 10**6):
+                branches.add(2.0 * t**alpha > a - 1.0)
+                bound = _rm_tail(WeightFamily("stretchedexp", alpha=alpha), t)
+                oracle = stretchedexp_tail_gammaincc(alpha, t)
+                assert bound >= oracle
+                assert bound <= 1.5 * oracle or oracle == bound == 0.0
+        assert branches == {False, True}
+
+    def test_stretchedexp_beyond_float_range_is_inf_not_an_error(self):
+        # a = 250: the tail near Gamma(250) / 2^250 is beyond float range
+        rm = rm_sequence(WeightFamily("stretchedexp", alpha=0.004), 3)
+        assert np.all(np.isinf(rm))
 
     def test_m_max_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
@@ -238,6 +255,21 @@ class TestExtremalProbe:
             extremal_probe(fam, 0.75, iter([3, 2, 1]), 3)
         with pytest.raises(ValueError):
             extremal_probe(fam, 0.75, iter([1, 2]), 5)  # generator too short
+
+    @pytest.mark.parametrize(
+        "subsequence, count, per_index",
+        [(all_integers, 2**16, 56), (prime_indices, 2**14, 56 + 246)],
+        ids=["all", "primes"],
+    )
+    def test_peak_within_the_guard_estimate(self, subsequence, count, per_index):
+        family = WeightFamily("powerlog", alpha=1.0, beta=2.0)  # the most log_w temporaries
+        tracemalloc.start()
+        try:
+            extremal_probe(family, 0.75, subsequence(), count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_index * count
 
     def test_cumulative_traces(self):
         result = extremal_probe(WeightFamily("identity"), 0.75, all_integers(), 10)
