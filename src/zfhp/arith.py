@@ -1,12 +1,15 @@
 """Number-theoretic kernel: Möbius function, divisor counts, exact sums.
 
 Tables are built once by a sieve and are immutable afterwards, so they can
-be shared freely between threads.  The Möbius table comes from a numpy
+be shared freely between threads.  The Möbius function comes from a numpy
 sieve over the primes up to sqrt(limit) only, run in cache-sized segments
-that each carry their own int32 radical, so the int8 table is the only
-full-length array (``build_mobius``).  ``_check_memory`` is the package's
-one physical-memory guard: sizes whose buffers cannot fit are refused
-before anything is allocated.
+that each carry their own radical (``_sieve_segment``).  ``build_mobius``
+copies the segments into the int8 table, its only full-length array, for
+limits below 2^31; ``_mobius_segments`` hands them one at a time to a
+consumer that reads mu once in increasing order, such as the approx kernel
+of ``zfhp.functionals``, which never holds the table.  ``_check_memory`` is
+the package's one physical-memory guard: sizes whose buffers cannot fit are
+refused before anything is allocated.
 ``exact_sum`` is the package's one exactly rounded sum of a float array:
 it does not depend on the order or grouping of the terms.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,9 +34,9 @@ __all__ = [
     "exact_sum",
 ]
 
-# Entries per segment of build_mobius: its int32 radical, int32 index range
-# and bool compare take 9 bytes per entry, 4.5 MB at 2^19, the fastest of
-# 2^16..2^20 at limit 10^7 (CHANGES.md).
+# Entries per segment of the Möbius sieve: with its int32 radical, int32
+# index range, bool compare and int8 result it takes 10 bytes per entry,
+# 5 MB at 2^19; 2^19 was the fastest of 2^16..2^20 at limit 10^7 (CHANGES.md).
 _SIEVE_BLOCK = 1 << 19
 
 
@@ -66,59 +70,112 @@ class DivisorCountTable:
 
 
 def build_mobius(limit: int) -> MobiusTable:
-    """Sieve mu(n) for all n <= limit over the primes p <= r = isqrt(limit).
+    """mu(n) for all n <= limit, filled from the segments of ``_mobius_segments``.
 
-    The table is filled in segments [lo, hi) of ``_SIEVE_BLOCK`` entries,
-    each with its own int32 radical rad[lo:hi].  For each prime p <= r,
-    the multiples n >= p of p in the segment have mu[n] negated and
-    rad[n] multiplied by p, and the multiples n >= p^2 of p^2 have mu[n]
-    zeroed.  So afterwards, in every segment, mu[n] is (-1)^w 0^e and
-    rad[n] = prod p, over the primes p <= r dividing n (w of them, e of
-    them with p^2 | n).
-
-    Large prime factors.  Let n <= limit, and let m = n / rad[n] when no
-    p^2 with p <= r divides n (e = 0), so that every prime factor of m
-    exceeds r.  Two of them, equal or not, would make n >= (r + 1)^2 >
-    limit.  So m is 1 or one prime q > r, n is squarefree, and
-    mu(n) = -mu[n] exactly when rad[n] != n.  When e > 0, mu[n] is already
-    mu(n) = 0 and negating it changes nothing, so the segment ends with one
-    pass that negates every mu[n] with rad[n] != n.  r is the same for
-    every segment, so this holds segment by segment.
-
-    rad[n] divides n, so rad fits int32 for limit < 2^31; larger limits,
-    and tables that with the segment buffers exceed physical memory, are
-    refused before anything is allocated.  Peak memory is the int8 table,
-    limit + 1 bytes, plus about 9 bytes per segment entry.
+    Limits of 2^31 and more, and tables that with the segment buffers
+    exceed physical memory, are refused before anything is allocated.  Peak
+    memory is the int8 table, limit + 1 bytes, plus one segment's buffers
+    (``_sieve_bytes``).
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     if limit >= 2**31:
         raise ValueError(f"limit = {limit} too large: the Möbius sieve needs limit < 2^31")
-    need = limit + 1 + 9 * min(_SIEVE_BLOCK, limit + 1)
+    need = limit + 1 + _sieve_bytes(limit)
     _check_memory(need, f"limit = {limit}", "Möbius table and sieve segments")
-    r = math.isqrt(limit)
+    mu = np.empty(limit + 1, dtype=np.int8)
+    for lo, segment in _mobius_segments(limit):
+        mu[lo : lo + segment.size] = segment
+    mu.setflags(write=False)
+    return MobiusTable(limit=limit, values=mu)
+
+
+def _mobius_segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, mu on [lo, hi)) for the segments of ``_SIEVE_BLOCK`` entries covering 0..limit.
+
+    Only the current segment and the primes up to isqrt(limit) are held.
+    The sieving runs in ``_sieve_segment``, not here, so that time spent
+    iterating this generator is charged to the sieve, not to its consumer.
+    """
+    primes = _primes_up_to(math.isqrt(limit))
+    for lo in range(0, limit + 1, _SIEVE_BLOCK):
+        yield lo, _sieve_segment(lo, min(lo + _SIEVE_BLOCK, limit + 1), primes)
+
+
+def _sieve_segment(lo: int, hi: int, primes: list[int]) -> np.ndarray:
+    """mu(n) for lo <= n < hi as int8 (mu(0) = 0), given every prime p <= r, r >= isqrt(hi - 1).
+
+    The segment keeps its own radical rad[lo:hi].  For each prime p <= r,
+    the multiples n >= p of p in the segment have mu[n] negated and rad[n]
+    multiplied by p, and the multiples n >= p^2 of p^2 have mu[n] zeroed.
+    So afterwards mu[n] is (-1)^w 0^e and rad[n] = prod p, over the primes
+    p <= r dividing n (w of them, e of them with p^2 | n).
+
+    Large prime factors.  Let n < hi, and let m = n / rad[n] when no p^2
+    with p <= r divides n (e = 0), so that every prime factor of m exceeds
+    r.  Two of them, equal or not, would make n >= (r + 1)^2 > hi - 1.  So
+    m is 1 or one prime q > r, n is squarefree, and mu(n) = -mu[n] exactly
+    when rad[n] != n.  When e > 0, mu[n] is already mu(n) = 0 and negating
+    it changes nothing, so the segment ends with one pass that negates
+    every mu[n] with rad[n] != n.
+
+    rad[n] divides n < hi, so the radical and the index range are int32
+    for hi <= 2^31 and int64 beyond: 1 + 1 + 2 * 4 or 2 * 8 bytes per
+    entry with the int8 result and the bool compare (``_sieve_bytes``).
+    The result is allocated after the radical and the index range, so
+    that the space they release lies below it and the next segment reuses
+    it.  Allocated first, it let glibc's allocator return that space to
+    the system after every segment: at n = 10^7 the approx stream took
+    about 20,000 more page faults and 10% more CPU time.
+    """
+    index = np.int32 if hi <= 2**31 else np.int64
+    rad = np.ones(hi - lo, dtype=index)
+    n = np.arange(lo, hi, dtype=index)
+    segment = np.ones(hi - lo, dtype=np.int8)
+    for p in primes:
+        # offsets of the first multiples of p and p^2 at or past max(lo, p), max(lo, p^2)
+        i = max(p - lo, -lo % p)
+        segment[i::p] *= -1
+        rad[i::p] *= p
+        pp = p * p
+        segment[max(pp - lo, -lo % pp) :: pp] = 0
+    np.negative(segment, out=segment, where=rad != n)
+    if lo == 0:
+        segment[0] = 0
+    return segment
+
+
+def _primes_up_to(r: int) -> list[int]:
+    """The primes p <= r, by a sieve of Eratosthenes over a bool array of r + 1 entries."""
     is_prime = np.ones(r + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(r) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    primes = np.flatnonzero(is_prime).tolist()
-    mu = np.ones(limit + 1, dtype=np.int8)
-    for lo in range(0, limit + 1, _SIEVE_BLOCK):
-        hi = min(lo + _SIEVE_BLOCK, limit + 1)
-        segment = mu[lo:hi]
-        rad = np.ones(hi - lo, dtype=np.int32)
-        for p in primes:
-            # offsets of the first multiples of p and p^2 at or past max(lo, p), max(lo, p^2)
-            i = max(p - lo, -lo % p)
-            segment[i::p] *= -1
-            rad[i::p] *= p
-            pp = p * p
-            segment[max(pp - lo, -lo % pp) :: pp] = 0
-        np.negative(segment, out=segment, where=rad != np.arange(lo, hi, dtype=np.int32))
-    mu[0] = 0
-    mu.setflags(write=False)
-    return MobiusTable(limit=limit, values=mu)
+    return np.flatnonzero(is_prime).tolist()
+
+
+def _prime_bytes(r: int) -> int:
+    """Peak bytes of ``_primes_up_to(r)``.
+
+    The bool array (r + 1) and, per prime, the int64 index (8), the list
+    slot (8) and the int (at most 28 below 2^30, 32 beyond): 48 bytes for
+    each of at most 1.25506 r / log r primes (Rosser and Schoenfeld, Illinois
+    J. Math. 6, 1962, Corollary 1, for r > 1); 1 KiB covers the array and
+    list headers.
+    """
+    return 2**10 + r + 1 + (48 * math.ceil(1.25506 * r / math.log(r)) if r > 1 else 0)
+
+
+def _sieve_bytes(limit: int) -> int:
+    """Peak bytes of ``_mobius_segments(limit)``: one segment's buffers and the base primes.
+
+    Per entry as in ``_sieve_segment``, plus 4 KiB for the array headers
+    and the views of its prime loop.
+    """
+    per_entry = 10 if limit < 2**31 else 18
+    segment = 2**12 + per_entry * min(_SIEVE_BLOCK, limit + 1)
+    return segment + _prime_bytes(math.isqrt(limit))
 
 
 def build_divisor_counts(limit: int) -> DivisorCountTable:

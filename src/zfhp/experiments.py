@@ -9,7 +9,8 @@ Runners:
 * ``run_lambda_sweep``: residuals of the identity Lambda^(s)(h_k) = G_k(s),
   with h_k truncated and the functional evaluated in closed form, against
   a proved tail bound plus derived rounding and zeta budgets.
-* ``run_pointwise_approx``: residuals of sum mu(k) G_k(s) against -1/s.
+* ``run_pointwise_approx``: residuals of sum mu(k) G_k(s) against -1/s,
+  with the Möbius sieve streamed through the kernel: no table.
 * ``run_mellin_verify``: the Mellin transform of the step function p_k,
   integrated piece by piece, against the closed form f_k(s).
 
@@ -142,9 +143,8 @@ def rerun(manifest: ExperimentManifest):
         grid = [complex(re, im) for re, im in p["s_grid"]]
         return run_lambda_sweep(p["k_list"], grid, p["coeff_cutoff"])
     if name == "pointwise_approx":
-        table = build_mobius(p["mobius_limit"])
         grid = [complex(re, im) for re, im in p["s_grid"]]
-        return run_pointwise_approx(grid, p["n_list"], table)
+        return run_pointwise_approx(grid, p["n_list"], p["mobius_limit"])
     if name == "mellin_verify":
         return run_mellin_verify(p["k_list"], complex(*p["s"]), p["tol"])
     raise ValueError(f"unknown experiment {name!r}")
@@ -387,23 +387,24 @@ def run_lambda_sweep(
 
 
 def run_pointwise_approx(
-    s_grid: Iterable[complex], n_list: Sequence[int], table: MobiusTable
+    s_grid: Iterable[complex], n_list: Sequence[int], mobius_limit: int
 ) -> list[ApproxRecord]:
-    """Residuals |sum_{k=2..n} mu(k) G_k(s) + 1/s| over the n sweep.
+    """Residuals |sum_{k=2..n} mu(k) G_k(s) + 1/s| over the n sweep, s-major order.
 
-    Each s costs one pass of ``approx_reciprocal_s_partial_sums`` over the
-    squarefree k <= max(n_list), with every n a checkpoint; each value is
-    the exactly rounded sum of all its terms.  Reporting only: convergence
-    is not asserted for Re(s) <= 1.
+    One pass of ``approx_reciprocal_s_partial_sums`` over the squarefree
+    k <= max(n_list) serves every s, with every n a checkpoint; the Möbius
+    sieve runs once per grid, segment by segment, and no table is built.
+    Each n must lie in 2..``mobius_limit``.  Each value is the exactly
+    rounded sum of all its terms.  Reporting only: convergence is not
+    asserted for Re(s) <= 1.
     """
     grid = _check_grid(s_grid)
     ns = [int(n) for n in n_list]
+    values = approx_reciprocal_s_partial_sums(ns, grid, mobius_limit)
     records: list[ApproxRecord] = []
-    for s in grid:
+    for s, row in zip(grid, values):
         target = lambda_on_constant(s)
-        values = approx_reciprocal_s_partial_sums(ns, s, table)
-        for n, value in zip(ns, values):
-            records.append(ApproxRecord(s=s, n=n, residual=abs(value - target)))
+        records.extend(ApproxRecord(s=s, n=n, residual=abs(v - target)) for n, v in zip(ns, row))
     return records
 
 

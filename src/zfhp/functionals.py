@@ -11,7 +11,9 @@ h_k, ``lambda_hk_truncated`` evaluates the same finite sum in closed form,
 with a proved coefficient envelope and a proved rounding bound.
 
 ``approx_reciprocal_s_partial_sums`` forms the Möbius combinations
-sum_{k<=n} mu(k) G_k(s) at many n in one pass over the squarefree k.
+sum_{k<=n} mu(k) G_k(s) at many n and many s in one pass over the
+squarefree k, fed by the Möbius sieve one segment at a time: no table of
+mu is held, so memory is O(sqrt(n) + block) and n may pass 2^31.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import MobiusTable, exact_parts, exact_sum
+from .arith import (
+    _SIEVE_BLOCK,
+    _check_memory,
+    _mobius_segments,
+    _sieve_bytes,
+    exact_parts,
+    exact_sum,
+)
 from .series import TruncatedSeries, hk_coefficient_envelope
 from .special import _U, fk_values, require_right_half_plane, zeta
 
@@ -249,44 +258,104 @@ _APPROX_BLOCK = 1 << 16
 
 
 def approx_reciprocal_s_partial_sums(
-    n_list: Iterable[int], s, table: MobiusTable
-) -> list[complex]:
-    """sum_{k=2..n} mu(k) G_k(s) for every n in ``n_list``, in its order.
+    n_list: Iterable[int], s_grid: Iterable[complex], limit: int
+) -> list[list[complex]]:
+    """sum_{k=2..n} mu(k) G_k(s) for every s in ``s_grid`` and n in ``n_list``, in their order.
 
     With G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), each value is
     -(zeta(s)/s) times sum_k mu(k) (k^(-s) - 1/k), the sum exactly rounded
-    per component.  One increasing pass over k <= max(n_list), in blocks
-    of ``_APPROX_BLOCK`` split at the checkpoints, forms the terms of the
-    squarefree k only (mu(k) = 0 terms are exact zeros) with the same
-    elementwise numpy expression as a single full-range pass.
+    per component.  Every n must lie in 2..``limit`` and below 2^53, so
+    that each k is exact in float64.
+
+    One increasing pass over k <= max(n_list) serves the whole grid.  It
+    reads mu from the sieve segments of ``arith._mobius_segments`` as they
+    come, never from a full table, in blocks of at most ``_APPROX_BLOCK``
+    split at the segment ends and the checkpoints.  Each block forms the
+    terms of the squarefree k only (mu(k) = 0 terms are exact zeros) with
+    the same elementwise numpy expression as a single full-range pass; k,
+    log k and 1/k are formed once per block and shared by every s.
 
     Exactness.  Each block adds its ``exact_parts`` to the parts so far, and
     a checkpoint takes their ``exact_sum``: by the lemma of ``exact_sum``
-    the same float as one exactly rounded sum of every term up to it.
+    the same float as one exactly rounded sum of every term up to it,
+    however the blocks are split.  Once the parts of one component exceed
+    ``_APPROX_BLOCK`` floats they are replaced by their own ``exact_parts``,
+    which have the same exact sum, so they stay O(block) at any n.
+
+    Memory.  One sieve segment, the primes up to sqrt(max n), a block's
+    temporaries and the parts (``_approx_bytes``); a run whose estimate
+    exceeds physical memory is refused before anything is allocated.
     """
     ns = [int(n) for n in n_list]
     if not ns:
         raise ValueError("n_list must not be empty")
+    if limit < 1:
+        raise ValueError("limit must be a positive integer")
     for n in ns:
         if n < 2:
             raise ValueError("n must be >= 2")
-        if n > table.limit:
-            raise ValueError(f"n = {n} exceeds table limit {table.limit}")
-    z = zeta(s).value
-    s = complex(s)
-    parts_re: list[float] = []
-    parts_im: list[float] = []
-    sums: dict[int, complex] = {}
-    lo = 2
-    for n in sorted(set(ns)):
-        while lo <= n:
-            hi = min(lo + _APPROX_BLOCK, n + 1)
-            mu = table.values[lo:hi]
-            nz = np.flatnonzero(mu)
-            k = (nz + lo).astype(np.float64)
-            terms = mu[nz].astype(np.float64) * (np.exp(-s * np.log(k)) - 1.0 / k)
-            parts_re += exact_parts(terms.real)
-            parts_im += exact_parts(terms.imag)
-            lo = hi
-        sums[n] = -(z / s) * complex(exact_sum(parts_re), exact_sum(parts_im))
-    return [sums[n] for n in ns]
+        if n > limit:
+            raise ValueError(f"n = {n} exceeds table limit {limit}")
+        if n >= 2**53:
+            raise ValueError(f"n = {n} too large: k must be exact in float64, so n < 2^53")
+    grid = [complex(s) for s in s_grid]
+    if not grid:
+        raise ValueError("s_grid must not be empty")
+    checkpoints = sorted(set(ns))
+    top = checkpoints[-1]
+    need = _approx_bytes(top, len(grid))
+    _check_memory(need, f"n = {top}", "Möbius sieve segments and approx blocks")
+    scales = [-(zeta(s).value / s) for s in grid]
+    parts = [([], []) for _ in grid]
+    sums: list[dict[int, complex]] = [{} for _ in grid]
+    cut = iter(checkpoints)
+    n = next(cut)
+    for lo, mu in _mobius_segments(top):
+        start, end = max(lo, 2), lo + mu.size
+        while start < end:
+            hi = min(start + _APPROX_BLOCK, end, n + 1)
+            _add_block_parts(mu[start - lo : hi - lo], start, grid, parts)
+            start = hi
+            if hi == n + 1:
+                for scale, (re, im), at in zip(scales, parts, sums):
+                    at[n] = scale * complex(exact_sum(re), exact_sum(im))
+                n = next(cut, top)
+    return [[at[n] for n in ns] for at in sums]
+
+
+def _add_block_parts(
+    mu: np.ndarray, lo: int, grid: list[complex], parts: list[tuple[list[float], list[float]]]
+) -> None:
+    """Append, per s, the exact parts of mu(k) (k^(-s) - 1/k), lo <= k < lo + mu.size.
+
+    k, log k and 1/k are formed once for every s; the parts of a component
+    that exceed ``_APPROX_BLOCK`` floats are compacted to their own
+    ``exact_parts``.  The block's arrays die on return, before the next
+    segment is sieved.
+    """
+    nz = np.flatnonzero(mu)
+    k = (nz + lo).astype(np.float64)
+    log_k, inv_k, mu_k = np.log(k), 1.0 / k, mu[nz].astype(np.float64)
+    for s, components in zip(grid, parts):
+        terms = mu_k * (np.exp(-s * log_k) - inv_k)
+        for part, x in zip(components, (terms.real, terms.imag)):
+            part += exact_parts(x)
+            if len(part) > _APPROX_BLOCK:
+                part[:] = exact_parts(part)
+
+
+def _approx_bytes(top: int, grid_size: int) -> int:
+    """Peak bytes of ``approx_reciprocal_s_partial_sums`` up to n = ``top``, over ``grid_size`` s.
+
+    The sieve (``arith._sieve_bytes``) and the previous int8 segment, held
+    while the next one is sieved.  Per block entry, the int64 index and k,
+    log k, 1/k and mu(k) as float64 (40 bytes), and for one s at a time at
+    most two complex128 temporaries and the float64 copy and temporaries
+    of ``exact_parts`` (56 bytes).  Per s and component, at most
+    ``_APPROX_BLOCK`` parts plus one block's, fewer than 64: by the lemma
+    of ``exact_sum`` each pass drops at least 52 - 17 of the 2100 binary
+    exponents.  They are floats in a list (32 bytes each), with their
+    float64 copy while they are compacted.
+    """
+    parts = grid_size * 2 * 40 * (_APPROX_BLOCK + 64)
+    return _sieve_bytes(top) + _SIEVE_BLOCK + 96 * _APPROX_BLOCK + parts

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import _check_memory
+from .arith import _check_memory, _prime_bytes, _primes_up_to
 
 __all__ = [
     "WeightFamily",
@@ -368,12 +368,12 @@ def extremal_probe(
     if count < 1:
         raise ValueError("count must be >= 1")
     # Peak bytes per index: the int64 indices, their float64 copy and at
-    # most five float64 arrays in log_w (powerlog's), 56.  prime_indices()
-    # also holds per prime the int (32), a key (36), a list of up to four
-    # slots (88) and dict tables, old and new while resizing (30 + 60): 246.
-    # tracemalloc peaks at 49 and 292 (numpy elides a temporary in log_w).
+    # most five float64 arrays in log_w (powerlog's), 56; prime_indices()
+    # adds one sieve segment and its base primes.  tracemalloc peaks at 49
+    # per index (numpy elides a temporary in log_w).
     sieve = getattr(subsequence, "gi_code", None) is prime_indices.__code__
-    _check_memory((56 + 246 * sieve) * count, f"count = {count}", "probe buffers")
+    need = 56 * count + (_prime_sieve_bytes(count) if sieve else 0)
+    _check_memory(need, f"count = {count}", "probe buffers")
     idx = np.fromiter(itertools.islice(subsequence, count), dtype=np.int64, count=count)
     if idx[0] < 1:
         raise ValueError("subsequence indices must be >= 1")
@@ -385,22 +385,49 @@ def extremal_probe(
     return ProbeResult(indices=idx, ratios=ratios)
 
 
+# Largest segment of prime_indices: 32 KiB of bool, at most about 1 MB with
+# the primes it yields.
+_PRIME_SEGMENT = 1 << 15
+
+
 def all_integers() -> Iterator[int]:
     return itertools.count(1)
 
 
 def prime_indices() -> Iterator[int]:
-    """Primes in increasing order (incremental sieve)."""
-    witnesses: dict[int, list[int]] = {}
-    q = 2
+    """Primes in increasing order, from a segmented numpy sieve.
+
+    Segment [lo, hi) starts as all ones, and each prime p <= isqrt(hi - 1)
+    crosses off its multiples from max(p^2, lo) on.  A composite n < hi has
+    a prime factor p with p^2 <= n, so it is crossed off; a prime n is a
+    multiple of no smaller prime, and its own crossing starts at n^2.  The
+    segments double from 2^8 entries to ``_PRIME_SEGMENT``, so a short
+    probe sieves little; memory is one segment plus the primes up to
+    sqrt(hi) (``_prime_sieve_bytes``), not a record per prime yielded.
+    """
+    lo, size = 2, 1 << 8
     while True:
-        if q not in witnesses:
-            yield q
-            witnesses[q * q] = [q]
-        else:
-            for p in witnesses.pop(q):
-                witnesses.setdefault(p + q, []).append(p)
-        q += 1
+        hi = lo + size
+        is_prime = np.ones(size, dtype=bool)
+        for p in _primes_up_to(math.isqrt(hi - 1)):
+            is_prime[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        yield from (np.flatnonzero(is_prime) + lo).tolist()
+        lo, size = hi, min(2 * size, _PRIME_SEGMENT)
+
+
+def _prime_sieve_bytes(count: int) -> int:
+    """Peak bytes of ``prime_indices`` while it yields its first ``count`` primes.
+
+    The count-th prime is below q = count (log count + log log count) for
+    count >= 6 (Rosser and Schoenfeld, Illinois J. Math. 6, 1962, (3.13)),
+    and 13 below that, so the last segment ends before
+    q + ``_PRIME_SEGMENT``.  A segment of L entries holds its bool array
+    (L) and, for each of its at most L/2 + 1 primes, the int64 index and
+    its shifted copy (16) and the list slot and int (40): 29 L + 56 bytes,
+    beside the base primes (``arith._prime_bytes``).
+    """
+    q = 13 if count < 6 else math.ceil(count * (math.log(count) + math.log(math.log(count))))
+    return 29 * _PRIME_SEGMENT + 56 + _prime_bytes(math.isqrt(q + _PRIME_SEGMENT))
 
 
 def arithmetic_progression(start: int, step: int) -> Iterator[int]:

@@ -14,7 +14,12 @@ every checkpoint and divides by one full-length float64 range of m.
 ``zfhp.arith.build_mobius`` replaced, ``mobius_whole_table_sieve`` the
 whole-table numpy sieve with a full-length int32 radical that its
 segmented form replaced, and ``approx_reciprocal_s_oracle`` the per-n
-full-range sum that ``approx_reciprocal_s_partial_sums`` replaced.
+full-range sum that the approx kernel replaced.
+``approx_reciprocal_s_table_kernel`` is that block kernel as it was before
+``zfhp.functionals.approx_reciprocal_s_partial_sums`` streamed the sieve
+segments through it: it reads a full ``MobiusTable``, one s per pass.
+``prime_indices_incremental`` is the dictionary sieve that the segmented
+sieve of ``zfhp.weights.prime_indices`` replaced.
 
 ``two_level_means_rfft`` is the H^p two-level transform that
 ``zfhp.norms.two_level_means`` replaced: one real FFT of all 4M points of
@@ -40,7 +45,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from zfhp import zeta
-from zfhp.arith import mobius_logsum_over_k, mobius_sum_over_k
+from zfhp.arith import exact_parts, exact_sum, mobius_logsum_over_k, mobius_sum_over_k
 
 
 def accumulated_ims(n: int, degree: int, table) -> np.ndarray:
@@ -133,6 +138,48 @@ def approx_reciprocal_s_oracle(n: int, s, table) -> complex:
     mu = table.values[2 : n + 1].astype(np.float64)
     terms = mu * (np.exp(-s * np.log(k)) - 1.0 / k)
     return -(z / s) * complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def approx_reciprocal_s_table_kernel(n_list, s, table) -> list[complex]:
+    """sum_{k=2..n} mu(k) G_k(s) for every n in ``n_list``, read from a full Möbius table.
+
+    One increasing pass over k <= max(n_list), in blocks of 2^16 split at
+    the checkpoints; each block forms the terms of the squarefree k and adds
+    their exact parts, and each checkpoint rounds the parts so far once.
+    """
+    ns = [int(n) for n in n_list]
+    z = zeta(s).value
+    s = complex(s)
+    parts_re: list[float] = []
+    parts_im: list[float] = []
+    sums: dict[int, complex] = {}
+    lo = 2
+    for n in sorted(set(ns)):
+        while lo <= n:
+            hi = min(lo + (1 << 16), n + 1)
+            mu = table.values[lo:hi]
+            nz = np.flatnonzero(mu)
+            k = (nz + lo).astype(np.float64)
+            terms = mu[nz].astype(np.float64) * (np.exp(-s * np.log(k)) - 1.0 / k)
+            parts_re += exact_parts(terms.real)
+            parts_im += exact_parts(terms.imag)
+            lo = hi
+        sums[n] = -(z / s) * complex(exact_sum(parts_re), exact_sum(parts_im))
+    return [sums[n] for n in ns]
+
+
+def prime_indices_incremental():
+    """Primes in increasing order from an incremental sieve: a dictionary of the next multiples."""
+    witnesses: dict[int, list[int]] = {}
+    q = 2
+    while True:
+        if q not in witnesses:
+            yield q
+            witnesses[q * q] = [q]
+        else:
+            for p in witnesses.pop(q):
+                witnesses.setdefault(p + q, []).append(p)
+        q += 1
 
 
 def two_level_means_rfft(coeffs, p: float, nodes: int) -> tuple[float, float]:

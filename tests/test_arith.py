@@ -12,7 +12,16 @@ from zfhp import (
     mobius_sum_over_k,
 )
 
-from zfhp.arith import _SIEVE_BLOCK, exact_parts, exact_sum
+from zfhp.arith import (
+    _SIEVE_BLOCK,
+    _mobius_segments,
+    _prime_bytes,
+    _primes_up_to,
+    _sieve_bytes,
+    _sieve_segment,
+    exact_parts,
+    exact_sum,
+)
 
 from oracles import bounded_divisor_sum, mobius_linear_sieve, mobius_whole_table_sieve
 
@@ -131,6 +140,66 @@ def is_prime(m: int) -> bool:
 @pytest.mark.parametrize("limit", segment_edge_limits().values(), ids=segment_edge_limits().keys())
 def test_segmented_sieve_matches_whole_table_sieve(limit):
     assert np.array_equal(build_mobius(limit).values, mobius_whole_table_sieve(limit))
+
+
+@pytest.fixture(scope="module")
+def linear_sieve_two_segments():
+    return mobius_linear_sieve(2 * _SIEVE_BLOCK + 1)
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [_SIEVE_BLOCK - 1, _SIEVE_BLOCK, 2 * _SIEVE_BLOCK - 1, 2 * _SIEVE_BLOCK, 2 * _SIEVE_BLOCK + 1],
+    ids=["block-1", "block", "2block-1", "2block", "2block+1"],
+)
+def test_segment_stream_matches_linear_sieve(limit, linear_sieve_two_segments):
+    # limit + 1 a multiple of the segment length, and just past one
+    segments = list(_mobius_segments(limit))
+    assert [lo for lo, _ in segments] == list(range(0, limit + 1, _SIEVE_BLOCK))
+    assert all(segment.dtype == np.int8 for _, segment in segments)
+    streamed = np.concatenate([segment for _, segment in segments])
+    assert np.array_equal(streamed, linear_sieve_two_segments[: limit + 1])
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(2**31 - 512, 2**31 + 512), (2**31 - 1024, 2**31), (2**32 - 512, 2**32 + 512)],
+    ids=["2^31+-512", "ending-at-2^31", "2^32+-512"],
+)
+def test_segment_beyond_int32_matches_trial_division(lo, hi):
+    # the radical and index range of a segment past 2^31 are int64; no full sieve runs here
+    r = math.isqrt(hi - 1)
+    primes = _primes_up_to(r)
+    assert primes[-1] <= r < primes[-1] + 100 and len(primes) == len(set(primes))
+    segment = _sieve_segment(lo, hi, primes)
+    assert segment.dtype == np.int8
+    assert [int(v) for v in segment] == [mu_by_trial_division(n, primes) for n in range(lo, hi)]
+
+
+@pytest.mark.parametrize("lo", [0, 2**31], ids=["int32", "int64"])
+def test_segment_peak_within_the_sieve_estimate(lo):
+    hi = lo + _SIEVE_BLOCK
+    r = math.isqrt(hi - 1)
+    primes = _primes_up_to(r)
+    tracemalloc.start()
+    try:
+        _sieve_segment(lo, hi, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _sieve_bytes(hi - 1) - _prime_bytes(r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 100, 10**6])
+def test_base_primes_peak_within_their_estimate(r):
+    tracemalloc.start()
+    try:
+        primes = _primes_up_to(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _prime_bytes(r)
+    assert [p for p in primes if p <= 1000] == primes_by_trial_division(min(r, 1000))
 
 
 def test_mobius_peak_memory_is_the_table_plus_one_segment():

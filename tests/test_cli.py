@@ -24,6 +24,7 @@ from zfhp.experiments import (
     write_lambda_csv,
     write_mellin_csv,
 )
+from zfhp.weights import _prime_sieve_bytes
 
 
 class TestParsers:
@@ -74,38 +75,50 @@ class TestExitCodes:
             main(["frobnicate"])
         assert err.value.code == 2
 
-    def test_approx_refuses_mobius_limit_beyond_int32(self, capsys):
-        # rejected before the sieve allocates anything
-        assert main(["approx", "--s", "2+0i", "--n", "2147483648"]) == 2
-        assert "2^31" in capsys.readouterr().err
+    def test_approx_refuses_n_beyond_float64_integers(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieve allocated")
 
-    def test_approx_table_beyond_physical_memory_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(zfhp.arith, "_primes_up_to", refuse)
+        monkeypatch.setattr(zfhp.arith, "_sieve_segment", refuse)
+        assert main(["approx", "--s", "2+0i", "--n", "100," + str(2**53)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"invalid arguments: n = {2**53} too large") and "2^53" in err
+
+    def test_approx_streams_past_the_int32_table_limit(self, capsys):
+        # the stream sieves to the largest n, not to --mobius-limit
+        assert main(["approx", "--s", "2+0i", "--n", "100", "--mobius-limit", str(2**32)]) == 0
+        limited = capsys.readouterr().out
+        assert main(["approx", "--s", "2+0i", "--n", "100"]) == 0
+        assert capsys.readouterr().out == limited
+
+    def test_approx_stream_beyond_physical_memory_refused(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sieve or kernel allocated")
 
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**17}  # 0.5 GiB
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}  # 0.125 GiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(np, "ones", refuse)
         monkeypatch.setattr(np, "empty", refuse)
-        monkeypatch.setattr(zfhp.experiments, "approx_reciprocal_s_partial_sums", refuse)
+        monkeypatch.setattr(zfhp.arith, "_primes_up_to", refuse)
+        monkeypatch.setattr(zfhp.arith, "_sieve_segment", refuse)
+        n = 2**52  # base primes to 2^26 and int64 segments: about 0.29 GiB
         tracemalloc.start()
         try:
-            code = main(["approx", "--s", "2+0i", "--n", "2147483647"])
+            code = main(["approx", "--s", "2+0i", "--n", f"100,{n}"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err.startswith("invalid arguments: limit = 2147483647 needs an estimated 2.0 GiB")
+        assert err.startswith(f"invalid arguments: n = {n} needs an estimated 0.3 GiB")
         assert "Traceback" not in err
         assert peak < 2**20
 
-    @pytest.mark.parametrize(
-        "subsequence, per_index", [("all", 56), ("primes", 56 + 246)], ids=["all", "primes"]
-    )
-    def test_probe_count_beyond_physical_memory_refused(self, subsequence, per_index, capsys,
-                                                       monkeypatch):
+    @pytest.mark.parametrize("subsequence", ["all", "primes"])
+    def test_probe_count_beyond_physical_memory_refused(self, subsequence, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("probe allocated")
 
@@ -113,8 +126,13 @@ class TestExitCodes:
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(np, "fromiter", refuse)
         # the smallest count whose estimate does not fit; for primes, the
-        # arrays alone (56 bytes per index) would still fit
-        count = 2**29 // per_index + 1
+        # arrays alone (56 bytes per index) would still fit, and the sieve's
+        # segment and base primes tip it over
+        sieve = _prime_sieve_bytes if subsequence == "primes" else lambda count: 0
+        count = (2**29 - sieve(2**29 // 56)) // 56
+        while 56 * count + sieve(count) <= 2**29:
+            count += 1
+        assert 56 * (count - 1) + sieve(count - 1) <= 2**29
         if subsequence == "primes":
             assert 56 * count <= 2**29
         tracemalloc.start()

@@ -232,22 +232,22 @@ class TestLambdaSweep:
 
 
 class TestPointwiseApprox:
-    def test_residuals_shrink_at_s2(self, mobius_100k):
-        records = run_pointwise_approx([2.0], [100, 10**4], mobius_100k)
+    def test_residuals_shrink_at_s2(self):
+        records = run_pointwise_approx([2.0], [100, 10**4], 10**5)
         assert records[0].residual > records[1].residual
 
-    def test_reporting_only_in_strip(self, mobius_1k):
-        records = run_pointwise_approx([0.75], [10, 100], mobius_1k)
+    def test_reporting_only_in_strip(self):
+        records = run_pointwise_approx([0.75], [10, 100], 1000)
         assert all(np.isfinite(r.residual) for r in records)
 
-    def test_domain_validation(self, mobius_1k):
+    def test_domain_validation(self):
         with pytest.raises(DomainError):
-            run_pointwise_approx([0.4], [10], mobius_1k)
+            run_pointwise_approx([0.4], [10], 1000)
 
-    def test_n_validation(self, mobius_1k):
+    def test_n_validation(self):
         for ns in ([], [1, 10], [10, 1001]):
             with pytest.raises(ValueError):
-                run_pointwise_approx([2.0], ns, mobius_1k)
+                run_pointwise_approx([2.0], ns, 1000)
 
 
 class TestManifests:
@@ -328,8 +328,8 @@ class TestCsvOutput:
         assert rows[0]["pass"] in ("true", "false")
         assert float(rows[0]["s_im"]) == 1.0
 
-    def test_approx_columns(self, mobius_1k):
-        records = run_pointwise_approx([2.0], [10], mobius_1k)
+    def test_approx_columns(self):
+        records = run_pointwise_approx([2.0], [10], 1000)
         rows = csv_rows(write_approx_csv, records)
         assert list(rows[0]) == ["s_re", "s_im", "n", "residual"]
 

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from zfhp import (
     DomainError,
+    build_mobius,
     PoleError,
     TruncatedSeries,
     f_k,
@@ -13,10 +16,11 @@ from zfhp import (
     hk_coeffs,
     lambda_apply,
 )
+from zfhp import arith, functionals
 from zfhp.functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from zfhp.series import hk_coefficient_envelope
 
-from oracles import approx_reciprocal_s_oracle
+from oracles import approx_reciprocal_s_oracle, approx_reciprocal_s_table_kernel
 
 U = 2.0**-53
 
@@ -200,48 +204,138 @@ class TestLinearity:
             assert defect <= bound
 
 
+B = 1 << 19  # arith._SIEVE_BLOCK, pinned below
+STRADDLE = [B - 1, B, B + 1, 2 * B + 65537]  # across 2^16 blocks and 2^19 segments
+
+
+@pytest.fixture(scope="module")
+def mobius_straddle():
+    return build_mobius(STRADDLE[-1])
+
+
+def approx(ns, s, limit):
+    """The streamed kernel at one s."""
+    return approx_reciprocal_s_partial_sums(ns, [s], limit)[0]
+
+
 class TestApproxReciprocal:
-    def test_single_term_is_minus_g2(self, mobius_1k):
-        got = approx_reciprocal_s_partial_sums([2], 2.0, mobius_1k)[0]
+    def test_block_sizes_pinned(self):
+        assert arith._SIEVE_BLOCK == B
+        assert functionals._APPROX_BLOCK == 1 << 16
+
+    def test_single_term_is_minus_g2(self):
+        got = approx([2], 2.0, 1000)[0]
         assert got == pytest.approx(-g_k(2, 2.0), abs=1e-14)
 
-    def test_residual_shrinks_over_decades(self, mobius_1m):
-        r100 = abs(approx_reciprocal_s_partial_sums([100], 2.0, mobius_1m)[0] + 0.5)
-        r10k = abs(approx_reciprocal_s_partial_sums([10**4], 2.0, mobius_1m)[0] + 0.5)
+    def test_residual_shrinks_over_decades(self):
+        r100 = abs(approx([100], 2.0, 10**6)[0] + 0.5)
+        r10k = abs(approx([10**4], 2.0, 10**6)[0] + 0.5)
         assert r10k < r100
 
-    def test_limit_consistency_at_s2(self, mobius_1m):
+    def test_limit_consistency_at_s2(self):
         # sum mu(k) k^(-2) telescopes against 1/zeta(2); the residual at 1e6
         # is dominated by the slow Möbius harmonic sum
-        got = approx_reciprocal_s_partial_sums([10**6], 2.0, mobius_1m)[0]
+        got = approx([10**6], 2.0, 10**6)[0]
         assert abs(got + 0.5) < 0.05
 
     @pytest.mark.parametrize("s", [2.0, 1.5, 0.75 + 3j, 2.0 + 14.13j])
     def test_kernel_equals_full_range_oracle(self, s, mobius_100k):
         # unsorted, with duplicates, across the 2^16 block boundary, ending at the limit
         ns = [1000, 2, 65538, 100, 1000, 65537, 2, 10**5]
-        got = approx_reciprocal_s_partial_sums(ns, s, mobius_100k)
+        got = approx(ns, s, 10**5)
         assert got == [approx_reciprocal_s_oracle(n, s, mobius_100k) for n in ns]
 
-    def test_out_of_range(self, mobius_1k):
-        with pytest.raises(ValueError):
-            approx_reciprocal_s_partial_sums([1001], 2.0, mobius_1k)
-        with pytest.raises(ValueError):
-            approx_reciprocal_s_partial_sums([1], 2.0, mobius_1k)
-        with pytest.raises(ValueError):
-            approx_reciprocal_s_partial_sums([10, 1], 2.0, mobius_1k)
-        with pytest.raises(ValueError):
-            approx_reciprocal_s_partial_sums([10, 1001], 2.0, mobius_1k)
-        with pytest.raises(ValueError):
-            approx_reciprocal_s_partial_sums([], 2.0, mobius_1k)
+    @pytest.mark.parametrize("s", [2.0, 0.75 + 3j])
+    def test_streamed_equals_table_kernel_across_segments(self, s, mobius_straddle):
+        for ns in ([n] for n in STRADDLE):
+            assert approx(ns, s, STRADDLE[-1]) == approx_reciprocal_s_table_kernel(
+                ns, s, mobius_straddle
+            )
+        # unsorted, with duplicates, every straddling checkpoint in one pass
+        ns = [B + 1, 2, B - 1, 65538, B, 2 * B + 65537, 2, B - 1, 100]
+        got = approx(ns, s, STRADDLE[-1])
+        assert got == approx_reciprocal_s_table_kernel(ns, s, mobius_straddle)
 
-    def test_domain_errors(self, mobius_1k):
+    def test_one_sieve_pass_serves_the_whole_grid(self, monkeypatch, mobius_straddle):
+        calls = []
+        sieve = arith._sieve_segment
+
+        def counted(lo, hi, primes):
+            calls.append((lo, hi))
+            return sieve(lo, hi, primes)
+
+        monkeypatch.setattr(arith, "_sieve_segment", counted)
+        grid = [2.0, 1.5 + 1j, 0.75 + 14.13j]
+        ns = [2 * B + 65537, 100, B]
+        got = approx_reciprocal_s_partial_sums(ns, grid, 10**9)
+        assert calls == [(0, B), (B, 2 * B), (2 * B, 2 * B + 65538)]
+        assert got == [approx_reciprocal_s_table_kernel(ns, s, mobius_straddle) for s in grid]
+
+    def test_compacted_parts_stay_exact(self, monkeypatch, mobius_100k):
+        # 8 k per block: the parts exceed a block's worth, and are compacted, every few blocks
+        monkeypatch.setattr(functionals, "_APPROX_BLOCK", 8)
+        ns = [10**5, 37, 5000]
+        for s in (2.0, 0.75 + 3j):
+            assert approx(ns, s, 10**5) == approx_reciprocal_s_table_kernel(ns, s, mobius_100k)
+
+    def test_limit_bounds_n_not_the_sieve(self, monkeypatch):
+        calls = []
+        sieve = arith._sieve_segment
+        monkeypatch.setattr(arith, "_sieve_segment", lambda *a: calls.append(a[:2]) or sieve(*a))
+        assert approx([1000], 2.0, 2**40) == approx([1000], 2.0, 1000)
+        assert calls == [(0, 1001), (0, 1001)]
+
+    def test_peak_within_the_memory_estimate(self):
+        n = 2 * B + 65537
+        tracemalloc.start()
+        try:
+            approx_reciprocal_s_partial_sums([n, 100], [2.0, 0.75 + 3j], n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= functionals._approx_bytes(n, 2)
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            approx([1001], 2.0, 1000)
+        with pytest.raises(ValueError):
+            approx([1], 2.0, 1000)
+        with pytest.raises(ValueError):
+            approx([10, 1], 2.0, 1000)
+        with pytest.raises(ValueError):
+            approx([10, 1001], 2.0, 1000)
+        with pytest.raises(ValueError):
+            approx([], 2.0, 1000)
+        with pytest.raises(ValueError):
+            approx_reciprocal_s_partial_sums([10], [], 1000)
+
+    def test_refuses_n_beyond_exact_float64_integers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(arith, "_sieve_segment", refuse)
+        with pytest.raises(ValueError, match=r"n < 2\^53"):
+            approx([10, 2**53], 2.0, 2**60)
+
+    def test_refuses_beyond_physical_memory(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sieved")
+
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**12}  # 16 MiB
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(arith, "_sieve_segment", refuse)
+        n = 10**12
+        assert functionals._approx_bytes(n, 1) > 2**24
+        with pytest.raises(ValueError, match=f"n = {n} needs an estimated"):
+            approx([n], 2.0, n)
+
+    def test_domain_errors(self):
         with pytest.raises(PoleError):
-            approx_reciprocal_s_partial_sums([10], 1.0, mobius_1k)
+            approx([10], 1.0, 1000)
         with pytest.raises(DomainError):
-            approx_reciprocal_s_partial_sums([10], -2.0, mobius_1k)
+            approx([10], -2.0, 1000)
 
-    def test_reporting_only_region_runs(self, mobius_1k):
+    def test_reporting_only_region_runs(self):
         # 1/2 < Re(s) <= 1: residuals are reported, nothing asserted on them
-        value = approx_reciprocal_s_partial_sums([1000], 0.75, mobius_1k)[0]
+        value = approx([1000], 0.75, 1000)[0]
         assert np.isfinite(value.real) and np.isfinite(value.imag)

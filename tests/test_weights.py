@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from zfhp import (
 )
 from zfhp.weights import (
     TABLE_FAMILIES,
+    _prime_sieve_bytes,
     _rm_tail,
     all_integers,
     arithmetic_progression,
@@ -21,7 +23,7 @@ from zfhp.weights import (
     rm_is_bounded,
 )
 
-from oracles import c4_partial_sums, stretchedexp_tail_gammaincc
+from oracles import c4_partial_sums, prime_indices_incremental, stretchedexp_tail_gammaincc
 
 ACCEPTANCE_FAMILIES = [
     *(WeightFamily("power", alpha=a) for a in (0.25, 1.0, 2.0)),
@@ -257,11 +259,11 @@ class TestExtremalProbe:
             extremal_probe(fam, 0.75, iter([1, 2]), 5)  # generator too short
 
     @pytest.mark.parametrize(
-        "subsequence, count, per_index",
-        [(all_integers, 2**16, 56), (prime_indices, 2**14, 56 + 246)],
+        "subsequence, count, sieve",
+        [(all_integers, 2**16, lambda count: 0), (prime_indices, 2**17, _prime_sieve_bytes)],
         ids=["all", "primes"],
     )
-    def test_peak_within_the_guard_estimate(self, subsequence, count, per_index):
+    def test_peak_within_the_guard_estimate(self, subsequence, count, sieve):
         family = WeightFamily("powerlog", alpha=1.0, beta=2.0)  # the most log_w temporaries
         tracemalloc.start()
         try:
@@ -269,7 +271,19 @@ class TestExtremalProbe:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_index * count
+        assert peak <= 56 * count + sieve(count)
+
+    @pytest.mark.parametrize("count", [1, 5, 6, 100, 2**14])
+    def test_sieve_peak_within_its_estimate(self, count):
+        tracemalloc.start()
+        try:
+            primes = list(itertools.islice(prime_indices(), count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the yielded list itself is the caller's: 8 bytes a slot and 28 an int
+        assert peak <= _prime_sieve_bytes(count) + 36 * count
+        assert len(primes) == count
 
     def test_cumulative_traces(self):
         result = extremal_probe(WeightFamily("identity"), 0.75, all_integers(), 10)
@@ -284,6 +298,14 @@ def test_subsequence_generators():
     assert [next(primes) for _ in range(8)] == [2, 3, 5, 7, 11, 13, 17, 19]
     with pytest.raises(ValueError):
         arithmetic_progression(0, 2)
+
+
+def test_segmented_primes_match_incremental_sieve():
+    # across the doubling segments and many segments of the largest size
+    count = 10**5
+    got = list(itertools.islice(prime_indices(), count))
+    assert got == list(itertools.islice(prime_indices_incremental(), count))
+    assert all(type(p) is int for p in got[:10])
 
 
 def test_rm_bounded_flags():
