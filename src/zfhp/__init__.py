@@ -13,9 +13,7 @@ Convention: h_k(z) = (1/k) (1-z)^(-1) log((1 + z + ... + z^(k-1))/k); the
 
 from ._version import __version__
 from .arith import (
-    DivisorCountTable,
     MobiusTable,
-    build_divisor_counts,
     build_mobius,
     mobius_logsum_over_k,
     mobius_sum_over_k,
@@ -64,9 +62,7 @@ from .weights import (
 __all__ = [
     "__version__",
     "MobiusTable",
-    "DivisorCountTable",
     "build_mobius",
-    "build_divisor_counts",
     "mobius_sum_over_k",
     "mobius_logsum_over_k",
     "TruncatedSeries",

@@ -1,12 +1,13 @@
-"""Number-theoretic kernel: Möbius function, divisor counts, exact sums.
+"""Number-theoretic kernel: Möbius function, exact sums.
 
-Tables are built once by a sieve and are immutable afterwards, so they can
-be shared freely between threads.  The Möbius function comes from a numpy
-sieve over the primes up to sqrt(limit) only, run in cache-sized segments
-that each carry their own radical (``_sieve_segment``).  ``build_mobius``
-copies the segments into the int8 table, its only full-length array, for
-limits below 2^31; ``_mobius_segments`` hands them one at a time to a
-consumer that reads mu once in increasing order, such as the approx kernel
+A Möbius table is built once by a sieve and is immutable afterwards, so it
+can be shared freely between threads.  The Möbius function comes from a
+numpy sieve over the primes up to sqrt(limit) only, run in cache-sized
+segments that each carry their own radical (``_sieve_segment``).
+``build_mobius`` copies the segments into the int8 table, its only
+full-length array, for limits below 2^31; the l^q and H^p runners build it
+to their largest n.  ``_mobius_segments`` hands the segments one at a time
+to a consumer that reads mu once in increasing order, such as the approx kernel
 of ``zfhp.functionals``, which never holds the table.  ``_check_memory`` is
 the package's one physical-memory guard: sizes whose buffers cannot fit are
 refused before anything is allocated.
@@ -25,9 +26,7 @@ import numpy as np
 
 __all__ = [
     "MobiusTable",
-    "DivisorCountTable",
     "build_mobius",
-    "build_divisor_counts",
     "mobius_sum_over_k",
     "mobius_logsum_over_k",
     "exact_parts",
@@ -54,19 +53,6 @@ class MobiusTable:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n = {n} outside table range 1..{self.limit}")
         return int(self.values[n])
-
-
-@dataclass(frozen=True)
-class DivisorCountTable:
-    """Divisor counts tau(1), ..., tau(limit); index 0 unused."""
-
-    limit: int
-    counts: np.ndarray
-
-    def tau(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n = {n} outside table range 1..{self.limit}")
-        return int(self.counts[n])
 
 
 def build_mobius(limit: int) -> MobiusTable:
@@ -176,17 +162,6 @@ def _sieve_bytes(limit: int) -> int:
     per_entry = 10 if limit < 2**31 else 18
     segment = 2**12 + per_entry * min(_SIEVE_BLOCK, limit + 1)
     return segment + _prime_bytes(math.isqrt(limit))
-
-
-def build_divisor_counts(limit: int) -> DivisorCountTable:
-    """Exact tau(n) for all n <= limit by sieving multiples of every d."""
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
-    counts = np.zeros(limit + 1, dtype=np.int32)
-    for d in range(1, limit + 1):
-        counts[d::d] += 1
-    counts.setflags(write=False)
-    return DivisorCountTable(limit=limit, counts=counts)
 
 
 def mobius_sum_over_k(table: MobiusTable, cutoff: int) -> float:

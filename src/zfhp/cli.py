@@ -3,8 +3,10 @@
 One binary, ``zfhp``, with subcommands for the convergence experiments,
 the functional identity sweep, the pointwise approximation of -1/s, weight
 classification, Mellin verification and zeta evaluation.  Experiment
-commands run exactly ``rerun(manifest)``.  Results are CSV on stdout, or in
-``--out FILE`` plus, for experiments, a ``*.manifest.json`` sidecar.
+commands run exactly ``rerun(manifest)``, and their options are the
+manifest's parameters: nothing the runner can work out from them, such as
+the extent of the Möbius sieve, is an option.  Results are CSV on stdout,
+or in ``--out FILE`` plus, for experiments, a ``*.manifest.json`` sidecar.
 
 Exit codes: 0 success, 2 invalid arguments, 3 domain or conditioning error
 (pole, half-plane violation, lost accuracy), 4 check failed in ``--check``
@@ -125,15 +127,8 @@ def _check(args: argparse.Namespace, failure) -> int:
     return 0
 
 
-def _n_list_and_mobius_limit(args: argparse.Namespace) -> tuple[list[int], int]:
-    """``--n`` and ``--mobius-limit``, which defaults to the largest n."""
-    n_list = parse_int_list(args.n)
-    return n_list, args.mobius_limit or max(n_list)
-
-
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    n_list, mobius_limit = _n_list_and_mobius_limit(args)
-    common = dict(n_list=n_list, coeff_cutoff=args.coeff_cutoff, mobius_limit=mobius_limit)
+    common = dict(n_list=parse_int_list(args.n), coeff_cutoff=args.coeff_cutoff)
     if args.space == "lq":
         if args.q is None:
             raise ValueError("--q is required for --space lq")
@@ -160,10 +155,8 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     s = parse_complex(args.s)
-    n_list, mobius_limit = _n_list_and_mobius_limit(args)
-    manifest = build_manifest(
-        "pointwise_approx", s_grid=[[s.real, s.imag]], n_list=n_list, mobius_limit=mobius_limit
-    )
+    n_list = parse_int_list(args.n)
+    manifest = build_manifest("pointwise_approx", s_grid=[[s.real, s.imag]], n_list=n_list)
     _run(args, manifest, write_approx_csv)
     return 0
 
@@ -222,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--p", type=float, help="H^p exponent (space hp; 0 < p < 1)")
     conv.add_argument("--n", required=True, help="comma list of truncations, e.g. 10,100,1000")
     conv.add_argument("--coeff-cutoff", type=int, default=100_000)
-    conv.add_argument("--mobius-limit", type=int, default=0, help="default: max of --n")
     conv.add_argument("--nodes", type=int, default=8192, help="quadrature nodes (space hp)")
     conv.add_argument("--out", help="CSV output path (stdout if omitted)")
     conv.add_argument("--check", action="store_true", help="exit 4 unless values strictly decrease")
@@ -239,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     approx = sub.add_parser("approx", help="pointwise approximation of -1/s")
     approx.add_argument("--s", required=True, help="complex point, e.g. 2+0i")
     approx.add_argument("--n", required=True, help="comma list of truncations")
-    approx.add_argument("--mobius-limit", type=int, default=0, help="default: max of --n")
     approx.add_argument("--out", help="CSV output path (stdout if omitted)")
     approx.set_defaults(func=_cmd_approx)
 

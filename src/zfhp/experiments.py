@@ -17,7 +17,9 @@ Runners:
 Every record carries its coefficient cutoff and, where applicable, a tail
 bound, so no number leaves this module without its truncation context.
 A manifest (parameters + code version) fully determines a run: ``rerun``
-is the one dispatch from a manifest to its runner, the CLI included.
+is the one dispatch from a manifest to its runner, the CLI included, and
+each runner takes exactly its manifest's parameters.  No parameter sizes a
+Möbius table: the l^q and H^p runners sieve one to their largest n.
 Values reproduce bit for bit on one platform, wall times of course do not.
 """
 
@@ -38,8 +40,14 @@ from ._version import __version__
 from .arith import MobiusTable, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
-from .norms import QuadratureWarning, _check_two_level_nodes, _lq_of_magnitudes, two_level_means
-from .series import mobius_ims_partial_sums
+from .norms import (
+    QuadratureWarning,
+    _check_two_level_nodes,
+    _lq_of_magnitudes,
+    _undersampling,
+    two_level_means,
+)
+from .series import _check_checkpoints, mobius_ims_partial_sums
 from .special import _g_k_given_zeta, f_k, g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta
 from .weights import ClassificationResult, ProbeResult
 
@@ -134,17 +142,15 @@ def rerun(manifest: ExperimentManifest):
     p = manifest.parameters
     name = manifest.experiment
     if name == "lq_convergence":
-        table = build_mobius(p["mobius_limit"])
-        return run_lq_convergence(p["q"], p["n_list"], p["coeff_cutoff"], table)
+        return run_lq_convergence(p["q"], p["n_list"], p["coeff_cutoff"])
     if name == "hp_convergence":
-        table = build_mobius(p["mobius_limit"])
-        return run_hp_convergence(p["p"], p["n_list"], p["coeff_cutoff"], p["nodes"], table)
+        return run_hp_convergence(p["p"], p["n_list"], p["coeff_cutoff"], p["nodes"])
     if name == "lambda_sweep":
         grid = [complex(re, im) for re, im in p["s_grid"]]
         return run_lambda_sweep(p["k_list"], grid, p["coeff_cutoff"])
     if name == "pointwise_approx":
         grid = [complex(re, im) for re, im in p["s_grid"]]
-        return run_pointwise_approx(grid, p["n_list"], p["mobius_limit"])
+        return run_pointwise_approx(grid, p["n_list"])
     if name == "mellin_verify":
         return run_mellin_verify(p["k_list"], complex(*p["s"]), p["tol"])
     raise ValueError(f"unknown experiment {name!r}")
@@ -166,30 +172,37 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
 
 
 def _convergence_records(
-    norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int, table: MobiusTable,
-    row: Callable[[int, np.ndarray], tuple[float, float]], warning: str | None = None,
+    norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int,
+    row: Callable[[int, np.ndarray, MobiusTable], tuple[float, float]], warning: str | None = None,
 ) -> list[ConvergenceRecord]:
-    """One record per n of ``row(n, coeffs) -> (value, tail_bound)``.
+    """One record per n of ``row(n, coeffs, table) -> (value, tail_bound)``.
 
-    ``coeffs`` is ``mobius_ims_partial_sums`` at n, which checks ``n_list``
-    apart from the cutoff and its own buffers against physical memory; a
-    record's wall time covers the kernel's advance to n and the row.
-    ``coeffs`` is the kernel's one output buffer, the same array at every
-    n: ``row`` may overwrite it, and must be done with it when it returns,
-    because the next advance overwrites it.
-    ``warning``, if any, is issued as a ``QuadratureWarning`` once every
-    argument has passed.
+    ``n_list`` and the cutoff are checked first, the kernel's buffers
+    against physical memory included (``series._check_checkpoints``);
+    only then is ``table`` sieved, to the largest n and no further.  n must
+    stay below 2^31, the cap of ``build_mobius``.  ``coeffs`` is
+    ``mobius_ims_partial_sums`` at n; a record's wall time covers the
+    kernel's advance to n and the row.  ``coeffs`` is the kernel's one
+    output buffer, the same array at every n: ``row`` may overwrite it, and
+    must be done with it when it returns, because the next advance
+    overwrites it.  ``warning``, if any, is issued as a
+    ``QuadratureWarning`` once every argument has passed.
     """
     ns = [int(n) for n in n_list]
-    if coeff_cutoff < max(ns, default=0):
+    top = max(ns, default=0)
+    if coeff_cutoff < top:
         raise ValueError("coeff_cutoff must be >= max(n_list)")
+    if top >= 2**31:
+        raise ValueError(f"n = {top} too large: the Möbius table needs n < 2^31")
+    _check_checkpoints(ns, coeff_cutoff)
+    table = build_mobius(top)
     partial_sums = mobius_ims_partial_sums(ns, coeff_cutoff, table)
     if warning:
         warnings.warn(warning, QuadratureWarning, stacklevel=3)
     records: list[ConvergenceRecord] = []
     t_mark = time.perf_counter()
     for n, coeffs in zip(ns, partial_sums):
-        value, tail = row(n, coeffs)
+        value, tail = row(n, coeffs, table)
         now = time.perf_counter()
         ms = int(round((now - t_mark) * 1000.0))
         records.append(ConvergenceRecord(n, norm_kind, param, coeff_cutoff, value, tail, ms))
@@ -266,7 +279,7 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
 
 
 def run_lq_convergence(
-    q: float, n_list: Sequence[int], coeff_cutoff: int, table: MobiusTable
+    q: float, n_list: Sequence[int], coeff_cutoff: int
 ) -> list[ConvergenceRecord]:
     """l^q residual of the Möbius partial sums against 1 - z, per truncation n.
 
@@ -283,7 +296,7 @@ def run_lq_convergence(
     if not 1.0 < q < math.inf:
         raise ValueError("q must be finite and > 1")
 
-    def row(n: int, residual: np.ndarray) -> tuple[float, float]:
+    def row(n: int, residual: np.ndarray, table: MobiusTable) -> tuple[float, float]:
         residual[0] -= 1.0  # subtract the target 1 - z
         residual[1] += 1.0
         value = _lq_of_magnitudes(np.abs(residual, out=residual), q)
@@ -296,7 +309,7 @@ def run_lq_convergence(
     # Peak bytes per coefficient: the kernel's int32 divisor sums (4) and
     # its float64 output (8), which the row overwrites with |r|^q; the
     # kernel's own guard on these 12 is the row's memory guard.
-    return _convergence_records("lq", q, n_list, coeff_cutoff, table, row)
+    return _convergence_records("lq", q, n_list, coeff_cutoff, row)
 
 
 def run_hp_convergence(
@@ -304,7 +317,6 @@ def run_hp_convergence(
     n_list: Sequence[int],
     coeff_cutoff: int,
     nodes: int,
-    table: MobiusTable,
 ) -> list[ConvergenceRecord]:
     """H^p quasi-norm of sum_{k=2..n} mu(k) h_k - 1 for 0 < p < 1.
 
@@ -328,11 +340,8 @@ def run_hp_convergence(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     _check_two_level_nodes(nodes)
-    warning = None
-    if nodes < coeff_cutoff + 1:
-        warning = f"nodes = {nodes} undersamples degree {coeff_cutoff}; the circle mean may alias"
 
-    def row(n: int, coeffs: np.ndarray) -> tuple[float, float]:
+    def row(n: int, coeffs: np.ndarray, table: MobiusTable) -> tuple[float, float]:
         np.cumsum(coeffs, out=coeffs)
         coeffs[0] -= 1.0
         value, refined = two_level_means(coeffs, p, nodes)
@@ -341,7 +350,8 @@ def run_hp_convergence(
     # The row works in place on the kernel's buffers, which the kernel
     # guards; the transform buffers depend on nodes alone and are checked
     # above.
-    return _convergence_records("hp", p, n_list, coeff_cutoff, table, row, warning=warning)
+    warning = _undersampling(nodes, coeff_cutoff)
+    return _convergence_records("hp", p, n_list, coeff_cutoff, row, warning=warning)
 
 
 def run_lambda_sweep(
@@ -386,21 +396,19 @@ def run_lambda_sweep(
     return records
 
 
-def run_pointwise_approx(
-    s_grid: Iterable[complex], n_list: Sequence[int], mobius_limit: int
-) -> list[ApproxRecord]:
+def run_pointwise_approx(s_grid: Iterable[complex], n_list: Sequence[int]) -> list[ApproxRecord]:
     """Residuals |sum_{k=2..n} mu(k) G_k(s) + 1/s| over the n sweep, s-major order.
 
     One pass of ``approx_reciprocal_s_partial_sums`` over the squarefree
     k <= max(n_list) serves every s, with every n a checkpoint; the Möbius
     sieve runs once per grid, segment by segment, and no table is built.
-    Each n must lie in 2..``mobius_limit``.  Each value is the exactly
-    rounded sum of all its terms.  Reporting only: convergence is not
-    asserted for Re(s) <= 1.
+    Each n must lie in 2..2^53 - 1.  Each value is the exactly rounded sum
+    of all its terms.  Reporting only: convergence is not asserted for
+    Re(s) <= 1.
     """
     grid = _check_grid(s_grid)
     ns = [int(n) for n in n_list]
-    values = approx_reciprocal_s_partial_sums(ns, grid, mobius_limit)
+    values = approx_reciprocal_s_partial_sums(ns, grid)
     records: list[ApproxRecord] = []
     for s, row in zip(grid, values):
         target = lambda_on_constant(s)

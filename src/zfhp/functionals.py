@@ -12,8 +12,9 @@ with a proved coefficient envelope and a proved rounding bound.
 
 ``approx_reciprocal_s_partial_sums`` forms the Möbius combinations
 sum_{k<=n} mu(k) G_k(s) at many n and many s in one pass over the
-squarefree k, fed by the Möbius sieve one segment at a time: no table of
-mu is held, so memory is O(sqrt(n) + block) and n may pass 2^31.
+squarefree k, fed by the Möbius sieve one segment at a time up to the
+largest n: no table of mu is held, so memory is O(sqrt(n) + block) and n
+may pass 2^31.
 """
 
 from __future__ import annotations
@@ -258,14 +259,14 @@ _APPROX_BLOCK = 1 << 16
 
 
 def approx_reciprocal_s_partial_sums(
-    n_list: Iterable[int], s_grid: Iterable[complex], limit: int
+    n_list: Iterable[int], s_grid: Iterable[complex]
 ) -> list[list[complex]]:
     """sum_{k=2..n} mu(k) G_k(s) for every s in ``s_grid`` and n in ``n_list``, in their order.
 
     With G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), each value is
     -(zeta(s)/s) times sum_k mu(k) (k^(-s) - 1/k), the sum exactly rounded
-    per component.  Every n must lie in 2..``limit`` and below 2^53, so
-    that each k is exact in float64.
+    per component.  Every n must be at least 2 and below 2^53, so that
+    each k is exact in float64.
 
     One increasing pass over k <= max(n_list) serves the whole grid.  It
     reads mu from the sieve segments of ``arith._mobius_segments`` as they
@@ -289,13 +290,9 @@ def approx_reciprocal_s_partial_sums(
     ns = [int(n) for n in n_list]
     if not ns:
         raise ValueError("n_list must not be empty")
-    if limit < 1:
-        raise ValueError("limit must be a positive integer")
     for n in ns:
         if n < 2:
             raise ValueError("n must be >= 2")
-        if n > limit:
-            raise ValueError(f"n = {n} exceeds table limit {limit}")
         if n >= 2**53:
             raise ValueError(f"n = {n} too large: k must be exact in float64, so n < 2^53")
     grid = [complex(s) for s in s_grid]

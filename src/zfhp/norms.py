@@ -272,13 +272,17 @@ def hp_norm_estimate(f: TruncatedSeries, p: float, nodes: int | None = None) -> 
     if nodes is None:
         nodes = default_node_count(f.degree)
     _validate_nodes(nodes)
-    if nodes < f.degree + 1:
-        warnings.warn(
-            f"nodes = {nodes} undersamples degree {f.degree}; the circle mean may alias",
-            QuadratureWarning,
-            stacklevel=2,
-        )
+    warning = _undersampling(nodes, f.degree)
+    if warning:
+        warnings.warn(warning, QuadratureWarning, stacklevel=2)
     return circle_mean(f, p, nodes)
+
+
+def _undersampling(nodes: int, degree: int) -> str | None:
+    """The ``QuadratureWarning`` text when ``nodes`` < degree + 1, else None."""
+    if nodes < degree + 1:
+        return f"nodes = {nodes} undersamples degree {degree}; the circle mean may alias"
+    return None
 
 
 def sup_norm_estimate(f: TruncatedSeries, nodes: int | None = None) -> float:

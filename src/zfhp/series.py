@@ -177,26 +177,35 @@ def mobius_ims_partial_sums(
     division of exact integers.  D is int32: |D_m(n)| <= tau(m) < 2^31.
 
     ``n_list`` must be strictly increasing with 2 <= n <= table.limit;
-    the arguments are checked at the call, before any array is yielded,
-    and a degree whose int32 ``d`` and float64 output, 12 (degree + 1)
-    bytes, exceed physical memory is refused before either is allocated.
-    The output is allocated once: every checkpoint yields the same float64
-    array of length degree + 1, overwritten at the next advance, so a
-    caller reads or modifies it in place before asking for the next one.
+    the arguments are checked at the call (``_check_checkpoints``), before
+    any array is allocated or yielded.  The output is allocated once:
+    every checkpoint yields the same float64 array of length degree + 1,
+    overwritten at the next advance, so a caller reads or modifies it in
+    place before asking for the next one.
+    """
+    ns = _check_checkpoints(n_list, degree)
+    if ns[-1] > table.limit:
+        raise ValueError(f"n = {ns[-1]} exceeds table limit {table.limit}")
+    d = np.zeros(degree + 1, dtype=np.int32)
+    out = np.empty(degree + 1, dtype=np.float64)
+    return (_advance_ims(d, out, prev, n, table) for prev, n in zip([1, *ns], ns))
+
+
+def _check_checkpoints(n_list: Sequence[int], degree: int) -> list[int]:
+    """``n_list`` as ints, refused unless nonempty, strictly increasing and >= 2.
+
+    A negative degree is refused, and so is one whose int32 ``d`` and
+    float64 output, 12 (degree + 1) bytes, exceed physical memory.
     """
     ns = [int(n) for n in n_list]
     if not ns or ns[0] < 2:
         raise ValueError("n_list must be nonempty, with every n >= 2")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n values must be strictly increasing")
-    if ns[-1] > table.limit:
-        raise ValueError(f"n = {ns[-1]} exceeds table limit {table.limit}")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     _check_memory(12 * (degree + 1), f"degree = {degree}", "partial-sum buffers")
-    d = np.zeros(degree + 1, dtype=np.int32)
-    out = np.empty(degree + 1, dtype=np.float64)
-    return (_advance_ims(d, out, prev, n, table) for prev, n in zip([1, *ns], ns))
+    return ns
 
 
 def _advance_ims(

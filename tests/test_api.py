@@ -9,9 +9,9 @@ from zfhp.arith import exact_parts
 # Every name here is reached by a CLI command, a runner or an acceptance
 # criterion; a name leaves this list only together with its last such user.
 PUBLIC = [
-    "ClassificationResult", "ConditioningError", "DivisorCountTable", "DomainError",
+    "ClassificationResult", "ConditioningError", "DomainError",
     "FunctionalEvaluation", "MobiusTable", "PoleError", "ProbeResult", "QuadratureWarning",
-    "TruncatedSeries", "WeightFamily", "ZetaValue", "__version__", "build_divisor_counts",
+    "TruncatedSeries", "WeightFamily", "ZetaValue", "__version__",
     "build_mobius", "c4_halfplane", "classify", "duren_coefficient_check", "extremal_probe",
     "f_k", "fk_upper_bound", "fk_values", "g_k", "hardy_from_lq_check", "hk_coeffs",
     "hp_norm_estimate", "ims_hk_coeffs", "lambda_apply", "lambda_on_constant", "lq_norm",

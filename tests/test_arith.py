@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zfhp import (
-    build_divisor_counts,
     build_mobius,
     mobius_logsum_over_k,
     mobius_sum_over_k,
@@ -236,25 +235,6 @@ def test_mobius_refuses_tables_beyond_physical_memory(monkeypatch):
     assert peak < 2**20
 
 
-def test_divisor_counts_trivial():
-    table = build_divisor_counts(12)
-    assert table.tau(1) == 1
-    assert table.tau(12) == 6  # 1, 2, 3, 4, 6, 12
-    for p in (2, 3, 5, 7, 11):
-        assert table.tau(p) == 2
-
-
-def test_divisor_counts_match_bruteforce():
-    table = build_divisor_counts(10**4)
-    for n in range(1, 10**4 + 1):
-        assert table.tau(n) == tau_by_divisor_pairs(n), n
-
-
-def test_divisor_counts_rejects_zero_limit():
-    with pytest.raises(ValueError):
-        build_divisor_counts(0)
-
-
 def test_mobius_sum_trivial_cutoffs(mobius_1k):
     assert mobius_sum_over_k(mobius_1k, 1) == 1.0
     assert mobius_sum_over_k(mobius_1k, 3) == pytest.approx(1.0 / 6.0, abs=1e-15)
@@ -287,12 +267,12 @@ def test_bounded_divisor_sum_trivial(mobius_1k):
 
 
 def test_bounded_divisor_sum_within_tau(mobius_1k):
-    taus = build_divisor_counts(600)
+    assert [tau_by_divisor_pairs(n) for n in (1, 2, 12, 36)] == [1, 2, 6, 9]
     rng = np.random.default_rng(7)
     for _ in range(200):
         j = int(rng.integers(1, 601))
         n = int(rng.integers(1, 601))
-        assert abs(bounded_divisor_sum(j, n, mobius_1k)) <= taus.tau(j)
+        assert abs(bounded_divisor_sum(j, n, mobius_1k)) <= tau_by_divisor_pairs(j)
 
 
 def test_bounded_divisor_sum_needs_table_coverage():

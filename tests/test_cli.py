@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -85,13 +86,6 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"invalid arguments: n = {2**53} too large") and "2^53" in err
-
-    def test_approx_streams_past_the_int32_table_limit(self, capsys):
-        # the stream sieves to the largest n, not to --mobius-limit
-        assert main(["approx", "--s", "2+0i", "--n", "100", "--mobius-limit", str(2**32)]) == 0
-        limited = capsys.readouterr().out
-        assert main(["approx", "--s", "2+0i", "--n", "100"]) == 0
-        assert capsys.readouterr().out == limited
 
     def test_approx_stream_beyond_physical_memory_refused(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -209,8 +203,6 @@ class TestConvergenceCommand:
                 "10,100",
                 "--coeff-cutoff",
                 "2000",
-                "--mobius-limit",
-                "1000",
                 "--out",
                 str(out),
                 "--check",
@@ -222,7 +214,7 @@ class TestConvergenceCommand:
         assert float(rows[0]["value"]) > float(rows[1]["value"])
         manifest = json.loads((tmp_path / "results.manifest.json").read_text())
         assert manifest["experiment"] == "lq_convergence"
-        assert manifest["parameters"]["coeff_cutoff"] == 2000
+        assert manifest["parameters"] == {"coeff_cutoff": 2000, "n_list": [10, 100], "q": 2.0}
 
     def test_hp_requires_p(self):
         code = main(
@@ -284,6 +276,26 @@ class TestConvergenceCommand:
         assert err.startswith("invalid arguments: nodes") and "Traceback" not in err
         assert nodes == 15 or "GiB of transform buffers" in err
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "space, n",
+        [(["lq", "--q", "2"], 3_000_000_000), (["hp", "--p", "0.5"], 2**31)],
+        ids=["lq", "hp"],
+    )
+    def test_n_beyond_the_table_cap_refused_before_allocation(self, space, n, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("table or kernel allocated")
+
+        monkeypatch.setattr(zfhp.experiments, "build_mobius", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        code = main(["convergence", "--space", *space, "--n", f"10,{n}", "--coeff-cutoff", str(n)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        # named by n, the one input that sizes the table; hp's undersampling
+        # warning never comes, because the run never starts
+        assert err == f"invalid arguments: n = {n} too large: the Möbius table needs n < 2^31\n"
 
     def test_coeff_cutoff_beyond_any_memory_refused(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -473,20 +485,21 @@ def _without_wall_time(text):
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize(
-    "argv, writer",
-    [
-        (["convergence", "--space", "lq", "--q", "1.5", "--n", "10,100",
-          "--coeff-cutoff", "1000"], write_convergence_csv),
-        (["convergence", "--space", "hp", "--p", "0.5", "--n", "10,100",
-          "--coeff-cutoff", "1000", "--nodes", "256"], write_convergence_csv),
-        (["lambda", "--k", "2..4", "--s-grid", "0.75,2 x 0,1", "--coeff-cutoff", "1000"],
-         write_lambda_csv),
-        (["approx", "--s", "0.8+3i", "--n", "100,10,1000"], write_approx_csv),
-        (["mellin", "verify", "--k", "1..4", "--s", "2+1i", "--tol", "1e-8"], write_mellin_csv),
-    ],
-    ids=["lq", "hp", "lambda", "approx", "mellin"],
-)
+# One command per experiment the CLI builds a manifest for, with its CSV writer.
+EXPERIMENT_COMMANDS = [
+    (["convergence", "--space", "lq", "--q", "1.5", "--n", "10,100",
+      "--coeff-cutoff", "1000"], write_convergence_csv),
+    (["convergence", "--space", "hp", "--p", "0.5", "--n", "10,100",
+      "--coeff-cutoff", "1000", "--nodes", "256"], write_convergence_csv),
+    (["lambda", "--k", "2..4", "--s-grid", "0.75,2 x 0,1", "--coeff-cutoff", "1000"],
+     write_lambda_csv),
+    (["approx", "--s", "0.8+3i", "--n", "100,10,1000"], write_approx_csv),
+    (["mellin", "verify", "--k", "1..4", "--s", "2+1i", "--tol", "1e-8"], write_mellin_csv),
+]
+EXPERIMENT_IDS = ["lq", "hp", "lambda", "approx", "mellin"]
+
+
+@pytest.mark.parametrize("argv, writer", EXPERIMENT_COMMANDS, ids=EXPERIMENT_IDS)
 def test_sidecar_reproduces_cli_output(tmp_path, argv, writer):
     out = tmp_path / "run.csv"
     assert main([*argv, "--out", str(out)]) == 0
@@ -497,6 +510,23 @@ def test_sidecar_reproduces_cli_output(tmp_path, argv, writer):
     rendered = io.StringIO()
     writer(rerun(manifest), rendered)
     assert _without_wall_time(rendered.getvalue()) == _without_wall_time(out.open(newline="").read())
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in EXPERIMENT_COMMANDS], ids=EXPERIMENT_IDS)
+def test_manifest_parameters_are_the_runner_parameters(argv, monkeypatch):
+    # one path from the CLI to a runner: every manifest parameter is a
+    # parameter of the runner that rerun calls, and nothing else is
+    built = []
+    monkeypatch.setattr(zfhp.cli, "rerun", lambda manifest: built.append(manifest) or [])
+    assert main(argv) == 0
+    (manifest,) = built
+    called = []
+    for name in (n for n in zfhp.experiments.__all__ if n.startswith("run_")):
+        runner = getattr(zfhp.experiments, name)
+        monkeypatch.setattr(zfhp.experiments, name, lambda *a, r=runner: called.append(r) or [])
+    rerun(manifest)
+    (runner,) = called
+    assert sorted(manifest.parameters) == sorted(inspect.signature(runner).parameters)
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:

@@ -213,9 +213,9 @@ def mobius_straddle():
     return build_mobius(STRADDLE[-1])
 
 
-def approx(ns, s, limit):
+def approx(ns, s):
     """The streamed kernel at one s."""
-    return approx_reciprocal_s_partial_sums(ns, [s], limit)[0]
+    return approx_reciprocal_s_partial_sums(ns, [s])[0]
 
 
 class TestApproxReciprocal:
@@ -224,36 +224,36 @@ class TestApproxReciprocal:
         assert functionals._APPROX_BLOCK == 1 << 16
 
     def test_single_term_is_minus_g2(self):
-        got = approx([2], 2.0, 1000)[0]
+        got = approx([2], 2.0)[0]
         assert got == pytest.approx(-g_k(2, 2.0), abs=1e-14)
 
     def test_residual_shrinks_over_decades(self):
-        r100 = abs(approx([100], 2.0, 10**6)[0] + 0.5)
-        r10k = abs(approx([10**4], 2.0, 10**6)[0] + 0.5)
+        r100 = abs(approx([100], 2.0)[0] + 0.5)
+        r10k = abs(approx([10**4], 2.0)[0] + 0.5)
         assert r10k < r100
 
     def test_limit_consistency_at_s2(self):
         # sum mu(k) k^(-2) telescopes against 1/zeta(2); the residual at 1e6
         # is dominated by the slow Möbius harmonic sum
-        got = approx([10**6], 2.0, 10**6)[0]
+        got = approx([10**6], 2.0)[0]
         assert abs(got + 0.5) < 0.05
 
     @pytest.mark.parametrize("s", [2.0, 1.5, 0.75 + 3j, 2.0 + 14.13j])
     def test_kernel_equals_full_range_oracle(self, s, mobius_100k):
         # unsorted, with duplicates, across the 2^16 block boundary, ending at the limit
         ns = [1000, 2, 65538, 100, 1000, 65537, 2, 10**5]
-        got = approx(ns, s, 10**5)
+        got = approx(ns, s)
         assert got == [approx_reciprocal_s_oracle(n, s, mobius_100k) for n in ns]
 
     @pytest.mark.parametrize("s", [2.0, 0.75 + 3j])
     def test_streamed_equals_table_kernel_across_segments(self, s, mobius_straddle):
         for ns in ([n] for n in STRADDLE):
-            assert approx(ns, s, STRADDLE[-1]) == approx_reciprocal_s_table_kernel(
+            assert approx(ns, s) == approx_reciprocal_s_table_kernel(
                 ns, s, mobius_straddle
             )
         # unsorted, with duplicates, every straddling checkpoint in one pass
         ns = [B + 1, 2, B - 1, 65538, B, 2 * B + 65537, 2, B - 1, 100]
-        got = approx(ns, s, STRADDLE[-1])
+        got = approx(ns, s)
         assert got == approx_reciprocal_s_table_kernel(ns, s, mobius_straddle)
 
     def test_one_sieve_pass_serves_the_whole_grid(self, monkeypatch, mobius_straddle):
@@ -267,7 +267,7 @@ class TestApproxReciprocal:
         monkeypatch.setattr(arith, "_sieve_segment", counted)
         grid = [2.0, 1.5 + 1j, 0.75 + 14.13j]
         ns = [2 * B + 65537, 100, B]
-        got = approx_reciprocal_s_partial_sums(ns, grid, 10**9)
+        got = approx_reciprocal_s_partial_sums(ns, grid)
         assert calls == [(0, B), (B, 2 * B), (2 * B, 2 * B + 65538)]
         assert got == [approx_reciprocal_s_table_kernel(ns, s, mobius_straddle) for s in grid]
 
@@ -276,20 +276,13 @@ class TestApproxReciprocal:
         monkeypatch.setattr(functionals, "_APPROX_BLOCK", 8)
         ns = [10**5, 37, 5000]
         for s in (2.0, 0.75 + 3j):
-            assert approx(ns, s, 10**5) == approx_reciprocal_s_table_kernel(ns, s, mobius_100k)
-
-    def test_limit_bounds_n_not_the_sieve(self, monkeypatch):
-        calls = []
-        sieve = arith._sieve_segment
-        monkeypatch.setattr(arith, "_sieve_segment", lambda *a: calls.append(a[:2]) or sieve(*a))
-        assert approx([1000], 2.0, 2**40) == approx([1000], 2.0, 1000)
-        assert calls == [(0, 1001), (0, 1001)]
+            assert approx(ns, s) == approx_reciprocal_s_table_kernel(ns, s, mobius_100k)
 
     def test_peak_within_the_memory_estimate(self):
         n = 2 * B + 65537
         tracemalloc.start()
         try:
-            approx_reciprocal_s_partial_sums([n, 100], [2.0, 0.75 + 3j], n)
+            approx_reciprocal_s_partial_sums([n, 100], [2.0, 0.75 + 3j])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -297,17 +290,13 @@ class TestApproxReciprocal:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            approx([1001], 2.0, 1000)
+            approx([1], 2.0)
         with pytest.raises(ValueError):
-            approx([1], 2.0, 1000)
+            approx([10, 1], 2.0)
         with pytest.raises(ValueError):
-            approx([10, 1], 2.0, 1000)
+            approx([], 2.0)
         with pytest.raises(ValueError):
-            approx([10, 1001], 2.0, 1000)
-        with pytest.raises(ValueError):
-            approx([], 2.0, 1000)
-        with pytest.raises(ValueError):
-            approx_reciprocal_s_partial_sums([10], [], 1000)
+            approx_reciprocal_s_partial_sums([10], [])
 
     def test_refuses_n_beyond_exact_float64_integers(self, monkeypatch):
         def refuse(*args):
@@ -315,7 +304,7 @@ class TestApproxReciprocal:
 
         monkeypatch.setattr(arith, "_sieve_segment", refuse)
         with pytest.raises(ValueError, match=r"n < 2\^53"):
-            approx([10, 2**53], 2.0, 2**60)
+            approx([10, 2**53], 2.0)
 
     def test_refuses_beyond_physical_memory(self, monkeypatch):
         def refuse(*args):
@@ -327,15 +316,15 @@ class TestApproxReciprocal:
         n = 10**12
         assert functionals._approx_bytes(n, 1) > 2**24
         with pytest.raises(ValueError, match=f"n = {n} needs an estimated"):
-            approx([n], 2.0, n)
+            approx([n], 2.0)
 
     def test_domain_errors(self):
         with pytest.raises(PoleError):
-            approx([10], 1.0, 1000)
+            approx([10], 1.0)
         with pytest.raises(DomainError):
-            approx([10], -2.0, 1000)
+            approx([10], -2.0)
 
     def test_reporting_only_region_runs(self):
         # 1/2 < Re(s) <= 1: residuals are reported, nothing asserted on them
-        value = approx([1000], 0.75, 1000)[0]
+        value = approx([1000], 0.75)[0]
         assert np.isfinite(value.real) and np.isfinite(value.imag)
