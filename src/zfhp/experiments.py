@@ -12,7 +12,8 @@ Runners:
 * ``run_pointwise_approx``: residuals of sum mu(k) G_k(s) against -1/s,
   with the Möbius sieve streamed through the kernel: no table.
 * ``run_mellin_verify``: the Mellin transform of the step function p_k,
-  integrated piece by piece, against the closed form f_k(s).
+  integrated piece by piece, against the closed form f_k(s), with a
+  rounding bound proved from k and s.
 
 Every record carries its coefficient cutoff and, where applicable, a tail
 bound, so no number leaves this module without its truncation context.
@@ -48,7 +49,8 @@ from .norms import (
     two_level_means,
 )
 from .series import _check_checkpoints, mobius_ims_partial_sums
-from .special import _g_k_given_zeta, f_k, g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta
+from .special import (_g_k_given_zeta, _mellin_step_pk_bound, f_k, g_k_error_bound,
+                      lambda_on_constant, mellin_step_pk, zeta)
 from .weights import ClassificationResult, ProbeResult
 
 __all__ = [
@@ -107,6 +109,7 @@ class MellinRecord:
     k: int
     s: complex
     abs_err: float
+    bound: float
     ok: bool
 
 
@@ -152,7 +155,7 @@ def rerun(manifest: ExperimentManifest):
         grid = [complex(re, im) for re, im in p["s_grid"]]
         return run_pointwise_approx(grid, p["n_list"])
     if name == "mellin_verify":
-        return run_mellin_verify(p["k_list"], complex(*p["s"]), p["tol"])
+        return run_mellin_verify(p["k_list"], complex(*p["s"]))
     raise ValueError(f"unknown experiment {name!r}")
 
 
@@ -416,13 +419,21 @@ def run_pointwise_approx(s_grid: Iterable[complex], n_list: Sequence[int]) -> li
     return records
 
 
-def run_mellin_verify(k_list: Iterable[int], s: complex, tol: float) -> list[MellinRecord]:
-    """|M[p_k](s) - f_k(s)| per k (``mellin_step_pk``), ok when at most tol."""
+def run_mellin_verify(k_list: Iterable[int], s: complex) -> list[MellinRecord]:
+    """|M[p_k](s) - f_k(s)| per k (``mellin_step_pk``), ok when at most its bound.
+
+    ``bound`` is B(k, s) of ``special._mellin_step_pk_bound``: while both
+    values are within their proved rounding of f_k(s), the computed
+    difference is at most B, so ok = false contradicts the identity.
+    Every k is checked against the range of that proof before any value
+    is computed.
+    """
     ks = list(k_list)
     if not ks:
         raise ValueError("k_list must not be empty")
-    errs = ((k, abs(mellin_step_pk(k, s) - f_k(k, s))) for k in ks)
-    return [MellinRecord(k=k, s=s, abs_err=err, ok=err <= tol) for k, err in errs]
+    bounds = [_mellin_step_pk_bound(k, s) for k in ks]
+    errs = [abs(mellin_step_pk(k, s) - f_k(k, s)) for k in ks]
+    return [MellinRecord(k, s, err, b, err <= b) for k, err, b in zip(ks, errs, bounds)]
 
 
 # ----------------------------------------------------------------------------
@@ -475,8 +486,8 @@ def write_approx_csv(records: Sequence[ApproxRecord], out: TextIO) -> None:
 
 
 def write_mellin_csv(records: Sequence[MellinRecord], out: TextIO) -> None:
-    rows = ((r.k, r.s.real, r.s.imag, r.abs_err, r.ok) for r in records)
-    _write_rows(out, ("k", "s_re", "s_im", "abs_err", "ok"), rows)
+    rows = ((r.k, r.s.real, r.s.imag, r.abs_err, r.bound, r.ok) for r in records)
+    _write_rows(out, ("k", "s_re", "s_im", "abs_err", "bound", "ok"), rows)
 
 
 def write_weights_csv(results: Sequence[ClassificationResult], out: TextIO) -> None:

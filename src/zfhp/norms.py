@@ -7,8 +7,8 @@ Quadrature nodes sit at half-step offsets 2 pi (j + 1/2)/nodes, so z = 1 is
 never sampled; evaluation at all nodes is exact (coefficient folding plus
 one FFT), and the only quadrature error is in the mean itself.
 
-``boundary_values`` takes complex coefficients and radii below 1, for the
-inequality battery.  ``two_level_means`` serves the H^p convergence runner:
+``boundary_values`` takes complex coefficients, for the inequality
+battery.  ``two_level_means`` serves the H^p convergence runner:
 for real coefficients it returns the p-means at M and 2M nodes from two
 complex FFTs, of M and M/2 points, that compute only the spectrum the
 means read.
@@ -30,7 +30,6 @@ __all__ = [
     "QuadratureWarning",
     "default_node_count",
     "boundary_values",
-    "circle_mean",
     "two_level_means",
     "lq_norm",
     "hp_norm_estimate",
@@ -67,8 +66,8 @@ def half_offset_points(nodes: int) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def boundary_values(f: TruncatedSeries, nodes: int, radius: float = 1.0) -> np.ndarray:
-    """Exact values of f at radius * exp(2 pi i (j + 1/2)/nodes).
+def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
+    """Exact values of f at exp(2 pi i (j + 1/2)/nodes).
 
     Coefficients are phase-shifted by exp(i pi m / nodes), folded modulo
     the node count, and transformed; this is an exact polynomial
@@ -77,23 +76,12 @@ def boundary_values(f: TruncatedSeries, nodes: int, radius: float = 1.0) -> np.n
     _validate_nodes(nodes)
     a = np.asarray(f.coeffs, dtype=np.complex128)
     m = np.arange(a.size, dtype=np.float64)
-    if radius != 1.0:
-        if not 0.0 < radius <= 1.0:
-            raise ValueError("radius must lie in (0, 1]")
-        a = a * radius**m
     phased = a * np.exp(1j * math.pi * m / nodes)
     pad = (-phased.size) % nodes
     if pad:
         phased = np.concatenate([phased, np.zeros(pad, dtype=np.complex128)])
     folded = phased.reshape(-1, nodes).sum(axis=0)
     return np.fft.ifft(folded) * nodes
-
-
-def circle_mean(f: TruncatedSeries, p: float, nodes: int, radius: float = 1.0) -> float:
-    """((1/nodes) sum_j |f(radius e^(i theta_j))|^p)^(1/p) at half-offset nodes."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return _p_mean(boundary_values(f, nodes, radius=radius), p)
 
 
 def _p_mean(values: np.ndarray, p: float) -> float:
@@ -269,13 +257,24 @@ def hp_norm_estimate(f: TruncatedSeries, p: float, nodes: int | None = None) -> 
     """
     if p <= 0:
         raise ValueError("p must be positive")
+    return _p_mean(_sampled_boundary(f, nodes), p)
+
+
+def _node_count(f: TruncatedSeries, nodes: int | None) -> int:
+    """``nodes``, or ``default_node_count`` of the degree if None, validated."""
     if nodes is None:
         nodes = default_node_count(f.degree)
     _validate_nodes(nodes)
+    return nodes
+
+
+def _sampled_boundary(f: TruncatedSeries, nodes: int | None) -> np.ndarray:
+    """``boundary_values`` at ``_node_count`` nodes, warning once when they undersample f."""
+    nodes = _node_count(f, nodes)
     warning = _undersampling(nodes, f.degree)
     if warning:
-        warnings.warn(warning, QuadratureWarning, stacklevel=2)
-    return circle_mean(f, p, nodes)
+        warnings.warn(warning, QuadratureWarning, stacklevel=3)
+    return boundary_values(f, nodes)
 
 
 def _undersampling(nodes: int, degree: int) -> str | None:
@@ -287,10 +286,7 @@ def _undersampling(nodes: int, degree: int) -> str | None:
 
 def sup_norm_estimate(f: TruncatedSeries, nodes: int | None = None) -> float:
     """max_j |f| over the half-offset nodes (the p -> infinity limit)."""
-    if nodes is None:
-        nodes = default_node_count(f.degree)
-    _validate_nodes(nodes)
-    return float(np.max(np.abs(boundary_values(f, nodes))))
+    return float(np.max(np.abs(boundary_values(f, _node_count(f, nodes)))))
 
 
 def duren_coefficient_check(
@@ -364,18 +360,17 @@ def reverse_holder_check(
     (q < 1).  The quadrature splits off the singular part exactly:
     |h(1)|^q int |1-z|^(-q) dm is evaluated in closed form and the
     remainder, which vanishes at z = 1, by the half-offset node mean.
+    Both sides read one transform of h, which warns as
+    ``hp_norm_estimate`` does when the nodes undersample h.
     """
     _check_reverse_holder(p, q)
-    if nodes is None:
-        nodes = default_node_count(h.degree)
-    _validate_nodes(nodes)
-    z = half_offset_points(nodes)
-    hv = boundary_values(h, nodes)
+    hv = _sampled_boundary(h, nodes)
+    z = half_offset_points(hv.size)
     base = abs(exact_sum(h.coeffs)) ** q
     sing = np.abs(1.0 - z) ** (-q)
     integral = base * circle_abs_power_integral(-q) + float(
         np.mean((np.abs(hv) ** q - base) * sing)
     )
     lhs = max(integral, 0.0) ** (1.0 / q)
-    rhs = reverse_holder_constant(p, q) * hp_norm_estimate(h, p, nodes)
+    rhs = reverse_holder_constant(p, q) * _p_mean(hv, p)
     return lhs, rhs

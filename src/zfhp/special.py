@@ -9,6 +9,9 @@ plus a zeta evaluator valid on Re(s) > 0 away from the pole, and the
 Mellin transforms of the step functions p_k and of the fractional-part
 combinations rho_alpha(x) = rho(alpha/x) - alpha * rho(1/x), each
 integrated exactly over the pieces where the function is constant.
+``f_k`` is the one-k case of ``fk_values``, so one rounding proof
+(``_mellin_step_pk_bound``) covers both; it bounds the computed
+difference between the transform of p_k and f_k(s) from k and s alone.
 """
 
 from __future__ import annotations
@@ -66,28 +69,28 @@ def _cexpm1(w):
 
 
 def f_k(k: int, s) -> complex:
-    """Cancellation-safe f_k(s) = -(1/s) ((k+1)^(1-s) - k^(1-s)).
-
-    Uses (k+1)^(1-s) - k^(1-s) = k^(1-s) * expm1((1-s) log1p(1/k)); the
-    naive difference loses most significant digits once k is large.
-    """
+    """f_k(s) for one k: the k-th entry of ``fk_values``, by the same code."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    s = require_right_half_plane(s)
-    w = (1.0 - s) * math.log1p(1.0 / k)
-    power = cmath.exp((1.0 - s) * math.log(k))
-    return -(1.0 / s) * power * complex(_cexpm1(w))
+    return complex(_fk(np.array([k], dtype=np.float64), require_right_half_plane(s))[0])
 
 
 def fk_values(n_max: int, s) -> np.ndarray:
     """Vector [f_1(s), ..., f_{n_max}(s)]."""
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    s = require_right_half_plane(s)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    w = (1.0 - s) * np.log1p(1.0 / n)
-    power = np.exp((1.0 - s) * np.log(n))
-    return np.asarray((-1.0 / s) * power * _cexpm1(w), dtype=np.complex128)
+    return _fk(np.arange(1, n_max + 1, dtype=np.float64), require_right_half_plane(s))
+
+
+def _fk(k: np.ndarray, s: complex) -> np.ndarray:
+    """Cancellation-safe f_k(s) = -(1/s) ((k+1)^(1-s) - k^(1-s)) at a float64 array of k.
+
+    Uses (k+1)^(1-s) - k^(1-s) = k^(1-s) * expm1((1-s) log1p(1/k)); the
+    naive difference loses most significant digits once k is large.
+    """
+    w = (1.0 - s) * np.log1p(1.0 / k)
+    power = np.exp((1.0 - s) * np.log(k))
+    return (-1.0 / s) * power * _cexpm1(w)
 
 
 def fk_upper_bound(k, s) -> float | np.ndarray:
@@ -215,13 +218,88 @@ def mellin_step_pk(k: int, s) -> complex:
 
         int_0^1 p_k(x) x^(s-1) dx = (k (hi^s - lo^s) - lo^s) / s,
 
-    which equals f_k(s).
+    which equals f_k(s).  The powers are exp(-s log k) and
+    exp(-s log(k+1)), whose rounding ``_mellin_step_pk_bound`` bounds.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     s = require_right_half_plane(s)
-    lo_s = (1.0 / (k + 1)) ** s
-    return (k * ((1.0 / k) ** s - lo_s) - lo_s) / s
+    hi_s = cmath.exp(-s * math.log(k))
+    lo_s = cmath.exp(-s * math.log(k + 1))
+    return (k * (hi_s - lo_s) - lo_s) / s
+
+
+def _mellin_step_pk_bound(k: int, s) -> float:
+    """B(k, s) >= |mellin_step_pk(k, s) - f_k(k, s)| as computed.
+
+    Statement.  Let u = 2^-53, sigma = Re(s) > 0, P = k^(-sigma) and
+    L = log(k+1).  The proof covers 1 <= k <= 2^53 - 1 with
+    |s| L <= 2^33, sigma L <= 600 and |s| >= 2^-900; any other k raises
+    ``ValueError``.  There ``mellin_step_pk`` is within
+
+        R_m = u (12 |s| L + 36) (2k + 1) P / |s|
+
+    of f_k(s), ``f_k`` is within
+
+        R_f = 2u (12 |1 - s| log k + 160) |1 - s| P / |s|,
+
+    and the computed |mellin_step_pk - f_k| is at most the returned
+    B = fl(R_m + R_f).  So while both values are within their rounding
+    bounds, a difference above B contradicts the identity.
+
+    Proof.  Rounding is as assumed in ``lambda_hk_truncated``: log, log1p,
+    exp, expm1, cos and sin within 4 ulp, complex * within 3u and / within
+    8u, +, - and real products correctly rounded per component.  Its step
+    1 gives: exp(-w log j) is within e(|w|, log j) |j^(-w)|, with
+    e(a, L) = u (12 a L + 24), for w = s and for w = s - 1.
+      Mellin.  a = k^(-s) and b = (k+1)^(-s) come within e(|s|, L) P.
+      The difference adds u of 2P, then scaled by k; the scaling by k,
+      the second difference and the division by s add u of 2kP, u of
+      (2k + 1) P and 8u of (2k + 1) P / |s|.  So the value is within
+      (e(|s|, L) + 11u) (2k + 1) P / |s|: R_m with 35 in place of 36.
+      f_k.  ``_fk`` forms -(1/s) k^(1-s) E~ for E = e^w - 1, where
+      w = (1 - s) l and l = log1p(1/k) <= 1/k.  Let x = Re w < log 2 and
+      m = max(1, e^x) <= 2.  Then |E| <= |w| m, since
+      E = w int_0^1 e^(tw) dt.
+      1. fl(1/k) moves log1p by at most u l, as t/(1 + t) <= log1p t.  So
+         the computed w~ has |w~ - w| <= 11u |w|, and e^(w~) - 1 is
+         within 12u |w| m of E.
+      2. At w~ = x + iy, ``_cexpm1`` takes the real part as
+         expm1(x) cos y - 2 sin(y/2)^2.  Its two terms sum in modulus to
+         at most 4 |e^(w~) - 1|.  The first is at most |e^x - 1|.  Since
+         |e^(w~) - 1|^2 = (e^x - 1)^2 + 4 e^x sin(y/2)^2, the second is at
+         most 2 |e^(w~) - 1| if e^x >= 1/4, and (8/3) |e^(w~) - 1| if not.
+         So the real part is within 72u |e^(w~) - 1|, the imaginary part
+         e^x sin y within 17u |e^(w~) - 1|, and E~ within
+         89u (|E| + 12u |w| m).  Hence |E~ - E| <= 102u |w| m.
+      3. fl(-1/s) adds 8u.  k^(1-s) comes within
+         e(|1 - s|, log k) k^(1-sigma).  The two products add 3u each.
+         With k^(1-sigma) |w| <= |1 - s| P, the value is within
+         (e(|1 - s|, log k) + 116u) m |1 - s| P / |s|: R_f with 140 in
+         place of 160.
+      Range.  k + 1 <= 2^53 keeps k and k + 1 exact.  |s| L <= 2^33 keeps
+      12u |s| L and 11u |w| below 2^-15, which the first-order terms
+      above need.  sigma L <= 600 keeps every power above
+      e^-600 > 2^-866, and |s| >= 2^-900 keeps (2k + 1) P / |s| finite.
+      An underflow is off by at most 2^-1072.  Inside a power that is
+      under 2^-200 of the power.  Anywhere else it is scaled by at most
+      (2k + 1)/|s|, which leaves it under 2^-150 R_m.
+      Rounding.  Four more errors remain: the second-order terms, these
+      underflows, the rounding of B (under 40u of B), and that of the
+      difference and its modulus (3u).  They fit in the spare
+      u (2k + 1) P / |s| of R_m and 40u |1 - s| P / |s| of R_f, because
+      50u (12 |s| L + 36) and 50u (12 |1 - s| log k + 160) are below
+      2^-10.  []
+    """
+    s = require_right_half_plane(s)
+    log_k1 = math.log(k + 1) if 1 <= k < 2**53 else math.inf
+    if not (abs(s) >= 2.0**-900 and abs(s) * log_k1 <= 2.0**33 and s.real * log_k1 <= 600.0):
+        raise ValueError(f"k = {k} is outside the range of the Mellin rounding bound at s = {s}: it "
+                         "needs 1 <= k < 2^53, |s| log(k+1) <= 2^33, Re(s) log(k+1) <= 600, |s| >= 2^-900")
+    a, d = abs(s), abs(1.0 - s)
+    r_m = (12.0 * a * log_k1 + 36.0) * (2 * k + 1)
+    r_f = 2.0 * (12.0 * d * math.log(k) + 160.0) * d
+    return _U * (r_m + r_f) * float(k) ** -s.real / a
 
 
 def mellin_rho_alpha(alpha: float, s, truncation: float = 1e-5) -> complex:

@@ -368,11 +368,11 @@ def extremal_probe(
     if count < 1:
         raise ValueError("count must be >= 1")
     # Peak bytes per index: the int64 indices, their float64 copy and at
-    # most five float64 arrays in log_w (powerlog's), 56; prime_indices()
-    # adds one sieve segment and its base primes.  tracemalloc peaks at 49
-    # per index (numpy elides a temporary in log_w).
-    sieve = getattr(subsequence, "gi_code", None) is prime_indices.__code__
-    need = 56 * count + (_prime_sieve_bytes(count) if sieve else 0)
+    # most five float64 arrays in log_w (powerlog's), 56; tracemalloc peaks
+    # at 49 per index (numpy elides a temporary in log_w).  prime_indices()
+    # adds one sieve segment and its base primes, counted for every
+    # subsequence: at most 1.9 MB up to count = 10^9.
+    need = 56 * count + _prime_sieve_bytes(count)
     _check_memory(need, f"count = {count}", "probe buffers")
     idx = np.fromiter(itertools.islice(subsequence, count), dtype=np.int64, count=count)
     if idx[0] < 1:

@@ -27,7 +27,8 @@ the fold modulo 4M, read at the indices of both levels.
 
 ``mellin_step_pk_quadrature`` is the adaptive quadrature that
 ``zfhp.special.mellin_step_pk`` replaced with the exact integral of each
-constant piece of p_k, and ``stretchedexp_tail_gammaincc`` the
+constant piece of p_k.  ``f_k_scalar`` is the math/cmath f_k(s) that
+``zfhp.special.f_k`` replaced with the one-k case of ``fk_values``.  And ``stretchedexp_tail_gammaincc`` the
 regularized incomplete gamma function that ``zfhp.weights._rm_tail``
 replaced with a closed-form upper bound on Gamma(a, x).
 
@@ -267,6 +268,15 @@ def mellin_step_pk_quadrature(k: int, s) -> complex:
     v0 = -math.log(lo)
     head = _quad_complex(lambda x: k * x ** (s - 1.0), lo, 1.0 / k)
     return head - _quad_complex(lambda v: cmath.exp(-s * v), v0, v0 + 40.0 / s.real)
+
+
+def f_k_scalar(k: int, s) -> complex:
+    """-(1/s) ((k+1)^(1-s) - k^(1-s)) as k^(1-s) expm1((1-s) log1p(1/k)), in math and cmath."""
+    s = complex(s)
+    w = (1.0 - s) * math.log1p(1.0 / k)
+    expm1 = complex(math.expm1(w.real) * math.cos(w.imag) - 2.0 * math.sin(0.5 * w.imag) ** 2,
+                    math.exp(w.real) * math.sin(w.imag))
+    return -(1.0 / s) * cmath.exp((1.0 - s) * math.log(k)) * expm1
 
 
 def stretchedexp_tail_gammaincc(alpha: float, t: int) -> float:

@@ -119,10 +119,10 @@ class TestExitCodes:
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**17}  # 0.5 GiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(np, "fromiter", refuse)
-        # the smallest count whose estimate does not fit; for primes, the
-        # arrays alone (56 bytes per index) would still fit, and the sieve's
-        # segment and base primes tip it over
-        sieve = _prime_sieve_bytes if subsequence == "primes" else lambda count: 0
+        # the smallest count whose estimate does not fit; the arrays alone
+        # (56 bytes per index) would still fit, and the prime sieve's
+        # segment and base primes, counted for every subsequence, tip it over
+        sieve = _prime_sieve_bytes
         count = (2**29 - sieve(2**29 // 56)) // 56
         while 56 * count + sieve(count) <= 2**29:
             count += 1
@@ -467,14 +467,51 @@ class TestOtherCommands:
                      "--subsequence", "bogus", "--count", "50"]) == 2
 
     def test_mellin_verify(self, capsys):
-        code = main(["mellin", "verify", "--k", "1..10", "--s", "2+1i", "--tol", "1e-8", "--check"])
+        code = main(["mellin", "verify", "--k", "1..10", "--s", "2+1i", "--check"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.count("true") == 10
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert list(rows[0]) == ["k", "s_re", "s_im", "abs_err", "bound", "ok"]
+        assert [row["ok"] for row in rows] == ["true"] * 10
+        # every printed pass flag is the printed comparison
+        assert all(float(row["abs_err"]) <= float(row["bound"]) for row in rows)
 
-    def test_mellin_verify_fails_on_absurd_tol(self, capsys):
-        code = main(["mellin", "verify", "--k", "1..3", "--s", "2+1i", "--tol", "1e-30", "--check"])
+
+class TestMellinCheck:
+    @pytest.mark.parametrize(
+        "k, wrong",
+        [("10000,1000000", lambda value: 0.0), ("1..10", lambda value: value * (1.0 + 2.0**-30))],
+        ids=["zero", "scaled"],
+    )
+    def test_check_catches_a_wrong_transform(self, k, wrong, capsys, monkeypatch):
+        # |f_k(2+1i)| is 6.3e-9 at k = 10^4, far below any fixed absolute
+        # tolerance, and a relative error of 2^-30 is far above rounding
+        right = zfhp.experiments.mellin_step_pk
+        monkeypatch.setattr(zfhp.experiments, "mellin_step_pk", lambda k, s: wrong(right(k, s)))
+        code = main(["mellin", "verify", "--k", k, "--s", "2+1i", "--check"])
+        out, err = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 4
+        assert [row["ok"] for row in rows] == ["false"] * len(rows)
+        assert err == f"check failed: {len(rows)} of {len(rows)} errors above their rounding bound\n"
+
+    @pytest.mark.parametrize(
+        "k, s",
+        [("1,9007199254740992", "2+1i"), ("0", "2+1i"), ("10,2000", "100"),
+         ("2", "1e-300"), ("10", "1+1e10i")],
+        ids=["k-2^53", "k-0", "underflow", "tiny-s", "huge-s"],
+    )
+    def test_k_outside_the_proof_refused_before_any_value(self, k, s, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a value was computed")
+
+        monkeypatch.setattr(zfhp.experiments, "mellin_step_pk", refuse)
+        monkeypatch.setattr(zfhp.experiments, "f_k", refuse)
+        code = main(["mellin", "verify", "--k", k, "--s", s, "--check"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid arguments: k = ")
+        assert "outside the range of the Mellin rounding bound" in err
 
 
 def _without_wall_time(text):
@@ -494,7 +531,7 @@ EXPERIMENT_COMMANDS = [
     (["lambda", "--k", "2..4", "--s-grid", "0.75,2 x 0,1", "--coeff-cutoff", "1000"],
      write_lambda_csv),
     (["approx", "--s", "0.8+3i", "--n", "100,10,1000"], write_approx_csv),
-    (["mellin", "verify", "--k", "1..4", "--s", "2+1i", "--tol", "1e-8"], write_mellin_csv),
+    (["mellin", "verify", "--k", "1..4", "--s", "2+1i"], write_mellin_csv),
 ]
 EXPERIMENT_IDS = ["lq", "hp", "lambda", "approx", "mellin"]
 

@@ -328,7 +328,7 @@ class TestManifests:
         [
             build_manifest("pointwise_approx", s_grid=[], n_list=[1]),
             build_manifest("lambda_sweep", k_list=[], s_grid=[[2.0, 0.0]], coeff_cutoff=100),
-            build_manifest("mellin_verify", k_list=[], s=[2.0, 1.0], tol=1e-8),
+            build_manifest("mellin_verify", k_list=[], s=[2.0, 1.0]),
         ],
         ids=["approx-empty-grid", "lambda-empty-k", "mellin-empty-k"],
     )
@@ -347,6 +347,23 @@ class TestManifests:
         current = build_manifest(legacy.experiment, **parameters)
         assert current.manifest_id != manifest_id  # the id moves with the key
         assert without_wall_time(rerun(legacy)) == without_wall_time(rerun(current))
+
+    def test_sidecar_with_a_tol_still_reruns(self):
+        # as the CLI wrote it while mellin verify took --tol (default 1e-8)
+        payload = json.loads(
+            '{"experiment": "mellin_verify", "id": "4171a991b283", "parameters": '
+            '{"k_list": [1, 2, 3, 4], "s": [2.0, 1.0], "tol": 1e-08}, "seed": null, "version": "0.1.0"}'
+        )
+        manifest_id = payload.pop("id")
+        legacy = ExperimentManifest(**payload)
+        assert legacy.manifest_id == manifest_id
+        parameters = dict(legacy.parameters)
+        del parameters["tol"]
+        current = build_manifest(legacy.experiment, **parameters)
+        assert current.manifest_id != manifest_id  # the id moves with the key
+        records = rerun(legacy)
+        assert records == rerun(current)
+        assert all(r.ok and r.abs_err <= r.bound for r in records)
 
     def test_rerun_unknown_experiment(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import zfhp.norms
 from zfhp import (
     ConditioningError,
     QuadratureWarning,
@@ -20,7 +21,6 @@ from zfhp.norms import (
     _quarter_turn,
     boundary_values,
     circle_abs_power_integral,
-    circle_mean,
     default_node_count,
     half_offset_points,
     reverse_holder_constant,
@@ -150,12 +150,19 @@ class TestHpNorm:
             assert v_one <= v_two + 1e-12
 
     def test_circle_means_nondecreasing_in_radius(self):
+        # backs the module's "radius 1 only": the p-means of f at r z, taken
+        # by np.polyval at the half-offset nodes, grow with r up to 1
         for f in random_polynomials(5, seed=6):
             nodes = default_node_count(f.degree)
+            z = np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
             for p in (0.5, 1.0, 2.0):
-                means = [circle_mean(f, p, nodes, radius=r) for r in (0.3, 0.7, 1.0)]
+                means = [
+                    np.mean(np.abs(np.polyval(f.coeffs[::-1], r * z)) ** p) ** (1.0 / p)
+                    for r in (0.3, 0.7, 1.0)
+                ]
                 assert means[0] <= means[1] + 1e-12
                 assert means[1] <= means[2] + 1e-12
+                assert means[2] == pytest.approx(hp_norm_estimate(f, p, nodes), rel=1e-12)
 
 
 U = 2.0**-53
@@ -475,6 +482,20 @@ class TestReverseHolder:
         # C = I^(3/2) with I = int |1-z|^(-2/3) dm
         want = circle_abs_power_integral(-2.0 / 3.0) ** 1.5
         assert reverse_holder_constant(1.0, 0.4) == pytest.approx(want, rel=1e-12)
+
+    def test_one_transform_serves_both_sides(self, monkeypatch):
+        # h is transformed once; the right side is C times the p-mean of
+        # that same transform, and undersampling still warns
+        calls = []
+        transform = zfhp.norms.boundary_values
+        monkeypatch.setattr(zfhp.norms, "boundary_values", lambda f, n: calls.append(n) or transform(f, n))
+        f = random_polynomials(1, seed=3)[0]
+        lhs, rhs = reverse_holder_check(f, 1.0, 0.4, 64)
+        assert calls == [64]
+        assert rhs == reverse_holder_constant(1.0, 0.4) * hp_norm_estimate(f, 1.0, 64)
+        long = TruncatedSeries(np.ones(100))
+        with pytest.warns(QuadratureWarning, match="nodes = 16 undersamples degree 99"):
+            reverse_holder_check(long, 1.0, 0.4, 16)
 
     def test_random_battery_with_refinement(self):
         for f in random_polynomials(100):

@@ -21,7 +21,9 @@ from zfhp import (
     zeta,
 )
 
-from oracles import mellin_step_pk_quadrature
+from zfhp.special import _mellin_step_pk_bound
+
+from oracles import f_k_scalar, mellin_step_pk_quadrature
 
 GRID = [complex(re, im) for re in (0.6, 0.75, 1.5, 2.0) for im in (0.0, 1.0, 5.0)]
 
@@ -63,7 +65,14 @@ class TestFk:
     def test_vector_matches_scalar(self, s):
         vec = fk_values(50, s)
         for k in (1, 7, 50):
-            assert vec[k - 1] == pytest.approx(f_k(k, s), abs=1e-15)
+            assert vec[k - 1] == pytest.approx(f_k_scalar(k, s), abs=1e-15)
+
+    @pytest.mark.parametrize("s", [*GRID, 0.9 + 250.0j])
+    def test_one_k_is_the_vector_entry(self, s):
+        # one code path: the Mellin bound's proof of f_k covers fk_values too
+        vec = fk_values(1000, s)
+        for k in (1, 2, 7, 50, 999, 1000):
+            assert f_k(k, s) == vec[k - 1]
 
     @pytest.mark.parametrize("s", GRID)
     def test_explicit_upper_bound_never_violated(self, s):
@@ -189,6 +198,49 @@ class TestMellinStep:
     def test_domain(self):
         with pytest.raises(DomainError):
             mellin_step_pk(3, -1.0)
+
+
+# The acceptance grid, a point near the critical line, and two with large
+# imaginary parts, at k from 1 to 10^6.
+BOUND_POINTS = [*GRID, 0.51 + 0j, 3.0 + 40.0j, 0.9 + 250.0j]
+BOUND_KS = [1, 2, 10, 10**3, 10**6]
+
+
+class TestMellinBound:
+    @pytest.mark.parametrize("s", BOUND_POINTS)
+    def test_rounding_errors_within_bound(self, s):
+        # against f_k(s) at 50 digits, the two rounding errors together
+        # stay within B, so the computed difference does too
+        with mpmath.workdps(50):
+            ms = mpmath.mpc(s.real, s.imag)
+            for k in BOUND_KS:
+                exact = -((k + 1) ** (1 - ms) - mpmath.mpf(k) ** (1 - ms)) / ms
+                errors = abs(mellin_step_pk(k, s) - exact) + abs(f_k(k, s) - exact)
+                assert errors <= _mellin_step_pk_bound(k, s), k
+
+    @pytest.mark.parametrize("s", BOUND_POINTS)
+    def test_bound_is_useful(self, s):
+        # never looser than the retired default tolerance 1e-8, and far
+        # below the value it checks
+        for k in BOUND_KS:
+            bound = _mellin_step_pk_bound(k, s)
+            assert bound <= 1e-8
+            assert bound <= 1e-3 * abs(f_k(k, s))
+
+    def test_range(self):
+        s = 2.0 + 1.0j
+        assert _mellin_step_pk_bound(2**53 - 1, s) > 0.0
+        for k in (0, 2**53):
+            with pytest.raises(ValueError, match=f"k = {k} is outside"):
+                _mellin_step_pk_bound(k, s)
+        # Re(s) log(k+1) <= 600 and |s| log(k+1) <= 2^33
+        assert _mellin_step_pk_bound(400, 100.0) > 0.0
+        with pytest.raises(ValueError):
+            _mellin_step_pk_bound(500, 100.0)
+        with pytest.raises(ValueError):
+            _mellin_step_pk_bound(1, 1.0 + 2.0**34 * 1j)
+        with pytest.raises(DomainError):
+            _mellin_step_pk_bound(1, -1.0)
 
 
 class TestMellinRho:
