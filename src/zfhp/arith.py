@@ -4,13 +4,12 @@ A Möbius table is built once by a sieve and is immutable afterwards, so it
 can be shared freely between threads.  The Möbius function comes from a
 numpy sieve over the primes up to sqrt(limit) only, run in cache-sized
 segments that each carry their own radical (``_sieve_segment``).
-``build_mobius`` copies the segments into the int8 table, its only
-full-length array, for limits below 2^31; the l^q and H^p runners build it
-to their largest n.  ``_mobius_segments`` hands the segments one at a time
-to a consumer that reads mu once in increasing order, such as the approx kernel
-of ``zfhp.functionals``, which never holds the table.  ``_check_memory`` is
-the package's one physical-memory guard: sizes whose buffers cannot fit are
-refused before anything is allocated.
+``build_mobius`` copies the segments that ``_mobius_segments`` yields one
+at a time into the int8 table, its only full-length array, for limits
+below 2^31; the l^q and H^p runners build it to their largest n, and the
+approx kernel of ``zfhp.functionals`` to about the 2/3 power of its
+largest n.  ``_check_memory`` is the package's one physical-memory guard:
+sizes whose buffers cannot fit are refused before anything is allocated.
 ``exact_sum`` is the package's one exactly rounded sum of a float array:
 it does not depend on the order or grouping of the terms.
 """
@@ -178,9 +177,14 @@ def mobius_logsum_over_k(table: MobiusTable, cutoff: int) -> float:
     return exact_sum(table.values[1 : cutoff + 1] * np.log(k) / k)
 
 
+def _physical_bytes() -> int:
+    """Bytes of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _check_memory(need: int, subject: str, buffers: str) -> None:
     """Refuse, before it is allocated, a ``need`` of bytes beyond physical memory."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _physical_bytes()
     if need > have:
         raise ValueError(
             f"{subject} needs an estimated {need / 2**30:,.1f} GiB of {buffers}, "

@@ -22,6 +22,7 @@ import sys
 import warnings
 from pathlib import Path
 
+from .arith import _check_memory
 from .errors import ConditioningError, DomainError
 from .experiments import (
     build_manifest,
@@ -66,15 +67,15 @@ def parse_int_list(text: str) -> list[int]:
     return values
 
 
-def parse_int_range(text: str) -> list[int]:
-    """Accepts ``2..10`` (inclusive) or a comma list ``2,3,5``."""
+def parse_int_range(text: str) -> range | list[int]:
+    """Accepts ``2..10`` (inclusive, as a range, not yet a list) or a comma list ``2,3,5``."""
     text = text.strip()
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return parse_int_list(text)
 
 
@@ -143,11 +144,22 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     return _check(args, rising and "values are not strictly decreasing")
 
 
+# Bytes per record, checked before --k is made a list: per (k, s) of lambda,
+# a GeneratorEvaluation and a LambdaRecord (an object and its attribute dict,
+# about 150 bytes each, a complex and floats) and their list slots, under 512
+# (tracemalloc: 346); per k, its int, list slot and manifest JSON text, under
+# 64; per k of mellin verify, a MellinRecord, two floats and slots, under 256
+# (tracemalloc: 194).
+_LAMBDA_PAIR_BYTES, _K_BYTES, _MELLIN_K_BYTES = 512, 64, 256
+
+
 def _cmd_lambda(args: argparse.Namespace) -> int:
-    k_list = parse_int_range(args.k)
-    s_grid = [[s.real, s.imag] for s in parse_s_grid(args.s_grid)]
+    k_range, grid = parse_int_range(args.k), parse_s_grid(args.s_grid)
+    need = len(k_range) * (_LAMBDA_PAIR_BYTES * len(grid) + _K_BYTES)
+    _check_memory(need, f"--k {args.k}", "lambda records")
+    s_grid = [[s.real, s.imag] for s in grid]
     manifest = build_manifest(
-        "lambda_sweep", k_list=k_list, s_grid=s_grid, coeff_cutoff=args.coeff_cutoff
+        "lambda_sweep", k_list=list(k_range), s_grid=s_grid, coeff_cutoff=args.coeff_cutoff
     )
     records = _run(args, manifest, write_lambda_csv)
     bad = sum(not r.passed for r in records)
@@ -163,9 +175,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_mellin_verify(args: argparse.Namespace) -> int:
-    k_list = parse_int_range(args.k)
-    s = parse_complex(args.s)
-    manifest = build_manifest("mellin_verify", k_list=k_list, s=[s.real, s.imag])
+    k_range, s = parse_int_range(args.k), parse_complex(args.s)
+    _check_memory(len(k_range) * (_MELLIN_K_BYTES + _K_BYTES), f"--k {args.k}", "mellin records")
+    manifest = build_manifest("mellin_verify", k_list=list(k_range), s=[s.real, s.imag])
     records = _run(args, manifest, write_mellin_csv)
     bad = sum(not r.ok for r in records)
     return _check(args, bad and f"{bad} of {len(records)} errors above their rounding bound")

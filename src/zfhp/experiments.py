@@ -10,7 +10,8 @@ Runners:
   with h_k truncated and the functional evaluated in closed form, against
   a proved tail bound plus derived rounding and zeta budgets.
 * ``run_pointwise_approx``: residuals of sum mu(k) G_k(s) against -1/s,
-  with the Möbius sieve streamed through the kernel: no table.
+  each with a proved bound, by the weighted Mertens recursion in
+  O(n^(2/3)) from a Möbius table to about n^(2/3).
 * ``run_mellin_verify``: the Mellin transform of the step function p_k,
   integrated piece by piece, against the closed form f_k(s), with a
   rounding bound proved from k and s.
@@ -49,7 +50,7 @@ from .norms import (
     two_level_means,
 )
 from .series import _check_checkpoints, mobius_ims_partial_sums
-from .special import (_g_k_given_zeta, _mellin_step_pk_bound, f_k, g_k_error_bound,
+from .special import (_SLACK, _U, _g_k_given_zeta, _mellin_step_pk_bound, f_k, g_k_error_bound,
                       lambda_on_constant, mellin_step_pk, zeta)
 from .weights import ClassificationResult, ProbeResult
 
@@ -102,6 +103,7 @@ class ApproxRecord:
     s: complex
     n: int
     residual: float
+    bound: float
 
 
 @dataclass(frozen=True)
@@ -400,14 +402,19 @@ def run_lambda_sweep(
 
 
 def run_pointwise_approx(s_grid: Iterable[complex], n_list: Sequence[int]) -> list[ApproxRecord]:
-    """Residuals |sum_{k=2..n} mu(k) G_k(s) + 1/s| over the n sweep, s-major order.
+    """Residuals |sum_{k=2..n} mu(k) G_k(s) + 1/s| over the n sweep, s-major order, each with its bound.
 
-    One pass of ``approx_reciprocal_s_partial_sums`` over the squarefree
-    k <= max(n_list) serves every s, with every n a checkpoint; the Möbius
-    sieve runs once per grid, segment by segment, and no table is built.
-    Each n must lie in 2..2^53 - 1.  Each value is the exactly rounded sum
-    of all its terms.  Reporting only: convergence is not asserted for
-    Re(s) <= 1.
+    ``approx_reciprocal_s_partial_sums`` serves the whole grid from one
+    Möbius sieve to about (max n)^(2/3): each n <= that limit is the exactly
+    rounded sum of its terms, and each larger n comes from the weighted
+    Mertens recursion in O(n^(2/3)).  Each n must lie in 2..2^53 - 1.
+
+    ``bound`` >= |residual - |sum + 1/s||.  The value is within its bound B
+    of the sum (proved there, with zeta(s) assumed within ``ZETA_TARGET``);
+    -1/s is within 8u/|s|, and the subtraction and the modulus add at most
+    u and 2u of the residual, so the returned fl((B + 8u/|s| + 4u
+    residual) ``_SLACK``) is a bound, u = 2^-53.  Reporting only:
+    convergence is not asserted for Re(s) <= 1.
     """
     grid = _check_grid(s_grid)
     ns = [int(n) for n in n_list]
@@ -415,7 +422,9 @@ def run_pointwise_approx(s_grid: Iterable[complex], n_list: Sequence[int]) -> li
     records: list[ApproxRecord] = []
     for s, row in zip(grid, values):
         target = lambda_on_constant(s)
-        records.extend(ApproxRecord(s=s, n=n, residual=abs(v - target)) for n, v in zip(ns, row))
+        for n, (v, b) in zip(ns, row):
+            residual = abs(v - target)
+            records.append(ApproxRecord(s, n, residual, (b + 8 * _U / abs(s) + 4 * _U * residual) * _SLACK))
     return records
 
 
@@ -480,8 +489,8 @@ def write_lambda_csv(records: Sequence[LambdaRecord], out: TextIO) -> None:
 def write_approx_csv(records: Sequence[ApproxRecord], out: TextIO) -> None:
     _write_rows(
         out,
-        ("s_re", "s_im", "n", "residual"),
-        ((r.s.real, r.s.imag, r.n, r.residual) for r in records),
+        ("s_re", "s_im", "n", "residual", "bound"),
+        ((r.s.real, r.s.imag, r.n, r.residual, r.bound) for r in records),
     )
 
 

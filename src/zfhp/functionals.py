@@ -11,10 +11,11 @@ h_k, ``lambda_hk_truncated`` evaluates the same finite sum in closed form,
 with a proved coefficient envelope and a proved rounding bound.
 
 ``approx_reciprocal_s_partial_sums`` forms the Möbius combinations
-sum_{k<=n} mu(k) G_k(s) at many n and many s in one pass over the
-squarefree k, fed by the Möbius sieve one segment at a time up to the
-largest n: no table of mu is held, so memory is O(sqrt(n) + block) and n
-may pass 2^31.
+sum_{k<=n} mu(k) G_k(s) at many n and many s, each with a proved error
+bound, in O(n^(2/3)) operations and memory: the Möbius table and the
+weighted prefix sums reach only about (max n)^(2/3), and each larger n
+comes from the weighted Mertens recursion, with the Euler-Maclaurin tail
+``special._zeta_tail`` above the tables, so n may reach 2^53 - 1.
 """
 
 from __future__ import annotations
@@ -26,16 +27,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import (
-    _SIEVE_BLOCK,
-    _check_memory,
-    _mobius_segments,
-    _sieve_bytes,
-    exact_parts,
-    exact_sum,
-)
+from .arith import _check_memory, _physical_bytes, _sieve_bytes, build_mobius, exact_parts, exact_sum
 from .series import TruncatedSeries, hk_coefficient_envelope
-from .special import _U, fk_values, require_right_half_plane, zeta
+from .special import (ZETA_TARGET, _SLACK, _U, _power_error, _zeta_tail, fk_values,
+                      require_right_half_plane, zeta)
 
 __all__ = [
     "FunctionalEvaluation",
@@ -134,7 +129,8 @@ def lambda_hk_truncated(
     the parts of H_N and of -H_M, and -log k; each (k, s) pair costs O(1).
     The cancellations, in P_N - k^(1-s) P_M and in the small D_k, fall only
     on these exactly rounded sums, so no value depends on the rest of
-    ``k_list``.
+    ``k_list``.  Beyond physical memory, N is refused before anything is
+    allocated (72 bytes per coefficient).
 
     Tail.  ``tail_bound`` is ``_tail_bound`` with the proved envelope
     C = ``hk_coefficient_envelope(k, N)``, so it bounds the discarded
@@ -180,6 +176,10 @@ def lambda_hk_truncated(
         raise ValueError("k values must be >= 2")
     if n < 1:
         raise ValueError("degree must be >= 1")
+    # Per coefficient: j, log j and one s's powers (8 + 8 + 16), and while a
+    # prefix takes its exact parts, their float64 copy and temporaries (24):
+    # under 72 bytes (tracemalloc: 64).
+    _check_memory(72 * (n + 1), f"degree = {n}", "lambda coefficient buffers")
     cuts = sorted({n // k for k in ks} | {n})
     j = np.arange(1, n + 1, dtype=np.float64)
     harmonic = _prefix_parts(1.0 / j, cuts)
@@ -231,61 +231,63 @@ def _closed_form_rounding(k: int, s: complex, n: int, gap: float) -> float:
     abs_1s = abs(1.0 - s)
     m = n // k
     log_k = math.log(k)
-
-    def e(a: float, log_c: float) -> float:
-        return _U * (12.0 * a * log_c + 24.0)
-
-    def power_sum(c: int) -> float:  # upper bound on S_c
-        if c == 0:
-            return 0.0
-        log_c = math.log(c)
-        x = (1.0 - sigma) * log_c
-        return 1.0 + log_c * (math.expm1(x) / x if x else 1.0)
-
-    head = (e(abs_s, math.log(n)) + 24.0 * _U) * power_sum(n)
+    e = _power_error
+    head = (e(abs_s, math.log(n)) + 24.0 * _U) * _power_sum(sigma, n)
     cut = 0.0
     if m:
         cut_rel = e(abs_s, math.log(m)) + e(abs_1s, log_k) + 24.0 * _U
-        cut = k ** (1.0 - sigma) * cut_rel * power_sum(m)
+        cut = k ** (1.0 - sigma) * cut_rel * _power_sum(sigma, m)
     gap_term = (n + 1.0) ** (1.0 - sigma) * (
         (e(abs_1s, math.log(n + 1)) + 24.0 * _U) * abs(gap) + 10.0 * _U * log_k
     )
     return (head + cut + gap_term) / (k * abs_s)
 
 
-# k per block of the approx kernel: the block's terms are a few numpy
-# temporaries of this length, and each block adds only a few parts.
-_APPROX_BLOCK = 1 << 16
+def _power_sum(sigma: float, c, xp=math):
+    """S(c) = 1 + int_1^c x^(-sigma) dx >= sum_{j<=c} j^(-sigma), at an integer c >= 1, or an array with xp = numpy."""
+    log_c = xp.log(c)
+    return 1.0 + (xp.expm1((1.0 - sigma) * log_c) / (1.0 - sigma) if sigma != 1 else log_c)
+
+
+# Table entries per chunk of the approx tables: a chunk's temporaries take
+# under 256 bytes per entry (``_approx_bytes``).
+_APPROX_CHUNK = 1 << 13
 
 
 def approx_reciprocal_s_partial_sums(
     n_list: Iterable[int], s_grid: Iterable[complex]
-) -> list[list[complex]]:
-    """sum_{k=2..n} mu(k) G_k(s) for every s in ``s_grid`` and n in ``n_list``, in their order.
+) -> list[list[tuple[complex, float]]]:
+    """(value, bound) of sum_{k=2..n} mu(k) G_k(s) for every s in ``s_grid`` and n in ``n_list``, in their order.
 
-    With G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), each value is
-    -(zeta(s)/s) times sum_k mu(k) (k^(-s) - 1/k), the sum exactly rounded
-    per component.  Every n must be at least 2 and below 2^53, so that
-    each k is exact in float64.
+    Method.  G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), so the value is
+    -(zeta(s)/s) (M_s(n) - M_1(n)) with M_s(x) = sum_{k<=x} mu(k) k^(-s).
+    Every n must lie in 2..2^53 - 1, and |s| may not exceed 2^20.  mu is
+    sieved once, to L = ``_approx_limit(max n)``, about (max n)^(2/3).
+      * A checkpoint n <= L is the exactly rounded sum of its terms
+        mu(k) (k^(-s) - 1/k), by the same elementwise numpy expression as
+        one pass over every k <= n, times -(zeta(s)/s).
+      * A checkpoint n > L takes M_s(n) and M_1(n) from the recursion of
+        ``_weighted_mertens``: O(L + n / sqrt(L)) = O(n^(2/3)) operations
+        and O(L) memory, instead of O(n) operations.
 
-    One increasing pass over k <= max(n_list) serves the whole grid.  It
-    reads mu from the sieve segments of ``arith._mobius_segments`` as they
-    come, never from a full table, in blocks of at most ``_APPROX_BLOCK``
-    split at the segment ends and the checkpoints.  Each block forms the
-    terms of the squarefree k only (mu(k) = 0 terms are exact zeros) with
-    the same elementwise numpy expression as a single full-range pass; k,
-    log k and 1/k are formed once per block and shared by every s.
+    Bound.  u = 2^-53, Z = ``ZETA_TARGET``, c = -zeta(s)/s, D = M_s(n) -
+    M_1(n) and c~, D~ their computed values.  Assumed: |zeta~(s) - zeta(s)|
+    <= Z |zeta(s)|.  That is the target of ``zeta``, which
+    ``g_k_error_bound`` and the lambda budget assume too; it is not proved.
+    Let E >= |D~ - D|.
+      * n <= L.  Each computed term is within (e(k) + u) k^(-sigma) + 2u/k
+        of mu(k) (k^(-s) - 1/k), with e = ``_power_error(|s|, log k)`` and
+        1/k correctly rounded, and the exactly rounded sum adds u |D~|, so
+        E = (e(n) + u) S(n) + 2u (1 + log n) + u |D~| with S =
+        ``_power_sum`` (first order, covered by ``_SLACK``).
+      * n > L.  E = E_s + E_1 + u |D~|, with the bounds E_s and E_1 of
+        M_s(n) and M_1(n) from ``_weighted_mertens`` and the subtraction.
+    c~ = fl(-zeta~/s) is within (Z + 8u) |c~| of c to first order, and the
+    product adds 3u, so the value is within
 
-    Exactness.  Each block adds its ``exact_parts`` to the parts so far, and
-    a checkpoint takes their ``exact_sum``: by the lemma of ``exact_sum``
-    the same float as one exactly rounded sum of every term up to it,
-    however the blocks are split.  Once the parts of one component exceed
-    ``_APPROX_BLOCK`` floats they are replaced by their own ``exact_parts``,
-    which have the same exact sum, so they stay O(block) at any n.
+        bound = |c~| ((Z + 12u) |D~| + (1 + 2Z) E)
 
-    Memory.  One sieve segment, the primes up to sqrt(max n), a block's
-    temporaries and the parts (``_approx_bytes``); a run whose estimate
-    exceeds physical memory is refused before anything is allocated.
+    of the sum, returned times ``_SLACK``.  []
     """
     ns = [int(n) for n in n_list]
     if not ns:
@@ -298,61 +300,217 @@ def approx_reciprocal_s_partial_sums(
     grid = [complex(s) for s in s_grid]
     if not grid:
         raise ValueError("s_grid must not be empty")
-    checkpoints = sorted(set(ns))
-    top = checkpoints[-1]
-    need = _approx_bytes(top, len(grid))
-    _check_memory(need, f"n = {top}", "Möbius sieve segments and approx blocks")
+    if any(abs(s) > 2**20 for s in grid):
+        raise ValueError("|s| must be at most 2^20, the range of the approx error bound")
+    limit = _approx_limit(max(ns))
     scales = [-(zeta(s).value / s) for s in grid]
-    parts = [([], []) for _ in grid]
-    sums: list[dict[int, complex]] = [{} for _ in grid]
-    cut = iter(checkpoints)
-    n = next(cut)
-    for lo, mu in _mobius_segments(top):
-        start, end = max(lo, 2), lo + mu.size
-        while start < end:
-            hi = min(start + _APPROX_BLOCK, end, n + 1)
-            _add_block_parts(mu[start - lo : hi - lo], start, grid, parts)
-            start = hi
-            if hi == n + 1:
-                for scale, (re, im), at in zip(scales, parts, sums):
-                    at[n] = scale * complex(exact_sum(re), exact_sum(im))
-                n = next(cut, top)
-    return [[at[n] for n in ns] for at in sums]
+    mu = build_mobius(limit).values
+    cuts = sorted({n for n in ns if n <= limit})
+    large = sorted({n for n in ns if n > limit})
+    ones = _weighted_mertens(mu, 1.0, [], large)[1]
+    out = []
+    for s, scale in zip(grid, scales):
+        exact, weighted = _weighted_mertens(mu, s, cuts, large)
+        rows = {}
+        for n, d in exact.items():
+            log_n = math.log(n)
+            err = (_power_error(abs(s), log_n) + _U) * _power_sum(s.real, n) + 2 * _U * (1.0 + log_n)
+            rows[n] = (scale * d, _value_bound(scale, d, err + _U * abs(d)))
+        for n in large:
+            (m_s, e_s), (m_1, e_1) = weighted[n], ones[n]
+            d = complex(m_s) - float(m_1)
+            rows[n] = (scale * d, _value_bound(scale, d, e_s + e_1 + _U * abs(d)))
+        out.append([rows[n] for n in ns])
+    return out
 
 
-def _add_block_parts(
-    mu: np.ndarray, lo: int, grid: list[complex], parts: list[tuple[list[float], list[float]]]
-) -> None:
-    """Append, per s, the exact parts of mu(k) (k^(-s) - 1/k), lo <= k < lo + mu.size.
+def _value_bound(scale: complex, d: complex, err: float) -> float:
+    """The ``bound`` of ``approx_reciprocal_s_partial_sums``, derived in its docstring."""
+    return _SLACK * abs(scale) * ((ZETA_TARGET + 12 * _U) * abs(d) + (1.0 + 2 * ZETA_TARGET) * float(err))
 
-    k, log k and 1/k are formed once for every s; the parts of a component
-    that exceed ``_APPROX_BLOCK`` floats are compacted to their own
-    ``exact_parts``.  The block's arrays die on return, before the next
-    segment is sieved.
+
+def _weighted_mertens(mu: np.ndarray, s, cuts: list[int], large: list[int]):
+    """The exact parts of the approx terms at each n in ``cuts``, and M_s(n) with a bound for each n in ``large``.
+
+    Returns {n: complex(exactly rounded sum of mu(k) (k^(-s) - 1/k) over
+    2 <= k <= n)} for the sorted ``cuts`` (none at s = 1), and
+    {n: (M~_s(n), E_s(n))} for the sorted ``large``, where
+    |M~_s(n) - M_s(n)| <= E_s(n).
+
+    Tables.  With L = mu.size - 1, sigma = Re s and w_j = fl(j^(-s)) (= fl(1/j)
+    at s = 1), the tables hold P~(y) and M~(y), y <= L: running sums of w_j
+    and of mu(j) w_j, built in chunks of ``_APPROX_CHUNK`` entries.  Each is
+    Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005,
+    Algorithm 4.4 and Proposition 4.5), per component: the recursive sum,
+    plus the recursive sum of the exact errors of its additions (TwoSum),
+    added once.  So each entry is within u |exact| + gamma_L^2 sum |terms|
+    of the exact sum of the computed terms, per component, with
+    gamma_L = L u / (1 - L u).  Let e(y) =
+    ``_power_error(|s|, log y)`` (u at s = 1), so w_j is within e(j) j^-sigma
+    of j^(-s), S(y) = ``_power_sum(sigma, y)`` >= sum_{j<=y} j^-sigma and
+    G = 4 (L u)^2 S(L) > sqrt(2) gamma_L^2 (1 + e(L)) S(L), as L < 2^31.
+    For y <= L and a <= b <= L:
+      (T1) |M~(y) - M_s(y)| <= E(y) = (e(y) + 3u) S(y) + G, as the terms
+           are within e(y) S(y) in all and |M~(y)| <= S(y) (1 + 2e(y)).
+           E_M = E(L) bounds them all.
+      (T2) fl(P~(b) - P~(a)) is within 2u (|P~(a)| + |P~(b)| + |difference|)
+           + 2G + e(b) (b - a) (a + 1)^-sigma of P_s(b) - P_s(a): the
+           terms a < j <= b are within e(b) j^-sigma <= e(b) (a + 1)^-sigma.
+      (T3) Above L, P_s(b) - P_s(a) = F(a + 1) - F(b + 1), with the tails F
+           of ``special._zeta_tail``: within their remainders and rounding
+           bounds, plus u of the difference and u of the sum it is added to.
+
+    Recursion.  The Dirichlet convolution mu * 1 = epsilon, weighted by
+    j^(-s), gives sum_{j<=x} j^(-s) M_s(floor(x/j)) = 1 for x >= 1
+    (Deleglise and Rivat, Experiment. Math. 5, 1996).  For x = floor(n/d) > L
+    and r = isqrt(x), group the j > r by q = floor(x/j) <= r <= L:
+
+        M_s(x) = 1 - sum_{2<=j<=r} j^(-s) M_s(floor(x/j))
+                   - sum_{1<=q<=x/(r+1)} M_s(q) (P_s(b_q) - P_s(a_q)),
+
+    b_q = floor(x/q), a_q = max(floor(x/(q+1)), r).  floor(x/j) =
+    floor(n/(dj)) is a table entry or, above L, the memo entry at dj, which
+    is done before d since d runs down from floor(n/(L+1)).  Each x costs
+    O(sqrt(x)) numpy work, so n costs O(n / sqrt(L)); the P differences
+    take (T2) up to L and (T3) above.
+
+    Bound.  The two sums are added in one exactly rounded sum T~
+    (``exact_sum``), and M~(x) = fl(1 - T~).  Let v~_j be the value taken for
+    M_s(floor(x/j)), E_j its bound (E_M or a memo bound), g~_q the computed
+    group difference, D_q its bound from (T2) and (T3), m~_q = M~(q) and
+    E_q = E(q).
+    Products are within 3u, and w~_j within e(r), so M~(x) is within
+
+        E(x) = sum_j |w~_j| (E_j + (e(r) + 4u) |v~_j|)
+               + sum_q ((|m~_q| + E_q) D_q + (E_q + 4u |m~_q|) |g~_q|)
+               + 2u (|T~| + |M~(x)|)
+
+    of M_s(x), to first order.  Every bound is stored times ``_SLACK``,
+    which covers the second-order terms (e <= 2^-22 for |s| <= 2^20) and
+    the rounding of the bound's own evaluation, sums of fewer than 2^31
+    nonnegative terms.  An underflowing power is off by at most 2^-1074, far
+    below the u |c~| / |s| that ``run_pointwise_approx`` adds.  []
     """
-    nz = np.flatnonzero(mu)
-    k = (nz + lo).astype(np.float64)
-    log_k, inv_k, mu_k = np.log(k), 1.0 / k, mu[nz].astype(np.float64)
-    for s, components in zip(grid, parts):
-        terms = mu_k * (np.exp(-s * log_k) - inv_k)
-        for part, x in zip(components, (terms.real, terms.imag)):
-            part += exact_parts(x)
-            if len(part) > _APPROX_BLOCK:
-                part[:] = exact_parts(part)
+    limit, sigma, real = mu.size - 1, s.real, s == 1
+    kind = np.float64 if real else np.complex128
+    table_p, table_m = tables = np.zeros((2, limit + 1), kind)  # P~ and M~
+    powers = np.zeros(math.isqrt(max(large, default=0)) + 1, kind)  # w_j, j <= sqrt(max n)
+    carries = [[0.0, 0.0], [0.0, 0.0]]
+    parts: tuple[list[float], list[float]] = ([], [])
+    pending, exact = list(cuts), {}
+    for lo in range(1, limit + 1, _APPROX_CHUNK):
+        hi = min(lo + _APPROX_CHUNK, limit + 1)
+        j = np.arange(lo, hi, dtype=np.float64)
+        w = 1.0 / j if real else np.exp(-s * np.log(j))
+        powers[lo : min(hi, powers.size)] = w[: max(powers.size - lo, 0)]
+        for out, x, carry in zip(tables[:, lo:hi], (w, mu[lo:hi] * w), carries):
+            _running_sum(x, out, carry)
+        start = lo
+        while pending and start < hi:
+            end = min(hi, pending[0] + 1)
+            terms = mu[start:end] * (w[start - lo : end - lo] - 1.0 / j[start - lo : end - lo])
+            for part, x in zip(parts, (terms.real, terms.imag)):
+                part += exact_parts(x)
+            if end == pending[0] + 1:
+                exact[pending.pop(0)] = complex(exact_sum(parts[0]), exact_sum(parts[1]))
+            start = end
+    e = (lambda y: _U) if real else (lambda y: _power_error(abs(s), np.log(y)))
+    g_table = 4 * (limit * _U) ** 2 * _power_sum(sigma, limit)
+    e_table, e_small = ((e(y) + 3 * _U) * _power_sum(sigma, y, np) + g_table  # E(L); E(q) at q - 1
+                        for y in (limit, np.arange(1, powers.size + 1)))
+    abs_powers = np.abs(powers)
+
+    def groups(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_s(b) - P_s(a) per group, with its bound D, by (T2) and (T3)."""
+        lo, hi = np.minimum(a, limit), np.minimum(b, limit)
+        p_lo, p_hi = table_p[lo], table_p[hi]
+        g = p_hi - p_lo
+        bound = 2 * _U * (np.abs(p_lo) + np.abs(p_hi) + np.abs(g)) + 2 * g_table
+        bound += e(hi[0]) * (hi - lo) * (lo + 1.0) ** -sigma
+        tail = np.flatnonzero(b > limit)
+        if tail.size:  # F(max(a, L) + 1) and F(b + 1) from one call
+            f, rem, rnd = _zeta_tail(np.concatenate((np.maximum(a[tail], limit), b[tail])) + 1.0, s)
+            diff = f[: tail.size] - f[tail.size :]
+            g[tail] += diff
+            bound[tail] += (rem + rnd).reshape(2, -1).sum(axis=0) + 2 * _U * (np.abs(diff) + np.abs(g[tail]))
+        return g, bound
+
+    results = {}
+    for n in large:
+        top = n // (limit + 1)
+        memo, memo_err = np.zeros(top + 1, kind), np.zeros(top + 1)
+        for d in range(top, 0, -1):
+            x, r = n // d, math.isqrt(n // d)
+            j = np.arange(2, r + 1)
+            y = x // j
+            v, ev = table_m[np.minimum(y, limit)], np.full(y.size, e_table)
+            big = d * j[y > limit]
+            v[: big.size], ev[: big.size] = memo[big], memo_err[big]
+            q = np.arange(1, x // (r + 1) + 1)
+            g, eg = groups(np.maximum(x // (q + 1), r), x // q)
+            m = table_m[q]
+            total = exact_sum(np.concatenate((powers[2 : r + 1] * v, m * g)))
+            value = 1.0 - total
+            am, em = np.abs(m), e_small[: q.size]
+            err = (abs_powers[2 : r + 1] @ (ev + (e(r) + 4 * _U) * np.abs(v))
+                   + (am + em) @ eg + (em + 4 * _U * am) @ np.abs(g)
+                   + 2 * _U * (abs(total) + abs(value)))
+            memo[d], memo_err[d] = value, err * _SLACK
+        results[n] = (memo[1], memo_err[1])
+    return exact, results
 
 
-def _approx_bytes(top: int, grid_size: int) -> int:
-    """Peak bytes of ``approx_reciprocal_s_partial_sums`` up to n = ``top``, over ``grid_size`` s.
+def _running_sum(t: np.ndarray, out: np.ndarray, carry: list[float]) -> None:
+    """Sum2 running sums of ``t`` into ``out``, continuing from ``carry``.
 
-    The sieve (``arith._sieve_bytes``) and the previous int8 segment, held
-    while the next one is sieved.  Per block entry, the int64 index and k,
-    log k, 1/k and mu(k) as float64 (40 bytes), and for one s at a time at
-    most two complex128 temporaries and the float64 copy and temporaries
-    of ``exact_parts`` (56 bytes).  Per s and component, at most
-    ``_APPROX_BLOCK`` parts plus one block's, fewer than 64: by the lemma
-    of ``exact_sum`` each pass drops at least 52 - 17 of the 2100 binary
-    exponents.  They are floats in a list (32 bytes each), with their
-    float64 copy while they are compacted.
+    carry = [recursive sum, recursive sum of its addition errors] of the
+    terms before ``t``, updated in place.  Each addition c = fl(a + b) has
+    the exact error (a - (c - (c - a))) + (b - (c - a)) (TwoSum, Knuth);
+    ``out`` is fl(c + correction).  Complex +, - and ``np.cumsum`` act per
+    component, so a complex ``t`` is two real running sums.
     """
-    parts = grid_size * 2 * 40 * (_APPROX_BLOCK + 64)
-    return _sieve_bytes(top) + _SIEVE_BLOCK + 96 * _APPROX_BLOCK + parts
+    c = np.cumsum(np.concatenate(([carry[0]], t)))
+    bb = c[1:] - c[:-1]
+    err = (c[:-1] - (c[1:] - bb)) + (t - bb)
+    corr = np.cumsum(np.concatenate(([carry[1]], err)))
+    np.add(c[1:], corr[1:], out=out)
+    carry[:] = c[-1], corr[-1]
+
+
+# Bytes of the approx tables per entry: the int8 mu, and P~ and M~ of one s.
+_TABLE_BYTES = 33
+
+
+def _approx_limit(top: int) -> int:
+    """L for ``approx_reciprocal_s_partial_sums`` up to n = ``top``, refused if it cannot fit.
+
+    L = min(ceil(top^(2/3)), 2^31 - 1, the largest L whose ``_approx_bytes``
+    fit in physical memory), and at least isqrt(top), which the recursion
+    needs.  Beyond physical memory, ``_check_memory`` refuses before
+    anything is allocated.
+    """
+    limit = int(top ** (2 / 3)) + 2
+    while (limit - 1) ** 3 >= top * top:
+        limit -= 1
+    rest = _approx_bytes(top, limit) - _TABLE_BYTES * (limit + 1)  # also bounds it at any smaller L
+    limit = max(min(limit, 2**31 - 1, (_physical_bytes() - rest) // _TABLE_BYTES - 1), math.isqrt(top))
+    _check_memory(_approx_bytes(top, limit), f"n = {top}", "approx tables and temporaries")
+    return limit
+
+
+def _approx_bytes(top: int, limit: int) -> int:
+    """Peak bytes of ``approx_reciprocal_s_partial_sums`` up to n = ``top`` with tables to ``limit``.
+
+    Per table entry, the int8 mu and the complex128 P~ and M~ of one s at a
+    time (the float64 tables at s = 1 come first, and are freed), 33 bytes,
+    and the sieve's segment buffers and base primes
+    (``arith._sieve_bytes``).  Per chunk entry, the chunk's arrays: j,
+    log j, w, mu w, 1/j and a term array, their running sums and exact
+    parts, under 256 bytes.  Per entry of the recursion's arrays, of at most
+    isqrt(top) + 1 entries each: the powers and their moduli (24), the
+    memo's complex128 value and float64 bound (24; top / (limit + 1) <=
+    isqrt(top) entries, as limit >= isqrt(top)), and the j, q, index,
+    value, bound and group arrays of one x, under 512 bytes.
+    """
+    return (_TABLE_BYTES * (limit + 1) + _sieve_bytes(limit) + 256 * _APPROX_CHUNK
+            + 560 * (math.isqrt(top) + 1))

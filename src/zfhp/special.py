@@ -47,6 +47,13 @@ _MAX_ETA_TERMS = 280
 # Relative error that ``zeta`` aims for.
 ZETA_TARGET = 1e-13
 _U = 2.0**-53  # unit roundoff of float64
+# Relative slack for the rounding of a bound's own evaluation and for the
+# second-order terms its first-order proof leaves out.
+_SLACK = 1.0 + 2.0**-20
+# B_2j / (2j)! for j = 1..9, with B_2j = p/q the Bernoulli numbers, each
+# correctly rounded (int / int): the Euler-Maclaurin coefficients of ``_zeta_tail``.
+_EM_COEFFS = [p / (q * math.factorial(2 * j)) for j, (p, q) in enumerate(
+    ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798)), 1)]
 
 
 def require_right_half_plane(s) -> complex:
@@ -57,6 +64,87 @@ def require_right_half_plane(s) -> complex:
     if not s.real > 0.0:
         raise DomainError(f"Re(s) must be positive, got s = {s}")
     return s
+
+
+def _power_error(a: float, log_c):
+    """e(a, log c) = u (12 a log c + 24): exp(-w log j) is within e(|w|, log j) |j^(-w)|.
+
+    Step 1 of the rounding proof of ``zfhp.functionals.lambda_hk_truncated``;
+    ``log_c`` may be an array.
+    """
+    return _U * (12.0 * a * log_c + 24.0)
+
+
+def _zeta_tail(n, s, terms: int = 8):
+    """Euler-Maclaurin tails sum_{j>=N} j^(-s) at the integers N >= 1 of ``n``: value, remainder, rounding.
+
+    Value.  With 1 <= M <= ``terms`` <= 8, (s)_m = s (s+1) ... (s+m-1) the
+    rising factorial and T_j(N) = B_2j/(2j)! (s)_(2j-1) N^(-s-2j+1),
+
+        F(N) = N^(1-s)/(s-1) + N^(-s)/2 + sum_{j=1..M} T_j(N) + R,
+        |R| <= |s + 2M + 1| / (sigma + 2M + 1) |T_(M+1)(N)|,
+
+    for sigma = Re s > -(2M + 1) and s != 1, where F(N) = zeta(s) -
+    sum_{j<N} j^(-s), the tail itself when sigma > 1 (Backlund's bound:
+    Edwards, *Riemann's Zeta Function*, 1974, section 6.4).  At s = 1 the
+    first term is -log N and F(N) = gamma - H_(N-1): subtract 1/(s-1) from
+    both sides and let s -> 1; R is continuous in s, and the factor of its
+    bound is 1.  Either way, for integers 0 <= a < b,
+
+        F(a+1) - F(b+1) = sum_{a<j<=b} j^(-s),
+
+    in which zeta(s), or gamma, cancels.  M is the first j at which the
+    bound on |R| falls below 2^-60 H (H below), far under the rounding, or
+    ``terms``.  This is the one tail of the package: the approx recursion
+    takes its differences, and a zeta evaluator or a lambda tail bound can
+    take it whole, with N and M chosen to make R small.  The remainder
+    returned is the bound on |R|.
+
+    Rounding.  u = 2^-53, with the arithmetic assumed in
+    ``zfhp.functionals.lambda_hk_truncated`` (Python's complex product is
+    within 3u as well), and e = ``_power_error(|s|, log N)``, or e = u at
+    s = 1, where N^-1 = 1/N is correctly rounded: so N^-s is within
+    e |N^-s|.  Assume e <= 2^-22, which holds for |s| <= 2^20.
+      1. The first term, N^-s N / (s - 1), is within (e + 11u) of itself:
+         the product, s - 1 and the division add u, u and 8u.  At s = 1,
+         -log N is within 8u.
+      2. t_1 = s N^-s / N is within e + 4u of (s)_1 N^(-s-1), and each
+         t_(j+1) = t_j ((s + 2j - 1)(s + 2j)) / N^2, with 1/N^2 from
+         N N and a division, adds at most 11u, so t_j carries e + 11j u.
+         The coefficient and its product add 2u, and the M additions to
+         N^-s/2 at most u each of a running sum below
+         H = |N^-s|/2 + sum_j |c_j t_j|.
+      3. The last addition adds u |value|.
+    To first order the value is within
+
+        r = (e + 11u) |first term| + (e + (12M + 2)u) H + u |value|
+
+    of the formula above (the code takes ``terms`` >= M in place of M), and
+    the remainder's formula, evaluated at t_(M+1), is within
+    e + 11(M + 1)u relative.  Both are returned times
+    ``_SLACK``, which covers the second-order terms and the rounding of
+    their own evaluation.  []
+    """
+    n = np.asarray(n, dtype=np.float64)
+    if s == 1:
+        p, first, e = 1.0 / n, -np.log(n), _U
+    else:
+        p = np.exp(-s * np.log(n))
+        first, e = p * n / (s - 1.0), _power_error(abs(s), np.log(n))
+    inv_n2 = 1.0 / (n * n)
+    t = s * p / n
+    h, size = 0.5 * p, 0.5 * np.abs(p)
+    for j in range(1, terms + 1):
+        term = _EM_COEFFS[j - 1] * t
+        h = h + term
+        size = size + np.abs(term)
+        t = t * ((s + 2 * j - 1) * (s + 2 * j)) * inv_n2
+        remainder = abs(s + 2 * j + 1) / (s.real + 2 * j + 1) * abs(_EM_COEFFS[j]) * np.abs(t) * _SLACK
+        if np.all(remainder <= 2.0**-60 * size):  # far below the rounding: stop at M = j
+            break
+    value = first + h
+    rounding = (e + 11 * _U) * np.abs(first) + (e + (12 * terms + 2) * _U) * size + _U * np.abs(value)
+    return value, remainder, rounding * _SLACK
 
 
 def _cexpm1(w):

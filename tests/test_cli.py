@@ -38,7 +38,7 @@ class TestParsers:
             parse_complex("abc")
 
     def test_parse_int_range(self):
-        assert parse_int_range("2..5") == [2, 3, 4, 5]
+        assert parse_int_range("2..5") == range(2, 6)  # a list only once its size is checked
         assert parse_int_range("1,4,9") == [1, 4, 9]
         with pytest.raises(ValueError):
             parse_int_range("5..2")
@@ -87,17 +87,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"invalid arguments: n = {2**53} too large") and "2^53" in err
 
-    def test_approx_stream_beyond_physical_memory_refused(self, capsys, monkeypatch):
+    def test_approx_beyond_physical_memory_refused(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("sieve or kernel allocated")
+            raise AssertionError("sieve or tables allocated")
 
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}  # 0.125 GiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        monkeypatch.setattr(np, "ones", refuse)
-        monkeypatch.setattr(np, "empty", refuse)
+        for name in ("ones", "empty", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
         monkeypatch.setattr(zfhp.arith, "_primes_up_to", refuse)
         monkeypatch.setattr(zfhp.arith, "_sieve_segment", refuse)
-        n = 2**52  # base primes to 2^26 and int64 segments: about 0.29 GiB
+        # no table fits, so the estimate is at the smallest limit, isqrt(n):
+        # 2^26 + 1 entries of the tables (33 bytes each) and of the
+        # recursion's arrays (560 bytes each), about 37.1 GiB
+        n = 2**52
         tracemalloc.start()
         try:
             code = main(["approx", "--s", "2+0i", "--n", f"100,{n}"])
@@ -107,8 +110,40 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err.startswith(f"invalid arguments: n = {n} needs an estimated 0.3 GiB")
+        assert err.startswith(f"invalid arguments: n = {n} needs an estimated 37.1 GiB")
         assert "Traceback" not in err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lambda", "--k", "2..10000000000", "--s-grid", "2 x 0"],
+             "--k 2..10000000000 needs an estimated 5,364.4 GiB of lambda records"),
+            (["lambda", "--k", "2..10", "--s-grid", "2 x 0", "--coeff-cutoff", "100000000000"],
+             "degree = 100000000000 needs an estimated 6,705.5 GiB of lambda coefficient"),
+            (["mellin", "verify", "--k", "1..10000000000", "--s", "2+1i"],
+             "--k 1..10000000000 needs an estimated 2,980.2 GiB of mellin records"),
+        ],
+        ids=["lambda-k", "lambda-coeff-cutoff", "mellin-k"],
+    )
+    def test_lambda_and_mellin_beyond_physical_memory_refused(self, argv, message, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients allocated")
+
+        # never run unpatched: the patched machine has 0.125 GiB
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(np, "arange", refuse)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid arguments: {message}")
         assert peak < 2**20
 
     @pytest.mark.parametrize("subsequence", ["all", "primes"])

@@ -293,6 +293,23 @@ class TestPointwiseApprox:
         with pytest.raises(DomainError):
             run_pointwise_approx([0.4], [10])
 
+    def test_bound_is_a_thousandth_of_the_residual_at_the_benchmark_point(self):
+        # the seed-0 approx-1e7 command: n = 100 and 10^4 are exact table sums,
+        # 10^6 and 10^7 come from the recursion
+        records = run_pointwise_approx([2.0], [100, 10**4, 10**6, 10**7])
+        assert all(0.0 < r.bound <= 1e-3 * r.residual for r in records)
+
+    def test_rerun_gives_identical_bytes(self):
+        # criterion 12 with the bound column: three s, tables to 15874, and
+        # three n above it through the recursion
+        grid = [[2.0, 0.0], [1.5, 1.0], [0.75, 14.13]]
+        manifest = build_manifest("pointwise_approx", s_grid=grid, n_list=[10, 10**4, 10**5, 10**6, 2 * 10**6])
+        first, second = io.StringIO(), io.StringIO()
+        write_approx_csv(rerun(manifest), first)
+        write_approx_csv(rerun(manifest), second)
+        assert first.getvalue() == second.getvalue()
+        assert len(first.getvalue().splitlines()) == 16
+
     def test_n_validation(self):
         for ns in ([], [1, 10]):
             with pytest.raises(ValueError):
@@ -405,7 +422,7 @@ class TestCsvOutput:
     def test_approx_columns(self):
         records = run_pointwise_approx([2.0], [10])
         rows = csv_rows(write_approx_csv, records)
-        assert list(rows[0]) == ["s_re", "s_im", "n", "residual"]
+        assert list(rows[0]) == ["s_re", "s_im", "n", "residual", "bound"]
 
     def test_weights_columns_and_quoting(self):
         results = [classify(WeightFamily("powerlog", alpha=1.0, beta=1.0))]

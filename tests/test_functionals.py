@@ -20,7 +20,12 @@ from zfhp import arith, functionals
 from zfhp.functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from zfhp.series import hk_coefficient_envelope
 
-from oracles import approx_reciprocal_s_oracle, approx_reciprocal_s_table_kernel
+import oracles
+from oracles import (
+    approx_reciprocal_s_oracle,
+    approx_reciprocal_s_stream,
+    approx_reciprocal_s_table_kernel,
+)
 
 U = 2.0**-53
 
@@ -214,14 +219,36 @@ def mobius_straddle():
 
 
 def approx(ns, s):
-    """The streamed kernel at one s."""
-    return approx_reciprocal_s_partial_sums(ns, [s])[0]
+    """The values of the production kernel at one s."""
+    return [value for value, _ in approx_reciprocal_s_partial_sums(ns, [s])[0]]
+
+
+def ceil_two_thirds(n: int) -> int:
+    """The least L with L^3 >= n^2."""
+    limit = round(n ** (2 / 3))
+    while limit**3 < n * n:
+        limit += 1
+    while (limit - 1) ** 3 >= n * n:
+        limit -= 1
+    return limit
+
+
+def assert_agrees(ns, grid, want, limit):
+    """Each value equals the exactly rounded ``want`` where n <= limit, and is within its bound above."""
+    got = approx_reciprocal_s_partial_sums(ns, grid)
+    for row, expected in zip(got, want):
+        for n, (value, bound), oracle in zip(ns, row, expected):
+            if n <= limit:
+                assert value == oracle, n
+            else:
+                assert abs(value - oracle) <= bound, n
 
 
 class TestApproxReciprocal:
     def test_block_sizes_pinned(self):
         assert arith._SIEVE_BLOCK == B
-        assert functionals._APPROX_BLOCK == 1 << 16
+        assert oracles.APPROX_BLOCK == 1 << 16
+        assert functionals._APPROX_CHUNK == 1 << 13
 
     def test_single_term_is_minus_g2(self):
         got = approx([2], 2.0)[0]
@@ -240,23 +267,27 @@ class TestApproxReciprocal:
 
     @pytest.mark.parametrize("s", [2.0, 1.5, 0.75 + 3j, 2.0 + 14.13j])
     def test_kernel_equals_full_range_oracle(self, s, mobius_100k):
-        # unsorted, with duplicates, across the 2^16 block boundary, ending at the limit
-        ns = [1000, 2, 65538, 100, 1000, 65537, 2, 10**5]
-        got = approx(ns, s)
-        assert got == [approx_reciprocal_s_oracle(n, s, mobius_100k) for n in ns]
+        # unsorted, with duplicates, across L = 2155, ending at the oracle table's limit
+        ns = [1000, 2, 65538, 100, 1000, 65537, 2, 2155, 2156, 10**5]
+        want = [approx_reciprocal_s_oracle(n, s, mobius_100k) for n in ns]
+        assert_agrees(ns, [s], [want], ceil_two_thirds(10**5))
 
     @pytest.mark.parametrize("s", [2.0, 0.75 + 3j])
     def test_streamed_equals_table_kernel_across_segments(self, s, mobius_straddle):
+        # the exact stream, now the oracle, against the table kernel it replaced
         for ns in ([n] for n in STRADDLE):
-            assert approx(ns, s) == approx_reciprocal_s_table_kernel(
+            assert approx_reciprocal_s_stream(ns, [s])[0] == approx_reciprocal_s_table_kernel(
                 ns, s, mobius_straddle
             )
         # unsorted, with duplicates, every straddling checkpoint in one pass
         ns = [B + 1, 2, B - 1, 65538, B, 2 * B + 65537, 2, B - 1, 100]
-        got = approx(ns, s)
+        got = approx_reciprocal_s_stream(ns, [s])[0]
         assert got == approx_reciprocal_s_table_kernel(ns, s, mobius_straddle)
 
-    def test_one_sieve_pass_serves_the_whole_grid(self, monkeypatch, mobius_straddle):
+    def test_one_sieve_pass_serves_the_whole_grid(self, monkeypatch):
+        grid = [2.0, 1.5 + 1j, 0.75 + 14.13j]
+        ns = [2 * B + 65537, 100, B]
+        want = approx_reciprocal_s_stream(ns, grid)
         calls = []
         sieve = arith._sieve_segment
 
@@ -265,28 +296,72 @@ class TestApproxReciprocal:
             return sieve(lo, hi, primes)
 
         monkeypatch.setattr(arith, "_sieve_segment", counted)
-        grid = [2.0, 1.5 + 1j, 0.75 + 14.13j]
-        ns = [2 * B + 65537, 100, B]
-        got = approx_reciprocal_s_partial_sums(ns, grid)
-        assert calls == [(0, B), (B, 2 * B), (2 * B, 2 * B + 65538)]
-        assert got == [approx_reciprocal_s_table_kernel(ns, s, mobius_straddle) for s in grid]
+        limit = ceil_two_thirds(2 * B + 65537)
+        assert_agrees(ns, grid, want, limit)
+        assert calls == [(0, limit + 1)]
 
     def test_compacted_parts_stay_exact(self, monkeypatch, mobius_100k):
-        # 8 k per block: the parts exceed a block's worth, and are compacted, every few blocks
-        monkeypatch.setattr(functionals, "_APPROX_BLOCK", 8)
+        # the stream oracle with 8 k per block: its parts exceed a block's
+        # worth, and are compacted, every few blocks
+        monkeypatch.setattr(oracles, "APPROX_BLOCK", 8)
         ns = [10**5, 37, 5000]
         for s in (2.0, 0.75 + 3j):
-            assert approx(ns, s) == approx_reciprocal_s_table_kernel(ns, s, mobius_100k)
+            got = approx_reciprocal_s_stream(ns, [s])[0]
+            assert got == approx_reciprocal_s_table_kernel(ns, s, mobius_100k)
 
     def test_peak_within_the_memory_estimate(self):
+        # the stream oracle within the estimate it was guarded by
         n = 2 * B + 65537
         tracemalloc.start()
         try:
-            approx_reciprocal_s_partial_sums([n, 100], [2.0, 0.75 + 3j])
+            approx_reciprocal_s_stream([n, 100], [2.0, 0.75 + 3j])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= functionals._approx_bytes(n, 2)
+        assert peak <= oracles.approx_stream_bytes(n, 2)
+
+    def test_peak_within_the_table_estimate(self):
+        n = 8 * 10**6  # tables in five chunks
+        limit = ceil_two_thirds(n)
+        tracemalloc.start()
+        try:
+            approx_reciprocal_s_partial_sums([n, 10**6, 100], [2.0, 0.75 + 3j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= functionals._approx_bytes(n, limit)
+
+    @pytest.mark.parametrize("s", [2.0, 1.5 + 1j, 0.75 + 5j, 0.51 + 14.13j])
+    def test_within_bound_of_the_stream_to_1e7(self, s):
+        ns = [10, 1000, 46416, 46417, 10**5, 10**6, 10**7]
+        want = approx_reciprocal_s_stream(ns, [s])
+        assert_agrees(ns, [s], want, ceil_two_thirds(10**7))
+
+    def test_sieve_limit_is_two_thirds_power(self, monkeypatch):
+        # a complexity pin: one sieve, to about n^(2/3), not to n
+        limits = []
+        build = functionals.build_mobius
+
+        def recorded(limit):
+            limits.append(limit)
+            return build(limit)
+
+        monkeypatch.setattr(functionals, "build_mobius", recorded)
+        n = 10**9
+        (value, bound), = approx_reciprocal_s_partial_sums([n], [2.0])[0]
+        assert len(limits) == 1 and limits[0] <= ceil_two_thirds(n) + 1
+        assert abs(value + 0.5) < 1e-3 and bound < 1e-9
+
+    def test_memory_budget_lowers_the_table_limit(self, monkeypatch):
+        # physical memory for tables to 3000, where 10^4 = n^(2/3) is asked
+        n = 10**6
+        rest = functionals._approx_bytes(n, 10**4) - 33 * (10**4 + 1)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": rest + 33 * 3001}
+        want = approx_reciprocal_s_stream([n, 2000, 4000], [0.75 + 3j])
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        limit = functionals._approx_limit(n)
+        assert limit == 3000
+        assert_agrees([n, 2000, 4000], [0.75 + 3j], want, limit)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -297,6 +372,8 @@ class TestApproxReciprocal:
             approx([], 2.0)
         with pytest.raises(ValueError):
             approx_reciprocal_s_partial_sums([10], [])
+        with pytest.raises(ValueError, match=r"2\^20"):
+            approx([10], 2.0**21)
 
     def test_refuses_n_beyond_exact_float64_integers(self, monkeypatch):
         def refuse(*args):
@@ -313,8 +390,9 @@ class TestApproxReciprocal:
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**12}  # 16 MiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(arith, "_sieve_segment", refuse)
+        monkeypatch.setattr(functionals, "build_mobius", refuse)
         n = 10**12
-        assert functionals._approx_bytes(n, 1) > 2**24
+        assert functionals._approx_bytes(n, math.isqrt(n)) > 2**24
         with pytest.raises(ValueError, match=f"n = {n} needs an estimated"):
             approx([n], 2.0)
 

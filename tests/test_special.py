@@ -21,7 +21,7 @@ from zfhp import (
     zeta,
 )
 
-from zfhp.special import _mellin_step_pk_bound
+from zfhp.special import _U, _mellin_step_pk_bound, _zeta_tail
 
 from oracles import f_k_scalar, mellin_step_pk_quadrature
 
@@ -241,6 +241,59 @@ class TestMellinBound:
             _mellin_step_pk_bound(1, 1.0 + 2.0**34 * 1j)
         with pytest.raises(DomainError):
             _mellin_step_pk_bound(1, -1.0)
+
+
+def zeta_tail_oracle(s, n: int, terms: int = 30):
+    """sum_{j>=N} j^(-s) (gamma - H_(N-1) at s = 1) at 50 digits, by Euler-Maclaurin with 30 corrections."""
+    with mpmath.workdps(50):
+        n = mpmath.mpf(n)
+        if s == 1:
+            total = -mpmath.log(n) + 1 / (2 * n)
+        else:
+            s = mpmath.mpc(s)
+            total = n ** (1 - s) / (s - 1) + n ** (-s) / 2
+        for j in range(1, terms + 1):
+            rising = mpmath.rf(s, 2 * j - 1)
+            total += mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * n ** (-s - 2 * j + 1)
+        return complex(total)
+
+
+TAIL_S = [2.0, 1.5 + 1j, 0.75 + 5j, 0.51 + 14.13j, 1.0]
+
+
+class TestZetaTail:
+    @pytest.mark.parametrize("s", [2.0, 0.75 + 5j, 1.0])
+    def test_oracle_is_the_hurwitz_zeta(self, s):
+        # the 30-term oracle against mpmath's own zeta(s, N) = sum_{j>=0} (N + j)^(-s)
+        with mpmath.workdps(50):
+            want = mpmath.euler - mpmath.harmonic(999) if s == 1 else mpmath.zeta(s, 1000)
+            assert abs(zeta_tail_oracle(s, 1000) - complex(want)) < 1e-30
+
+    @pytest.mark.parametrize("s", TAIL_S)
+    @pytest.mark.parametrize("n", [46417, 10**6, 10**10])  # L + 1 at n = 10^7, and beyond
+    def test_within_remainder_and_rounding(self, s, n):
+        value, remainder, rounding = _zeta_tail(np.array([float(n)]), s)
+        true = zeta_tail_oracle(s, n)
+        assert abs(complex(value[0]) - true) <= remainder[0] + rounding[0]
+        assert remainder[0] + rounding[0] <= 1e-12 * abs(true)  # a useful bound
+
+    @pytest.mark.parametrize("s", TAIL_S)
+    def test_group_difference_at_the_worst_cancellation(self, s):
+        # at n = 10^7 the groups above L = 46416 end at q = 215: a = floor(n/216),
+        # b = floor(n/215), b/a close to 1 + 1/215
+        a, b = 10**7 // 216, 10**7 // 215
+        value, remainder, rounding = _zeta_tail(np.array([a + 1.0, b + 1.0]), s)
+        diff = complex(value[0] - value[1])
+        with mpmath.workdps(50):
+            true = complex(mpmath.fsum(mpmath.mpf(j) ** -mpmath.mpmathify(s) for j in range(a + 1, b + 1)))
+        bound = float(np.sum(remainder + rounding)) + _U * abs(diff)
+        assert abs(diff - true) <= bound
+        assert bound <= 1e-10 * abs(true)
+
+    def test_remainder_falls_with_the_terms(self):
+        n = np.array([15.0, 101.0])
+        remainders = [_zeta_tail(n, 0.75 + 5j, terms)[1] for terms in (2, 4, 8)]
+        assert np.all(remainders[0] > remainders[1]) and np.all(remainders[1] > remainders[2])
 
 
 class TestMellinRho:
