@@ -39,17 +39,18 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from ._version import __version__
-from .arith import MobiusTable, build_mobius, exact_sum, mobius_sum_over_k
+from .arith import MobiusTable, _check_memory, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import (
     QuadratureWarning,
     _check_two_level_nodes,
     _lq_of_magnitudes,
+    _two_level_bytes,
     _undersampling,
     two_level_means,
 )
-from .series import _check_checkpoints, mobius_ims_partial_sums
+from .series import _check_checkpoints, _kernel_bytes, mobius_ims_partial_sums
 from .special import (_SLACK, _U, _g_k_given_zeta, _mellin_step_pk_bound, f_k, g_k_error_bound,
                       lambda_on_constant, mellin_step_pk, zeta)
 from .weights import ClassificationResult, ProbeResult
@@ -179,15 +180,18 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
 def _convergence_records(
     norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int,
     row: Callable[[int, np.ndarray, MobiusTable], tuple[float, float]], warning: str | None = None,
+    row_memory: tuple[int, str] | None = None,
 ) -> list[ConvergenceRecord]:
     """One record per n of ``row(n, coeffs, table) -> (value, tail_bound)``.
 
     ``n_list`` and the cutoff are checked first, the kernel's buffers
-    against physical memory included (``series._check_checkpoints``);
-    only then is ``table`` sieved, to the largest n and no further.  n must
-    stay below 2^31, the cap of ``build_mobius``.  ``coeffs`` is
-    ``mobius_ims_partial_sums`` at n; a record's wall time covers the
-    kernel's advance to n and the row.  ``coeffs`` is the kernel's one
+    against physical memory included (``series._check_checkpoints``).
+    ``row_memory``, if any, is (bytes, name) of the buffers ``row``
+    allocates besides the kernel's; then the kernel's bytes and these are
+    checked as one sum.  Only then is ``table`` sieved, to the largest n
+    and no further.  n must stay below 2^31, the cap of ``build_mobius``.
+    ``coeffs`` is ``mobius_ims_partial_sums`` at n; a record's wall time
+    covers the kernel's advance to n and the row.  ``coeffs`` is the kernel's one
     output buffer, the same array at every n: ``row`` may overwrite it, and
     must be done with it when it returns, because the next advance
     overwrites it.  ``warning``, if any, is issued as a
@@ -200,6 +204,10 @@ def _convergence_records(
     if top >= 2**31:
         raise ValueError(f"n = {top} too large: the Möbius table needs n < 2^31")
     _check_checkpoints(ns, coeff_cutoff)
+    if row_memory:
+        need, name = row_memory
+        _check_memory(_kernel_bytes(coeff_cutoff) + need, f"coeff_cutoff = {coeff_cutoff}",
+                      f"partial-sum buffers and {name}")
     table = build_mobius(top)
     partial_sums = mobius_ims_partial_sums(ns, coeff_cutoff, table)
     if warning:
@@ -328,16 +336,21 @@ def run_hp_convergence(
     The coefficients are the running sums (h_k = (I - S)^-1 (I - S) h_k)
     of the closed-form kernel ``mobius_ims_partial_sums``, taken in place.
     Both quadrature levels, ``nodes`` and 2 ``nodes`` half-offset nodes,
-    come from two complex FFTs per checkpoint, of ``nodes`` and
-    ``nodes``/2 points, that compute only the spectrum the means read
-    (``norms.two_level_means``).
+    come from two DFTs per checkpoint, of ``nodes`` and ``nodes``/2
+    points, that compute only the spectrum the means read
+    (``norms.two_level_means``).  Each DFT is a four-step FFT on a 2-D
+    view of its buffer: batched short transforms down the columns, a
+    separable twiddle, batched short transforms along the rows.
     Each record's ``tail_bound`` column carries the quadrature refinement
     discrepancy |value at nodes - value at 2 nodes|: the truncation tail
     has no usable closed-form bound on the boundary, so the refinement
     control is the honest error indicator here.
 
-    ``nodes`` (even, >= 16, with transform buffers that fit in physical
-    memory) is checked before the kernel allocates.  A node count below
+    Memory is checked before anything is allocated: ``nodes`` (even,
+    >= 16) with its transform buffers on their own
+    (``norms._two_level_bytes``), the kernel's 12 (coeff_cutoff + 1)
+    bytes on their own, then both as one sum, since the row holds the
+    kernel's output while it transforms.  A node count below
     coeff_cutoff + 1 undersamples the series; once every argument has
     passed, the run then warns once (``QuadratureWarning``) and the
     records are computed as usual.
@@ -352,11 +365,9 @@ def run_hp_convergence(
         value, refined = two_level_means(coeffs, p, nodes)
         return value, abs(value - refined)
 
-    # The row works in place on the kernel's buffers, which the kernel
-    # guards; the transform buffers depend on nodes alone and are checked
-    # above.
     warning = _undersampling(nodes, coeff_cutoff)
-    return _convergence_records("hp", p, n_list, coeff_cutoff, row, warning=warning)
+    memory = (_two_level_bytes(nodes), f"the transform buffers of nodes = {nodes}")
+    return _convergence_records("hp", p, n_list, coeff_cutoff, row, warning, memory)
 
 
 def run_lambda_sweep(

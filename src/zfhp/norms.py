@@ -10,8 +10,11 @@ one FFT), and the only quadrature error is in the mean itself.
 ``boundary_values`` takes complex coefficients, for the inequality
 battery.  ``two_level_means`` serves the H^p convergence runner:
 for real coefficients it returns the p-means at M and 2M nodes from two
-complex FFTs, of M and M/2 points, that compute only the spectrum the
-means read.
+DFTs, of M and M/2 points, that compute only the spectrum the means read.
+Each is a four-step FFT on a 2-D view of its buffer (batched short
+transforms down the columns, a separable twiddle, batched short
+transforms along the rows), so no transform runs on a 1-D array of M or
+M/2 points and no twiddle table has M entries.
 """
 
 from __future__ import annotations
@@ -84,57 +87,172 @@ def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
     return np.fft.ifft(folded) * nodes
 
 
-def _p_mean(values: np.ndarray, p: float) -> float:
-    """(mean |values|^p)^(1/p)."""
-    mags = np.abs(values)
+def _p_mean(values: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
+    """(mean |values|^p)^(1/p); the magnitudes go to ``out`` if given."""
+    mags = np.abs(values, out=out)
     mags **= p
     return float(np.mean(mags) ** (1.0 / p))
 
 
 def _check_two_level_nodes(nodes: int) -> None:
-    """Refuse node counts that are odd, below 16 or beyond physical memory.
-
-    The estimate bounds the peak of ``two_level_means`` at M = ``nodes``,
-    in bytes per node.  Kept between phases: the cached table h (M
-    complex128, 16) and numpy's FFT plans for M and M/2 points, which it
-    may keep between calls (at most one complex copy of their points each,
-    24).  Then the largest phase: for an input longer than M, the fold
-    modulo 4M (32), the residue-1 input c (16), the signed fold x (8) and
-    one quarter sum (8), 64 in all.  The 2M-node level holds c, the FFT's
-    work buffer, x and M float64 magnitudes (16 + 16 + 8 + 8 = 48).  The
-    M-node level never holds more than three arrays of 8 bytes per node
-    at once (x with the packed input and its twiddles; later the
-    transform, its mirror and the difference).  So 16 + 24 + 64 = 104
-    bytes per node bound the peak.
-    """
+    """Refuse node counts that are odd, below 16 or beyond physical memory."""
     _validate_nodes(nodes)
-    _check_memory(104 * nodes, f"nodes = {nodes}", "transform buffers")
+    _check_memory(_two_level_bytes(nodes), f"nodes = {nodes}", "transform buffers")
+
+
+# Bytes per node of the arrays of two_level_means, derived in _two_level_bytes.
+_TRANSFORM_BYTES_PER_NODE = 40
+
+
+def _two_level_bytes(nodes: int) -> int:
+    """A bound on the peak bytes ``two_level_means`` allocates at M = ``nodes``.
+
+    Arrays, in bytes per node.  An input longer than M is folded modulo 4M
+    one quarter at a time: b_0 and b_2 (8 each) give the real part of the
+    complex residue-1 input y (16) and, added in place, the signed fold x
+    (8); then b_1 and b_3 (8 each) give its imaginary part and finish x.
+    That is 16 + 8 + 8 + 8 = 40 at the fold's peak.  Otherwise x is the
+    input itself, or its zero-padded copy (8), and y is allocated (16).
+    Then the 2M-node level takes the magnitudes of y (8): 32.  The M-node
+    level packs x into the first half of y's buffer, so x goes, and takes
+    the mirror into the second half, where its magnitudes go too; with
+    the butterfly's difference (8) that is 24.  So 40 bytes per node
+    (``_TRANSFORM_BYTES_PER_NODE``) bound the arrays, besides a float64
+    copy of an input that is not a contiguous float64 array.
+
+    Tables.  A level of length L = L1 L2 keeps L1 (1 + A + B) twiddles
+    with A = ceil(sqrt(L2)) and B = ceil(L2/A), so A, B <= sqrt(L2) + 1
+    and, as L1 <= sqrt(L), at most
+    2 sqrt(L1 L) + 3 L1 <= 2 L^(3/4) + 3 L^(1/2).  The coarse
+    post-twiddle keeps K1 + A + B <= 3 K^(1/2) + 2 more, with K = M/2.
+    In all, 2 (1 + 2^(-3/4)) M^(3/4) + 3 (1 + 2^(1/2)) M^(1/2) + 2, which
+    for M >= 16 (M^(1/2) <= M^(3/4)/2, 2 <= M^(3/4)/4) is at most
+    8 M^(3/4) complex numbers, 128 M^(3/4) bytes, kept between calls.
+    ``_roots`` builds a table with 32 bytes per entry of temporaries (the
+    exponents, q, r and the angles; then the exponents, q and the powers
+    of -i), before any array above exists, so 384 M^(3/4) bytes cover the
+    tables at every moment.
+
+    FFT work.  numpy's pocketfft keeps a plan per transform length and a
+    scratch per call, O(n) for a line of n points.  Measured with numpy
+    2.4 as ``ru_maxrss`` growth in a fresh interpreter: 32 to 80 bytes per
+    point for lengths with small factors, 224 for large primes (Bluestein),
+    and under 1 MiB in all for short lines.  256 n + 2^20 bytes, n the
+    longest line L2 of either level, bound it.  Lines are short: L2 is
+    about sqrt(2M) for a power of two M, and reaches M/2 only when M or
+    M/2 is twice a prime.
+    """
+    longest = max(_split(nodes)[1], _split(nodes // 2)[1])
+    return (
+        _TRANSFORM_BYTES_PER_NODE * nodes
+        + 384 * math.ceil(nodes**0.75)
+        + 256 * longest
+        + 2**20
+    )
+
+
+def _split(length: int) -> tuple[int, int]:
+    """(L1, L2): L1 the largest divisor of ``length`` not above its square root, L2 = length/L1."""
+    rows = next(d for d in range(math.isqrt(length), 0, -1) if length % d == 0)
+    return rows, length // rows
+
+
+def _roots(exponents: np.ndarray, nodes: int) -> np.ndarray:
+    """omega^e = exp(-2 pi i e/(4M)) for integers e >= 0 and M = ``nodes``.
+
+    e = q M + r with r < M gives omega^e = (-i)^q omega^r, and
+    omega^r = cos(pi r/(2M)) - i cos(pi (M - r)/(2M)), both angles in
+    [0, pi/2].  Each angle is an exact integer times fl(pi/(2M)), and the
+    products with (-i)^q, whose parts are 0 and +-1, are exact.
+    """
+    q, r = np.divmod(exponents, nodes)
+    q &= 3
+    step = math.pi / (2 * nodes)
+    out = np.empty(r.shape, dtype=np.complex128)
+    angle = np.multiply(r, step)
+    np.cos(angle, out=out.real)
+    np.subtract(nodes, r, out=r)
+    np.multiply(r, step, out=angle)
+    np.cos(angle, out=out.imag)
+    del r, angle
+    np.negative(out.imag, out=out.imag)
+    out *= np.array((1.0, -1j, -1.0, 1j))[q]
+    return out
+
+
+def _product_tables(k: np.ndarray, cols: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """omega^(k_i a) and omega^(k_i A b) for t = a + A b < ``cols``, A = ceil(sqrt(cols)).
+
+    Their product is omega^(k_i t), the factor ``_twiddle`` applies to
+    column t of row i, from ceil(sqrt(cols)) + ceil(cols/A) entries per row.
+    """
+    width = math.isqrt(cols - 1) + 1
+    k = k[:, None]
+    low = _roots(k * np.arange(width), nodes)
+    high = _roots(k * (width * np.arange(-(-cols // width))), nodes)
+    return low, high
+
+
+def _twiddle(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+    """buf[i, a + A b] *= low[i, a] high[i, b] in place, A = low.shape[1]; rows broadcast."""
+    width = low.shape[1]
+    for b in range(high.shape[1]):
+        block = buf[:, b * width : (b + 1) * width]
+        block *= low[:, : block.shape[1]]
+        block *= high[:, b, None]
+
+
+def _level(nodes: int, length: int, shift: int, scale: float) -> tuple:
+    """The twiddles of a four-step DFT of length L = ``length`` of omega^(shift t) y_t.
+
+    With g = 4M/L: the pre-twiddle ``scale`` omega^(shift L2 t1) as an
+    (L1, 1) column, and the middle twiddle omega^(t2 (g k1 + shift)) as
+    ``_product_tables``; see ``two_level_means``.
+    """
+    rows, cols = _split(length)
+    k1 = np.arange(rows)
+    column = _roots(shift * cols * k1, nodes)[:, None]
+    column *= scale
+    return (rows, cols), column, *_product_tables(4 * nodes // length * k1 + shift, cols, nodes)
 
 
 @functools.lru_cache(maxsize=1)
-def _quarter_turn(nodes: int) -> np.ndarray:
-    """h_m = exp(-i pi m/(2M)), m = 0..M-1, for M = ``nodes``: a quarter turn.
+def _tables(nodes: int) -> tuple:
+    """The twiddle tables of ``two_level_means`` at M = ``nodes``, read-only.
 
-    One ``np.cos`` pass gives c_m = cos(pi m/(2M)) for m = 0..M, and
-    sin(pi m/(2M)) = c_(M-m) is the same table reflected, so
-    h_m = c_m - i c_(M-m).  Cached for the checkpoints of a run; the
-    table is read-only.
+    The 2M-node level (length M, shift 1), the M-node level (length
+    K = M/2, shift 4, with the 1/2 of the packing) and the coarse
+    post-twiddle -i omega^(4j+2) = omega^(4 k1 + 2 + M) omega^(4 K1 k2),
+    a column and a one-row ``_product_tables``.  Cached for the
+    checkpoints of a run.
     """
-    c = np.cos(np.arange(nodes + 1) * (math.pi / (2 * nodes)))
-    h = np.empty(nodes, dtype=np.complex128)
-    h.real = c[:nodes]
-    h.imag = c[nodes:0:-1]
-    np.negative(h.imag, out=h.imag)
-    h.setflags(write=False)
-    return h
+    fine = _level(nodes, nodes, 1, 1.0)
+    coarse = _level(nodes, nodes // 2, 4, 0.5)
+    (rows, cols), *_ = coarse
+    post = (_roots(4 * np.arange(rows) + 2 + nodes, nodes)[:, None],
+            *_product_tables(np.array([4 * rows]), cols, nodes))
+    for table in (*fine[1:], *coarse[1:], *post):
+        table.setflags(write=False)
+    return fine, coarse, post
 
 
-def _half_turn(h: np.ndarray, start: int, scale: complex) -> np.ndarray:
-    """scale h_(4j+start) for j = 0..M/2-1, reading h_(m+M) = -i h_m past the table."""
-    first = h[start::4]
-    out = np.empty(h.size // 2, dtype=np.complex128)
-    np.multiply(first, scale, out=out[: first.size])
-    np.multiply(h[(start - h.size) % 4 :: 4], -1j * scale, out=out[first.size :])
+def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The DFT of the pre-twiddled (L1, L2) ``buf``, in place; see ``two_level_means``."""
+    np.fft.fft(buf, axis=0, out=buf)
+    _twiddle(buf, low, high)
+    return np.fft.fft(buf, axis=1, out=buf)
+
+
+def _fold_quarter(a: np.ndarray, nodes: int, q: int) -> np.ndarray:
+    """b_q: the entries a_m with floor(m/M) = q (mod 4), summed modulo M."""
+    size = 4 * nodes
+    whole = a.size - a.size % size
+    if whole:
+        out = a[:whole].reshape(-1, 4, nodes)[:, q].sum(axis=0)
+    else:
+        out = np.zeros(nodes)
+    tail = a[whole + q * nodes : whole + (q + 1) * nodes]
+    out[: tail.size] += tail
     return out
 
 
@@ -152,22 +270,22 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
     a DFT of length M of the fold modulo M of b_m omega^(rm).
     omega^M = -i, so only the residues r = 1 and r = 2 need work.
 
-    The 2M-node level.  For r = 1 the inner sum is h_m (u_m - i v_m) with
-    h_m = omega^m, u = b_[0,M) - b_[2M,3M) and v = b_[M,2M) - b_[3M,4M):
-    one complex FFT of length M gives X_l for every l = 1 (mod 4).  For
-    real b, X_(4M-l) = conj(X_l), and 4M - (4j + 1) = 4(M - 1 - j) + 3, so
-    the residue-3 values are the residue-1 values conjugated, and the mean
+    The 2M-node level.  For r = 1 the inner sum is omega^m y_m with
+    y = u - i v, u = b_[0,M) - b_[2M,3M) and v = b_[M,2M) - b_[3M,4M): one
+    DFT of length M gives X_l for every l = 1 (mod 4).  For real b,
+    X_(4M-l) = conj(X_l), and 4M - (4j + 1) = 4(M - 1 - j) + 3, so the
+    residue-3 values are the residue-1 values conjugated, and the mean
     over the M residue-1 values is the mean over all 2M odd l.
 
     The M-node level.  For r = 2 the inner sum is omega^(2m) x_m with the
     real signed fold x_m = sum_q (-1)^q b_(m+qM), so X_(4j+2) = A_j with
     A_j = sum_m x_m e^(-2 pi i (j + 1/2) m/M), and A_(M-1-j) = conj(A_j):
     the values j < K = M/2 are the whole level.  Pack
-    z_t = (x_(2t) + i x_(2t+1)) e^(-i pi t/K) / 2 for t < K and take one
-    complex FFT Z of length K.  Let E and O be the DFTs of length K of
-    e_t = x_(2t) e^(-i pi t/K) and o_t = x_(2t+1) e^(-i pi t/K), so that
-    2 Z = E + i O and A_j = E_j + e^(-2 pi i (j + 1/2)/M) O_j.  Because x
-    is real, conj(E_(K-1-j)) = E_j and likewise for O, so
+    z_t = (x_(2t) + i x_(2t+1)) omega^(4t) / 2 for t < K and take one DFT Z
+    of length K.  Let E and O be the DFTs of length K of
+    e_t = x_(2t) omega^(4t) and o_t = x_(2t+1) omega^(4t), so that
+    2 Z = E + i O and A_j = E_j + omega^(4j+2) O_j.  Because x is real,
+    conj(E_(K-1-j)) = E_j and likewise for O, so
     2 conj(Z_(K-1-j)) = E_j - i O_j, and the butterfly
 
         E_j = Z_j + conj(Z_(K-1-j)),   O_j = -i (Z_j - conj(Z_(K-1-j)))
@@ -175,47 +293,75 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
     splits them; the 1/2 in z spares a halving here.  M even makes K
     whole; M need not be a power of two.
 
-    Twiddles.  Every factor is h_n for some n < 2M: omega^m = h_m,
-    e^(-i pi t/K) = h_(4t) and e^(-2 pi i (j + 1/2)/M) = h_(4j+2), with
-    h_(n+M) = -i h_n past the quarter-turn table ``_quarter_turn``.  The
-    scalings by -i and 1/2 are exact.
+    Four steps (Bailey, J. Supercomputing 4, 1990).  Each level is a DFT
+    of length L = M or K of omega^(s t) w_t, with s = 1, w = y at the
+    2M-node level and s = 4, w = (x_(2t) + i x_(2t+1))/2 at the M-node
+    level.  Let L = L1 L2 (``_split``), g = 4M/L, t = L2 t1 + t2 and
+    j = k1 + L1 k2 with t1, k1 < L1 and t2, k2 < L2.  Then
+    e^(-2 pi i/L) = omega^g, and jt is k1 t1 L2 + k1 t2 + k2 t2 L1 plus a
+    multiple of L, so
+
+        sum_t omega^(s t) w_t e^(-2 pi i jt/L)
+          = sum_(t2) e^(-2 pi i k2 t2/L2) omega^(t2 (g k1 + s))
+                sum_(t1) e^(-2 pi i k1 t1/L1) omega^(s L2 t1) w_(L2 t1 + t2).
+
+    Entry [t1, t2] of the C-ordered view w.reshape(L1, L2) is
+    w_(L2 t1 + t2).  So: scale row t1 by omega^(s L2 t1); take DFTs of
+    length L1 down the columns (axis 0), giving entry [k1, t2]; scale
+    entry [k1, t2] by omega^(t2 (g k1 + s)); take DFTs of length L2 along
+    the rows (axis 1), giving entry [k1, k2] = output j = k1 + L1 k2.  The
+    pre-twiddle's factor omega^(s t2) is merged into the middle twiddle,
+    which with t2 = a + A b is omega^(a (g k1 + s)) omega^(A b (g k1 + s)),
+    two tables of L1 A and L1 B entries (``_product_tables``).  Every
+    output appears once in the array, so a mean over it needs no
+    permutation.  The mirror index K - 1 - j is
+    (K1 - 1 - k1) + K1 (K2 - 1 - k2), so the mirror of the coarse array
+    is the array reversed along both axes, and the butterfly's
+    -i omega^(4j+2) is omega^(4 k1 + 2 + M) omega^(4 K1 k2), a column
+    times a row.  No table has M entries: see ``_two_level_bytes``.
+
+    Twiddles.  ``_roots`` gives omega^e at angles in [0, pi/2] times an
+    exact power of -i; the scalings by 1/2 are exact.
     """
     if p <= 0:
         raise ValueError("p must be positive")
+    a = np.asarray(coeffs)
+    if np.iscomplexobj(a):
+        raise ValueError("coeffs must be real")
     _check_two_level_nodes(nodes)
-    h = _quarter_turn(nodes)
-    a = np.ascontiguousarray(coeffs, dtype=np.float64)
+    (shape, column, *middle), coarse, (post_column, *post) = _tables(nodes)
+    a = np.ascontiguousarray(a, dtype=np.float64)
     if a.size > nodes:
-        size = 4 * nodes
-        b = np.zeros(size)
-        whole = a.size - a.size % size
-        if whole:
-            a[:whole].reshape(-1, size).sum(axis=0, out=b)
-        b[: a.size - whole] += a[whole:]
-        b = b.reshape(4, nodes)
-        c = np.empty(nodes, dtype=np.complex128)
-        np.subtract(b[0], b[2], out=c.real)
-        np.subtract(b[3], b[1], out=c.imag)
-        c *= h
-        x = b[0] + b[2]
-        x -= b[1] + b[3]
-        del b
+        b0, b2 = _fold_quarter(a, nodes, 0), _fold_quarter(a, nodes, 2)
+        y = np.empty(nodes, dtype=np.complex128)
+        np.subtract(b0, b2, out=y.real)
+        x = np.add(b0, b2, out=b0)
+        del b2
+        b1, b3 = _fold_quarter(a, nodes, 1), _fold_quarter(a, nodes, 3)
+        np.subtract(b3, b1, out=y.imag)
+        b1 += b3
+        x -= b1
+        del b1, b3
+        y = y.reshape(shape)
+        y *= column
     else:
         x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
-        c = np.multiply(x, h)
-    fine = _p_mean(np.fft.fft(c, out=c), p)
-    del c
+        y = np.multiply(x.reshape(shape), column)
+    fine = _p_mean(_four_step(y, *middle), p)
 
-    z = x.view(np.complex128) * _half_turn(h, 0, 0.5)
+    (shape, column, *middle), buf, half = coarse, y.reshape(-1), nodes // 2
+    z = buf[:half].reshape(shape)
+    np.multiply(x.view(np.complex128).reshape(shape), column, out=z)
     del x
-    np.fft.fft(z, out=z)
-    mirror = np.conj(z[::-1])
+    _four_step(z, *middle)
+    mirror = buf[half:].reshape(shape)
+    np.conjugate(z[::-1, ::-1], out=mirror)
     odd = z - mirror
     z += mirror
-    del mirror
-    odd *= _half_turn(h, 2, -1j)
+    _twiddle(odd, *post)
+    odd *= post_column
     odd += z
-    return _p_mean(odd, p), fine
+    return _p_mean(odd, p, out=buf[half:].view(np.float64)[:half].reshape(shape)), fine
 
 
 def lq_norm(f: TruncatedSeries, q: float) -> float:

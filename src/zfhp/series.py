@@ -204,8 +204,13 @@ def _check_checkpoints(n_list: Sequence[int], degree: int) -> list[int]:
         raise ValueError("n values must be strictly increasing")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    _check_memory(12 * (degree + 1), f"degree = {degree}", "partial-sum buffers")
+    _check_memory(_kernel_bytes(degree), f"degree = {degree}", "partial-sum buffers")
     return ns
+
+
+def _kernel_bytes(degree: int) -> int:
+    """The int32 ``d`` and float64 output of ``mobius_ims_partial_sums``: 12 (degree + 1) bytes."""
+    return 12 * (degree + 1)
 
 
 def _advance_ims(

@@ -26,9 +26,12 @@ s per pass.
 ``prime_indices_incremental`` is the dictionary sieve that the segmented
 sieve of ``zfhp.weights.prime_indices`` replaced.
 
-``two_level_means_rfft`` is the H^p two-level transform that
-``zfhp.norms.two_level_means`` replaced: one real FFT of all 4M points of
-the fold modulo 4M, read at the indices of both levels.
+``two_level_means_rfft`` is the first H^p two-level transform: one real
+FFT of all 4M points of the fold modulo 4M, read at the indices of both
+levels.  ``two_level_means_pruned`` is the transform that replaced it and
+that the four-step ``zfhp.norms.two_level_means`` replaced in turn: one
+complex FFT of M points and one of M/2, each on a 1-D array, with the
+twiddles read from the M-entry quarter-turn table ``quarter_turn``.
 
 ``mellin_step_pk_quadrature`` is the adaptive quadrature that
 ``zfhp.special.mellin_step_pk`` replaced with the exact integral of each
@@ -328,6 +331,115 @@ def two_level_means_rfft(coeffs, p: float, nodes: int) -> tuple[float, float]:
         mags **= p
         means.append(float(np.mean(mags) ** (1.0 / p)))
     return means[0], means[1]
+
+
+def p_mean(values: np.ndarray, p: float) -> float:
+    """(mean |values|^p)^(1/p)."""
+    mags = np.abs(values)
+    mags **= p
+    return float(np.mean(mags) ** (1.0 / p))
+
+
+def quarter_turn(nodes: int) -> np.ndarray:
+    """h_m = exp(-i pi m/(2M)), m = 0..M-1, for M = ``nodes``: a quarter turn.
+
+    One ``np.cos`` pass gives c_m = cos(pi m/(2M)) for m = 0..M, and
+    sin(pi m/(2M)) = c_(M-m) is the same table reflected, so
+    h_m = c_m - i c_(M-m).
+    """
+    c = np.cos(np.arange(nodes + 1) * (math.pi / (2 * nodes)))
+    h = np.empty(nodes, dtype=np.complex128)
+    h.real = c[:nodes]
+    h.imag = c[nodes:0:-1]
+    np.negative(h.imag, out=h.imag)
+    h.setflags(write=False)
+    return h
+
+
+def half_turn(h: np.ndarray, start: int, scale: complex) -> np.ndarray:
+    """scale h_(4j+start) for j = 0..M/2-1, reading h_(m+M) = -i h_m past the table."""
+    first = h[start::4]
+    out = np.empty(h.size // 2, dtype=np.complex128)
+    np.multiply(first, scale, out=out[: first.size])
+    np.multiply(h[(start - h.size) % 4 :: 4], -1j * scale, out=out[first.size :])
+    return out
+
+
+def two_level_means_pruned(coeffs, p: float, nodes: int) -> tuple[float, float]:
+    """p-means of |f| at M = ``nodes`` and 2M half-offset nodes from 1-D complex FFTs of M and M/2 points.
+
+    Both levels are nodes exp(2 pi i l/4M): l = 4j + 2 for the M nodes,
+    l odd for the 2M.  With b the coefficients folded modulo 4M
+    (z^(4M) = 1 at every such node) and omega = exp(-2 pi i/4M), |f| at the
+    node of index l is |X_l| for X_l = sum_(m<4M) b_m omega^(lm), and for
+    l = 4j + r
+
+        X_(4j+r) = sum_(m<M) [sum_(q<4) b_(m+qM) omega^(r(m+qM))] e^(-2 pi i jm/M),
+
+    a DFT of length M of the fold modulo M of b_m omega^(rm).
+    omega^M = -i, so only the residues r = 1 and r = 2 need work.
+
+    The 2M-node level.  For r = 1 the inner sum is h_m (u_m - i v_m) with
+    h_m = omega^m, u = b_[0,M) - b_[2M,3M) and v = b_[M,2M) - b_[3M,4M):
+    one complex FFT of length M gives X_l for every l = 1 (mod 4).  For
+    real b, X_(4M-l) = conj(X_l), and 4M - (4j + 1) = 4(M - 1 - j) + 3, so
+    the residue-3 values are the residue-1 values conjugated, and the mean
+    over the M residue-1 values is the mean over all 2M odd l.
+
+    The M-node level.  For r = 2 the inner sum is omega^(2m) x_m with the
+    real signed fold x_m = sum_q (-1)^q b_(m+qM), so X_(4j+2) = A_j with
+    A_j = sum_m x_m e^(-2 pi i (j + 1/2) m/M), and A_(M-1-j) = conj(A_j):
+    the values j < K = M/2 are the whole level.  Pack
+    z_t = (x_(2t) + i x_(2t+1)) e^(-i pi t/K) / 2 for t < K and take one
+    complex FFT Z of length K.  Let E and O be the DFTs of length K of
+    e_t = x_(2t) e^(-i pi t/K) and o_t = x_(2t+1) e^(-i pi t/K), so that
+    2 Z = E + i O and A_j = E_j + e^(-2 pi i (j + 1/2)/M) O_j.  Because x
+    is real, conj(E_(K-1-j)) = E_j and likewise for O, so
+    2 conj(Z_(K-1-j)) = E_j - i O_j, and the butterfly
+
+        E_j = Z_j + conj(Z_(K-1-j)),   O_j = -i (Z_j - conj(Z_(K-1-j)))
+
+    splits them; the 1/2 in z spares a halving here.  M even makes K
+    whole; M need not be a power of two.
+
+    Twiddles.  Every factor is h_n for some n < 2M: omega^m = h_m,
+    e^(-i pi t/K) = h_(4t) and e^(-2 pi i (j + 1/2)/M) = h_(4j+2), with
+    h_(n+M) = -i h_n past the quarter-turn table ``quarter_turn``.  The
+    scalings by -i and 1/2 are exact.
+    """
+    h = quarter_turn(nodes)
+    a = np.ascontiguousarray(coeffs, dtype=np.float64)
+    if a.size > nodes:
+        size = 4 * nodes
+        b = np.zeros(size)
+        whole = a.size - a.size % size
+        if whole:
+            a[:whole].reshape(-1, size).sum(axis=0, out=b)
+        b[: a.size - whole] += a[whole:]
+        b = b.reshape(4, nodes)
+        c = np.empty(nodes, dtype=np.complex128)
+        np.subtract(b[0], b[2], out=c.real)
+        np.subtract(b[3], b[1], out=c.imag)
+        c *= h
+        x = b[0] + b[2]
+        x -= b[1] + b[3]
+        del b
+    else:
+        x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
+        c = np.multiply(x, h)
+    fine = p_mean(np.fft.fft(c, out=c), p)
+    del c
+
+    z = x.view(np.complex128) * half_turn(h, 0, 0.5)
+    del x
+    np.fft.fft(z, out=z)
+    mirror = np.conj(z[::-1])
+    odd = z - mirror
+    z += mirror
+    del mirror
+    odd *= half_turn(h, 2, -1j)
+    odd += z
+    return p_mean(odd, p), fine
 
 
 def bounded_divisor_sum(j: int, n: int, table) -> int:

@@ -25,6 +25,8 @@ from zfhp.experiments import (
     write_lambda_csv,
     write_mellin_csv,
 )
+from zfhp.norms import _two_level_bytes
+from zfhp.series import _kernel_bytes
 from zfhp.weights import _prime_sieve_bytes
 
 
@@ -364,6 +366,27 @@ class TestConvergenceCommand:
         assert out == ""
         assert err.startswith(f"invalid arguments: degree = {2**60} needs an estimated")
         assert err.count("\n") == 1 and "warning" not in err
+
+    def test_hp_kernel_and_transform_checked_as_one_sum(self, capsys, monkeypatch):
+        # each buffer set fits on its own, both together do not
+        cutoff, nodes = 100_000, 8192
+        kernel, transform = _kernel_bytes(cutoff), _two_level_bytes(nodes)
+        monkeypatch.setattr(zfhp.arith, "_physical_bytes", lambda: max(kernel, transform))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table or kernel allocated")
+
+        monkeypatch.setattr(zfhp.experiments, "build_mobius", refuse)
+        monkeypatch.setattr(zfhp.experiments, "mobius_ims_partial_sums", refuse)
+        code = main(["convergence", "--space", "hp", "--p", "0.5", "--n", "10",
+                     "--coeff-cutoff", str(cutoff), "--nodes", str(nodes)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        # nodes undersample the cutoff, but the run never starts, so no warning
+        assert err.startswith(f"invalid arguments: coeff_cutoff = {cutoff} needs an estimated")
+        assert f"of partial-sum buffers and the transform buffers of nodes = {nodes}," in err
+        assert err.count("\n") == 1
 
     def test_lq_row_beyond_memory_refused(self, capsys, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}  # 1 GiB
