@@ -228,6 +228,17 @@ def mixed_radix_error(size: int, input_norm: float, input_err: float) -> float:
     return math.sqrt(size) * (input_err + kappa * (input_norm + input_err))
 
 
+# |h~ - h| for a twiddle h = exp(-i theta), theta in [0, pi/2], as
+# norms._roots and the oracle's quarter-turn table form it: the angle
+# n fl(pi/(2M)), n an exact integer, carries three roundings, at most
+# gamma_3 pi/2; cos is within 2u of the cosine of its argument, and the
+# sine is the cosine at the reflected angle, so each part is within
+# gamma_3 pi/2 + 2u.  The products with powers of -i and the scalings by
+# -i and 1/2 are exact.
+TWIDDLE_ERR = math.sqrt(2.0) * (gamma(3) * math.pi / 2.0 + 2.0 * U)
+PRODUCT_ERR = math.sqrt(2.0) * gamma(2)  # a complex product (Higham Lemma 3.5)
+
+
 def good_size(n: int) -> int:
     """The least 2^a 3^b 5^c 7^d 11^e >= n, pocketfft's padded length for Bluestein."""
     while max(prime_factors(n), default=1) > 11:
@@ -333,17 +344,6 @@ def rfft_error(a: np.ndarray, nodes: int) -> float:
     if max(prime_factors(size)) ** 2 > size:  # its real transform may run Bluestein
         bounds.append(bluestein_error(size, norm, gamma(r - 1) * norm))
     return max(bounds)
-
-
-# |h~ - h| for a twiddle h = exp(-i theta), theta in [0, pi/2], as
-# norms._roots and the oracle's quarter-turn table form it: the angle
-# n fl(pi/(2M)), n an exact integer, carries three roundings, at most
-# gamma_3 pi/2; cos is within 2u of the cosine of its argument, and the
-# sine is the cosine at the reflected angle, so each part is within
-# gamma_3 pi/2 + 2u.  The products with powers of -i and the scalings by
-# -i and 1/2 are exact.
-TWIDDLE_ERR = math.sqrt(2.0) * (gamma(3) * math.pi / 2.0 + 2.0 * U)
-PRODUCT_ERR = math.sqrt(2.0) * gamma(2)  # a complex product (Higham Lemma 3.5)
 
 
 def input_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
