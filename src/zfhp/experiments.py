@@ -301,7 +301,7 @@ def run_lq_convergence(
     so a sweep costs O(N log n) for N = coeff_cutoff.  Each record carries
     the proved tail bound ``lq_tail_bound`` on the coefficients beyond N.
     The norm is taken in place on the kernel's output buffer, so the row
-    holds the kernel's 12 bytes per coefficient and no more.
+    holds the kernel's 10 bytes per coefficient and no more.
     q must be finite and exceed 1.  Trends should be read across decades
     of n, not adjacent values: the Möbius fluctuations make pointwise
     monotonicity false.
@@ -319,9 +319,9 @@ def run_lq_convergence(
             raise ValueError("all coefficients must be finite")
         return value, lq_tail_bound(q, n, coeff_cutoff, table)
 
-    # Peak bytes per coefficient: the kernel's int32 divisor sums (4) and
+    # Peak bytes per coefficient: the kernel's int16 divisor sums (2) and
     # its float64 output (8), which the row overwrites with |r|^q; the
-    # kernel's own guard on these 12 is the row's memory guard.
+    # kernel's own guard on these 10 is the row's memory guard.
     return _convergence_records("lq", q, n_list, coeff_cutoff, row)
 
 
@@ -348,7 +348,7 @@ def run_hp_convergence(
 
     Memory is checked before anything is allocated: ``nodes`` (even,
     >= 16) with its transform buffers on their own
-    (``norms._two_level_bytes``), the kernel's 12 (coeff_cutoff + 1)
+    (``norms._two_level_bytes``), the kernel's 10 (coeff_cutoff + 1)
     bytes on their own, then both as one sum, since the row holds the
     kernel's output while it transforms.  A node count below
     coeff_cutoff + 1 undersamples the series; once every argument has

@@ -14,7 +14,8 @@ DFTs, of M and M/2 points, that compute only the spectrum the means read.
 Each is a four-step FFT on a 2-D view of its buffer (batched short
 transforms down the columns, a separable twiddle, batched short
 transforms along the rows), so no transform runs on a 1-D array of M or
-M/2 points and no twiddle table has M entries.
+M/2 points and no twiddle table has M entries.  Both levels and their
+magnitudes live in one buffer of M complex numbers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from typing import Iterator
 
 import numpy as np
 
@@ -87,9 +89,9 @@ def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
     return np.fft.ifft(folded) * nodes
 
 
-def _p_mean(values: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
-    """(mean |values|^p)^(1/p); the magnitudes go to ``out`` if given."""
-    mags = np.abs(values, out=out)
+def _p_mean(values: np.ndarray, p: float) -> float:
+    """(mean |values|^p)^(1/p)."""
+    mags = np.abs(values)
     mags **= p
     return float(np.mean(mags) ** (1.0 / p))
 
@@ -101,24 +103,38 @@ def _check_two_level_nodes(nodes: int) -> None:
 
 
 # Bytes per node of the arrays of two_level_means, derived in _two_level_bytes.
-_TRANSFORM_BYTES_PER_NODE = 40
+_TRANSFORM_BYTES_PER_NODE = 32
+
+# Rows per block of the row pass of two_level_means: each block is
+# twiddled, transformed along its rows and reduced while it is in cache.
+_ROW_BLOCK = 16
+
+# Entries per chunk of the last step of the fold in two_level_means, whose
+# float64 temporary is 256 KiB at 2^15.
+_FOLD_CHUNK = 1 << 15
 
 
 def _two_level_bytes(nodes: int) -> int:
     """A bound on the peak bytes ``two_level_means`` allocates at M = ``nodes``.
 
     Arrays, in bytes per node.  An input longer than M is folded modulo 4M
-    one quarter at a time: b_0 and b_2 (8 each) give the real part of the
-    complex residue-1 input y (16) and, added in place, the signed fold x
-    (8); then b_1 and b_3 (8 each) give its imaginary part and finish x.
-    That is 16 + 8 + 8 + 8 = 40 at the fold's peak.  Otherwise x is the
-    input itself, or its zero-padded copy (8), and y is allocated (16).
-    Then the 2M-node level takes the magnitudes of y (8): 32.  The M-node
-    level packs x into the first half of y's buffer, so x goes, and takes
-    the mirror into the second half, where its magnitudes go too; with
-    the butterfly's difference (8) that is 24.  So 40 bytes per node
-    (``_TRANSFORM_BYTES_PER_NODE``) bound the arrays, besides a float64
-    copy of an input that is not a contiguous float64 array.
+    one quarter at a time: b_0 into x (8) and b_2 into a temporary t (8);
+    y (16) is allocated, its real part b_0 - b_2 and x then b_0 + b_2.
+    b_3 goes into the imaginary part of y and b_1 into t, and
+    x -= (t + y.imag) runs in chunks of ``_FOLD_CHUNK`` entries, one
+    float64 temporary of 8 ``_FOLD_CHUNK`` bytes, before y.imag -= t.
+    That is 8 + 8 + 16 = 32 at the fold's peak, and 24 once t goes.
+    Otherwise x is the input itself, or its zero-padded copy (8), and y
+    is allocated (16): at most 24.  Both levels then live in y's buffer.
+    The 2M-node level writes its magnitudes over the first half of it,
+    through one staging block of at most ``_ROW_BLOCK`` rows of length
+    L2, 8 min(16, L1) L2 bytes.  The M-node level packs x into the
+    first half, so x goes (16), and writes its magnitudes into the second
+    half; its butterfly holds a mirror and a difference block,
+    32 min(16, K1) K2 bytes for the split K1 K2 of K = M/2.  So 32 bytes
+    per node (``_TRANSFORM_BYTES_PER_NODE``) and the larger block bound
+    the arrays, besides a float64 copy of an input that is not a
+    contiguous float64 array.
 
     Tables.  A level of length L = L1 L2 keeps L1 (1 + A + B) twiddles
     with A = ceil(sqrt(L2)) and B = ceil(L2/A), so A, B <= sqrt(L2) + 1
@@ -142,11 +158,14 @@ def _two_level_bytes(nodes: int) -> int:
     about sqrt(2M) for a power of two M, and reaches M/2 only when M or
     M/2 is twice a prime.
     """
-    longest = max(_split(nodes)[1], _split(nodes // 2)[1])
+    (rows, cols), (half_rows, half_cols) = _split(nodes), _split(nodes // 2)
+    blocks = max(8 * min(_ROW_BLOCK, rows) * cols, 32 * min(_ROW_BLOCK, half_rows) * half_cols)
     return (
         _TRANSFORM_BYTES_PER_NODE * nodes
+        + blocks
+        + 8 * _FOLD_CHUNK
         + 384 * math.ceil(nodes**0.75)
-        + 256 * longest
+        + 256 * max(cols, half_cols)
         + 2**20
     )
 
@@ -194,12 +213,21 @@ def _product_tables(k: np.ndarray, cols: int, nodes: int) -> tuple[np.ndarray, n
 
 
 def _twiddle(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
-    """buf[i, a + A b] *= low[i, a] high[i, b] in place, A = low.shape[1]; rows broadcast."""
+    """buf[i, a + A b] *= low[i, a] high[i, b] in place, A = low.shape[1]; rows broadcast.
+
+    The whole columns are viewed as (rows, B, A), the remaining L2 mod A
+    columns as one more strip; each entry is (buf low) high, in that order.
+    """
+    rows, cols = buf.shape
     width = low.shape[1]
-    for b in range(high.shape[1]):
-        block = buf[:, b * width : (b + 1) * width]
-        block *= low[:, : block.shape[1]]
-        block *= high[:, b, None]
+    whole = cols // width
+    head = buf[:, : whole * width].reshape(rows, whole, width)
+    head *= low[:, None, :]
+    head *= high[:, :whole, None]
+    if whole < high.shape[1]:
+        tail = buf[:, whole * width :]
+        tail *= low[:, : tail.shape[1]]
+        tail *= high[:, whole, None]
 
 
 def _level(nodes: int, length: int, shift: int, scale: float) -> tuple:
@@ -236,21 +264,31 @@ def _tables(nodes: int) -> tuple:
     return fine, coarse, post
 
 
-def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """The DFT of the pre-twiddled (L1, L2) ``buf``, in place; see ``two_level_means``."""
+def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The DFT of the pre-twiddled (L1, L2) ``buf``, in place; see ``two_level_means``.
+
+    The DFTs down the columns run first; then each block of
+    ``_ROW_BLOCK`` rows is twiddled and transformed along its rows, and
+    its row range (a, b) is yielded once rows a to b - 1 hold their output.
+    """
     np.fft.fft(buf, axis=0, out=buf)
-    _twiddle(buf, low, high)
-    return np.fft.fft(buf, axis=1, out=buf)
+    rows = buf.shape[0]
+    for a in range(0, rows, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, rows)
+        block = buf[a:b]
+        _twiddle(block, low[a:b], high[a:b])
+        np.fft.fft(block, axis=1, out=block)
+        yield a, b
 
 
-def _fold_quarter(a: np.ndarray, nodes: int, q: int) -> np.ndarray:
-    """b_q: the entries a_m with floor(m/M) = q (mod 4), summed modulo M."""
+def _fold_quarter(a: np.ndarray, nodes: int, q: int, out: np.ndarray) -> np.ndarray:
+    """b_q into ``out``: the entries a_m with floor(m/M) = q (mod 4), summed modulo M."""
     size = 4 * nodes
     whole = a.size - a.size % size
     if whole:
-        out = a[:whole].reshape(-1, 4, nodes)[:, q].sum(axis=0)
+        a[:whole].reshape(-1, 4, nodes)[:, q].sum(axis=0, out=out)
     else:
-        out = np.zeros(nodes)
+        out[...] = 0.0
     tail = a[whole + q * nodes : whole + (q + 1) * nodes]
     out[: tail.size] += tail
     return out
@@ -322,6 +360,22 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
 
     Twiddles.  ``_roots`` gives omega^e at angles in [0, pi/2] times an
     exact power of -i; the scalings by 1/2 are exact.
+
+    Where the magnitudes live.  Both levels run in y's buffer of M
+    complex numbers.  The 2M-node level's row pass works one block of
+    ``_ROW_BLOCK`` rows at a time (``_four_step``); each block's |Y|^p
+    goes through a one-block staging array to the first M float64 slots
+    of the buffer, in row order.  Those of rows [a, b) land in the slots
+    of complex rows [a/2, b/2), which lie below a, in rows already read,
+    once a >= 16 >= b - a; the first block is staged whole before it is
+    written.  So the M values form one contiguous (L1, L2) array, and its
+    mean is the one numpy takes of such an array.  The M-node level then
+    packs x into the first half of the buffer as z and transforms it.
+    Its butterfly reads z and the mirror block conj(Z_(K-1-j)) into two
+    block-sized temporaries and writes |A_j|^p into the second half, so z
+    is only read and the blocks may go in any order.  Each entry is
+    rounded as it would be in whole-array passes: the twiddles are
+    (w low) high and then the column, in that order.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -332,36 +386,56 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
     (shape, column, *middle), coarse, (post_column, *post) = _tables(nodes)
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.size > nodes:
-        b0, b2 = _fold_quarter(a, nodes, 0), _fold_quarter(a, nodes, 2)
+        x = _fold_quarter(a, nodes, 0, np.empty(nodes))
+        t = _fold_quarter(a, nodes, 2, np.empty(nodes))
         y = np.empty(nodes, dtype=np.complex128)
-        np.subtract(b0, b2, out=y.real)
-        x = np.add(b0, b2, out=b0)
-        del b2
-        b1, b3 = _fold_quarter(a, nodes, 1), _fold_quarter(a, nodes, 3)
-        np.subtract(b3, b1, out=y.imag)
-        b1 += b3
-        x -= b1
-        del b1, b3
+        np.subtract(x, t, out=y.real)
+        x += t
+        _fold_quarter(a, nodes, 3, y.imag)
+        _fold_quarter(a, nodes, 1, t)
+        for lo in range(0, nodes, _FOLD_CHUNK):
+            chunk = slice(lo, lo + _FOLD_CHUNK)
+            x[chunk] -= t[chunk] + y.imag[chunk]
+        y.imag -= t
+        del t
         y = y.reshape(shape)
         y *= column
     else:
         x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
         y = np.multiply(x.reshape(shape), column)
-    fine = _p_mean(_four_step(y, *middle), p)
+    rows, cols = shape
+    buf = y.reshape(-1)
+    flat = buf.view(np.float64)
+    stage = np.empty((min(_ROW_BLOCK, rows), cols))
+    for lo, hi in _four_step(y, *middle):
+        mags = np.abs(y[lo:hi], out=stage[: hi - lo])
+        mags **= p
+        flat[lo * cols : hi * cols] = mags.reshape(-1)
+    del stage
+    fine = float(np.mean(flat[:nodes].reshape(shape)) ** (1.0 / p))
 
-    (shape, column, *middle), buf, half = coarse, y.reshape(-1), nodes // 2
+    (shape, column, *middle), half = coarse, nodes // 2
+    rows, cols = shape
     z = buf[:half].reshape(shape)
     np.multiply(x.view(np.complex128).reshape(shape), column, out=z)
     del x
-    _four_step(z, *middle)
-    mirror = buf[half:].reshape(shape)
-    np.conjugate(z[::-1, ::-1], out=mirror)
-    odd = z - mirror
-    z += mirror
-    _twiddle(odd, *post)
-    odd *= post_column
-    odd += z
-    return _p_mean(odd, p, out=buf[half:].view(np.float64)[:half].reshape(shape)), fine
+    for _ in _four_step(z, *middle):
+        pass
+    coarse_mags = flat[nodes : nodes + half].reshape(shape)
+    sums = np.empty((min(_ROW_BLOCK, rows), cols), dtype=np.complex128)
+    diffs = np.empty_like(sums)
+    for lo in range(0, rows, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, rows)
+        even, odd = sums[: hi - lo], diffs[: hi - lo]
+        np.conjugate(z[rows - hi : rows - lo][::-1, ::-1], out=even)  # the mirror block
+        np.subtract(z[lo:hi], even, out=odd)
+        even += z[lo:hi]
+        _twiddle(odd, *post)
+        odd *= post_column[lo:hi]
+        odd += even
+        mags = np.abs(odd, out=coarse_mags[lo:hi])
+        mags **= p
+    return float(np.mean(coarse_mags) ** (1.0 / p)), fine
 
 
 def lq_norm(f: TruncatedSeries, q: float) -> float:

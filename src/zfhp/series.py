@@ -174,7 +174,17 @@ def mobius_ims_partial_sums(
     D_m(n) is an exact integer divisor sieve, ``d[k::k] += mu(k)``,
     advanced from one checkpoint n to the next, so a sweep costs
     O(degree log n) and each coefficient m >= 1 is one subtraction and one
-    division of exact integers.  D is int32: |D_m(n)| <= tau(m) < 2^31.
+    division of exact integers.
+
+    D is int16, which holds every D_m(n) exactly.  Only squarefree d
+    contribute, and a squarefree divisor of m is a product of distinct
+    primes dividing m, so D_m(n), and every partial sum the sieve passes
+    through on its way there, has at most 2^omega(m) - 1 terms of modulus
+    1 (d = 1 is left out); omega(m) is the number of distinct primes of m.
+    Every m is an array index, below 2^63, and the product of the first 16
+    primes, 3.3 10^19, exceeds 2^63, so omega(m) <= 15 and
+    |D_m(n)| <= 2^15 - 1 = 32767, the largest int16.  (For m < 2^53,
+    omega(m) <= 13, as the first 14 primes multiply to 1.3 10^16.)
 
     ``n_list`` must be strictly increasing with 2 <= n <= table.limit;
     the arguments are checked at the call (``_check_checkpoints``), before
@@ -186,7 +196,7 @@ def mobius_ims_partial_sums(
     ns = _check_checkpoints(n_list, degree)
     if ns[-1] > table.limit:
         raise ValueError(f"n = {ns[-1]} exceeds table limit {table.limit}")
-    d = np.zeros(degree + 1, dtype=np.int32)
+    d = np.zeros(degree + 1, dtype=np.int16)
     out = np.empty(degree + 1, dtype=np.float64)
     return (_advance_ims(d, out, prev, n, table) for prev, n in zip([1, *ns], ns))
 
@@ -194,8 +204,8 @@ def mobius_ims_partial_sums(
 def _check_checkpoints(n_list: Sequence[int], degree: int) -> list[int]:
     """``n_list`` as ints, refused unless nonempty, strictly increasing and >= 2.
 
-    A negative degree is refused, and so is one whose int32 ``d`` and
-    float64 output, 12 (degree + 1) bytes, exceed physical memory.
+    A negative degree is refused, and so is one whose int16 ``d`` and
+    float64 output, 10 (degree + 1) bytes, exceed physical memory.
     """
     ns = [int(n) for n in n_list]
     if not ns or ns[0] < 2:
@@ -209,8 +219,8 @@ def _check_checkpoints(n_list: Sequence[int], degree: int) -> list[int]:
 
 
 def _kernel_bytes(degree: int) -> int:
-    """The int32 ``d`` and float64 output of ``mobius_ims_partial_sums``: 12 (degree + 1) bytes."""
-    return 12 * (degree + 1)
+    """The int16 ``d`` and float64 output of ``mobius_ims_partial_sums``: 10 (degree + 1) bytes."""
+    return 10 * (degree + 1)
 
 
 def _advance_ims(

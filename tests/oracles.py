@@ -29,9 +29,17 @@ sieve of ``zfhp.weights.prime_indices`` replaced.
 ``two_level_means_rfft`` is the first H^p two-level transform: one real
 FFT of all 4M points of the fold modulo 4M, read at the indices of both
 levels.  ``two_level_means_pruned`` is the transform that replaced it and
-that the four-step ``zfhp.norms.two_level_means`` replaced in turn: one
-complex FFT of M points and one of M/2, each on a 1-D array, with the
-twiddles read from the M-entry quarter-turn table ``quarter_turn``.
+that the four-step transform replaced in turn: one complex FFT of M
+points and one of M/2, each on a 1-D array, with the twiddles read from
+the M-entry quarter-turn table ``quarter_turn``.
+``two_level_means_four_step`` is that first four-step transform, moved
+here verbatim with its fold and twiddle helpers: it folds the quarters
+into fresh arrays, twiddles and transforms each level as a whole, and
+takes the magnitudes and the coarse butterfly's difference into
+full-length temporaries.  It reads the twiddle tables of
+``zfhp.norms._tables``, so that ``zfhp.norms.two_level_means``, which
+keeps both levels in one buffer and works one block of rows at a time,
+must match it bit for bit.
 
 ``mellin_step_pk_quadrature`` is the adaptive quadrature that
 ``zfhp.special.mellin_step_pk`` replaced with the exact integral of each
@@ -56,6 +64,7 @@ from scipy.special import gammaincc
 from typing import Iterable
 
 from zfhp import zeta
+from zfhp.norms import _check_two_level_nodes, _tables
 from zfhp.arith import (
     _SIEVE_BLOCK,
     _check_memory,
@@ -438,6 +447,82 @@ def two_level_means_pruned(coeffs, p: float, nodes: int) -> tuple[float, float]:
     z += mirror
     del mirror
     odd *= half_turn(h, 2, -1j)
+    odd += z
+    return p_mean(odd, p), fine
+
+
+def twiddle_by_columns(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+    """buf[i, a + A b] *= low[i, a] high[i, b] in place, A = low.shape[1]; rows broadcast."""
+    width = low.shape[1]
+    for b in range(high.shape[1]):
+        block = buf[:, b * width : (b + 1) * width]
+        block *= low[:, : block.shape[1]]
+        block *= high[:, b, None]
+
+
+def four_step_whole(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The DFT of the pre-twiddled (L1, L2) ``buf``, in place, each pass over the whole array."""
+    np.fft.fft(buf, axis=0, out=buf)
+    twiddle_by_columns(buf, low, high)
+    return np.fft.fft(buf, axis=1, out=buf)
+
+
+def fold_quarter(a: np.ndarray, nodes: int, q: int) -> np.ndarray:
+    """b_q: the entries a_m with floor(m/M) = q (mod 4), summed modulo M."""
+    size = 4 * nodes
+    whole = a.size - a.size % size
+    if whole:
+        out = a[:whole].reshape(-1, 4, nodes)[:, q].sum(axis=0)
+    else:
+        out = np.zeros(nodes)
+    tail = a[whole + q * nodes : whole + (q + 1) * nodes]
+    out[: tail.size] += tail
+    return out
+
+
+def two_level_means_four_step(coeffs, p: float, nodes: int) -> tuple[float, float]:
+    """p-means of |f| at M = ``nodes`` and 2M half-offset nodes from four-step DFTs of M and M/2 points.
+
+    The derivation is that of ``zfhp.norms.two_level_means``: the same
+    residue-1 and residue-2 inputs, the same four-step factorisation and
+    the same tables.  Here the fold takes all four quarters into fresh
+    arrays, each level's twiddle and DFTs run over the whole (L1, L2)
+    array, the fine level's magnitudes go to a new array, and the coarse
+    butterfly takes its difference into a new array of M/2 points.
+    """
+    a = np.asarray(coeffs)
+    _check_two_level_nodes(nodes)
+    (shape, column, *middle), coarse, (post_column, *post) = _tables(nodes)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.size > nodes:
+        b0, b2 = fold_quarter(a, nodes, 0), fold_quarter(a, nodes, 2)
+        y = np.empty(nodes, dtype=np.complex128)
+        np.subtract(b0, b2, out=y.real)
+        x = np.add(b0, b2, out=b0)
+        del b2
+        b1, b3 = fold_quarter(a, nodes, 1), fold_quarter(a, nodes, 3)
+        np.subtract(b3, b1, out=y.imag)
+        b1 += b3
+        x -= b1
+        del b1, b3
+        y = y.reshape(shape)
+        y *= column
+    else:
+        x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
+        y = np.multiply(x.reshape(shape), column)
+    fine = p_mean(four_step_whole(y, *middle), p)
+
+    (shape, column, *middle), buf, half = coarse, y.reshape(-1), nodes // 2
+    z = buf[:half].reshape(shape)
+    np.multiply(x.view(np.complex128).reshape(shape), column, out=z)
+    del x
+    four_step_whole(z, *middle)
+    mirror = buf[half:].reshape(shape)
+    np.conjugate(z[::-1, ::-1], out=mirror)
+    odd = z - mirror
+    z += mirror
+    twiddle_by_columns(odd, *post)
+    odd *= post_column
     odd += z
     return p_mean(odd, p), fine
 

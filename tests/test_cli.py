@@ -391,9 +391,9 @@ class TestConvergenceCommand:
     def test_lq_row_beyond_memory_refused(self, capsys, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}  # 1 GiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        cutoff = 2**30 // 12
-        # the smallest cutoff whose 12 bytes per coefficient do not fit
-        assert 12 * cutoff <= 2**30 < 12 * (cutoff + 1)
+        cutoff = 2**30 // 10
+        # the smallest cutoff whose 10 bytes per coefficient do not fit
+        assert 10 * cutoff <= 2**30 < 10 * (cutoff + 1)
         tracemalloc.start()
         try:
             code = main(["convergence", "--space", "lq", "--q", "2", "--n", "10",

@@ -106,7 +106,7 @@ class TestLqConvergence:
                 assert bound >= brute, (q, n, bound, brute)
 
     def test_row_holds_only_the_kernel_buffers(self):
-        # the kernel's int32 divisor sums and float64 output, 12 bytes per
+        # the kernel's int16 divisor sums and float64 output, 10 bytes per
         # coefficient, plus one division block; a copy of the residual
         # would add 8 more
         cutoff = 10**6
@@ -116,7 +116,7 @@ class TestLqConvergence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12.5 * (cutoff + 1)
+        assert peak <= 10.5 * (cutoff + 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_refuses_a_nonfinite_residual(self, bad, monkeypatch):

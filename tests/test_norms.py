@@ -25,6 +25,7 @@ from zfhp.norms import (
     _TRANSFORM_BYTES_PER_NODE,
     _split,
     _tables,
+    _two_level_bytes,
     boundary_values,
     circle_abs_power_integral,
     default_node_count,
@@ -34,7 +35,7 @@ from zfhp.norms import (
     two_level_means,
 )
 
-from oracles import two_level_means_pruned, two_level_means_rfft
+from oracles import two_level_means_four_step, two_level_means_pruned, two_level_means_rfft
 
 
 def random_polynomials(count: int, max_degree: int = 64, seed: int = 20260809):
@@ -498,12 +499,15 @@ class TestTwoLevelMeans:
     def test_matches_per_level_oracle(self, nodes, p, length):
         # oracles: hp_norm_estimate at nodes and 2 nodes, each by its own
         # phase multiply, fold and complex FFT; the 4M-point real FFT, which
-        # reads the first half of the nodes of each level; and the pruned
-        # path on 1-D arrays that the four-step transform replaced
+        # reads the first half of the nodes of each level; the pruned path
+        # on 1-D arrays that the four-step transform replaced; and the
+        # four-step transform in whole-array passes, which must agree bit
+        # for bit
         count = self.LENGTHS[length](nodes)
         rng = np.random.default_rng(nodes + count + int(100 * p))
         a = rng.normal(size=count)
         got = two_level_means(a, p, nodes)
+        assert got == two_level_means_four_step(a, p, nodes)
         old = two_level_means_rfft(a, p, nodes)
         pruned = two_level_means_pruned(a, p, nodes)
         new_errs = pruned_error(a, nodes)
@@ -537,6 +541,15 @@ class TestTwoLevelMeans:
             tol = p_mean_deviation(prev, mine.size, p, mine - prev_err, prev_err) + new_dev
             assert abs(value - prev) <= tol, (level, value, prev, tol)
 
+    @pytest.mark.parametrize("count", [40000 - 7, 9 * 40000 + 12345])
+    def test_equals_whole_array_passes_across_blocks_and_chunks(self, count):
+        # M = 40000 = 200 x 200 and K = 20000 = 125 x 160: both levels end
+        # on a partial block of rows, the coarse mirror blocks straddle
+        # block boundaries, and the fold's last step runs in two chunks
+        a = np.random.default_rng(count).normal(size=count)
+        for p in (0.3, 0.5, 1.0):
+            assert two_level_means(a, p, 40000) == two_level_means_four_step(a, p, 40000)
+
     def test_cold_and_warm_table_agree_bit_for_bit(self):
         a = np.random.default_rng(11).normal(size=3 * 1030 + 17)
         _tables.cache_clear()
@@ -556,15 +569,15 @@ class TestTwoLevelMeans:
         assert sum(t.size for t in tables) <= 8 * nodes**0.75
         assert not any(t.flags.writeable for t in tables)
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-    def test_peak_rss_within_the_transform_figure(self):
-        # The peak resident set sees pocketfft's C++ scratch, which
-        # tracemalloc cannot: one monolithic FFT of M points adds 32 bytes
-        # per node to the 24 this input needs (y and its magnitudes).  The
-        # child reads VmHWM, the high-water mark of its own image: its
-        # ru_maxrss would start at the resident set of the test process
-        # that forked it.
-        nodes = 2**18
+    @staticmethod
+    def transform_peak_growth(length: int, nodes: int) -> int:
+        """VmHWM growth of a fresh interpreter over one ``two_level_means`` of ``length`` points.
+
+        The peak resident set sees pocketfft's C++ scratch, which
+        tracemalloc cannot.  The child reads VmHWM, the high-water mark of
+        its own image: its ru_maxrss would start at the resident set of
+        the test process that forked it.
+        """
         src = str(Path(zfhp.norms.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
@@ -573,7 +586,7 @@ class TestTwoLevelMeans:
             "def peak():\n"
             "    status = open('/proc/self/status').read()\n"
             "    return 1024 * int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
-            f"a = np.random.default_rng(3).normal(size={nodes})\n"
+            f"a = np.random.default_rng(3).normal(size={length})\n"
             "two_level_means(a[:100], 0.5, 16)\n"  # loads the FFT module
             "before = peak()\n"
             f"two_level_means(a, 0.5, {nodes})\n"
@@ -581,7 +594,35 @@ class TestTwoLevelMeans:
         )
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True, timeout=120, check=True)
-        assert 0 < int(out.stdout) < _TRANSFORM_BYTES_PER_NODE * nodes
+        return int(out.stdout)
+
+    @staticmethod
+    def beyond_the_arrays(nodes: int) -> int:
+        """The tables at their actual size and the rest of ``_two_level_bytes``: row blocks, the fold's chunk, FFT work."""
+        fine, coarse, post = _tables(nodes)
+        tables = sum(t.nbytes for t in (*fine[1:], *coarse[1:], *post))
+        return (tables + _two_level_bytes(nodes) - _TRANSFORM_BYTES_PER_NODE * nodes
+                - 384 * math.ceil(nodes**0.75))
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_peak_rss_within_the_transform_figure(self):
+        # an input of M points is x itself, so the arrays are y, 16 bytes
+        # per node (_two_level_bytes); one more full-length float64
+        # temporary, 8 bytes per node, breaks the bound
+        nodes = 2**19
+        growth = self.transform_peak_growth(nodes, nodes)
+        assert 0 < growth < 16 * nodes + self.beyond_the_arrays(nodes)
+        assert growth <= _two_level_bytes(nodes)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_peak_rss_of_a_folded_input_within_the_fold_figure(self):
+        # a longer input is folded, x, t and y at 32 bytes per node
+        # (_TRANSFORM_BYTES_PER_NODE); a full-length temporary in the
+        # fold's last step, or a fourth quarter held at once, breaks it
+        nodes = 2**19
+        growth = self.transform_peak_growth(4 * nodes + nodes // 2 + 3, nodes)
+        assert 0 < growth < _TRANSFORM_BYTES_PER_NODE * nodes + self.beyond_the_arrays(nodes)
+        assert growth <= _two_level_bytes(nodes)
 
     def test_refuses_complex_coefficients(self):
         # a float64 cast would drop the imaginary parts with only a warning

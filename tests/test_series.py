@@ -214,8 +214,11 @@ class TestMobiusPartialSums:
         tol = (n + 2) ** 2 * np.finfo(np.float64).eps / m
         assert np.all(np.abs(got - want) <= tol)
 
+    # 510510 = 2 3 5 7 11 13 17 is the least m with omega(m) = 7: the
+    # kernel sums its divisors in int16 ``d``, the oracle in int32
     @pytest.mark.parametrize(
-        "degree", [_DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 1, 3 * _DIVIDE_BLOCK + 5]
+        "degree",
+        [_DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 1, 3 * _DIVIDE_BLOCK + 5, 510510 + 1000],
     )
     def test_bit_equal_to_allocating_oracle_across_division_blocks(self, degree, mobius_1k):
         ns = [10, 100, 1000]
