@@ -211,7 +211,7 @@ def _cmd_weights_probe(args: argparse.Namespace) -> int:
 def _cmd_zeta(args: argparse.Namespace) -> int:
     result = zeta(parse_complex(args.s))
     value = result.value
-    print(f"zeta({args.s}) = {value.real!r} + {value.imag!r}i  [{result.method}, {result.terms_used} terms]")
+    print(f"zeta({args.s}) = {value.real!r} + {value.imag!r}i  [error_bound {result.error_bound!r}]")
     return 0
 
 
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     mverify.add_argument("--check", action="store_true", help="exit 4 if an error exceeds its bound")
     mverify.set_defaults(func=_cmd_mellin_verify)
 
-    zeta_cmd = sub.add_parser("zeta", help="evaluate zeta on Re(s) > 0")
+    zeta_cmd = sub.add_parser("zeta", help="zeta(s) on Re(s) > 0, |s| <= 2^20, with a proved absolute error bound")
     zeta_cmd.add_argument("--s", required=True, help="complex point, e.g. 2+0i")
     zeta_cmd.set_defaults(func=_cmd_zeta)
 

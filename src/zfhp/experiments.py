@@ -51,8 +51,8 @@ from .norms import (
     two_level_means,
 )
 from .series import _check_checkpoints, _kernel_bytes, mobius_ims_partial_sums
-from .special import (_SLACK, _U, _g_k_given_zeta, _mellin_step_pk_bound, f_k, g_k_error_bound,
-                      lambda_on_constant, mellin_step_pk, zeta)
+from .special import (_SLACK, _U, _check_zeta_range, _g_k_given_zeta, _mellin_step_pk_bound, f_k,
+                      g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta)
 from .weights import ClassificationResult, ProbeResult
 
 __all__ = [
@@ -174,6 +174,7 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
             )
         if abs(s - 1.0) < 1e-12:
             raise DomainError("s = 1 rejected: zeta pole")
+        _check_zeta_range(s)
     return grid
 
 
@@ -386,20 +387,24 @@ def run_lambda_sweep(
         residual <= tail_bound + R + Z,
 
     with R the closed form's rounding bound and Z = ``g_k_error_bound``,
-    the zeta target plus rounding of G_k(s); each bounds its part of
-    |value - G_k(s)|, so a failure contradicts the identity.
+    which carries the proved ``error_bound`` of zeta(s) and the rounding
+    of G_k(s); each bounds its part of |value - G_k(s)|, so a failure
+    contradicts the identity.
 
     Grid points must satisfy Re(s) > 1/2 (the functionals are bounded on
-    the underlying Hardy-Hilbert space only there) and s != 1 (pole).
+    the underlying Hardy-Hilbert space only there), s != 1 (pole) and
+    |s| <= 2^20 (the range of ``zeta``); like the memory guard of the
+    degree, these are checked before any buffer is built.
     """
     grid = _check_grid(s_grid)
     records: list[LambdaRecord] = []
     evaluations = lambda_hk_truncated(k_list, grid, coeff_cutoff)
-    zetas = {s: zeta(s).value for s in dict.fromkeys(grid)}
+    zetas = {s: zeta(s) for s in dict.fromkeys(grid)}
     for ev in evaluations:
-        g = _g_k_given_zeta(ev.k, ev.s, zetas[ev.s])
+        z = zetas[ev.s]
+        g = _g_k_given_zeta(ev.k, ev.s, z.value)
         residual = abs(ev.value - g)
-        budget = ev.tail_bound + ev.rounding_bound + g_k_error_bound(ev.k, ev.s, g)
+        budget = ev.tail_bound + ev.rounding_bound + g_k_error_bound(ev.k, ev.s, g, z.error_bound)
         records.append(
             LambdaRecord(
                 k=ev.k,
@@ -421,7 +426,7 @@ def run_pointwise_approx(s_grid: Iterable[complex], n_list: Sequence[int]) -> li
     Mertens recursion in O(n^(2/3)).  Each n must lie in 2..2^53 - 1.
 
     ``bound`` >= |residual - |sum + 1/s||.  The value is within its bound B
-    of the sum (proved there, with zeta(s) assumed within ``ZETA_TARGET``);
+    of the sum (proved there, with the ``error_bound`` of zeta(s));
     -1/s is within 8u/|s|, and the subtraction and the modulus add at most
     u and 2u of the residual, so the returned fl((B + 8u/|s| + 4u
     residual) ``_SLACK``) is a bound, u = 2^-53.  Reporting only:

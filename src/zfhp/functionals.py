@@ -29,7 +29,7 @@ import numpy as np
 
 from .arith import _check_memory, _physical_bytes, _sieve_bytes, build_mobius, exact_parts, exact_sum
 from .series import TruncatedSeries, hk_coefficient_envelope
-from .special import (ZETA_TARGET, _SLACK, _U, _power_error, _zeta_tail, fk_values,
+from .special import (_SLACK, _U, _check_zeta_range, _power_error, _zeta_tail, fk_values,
                       require_right_half_plane, zeta)
 
 __all__ = [
@@ -270,11 +270,9 @@ def approx_reciprocal_s_partial_sums(
         ``_weighted_mertens``: O(L + n / sqrt(L)) = O(n^(2/3)) operations
         and O(L) memory, instead of O(n) operations.
 
-    Bound.  u = 2^-53, Z = ``ZETA_TARGET``, c = -zeta(s)/s, D = M_s(n) -
-    M_1(n) and c~, D~ their computed values.  Assumed: |zeta~(s) - zeta(s)|
-    <= Z |zeta(s)|.  That is the target of ``zeta``, which
-    ``g_k_error_bound`` and the lambda budget assume too; it is not proved.
-    Let E >= |D~ - D|.
+    Bound.  u = 2^-53, c = -zeta(s)/s, D = M_s(n) - M_1(n) and c~, D~
+    their computed values, and Z = ``zeta(s).error_bound``, the proved
+    bound on |zeta~(s) - zeta(s)|.  Let E >= |D~ - D|.
       * n <= L.  Each computed term is within (e(k) + u) k^(-sigma) + 2u/k
         of mu(k) (k^(-s) - 1/k), with e = ``_power_error(|s|, log k)`` and
         1/k correctly rounded, and the exactly rounded sum adds u |D~|, so
@@ -282,12 +280,13 @@ def approx_reciprocal_s_partial_sums(
         ``_power_sum`` (first order, covered by ``_SLACK``).
       * n > L.  E = E_s + E_1 + u |D~|, with the bounds E_s and E_1 of
         M_s(n) and M_1(n) from ``_weighted_mertens`` and the subtraction.
-    c~ = fl(-zeta~/s) is within (Z + 8u) |c~| of c to first order, and the
-    product adds 3u, so the value is within
+    c~ = fl(-zeta~/s) is within 8u |c~| + Z/|s| of c to first order, and
+    the product adds 3u, so the value is within
 
-        bound = |c~| ((Z + 12u) |D~| + (1 + 2Z) E)
+        bound = |c~| (12u |D~| + E) + (Z/|s|) (|D~| + E)
 
-    of the sum, returned times ``_SLACK``.  []
+    of the sum, returned times ``_SLACK``, which also covers the factor
+    1 + 8u on |c~| E.  []
     """
     ns = [int(n) for n in n_list]
     if not ns:
@@ -300,33 +299,35 @@ def approx_reciprocal_s_partial_sums(
     grid = [complex(s) for s in s_grid]
     if not grid:
         raise ValueError("s_grid must not be empty")
-    if any(abs(s) > 2**20 for s in grid):
-        raise ValueError("|s| must be at most 2^20, the range of the approx error bound")
+    for s in grid:
+        _check_zeta_range(s)
     limit = _approx_limit(max(ns))
-    scales = [-(zeta(s).value / s) for s in grid]
+    zetas = [zeta(s) for s in grid]
     mu = build_mobius(limit).values
     cuts = sorted({n for n in ns if n <= limit})
     large = sorted({n for n in ns if n > limit})
     ones = _weighted_mertens(mu, 1.0, [], large)[1]
     out = []
-    for s, scale in zip(grid, scales):
+    for s, z in zip(grid, zetas):
+        scale, z_err = -(z.value / s), z.error_bound / abs(s)
         exact, weighted = _weighted_mertens(mu, s, cuts, large)
         rows = {}
         for n, d in exact.items():
             log_n = math.log(n)
             err = (_power_error(abs(s), log_n) + _U) * _power_sum(s.real, n) + 2 * _U * (1.0 + log_n)
-            rows[n] = (scale * d, _value_bound(scale, d, err + _U * abs(d)))
+            rows[n] = (scale * d, _value_bound(scale, z_err, d, err + _U * abs(d)))
         for n in large:
             (m_s, e_s), (m_1, e_1) = weighted[n], ones[n]
             d = complex(m_s) - float(m_1)
-            rows[n] = (scale * d, _value_bound(scale, d, e_s + e_1 + _U * abs(d)))
+            rows[n] = (scale * d, _value_bound(scale, z_err, d, e_s + e_1 + _U * abs(d)))
         out.append([rows[n] for n in ns])
     return out
 
 
-def _value_bound(scale: complex, d: complex, err: float) -> float:
-    """The ``bound`` of ``approx_reciprocal_s_partial_sums``, derived in its docstring."""
-    return _SLACK * abs(scale) * ((ZETA_TARGET + 12 * _U) * abs(d) + (1.0 + 2 * ZETA_TARGET) * float(err))
+def _value_bound(scale: complex, z_err: float, d: complex, err: float) -> float:
+    """The ``bound`` of ``approx_reciprocal_s_partial_sums``, derived in its docstring; ``z_err`` is Z/|s|."""
+    err = float(err)
+    return _SLACK * (abs(scale) * (12 * _U * abs(d) + err) + z_err * (abs(d) + err))
 
 
 def _weighted_mertens(mu: np.ndarray, s, cuts: list[int], large: list[int]):

@@ -5,10 +5,12 @@ Implements the evaluation data behind the functionals:
     f_k(s) = -(1/s) * ((k+1)^(1-s) - k^(1-s))          (Re(s) > 0, k >= 1)
     G_k(s) = -(zeta(s)/s) * (k^(-s) - 1/k)             (k >= 2, s != 1)
 
-plus a zeta evaluator valid on Re(s) > 0 away from the pole, and the
-Mellin transforms of the step functions p_k and of the fractional-part
-combinations rho_alpha(x) = rho(alpha/x) - alpha * rho(1/x), each
-integrated exactly over the pieces where the function is constant.
+plus zeta(s) on Re(s) > 0 away from the pole, as an exactly rounded head
+and the Euler-Maclaurin tail ``_zeta_tail``, with an absolute error bound
+proved in ``zeta``, and the Mellin transforms of the step functions p_k
+and of the fractional-part combinations rho_alpha(x) = rho(alpha/x) -
+alpha * rho(1/x), each integrated exactly over the pieces where the
+function is constant.
 ``f_k`` is the one-k case of ``fk_values``, so one rounding proof
 (``_mellin_step_pk_bound``) covers both; it bounds the computed
 difference between the transform of p_k and f_k(s) from k and s alone.
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, PoleError
+from .arith import exact_sum
+from .errors import DomainError, PoleError
 
 __all__ = [
     "ZetaValue",
@@ -39,13 +42,6 @@ __all__ = [
     "require_right_half_plane",
 ]
 
-_LN2 = math.log(2.0)
-_ACCEL = 3.0 + math.sqrt(8.0)
-# d_n in the accelerated eta series grows like (3 + sqrt 8)^n; keep it well
-# inside float range.
-_MAX_ETA_TERMS = 280
-# Relative error that ``zeta`` aims for.
-ZETA_TARGET = 1e-13
 _U = 2.0**-53  # unit roundoff of float64
 # Relative slack for the rounding of a bound's own evaluation and for the
 # second-order terms its first-order proof leaves out.
@@ -96,9 +92,8 @@ def _zeta_tail(n, s, terms: int = 8):
     in which zeta(s), or gamma, cancels.  M is the first j at which the
     bound on |R| falls below 2^-60 H (H below), far under the rounding, or
     ``terms``.  This is the one tail of the package: the approx recursion
-    takes its differences, and a zeta evaluator or a lambda tail bound can
-    take it whole, with N and M chosen to make R small.  The remainder
-    returned is the bound on |R|.
+    takes its differences, and ``zeta`` takes it whole at N = ceil(|s|) + 10.
+    The remainder returned is the bound on |R|.
 
     Rounding.  u = 2^-53, with the arithmetic assumed in
     ``zfhp.functionals.lambda_hk_truncated`` (Python's complex product is
@@ -201,61 +196,74 @@ def lambda_on_constant(s) -> complex:
 
 @dataclass(frozen=True)
 class ZetaValue:
+    """zeta(s) as computed, a proved bound on |value - zeta(s)|, and the cut N of ``zeta``."""
+
     value: complex
-    method: str
+    error_bound: float
     terms_used: int
 
 
 def zeta(s) -> ZetaValue:
-    """zeta(s) for Re(s) > 0, s != 1, via the accelerated alternating series.
+    """zeta(s) for Re(s) > 0, s != 1, |s| <= 2^20: an exactly rounded head plus the Euler-Maclaurin tail.
 
-    Computes eta(s) = sum (-1)^(k-1) k^(-s) with Chebyshev-weighted series
-    acceleration and divides by 1 - 2^(1-s).  The term count is chosen from
-    the proven error envelope (1 + 2|t|) e^(pi |t| / 2) / (3 + sqrt 8)^n
-    to reach the relative error ``ZETA_TARGET``, which ``g_k_error_bound``
-    and the ``lambda`` sweep's budget assume.
+    Value.  With N = ceil(|s|) + 10 (``terms_used``) and F(N) = zeta(s) -
+    sum_{j<N} j^(-s) the tail of ``_zeta_tail``,
 
-    Raises ``PoleError`` at s = 1, ``ConditioningError`` on the line of
-    spurious zeros of 1 - 2^(1-s) (s = 1 + 2 pi i m / log 2, m != 0).
+        zeta(s) = sum_{j<N} j^(-s) + F(N),
+
+    with the head the ``exact_sum`` of exp(-s log j), j < N, the same
+    powers as the prefix sums of ``zfhp.functionals.lambda_hk_truncated``.
+    No division by 1 - 2^(1-s) occurs, so no line of Re(s) = 1 is special.
+
+    Bound.  u = 2^-53, sigma = Re(s), with the arithmetic assumed in
+    ``lambda_hk_truncated``.
+      1. Each computed power is within e_j j^(-sigma) of j^(-s), with
+         e_j = ``_power_error(|s|, log j)`` (step 1 of its rounding proof),
+         so their exact sum is within sum_{j<N} e_j j^(-sigma) of the head.
+      2. ``exact_sum`` rounds that exact sum once per component: u |head~|.
+      3. ``_zeta_tail`` at N returns F~ with |F~ - F(N)| <= remainder +
+         rounding, both proved there for |s| <= 2^20.
+      4. The sum head~ + F~ adds u |value| per component.
+    So |value - zeta(s)| is at most
+
+        (sum_{j<N} e_j j^(-sigma) + u |head~| + remainder + rounding + u |value|),
+
+    returned times ``_SLACK`` as ``error_bound``.  The slack covers the
+    second-order terms and the rounding of the bound's own evaluation:
+    step 1's sum is evaluated within 2^-25 of itself, as its powers
+    j^(-sigma) come within e(sigma, log j) <= 2^-25 and its N <= 2^20 + 11
+    nonnegative terms add under 2^-32.  An underflowed power, possible
+    only where sigma log N > 700 and so |zeta(s)| > 1/2, is off by at most
+    2^-1074, far inside u |value|.
+
+    With N >= |s| + 10 the ratio of consecutive Euler-Maclaurin terms is
+    at most about 1/(4 pi^2), so the remainder stays below the tail's own
+    rounding (under 3% of it from |s| = 0.6 to 2^20), and step 1 dominates
+    the bound.  The bound is absolute, not relative: near a zero of zeta no
+    float64 sum of O(1) terms reaches a fixed relative error.
+
+    Raises ``PoleError`` at s = 1, ``DomainError`` for Re(s) <= 0, and
+    ``ValueError`` for |s| > 2^20, the range of the tail's rounding proof,
+    before anything is allocated.
     """
     s = require_right_half_plane(s)
     if abs(s - 1.0) < 1e-12:
         raise PoleError("zeta has a pole at s = 1")
-    denom = -complex(_cexpm1((1.0 - s) * _LN2))  # 1 - 2^(1-s), cancellation-safe
-    if abs(denom) < 1e-8:
-        raise ConditioningError(
-            f"1 - 2^(1-s) vanishes near s = {s}; the eta-ratio evaluator is unusable there"
-        )
-    n = _eta_terms(s)
-    eta = _eta_accelerated(s, n)
-    return ZetaValue(value=eta / denom, method="accelerated-eta", terms_used=n)
+    _check_zeta_range(s)
+    n = math.ceil(abs(s)) + 10
+    log_j = np.log(np.arange(1, n, dtype=np.float64))
+    head = exact_sum(np.exp(-s * log_j))
+    tail, remainder, rounding = _zeta_tail(np.array([float(n)]), s)
+    value = head + complex(tail[0])
+    powers = np.sum(_power_error(abs(s), log_j) * np.exp(-s.real * log_j))
+    bound = float(powers + remainder[0] + rounding[0]) + _U * (abs(head) + abs(value))
+    return ZetaValue(value=value, error_bound=bound * _SLACK, terms_used=n)
 
 
-def _eta_terms(s: complex) -> int:
-    t = abs(s.imag)
-    need = (math.log(3.0 / ZETA_TARGET) + math.log1p(2.0 * t) + 0.5 * math.pi * t) / math.log(_ACCEL)
-    n = int(math.ceil(need)) + 4
-    if s.real < 0.5:
-        n += 10
-    n = max(n, 24)
-    if n > _MAX_ETA_TERMS:
-        raise DomainError(
-            f"|Im(s)| = {t:g} is outside the working range of the eta evaluator"
-        )
-    return n
-
-
-def _eta_accelerated(s: complex, n: int) -> complex:
-    d = np.empty(n + 1, dtype=np.float64)
-    term = 1.0
-    d[0] = 1.0
-    for i in range(1, n + 1):
-        term *= 4.0 * (n + i - 1) * (n - i + 1) / (2.0 * i * (2.0 * i - 1.0))
-        d[i] = d[i - 1] + term
-    k = np.arange(n, dtype=np.float64)
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
-    powers = np.exp(-s * np.log(k + 1.0))
-    return -complex(np.sum(signs * (d[:n] - d[n]) * powers)) / d[n]
+def _check_zeta_range(s: complex) -> None:
+    """Refuse |s| > 2^20, the range of the rounding proofs of ``_zeta_tail`` and ``zeta``, with ``ValueError``."""
+    if abs(s) > 2**20:
+        raise ValueError(f"|s| = {abs(s):g} exceeds 2^20, the range of the zeta error bound")
 
 
 def g_k(k: int, s) -> complex:
@@ -271,22 +279,24 @@ def _g_k_given_zeta(k: int, s: complex, z: complex) -> complex:
     return -(z / s) * (cmath.exp(-s * math.log(k)) - 1.0 / k)
 
 
-def g_k_error_bound(k: int, s, value: complex) -> float:
-    """Bound on |value - G_k(s)| for value = ``g_k(k, s)``.
+def g_k_error_bound(k: int, s, value: complex, zeta_error: float) -> float:
+    """Bound on |value - G_k(s)| for value = ``g_k(k, s)``, given ``zeta_error`` = ``zeta(s).error_bound``.
 
-    ``g_k`` forms value = -w q with w = fl(z/s), z = zeta(s) within
-    ZETA_TARGET relative, and q = fl(p - 1/k), p = exp(-s log k).  With
+    ``g_k`` forms value = -w q with w = fl(z/s), |z - zeta(s)| <= E =
+    ``zeta_error``, and q = fl(p - 1/k), p = exp(-s log k).  With
     u = 2^-53 and the accuracy assumed in ``lambda_hk_truncated`` (log,
     exp, cos, sin within 4 ulp), p is within u (12 |s| log k + 24) k^(-Re s)
     and 1/k within u/k, so |q - (k^(-s) - 1/k)| <= d + u |q| with
     d = u (12 |s| log k + 24) k^(-Re s) + 2u/k.  The quotient is within
-    8u and the product within 3u, so |w| <= (|value|/|q|)(1 + 4u) and
+    8u, so |w - zeta(s)/s| <= 8u |w| + E/|s| to first order, and the
+    product within 3u, so |w| <= (|value|/|q|)(1 + 4u).  Adding the parts,
 
-        |value - G_k| <= |value| (ZETA_TARGET + 16u) + 2 d |value|/|q|,
+        |value - G_k| <= |value| (16u + 2 d/|q|) + 2 E (|q| + d)/|s|,
 
-    the factor 2 covering |zeta/s| <= |w| (1 + ZETA_TARGET + 9u).  The
-    bound needs no lower bound on |k^(-s) - 1/k|, which vanishes on the
-    points s = 1 + 2 pi i m/log k.  It is infinite only if q is exactly 0.
+    the factors 2 and the spare 3u covering the second-order terms and
+    the rounding of the bound itself.  The bound needs no lower bound on
+    |k^(-s) - 1/k|, which vanishes on the points s = 1 + 2 pi i m/log k.
+    It is infinite only if q is exactly 0.
     """
     s = complex(s)
     log_k = math.log(k)
@@ -294,7 +304,7 @@ def g_k_error_bound(k: int, s, value: complex) -> float:
     if q == 0.0:
         return math.inf
     d = _U * (12.0 * abs(s) * log_k + 24.0) * k ** (-s.real) + 2.0 * _U / k
-    return abs(value) * (ZETA_TARGET + 16.0 * _U + 2.0 * d / q)
+    return abs(value) * (16.0 * _U + 2.0 * d / q) + 2.0 * zeta_error * (q + d) / abs(s)
 
 
 def mellin_step_pk(k: int, s) -> complex:

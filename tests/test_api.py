@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -45,3 +46,16 @@ def test_no_scipy_in_the_package():
     home = Path(inspect.getsourcefile(exact_parts)).parent
     users = [path.name for path in sorted(home.glob("*.py")) if "scipy" in path.read_text().lower()]
     assert users == []
+
+
+def test_benchmark_counters_resolve():
+    # the benchmark's live counters are keyed on (module, function) names;
+    # a rename in the package silently turns such a counter into a constant 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, name in [("zfhp.special", "zeta"), ("zfhp.special", "fk_values"), ("zfhp.arith", "build_mobius")]:
+        assert (module, name) in spans.COUNTERS
+        fn = getattr(importlib.import_module(module), name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module, (module, name)

@@ -59,8 +59,34 @@ class TestExitCodes:
     def test_zeta_ok(self, capsys):
         assert main(["zeta", "--s", "2+0i"]) == 0
         out = capsys.readouterr().out
-        assert "1.6449340668482266" in out
-        assert "accelerated-eta" in out
+        assert "1.6449340668482264 + 0.0i" in out  # pi^2/6 correctly rounded
+        assert f"[error_bound {zfhp.zeta(2.0).error_bound!r}]" in out
+
+    def test_zeta_at_large_imaginary_part(self, capsys):
+        assert main(["zeta", "--s", "0.51+1000i"]) == 0
+        assert "error_bound" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["zeta", "--s", "0.6+2000000i"], ["lambda", "--k", "2..5", "--s-grid", "0.6,2 x 0,2000000"]],
+        ids=["zeta", "lambda"],
+    )
+    def test_s_beyond_the_zeta_range_refused(self, argv, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("array allocated")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid arguments: |s| = 2e+06 exceeds 2^20")
+        assert peak < 2**20
 
     def test_zeta_pole_is_domain_error(self, capsys):
         assert main(["zeta", "--s", "1+0i"]) == 3

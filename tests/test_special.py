@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from zfhp import (
-    ConditioningError,
     DomainError,
     PoleError,
     f_k,
@@ -21,9 +20,9 @@ from zfhp import (
     zeta,
 )
 
-from zfhp.special import _U, _mellin_step_pk_bound, _zeta_tail
+from zfhp.special import _U, _mellin_step_pk_bound, _zeta_tail, g_k_error_bound
 
-from oracles import f_k_scalar, mellin_step_pk_quadrature
+from oracles import ETA_TARGET, f_k_scalar, mellin_step_pk_quadrature, zeta_accelerated_eta
 
 GRID = [complex(re, im) for re in (0.6, 0.75, 1.5, 2.0) for im in (0.0, 1.0, 5.0)]
 
@@ -107,6 +106,20 @@ class TestLambdaOnConstant:
             lambda_on_constant(1j)
 
 
+# The acceptance grid, the first five zeros of zeta moved from the critical
+# line to Re s = 0.51 with neighbours at +-1e-3, and two large imaginary parts.
+FIRST_ZEROS = [14.134725141734693, 21.022039638771555, 25.010857580145688, 30.424876125859513,
+               32.93506158773919]
+BOUND_S = [*GRID, *(complex(0.51, t + d) for t in FIRST_ZEROS for d in (-1e-3, 0.0, 1e-3)),
+           0.51 + 250j, 0.51 + 1000j]
+
+
+def mpmath_zeta_error(s: complex, value: complex) -> float:
+    """|value - zeta(s)|, zeta(s) at 50 digits."""
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpc(value.real, value.imag) - mpmath.zeta(mpmath.mpc(s.real, s.imag))))
+
+
 class TestZeta:
     def test_zeta2_against_direct_sum_oracle(self):
         oracle = zeta_direct_sum_oracle(2.0)
@@ -146,10 +159,13 @@ class TestZeta:
         with pytest.raises(DomainError):
             zeta(-2.0)
 
-    def test_condition_error_on_eta_zero_line(self):
-        s = complex(1.0, 2.0 * math.pi / math.log(2.0))
-        with pytest.raises(ConditioningError):
-            zeta(s)
+    def test_within_bound_on_eta_zero_line(self):
+        # 1 - 2^(1-s) vanishes at s = 1 + 2 pi i m / log 2; no evaluator step divides by it
+        for m in (1, 2, 3):
+            for re in (1.0, 1.0001):
+                s = complex(re, 2.0 * math.pi * m / math.log(2.0))
+                result = zeta(s)
+                assert mpmath_zeta_error(s, result.value) <= result.error_bound, s
 
     def test_conjugate_symmetry(self):
         for s in (0.75 + 1.0j, 2.0 + 5.0j):
@@ -157,8 +173,29 @@ class TestZeta:
 
     def test_metadata(self):
         result = zeta(2.0)
-        assert result.method == "accelerated-eta"
-        assert result.terms_used >= 1
+        assert result.terms_used == 12  # N = ceil(|s|) + 10
+        assert 0.0 < result.error_bound <= 1e-14
+        assert abs(result.value - math.pi**2 / 6.0) <= result.error_bound
+
+    @pytest.mark.parametrize("s", BOUND_S)
+    def test_within_bound_against_mpmath(self, s):
+        result = zeta(s)
+        assert mpmath_zeta_error(s, result.value) <= result.error_bound
+        if s in GRID:  # the seed-0 lambda-grid points
+            assert result.error_bound <= 1e-12
+
+    @pytest.mark.parametrize("s", GRID)
+    def test_agrees_with_eta_oracle(self, s):
+        result = zeta(s)
+        oracle = zeta_accelerated_eta(s)
+        assert abs(result.value - oracle) <= result.error_bound + ETA_TARGET * abs(oracle)
+
+    def test_range(self):
+        # |s| <= 2^20 is the range of the tail's rounding proof
+        result = zeta(complex(0.6, 2**20 - 1))
+        assert result.terms_used == 2**20 + 10 and result.error_bound < 1e-4
+        with pytest.raises(ValueError, match="exceeds 2\\^20"):
+            zeta(complex(0.6, 2**20))
 
 
 class TestGk:
@@ -172,6 +209,18 @@ class TestGk:
             g_k(1, 2.0)
         with pytest.raises(PoleError):
             g_k(2, 1.0)
+
+    @pytest.mark.parametrize("s", [*GRID, 0.51 + 14.134725141734693j, 1.0 + 2.0 * math.pi / math.log(2.0) * 1j])
+    def test_within_error_bound_against_mpmath(self, s):
+        # the bound takes zeta's proved error_bound, no assumed relative target
+        z = zeta(s)
+        with mpmath.workdps(50):
+            ms = mpmath.mpc(s.real, s.imag)
+            for k in (2, 3, 10, 1000):
+                value = g_k(k, s)
+                exact = -(mpmath.zeta(ms) / ms) * (mpmath.mpf(k) ** -ms - mpmath.mpf(1) / k)
+                assert float(abs(mpmath.mpc(value.real, value.imag) - exact)) <= g_k_error_bound(
+                    k, s, value, z.error_bound), k
 
 
 class TestMellinStep:
