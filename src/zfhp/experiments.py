@@ -421,8 +421,8 @@ def run_pointwise_approx(s_grid: Iterable[complex], n_list: Sequence[int]) -> li
     """Residuals |sum_{k=2..n} mu(k) G_k(s) + 1/s| over the n sweep, s-major order, each with its bound.
 
     ``approx_reciprocal_s_partial_sums`` serves the whole grid from one
-    Möbius sieve to about (max n)^(2/3): each n <= that limit is the exactly
-    rounded sum of its terms, and each larger n comes from the weighted
+    Möbius sieve to about (max n)^(2/3): each n <= that limit reads the
+    weighted prefix-sum tables, and each larger n comes from the weighted
     Mertens recursion in O(n^(2/3)).  Each n must lie in 2..2^53 - 1.
 
     ``bound`` >= |residual - |sum + 1/s||.  The value is within its bound B

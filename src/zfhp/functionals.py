@@ -13,9 +13,10 @@ with a proved coefficient envelope and a proved rounding bound.
 ``approx_reciprocal_s_partial_sums`` forms the Möbius combinations
 sum_{k<=n} mu(k) G_k(s) at many n and many s, each with a proved error
 bound, in O(n^(2/3)) operations and memory: the Möbius table and the
-weighted prefix sums reach only about (max n)^(2/3), and each larger n
-comes from the weighted Mertens recursion, with the Euler-Maclaurin tail
-``special._zeta_tail`` above the tables, so n may reach 2^53 - 1.
+weighted prefix sums reach only about (max n)^(2/3).  Each n up to there
+is a table entry, and each larger n comes from the weighted Mertens
+recursion, with the Euler-Maclaurin tail ``special._zeta_tail`` above the
+tables, so n may reach 2^53 - 1.
 """
 
 from __future__ import annotations
@@ -262,24 +263,16 @@ def approx_reciprocal_s_partial_sums(
     Method.  G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), so the value is
     -(zeta(s)/s) (M_s(n) - M_1(n)) with M_s(x) = sum_{k<=x} mu(k) k^(-s).
     Every n must lie in 2..2^53 - 1, and |s| may not exceed 2^20.  mu is
-    sieved once, to L = ``_approx_limit(max n)``, about (max n)^(2/3).
-      * A checkpoint n <= L is the exactly rounded sum of its terms
-        mu(k) (k^(-s) - 1/k), by the same elementwise numpy expression as
-        one pass over every k <= n, times -(zeta(s)/s).
-      * A checkpoint n > L takes M_s(n) and M_1(n) from the recursion of
-        ``_weighted_mertens``: O(L + n / sqrt(L)) = O(n^(2/3)) operations
-        and O(L) memory, instead of O(n) operations.
+    sieved once, to L = ``_approx_limit(max n)``, about (max n)^(2/3), and
+    ``_weighted_mertens`` gives M_s(n) and M_1(n) with their bounds: a
+    table entry for n <= L, and the recursion for n > L, in
+    O(L + n / sqrt(L)) = O(n^(2/3)) operations and O(L) memory.
 
     Bound.  u = 2^-53, c = -zeta(s)/s, D = M_s(n) - M_1(n) and c~, D~
     their computed values, and Z = ``zeta(s).error_bound``, the proved
-    bound on |zeta~(s) - zeta(s)|.  Let E >= |D~ - D|.
-      * n <= L.  Each computed term is within (e(k) + u) k^(-sigma) + 2u/k
-        of mu(k) (k^(-s) - 1/k), with e = ``_power_error(|s|, log k)`` and
-        1/k correctly rounded, and the exactly rounded sum adds u |D~|, so
-        E = (e(n) + u) S(n) + 2u (1 + log n) + u |D~| with S =
-        ``_power_sum`` (first order, covered by ``_SLACK``).
-      * n > L.  E = E_s + E_1 + u |D~|, with the bounds E_s and E_1 of
-        M_s(n) and M_1(n) from ``_weighted_mertens`` and the subtraction.
+    bound on |zeta~(s) - zeta(s)|.  D~ is within E = E_s + E_1 + u |D~|
+    of D, with the bounds E_s and E_1 of M_s(n) and M_1(n) from
+    ``_weighted_mertens`` and u |D~| for the subtraction.
     c~ = fl(-zeta~/s) is within 8u |c~| + Z/|s| of c to first order, and
     the product adds 3u, so the value is within
 
@@ -304,39 +297,27 @@ def approx_reciprocal_s_partial_sums(
     limit = _approx_limit(max(ns))
     zetas = [zeta(s) for s in grid]
     mu = build_mobius(limit).values
-    cuts = sorted({n for n in ns if n <= limit})
-    large = sorted({n for n in ns if n > limit})
-    ones = _weighted_mertens(mu, 1.0, [], large)[1]
+    ones = _weighted_mertens(mu, 1.0, ns)
     out = []
     for s, z in zip(grid, zetas):
-        scale, z_err = -(z.value / s), z.error_bound / abs(s)
-        exact, weighted = _weighted_mertens(mu, s, cuts, large)
-        rows = {}
-        for n, d in exact.items():
-            log_n = math.log(n)
-            err = (_power_error(abs(s), log_n) + _U) * _power_sum(s.real, n) + 2 * _U * (1.0 + log_n)
-            rows[n] = (scale * d, _value_bound(scale, z_err, d, err + _U * abs(d)))
-        for n in large:
+        scale, z_err = -(z.value / s), z.error_bound / abs(s)  # c~ and Z/|s|
+        weighted = _weighted_mertens(mu, s, ns)
+        row = []
+        for n in ns:
             (m_s, e_s), (m_1, e_1) = weighted[n], ones[n]
             d = complex(m_s) - float(m_1)
-            rows[n] = (scale * d, _value_bound(scale, z_err, d, e_s + e_1 + _U * abs(d)))
-        out.append([rows[n] for n in ns])
+            err = float(e_s + e_1 + _U * abs(d))  # E
+            row.append((scale * d, _SLACK * (abs(scale) * (12 * _U * abs(d) + err) + z_err * (abs(d) + err))))
+        out.append(row)
     return out
 
 
-def _value_bound(scale: complex, z_err: float, d: complex, err: float) -> float:
-    """The ``bound`` of ``approx_reciprocal_s_partial_sums``, derived in its docstring; ``z_err`` is Z/|s|."""
-    err = float(err)
-    return _SLACK * (abs(scale) * (12 * _U * abs(d) + err) + z_err * (abs(d) + err))
+def _weighted_mertens(mu: np.ndarray, s, n_list: list[int]):
+    """M_s(n) with a proved bound, for each n in ``n_list``.
 
-
-def _weighted_mertens(mu: np.ndarray, s, cuts: list[int], large: list[int]):
-    """The exact parts of the approx terms at each n in ``cuts``, and M_s(n) with a bound for each n in ``large``.
-
-    Returns {n: complex(exactly rounded sum of mu(k) (k^(-s) - 1/k) over
-    2 <= k <= n)} for the sorted ``cuts`` (none at s = 1), and
-    {n: (M~_s(n), E_s(n))} for the sorted ``large``, where
-    |M~_s(n) - M_s(n)| <= E_s(n).
+    Returns {n: (M~_s(n), E_s(n))} with |M~_s(n) - M_s(n)| <= E_s(n): an
+    n <= L is the table entry M~(n) with E(n) of (T1), and a larger n
+    comes from the recursion below.
 
     Tables.  With L = mu.size - 1, sigma = Re s and w_j = fl(j^(-s)) (= fl(1/j)
     at s = 1), the tables hold P~(y) and M~(y), y <= L: running sums of w_j
@@ -395,10 +376,8 @@ def _weighted_mertens(mu: np.ndarray, s, cuts: list[int], large: list[int]):
     limit, sigma, real = mu.size - 1, s.real, s == 1
     kind = np.float64 if real else np.complex128
     table_p, table_m = tables = np.zeros((2, limit + 1), kind)  # P~ and M~
-    powers = np.zeros(math.isqrt(max(large, default=0)) + 1, kind)  # w_j, j <= sqrt(max n)
+    powers = np.zeros(math.isqrt(max(n_list)) + 1, kind)  # w_j, j <= sqrt(max n)
     carries = [[0.0, 0.0], [0.0, 0.0]]
-    parts: tuple[list[float], list[float]] = ([], [])
-    pending, exact = list(cuts), {}
     for lo in range(1, limit + 1, _APPROX_CHUNK):
         hi = min(lo + _APPROX_CHUNK, limit + 1)
         j = np.arange(lo, hi, dtype=np.float64)
@@ -406,19 +385,14 @@ def _weighted_mertens(mu: np.ndarray, s, cuts: list[int], large: list[int]):
         powers[lo : min(hi, powers.size)] = w[: max(powers.size - lo, 0)]
         for out, x, carry in zip(tables[:, lo:hi], (w, mu[lo:hi] * w), carries):
             _running_sum(x, out, carry)
-        start = lo
-        while pending and start < hi:
-            end = min(hi, pending[0] + 1)
-            terms = mu[start:end] * (w[start - lo : end - lo] - 1.0 / j[start - lo : end - lo])
-            for part, x in zip(parts, (terms.real, terms.imag)):
-                part += exact_parts(x)
-            if end == pending[0] + 1:
-                exact[pending.pop(0)] = complex(exact_sum(parts[0]), exact_sum(parts[1]))
-            start = end
     e = (lambda y: _U) if real else (lambda y: _power_error(abs(s), np.log(y)))
     g_table = 4 * (limit * _U) ** 2 * _power_sum(sigma, limit)
-    e_table, e_small = ((e(y) + 3 * _U) * _power_sum(sigma, y, np) + g_table  # E(L); E(q) at q - 1
-                        for y in (limit, np.arange(1, powers.size + 1)))
+
+    def table_bound(y):
+        """E(y) of (T1), at an integer or an array y <= L."""
+        return (e(y) + 3 * _U) * _power_sum(sigma, y, np) + g_table
+
+    e_table, e_small = table_bound(limit), table_bound(np.arange(1, powers.size + 1))  # E(L); E(q) at q - 1
     abs_powers = np.abs(powers)
 
     def groups(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +411,10 @@ def _weighted_mertens(mu: np.ndarray, s, cuts: list[int], large: list[int]):
         return g, bound
 
     results = {}
-    for n in large:
+    for n in set(n_list):
+        if n <= limit:
+            results[n] = table_m[n], table_bound(n)
+            continue
         top = n // (limit + 1)
         memo, memo_err = np.zeros(top + 1, kind), np.zeros(top + 1)
         for d in range(top, 0, -1):
@@ -457,8 +434,8 @@ def _weighted_mertens(mu: np.ndarray, s, cuts: list[int], large: list[int]):
                    + (am + em) @ eg + (em + 4 * _U * am) @ np.abs(g)
                    + 2 * _U * (abs(total) + abs(value)))
             memo[d], memo_err[d] = value, err * _SLACK
-        results[n] = (memo[1], memo_err[1])
-    return exact, results
+        results[n] = memo[1], memo_err[1]
+    return results
 
 
 def _running_sum(t: np.ndarray, out: np.ndarray, carry: list[float]) -> None:
@@ -506,8 +483,9 @@ def _approx_bytes(top: int, limit: int) -> int:
     time (the float64 tables at s = 1 come first, and are freed), 33 bytes,
     and the sieve's segment buffers and base primes
     (``arith._sieve_bytes``).  Per chunk entry, the chunk's arrays: j,
-    log j, w, mu w, 1/j and a term array, their running sums and exact
-    parts, under 256 bytes.  Per entry of the recursion's arrays, of at most
+    log j, -s log j, w and mu w, and the temporaries of their running
+    sums (the cumulative sums, the TwoSum errors and their
+    concatenations), under 256 bytes.  Per entry of the recursion's arrays, of at most
     isqrt(top) + 1 entries each: the powers and their moduli (24), the
     memo's complex128 value and float64 bound (24; top / (limit + 1) <=
     isqrt(top) entries, as limit >= isqrt(top)), and the j, q, index,

@@ -89,6 +89,8 @@ class WeightFamily:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown weight family kind {self.kind!r}")
+        if any(x is not None and not math.isfinite(x) for x in (self.alpha, self.beta, self.eps)):
+            raise ValueError("weight family parameters must be finite")
         if self.kind == "power" and not (self.alpha is not None and self.alpha > 0):
             raise ValueError("power requires alpha > 0")
         if self.kind == "powerlog" and not (

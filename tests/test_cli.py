@@ -99,6 +99,13 @@ class TestExitCodes:
         assert main(["weights", "classify", "--family", "power:-1"]) == 2
         assert "invalid arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["power:inf", "powerlog:inf,1", "powerlog:1,inf",
+                                        "quasiexp:inf", "superexp:inf"])
+    def test_non_finite_family_parameter(self, family, capsys):
+        # an infinite parameter makes log w(1) = inf * log 1 a NaN
+        assert main(["weights", "classify", "--family", family]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -294,7 +294,7 @@ class TestPointwiseApprox:
             run_pointwise_approx([0.4], [10])
 
     def test_bound_is_a_thousandth_of_the_residual_at_the_benchmark_point(self):
-        # the seed-0 approx-1e7 command: n = 100 and 10^4 are exact table sums,
+        # the seed-0 approx-1e7 command: n = 100 and 10^4 are table entries,
         # 10^6 and 10^7 come from the recursion
         records = run_pointwise_approx([2.0], [100, 10**4, 10**6, 10**7])
         assert all(0.0 < r.bound <= 1e-3 * r.residual for r in records)

@@ -233,15 +233,12 @@ def ceil_two_thirds(n: int) -> int:
     return limit
 
 
-def assert_agrees(ns, grid, want, limit):
-    """Each value equals the exactly rounded ``want`` where n <= limit, and is within its bound above."""
+def assert_agrees(ns, grid, want):
+    """Each value is within its bound of the exactly rounded ``want``, at every n."""
     got = approx_reciprocal_s_partial_sums(ns, grid)
     for row, expected in zip(got, want):
         for n, (value, bound), oracle in zip(ns, row, expected):
-            if n <= limit:
-                assert value == oracle, n
-            else:
-                assert abs(value - oracle) <= bound, n
+            assert abs(value - oracle) <= bound, n
 
 
 class TestApproxReciprocal:
@@ -270,7 +267,7 @@ class TestApproxReciprocal:
         # unsorted, with duplicates, across L = 2155, ending at the oracle table's limit
         ns = [1000, 2, 65538, 100, 1000, 65537, 2, 2155, 2156, 10**5]
         want = [approx_reciprocal_s_oracle(n, s, mobius_100k) for n in ns]
-        assert_agrees(ns, [s], [want], ceil_two_thirds(10**5))
+        assert_agrees(ns, [s], [want])
 
     @pytest.mark.parametrize("s", [2.0, 0.75 + 3j])
     def test_streamed_equals_table_kernel_across_segments(self, s, mobius_straddle):
@@ -296,9 +293,8 @@ class TestApproxReciprocal:
             return sieve(lo, hi, primes)
 
         monkeypatch.setattr(arith, "_sieve_segment", counted)
-        limit = ceil_two_thirds(2 * B + 65537)
-        assert_agrees(ns, grid, want, limit)
-        assert calls == [(0, limit + 1)]
+        assert_agrees(ns, grid, want)
+        assert calls == [(0, ceil_two_thirds(2 * B + 65537) + 1)]
 
     def test_compacted_parts_stay_exact(self, monkeypatch, mobius_100k):
         # the stream oracle with 8 k per block: its parts exceed a block's
@@ -308,6 +304,18 @@ class TestApproxReciprocal:
         for s in (2.0, 0.75 + 3j):
             got = approx_reciprocal_s_stream(ns, [s])[0]
             assert got == approx_reciprocal_s_table_kernel(ns, s, mobius_100k)
+
+    def test_table_rows_take_no_exact_parts(self, monkeypatch):
+        # every n, on either side of L, comes from the weighted-Mertens
+        # tables or recursion, not from a re-summation of its terms
+        def refuse(x):
+            raise AssertionError("exact parts taken")
+
+        limit = ceil_two_thirds(10**5)
+        ns, grid = [2, 100, limit, limit + 1, 10**5], [2.0, 0.75 + 3j]
+        want = approx_reciprocal_s_stream(ns, grid)
+        monkeypatch.setattr(functionals, "exact_parts", refuse)
+        assert_agrees(ns, grid, want)
 
     def test_peak_within_the_memory_estimate(self):
         # the stream oracle within the estimate it was guarded by
@@ -335,7 +343,7 @@ class TestApproxReciprocal:
     def test_within_bound_of_the_stream_to_1e7(self, s):
         ns = [10, 1000, 46416, 46417, 10**5, 10**6, 10**7]
         want = approx_reciprocal_s_stream(ns, [s])
-        assert_agrees(ns, [s], want, ceil_two_thirds(10**7))
+        assert_agrees(ns, [s], want)
 
     def test_sieve_limit_is_two_thirds_power(self, monkeypatch):
         # a complexity pin: one sieve, to about n^(2/3), not to n
@@ -359,9 +367,8 @@ class TestApproxReciprocal:
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": rest + 33 * 3001}
         want = approx_reciprocal_s_stream([n, 2000, 4000], [0.75 + 3j])
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        limit = functionals._approx_limit(n)
-        assert limit == 3000
-        assert_agrees([n, 2000, 4000], [0.75 + 3j], want, limit)
+        assert functionals._approx_limit(n) == 3000
+        assert_agrees([n, 2000, 4000], [0.75 + 3j], want)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
