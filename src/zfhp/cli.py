@@ -12,7 +12,8 @@ or in ``--out FILE`` plus, for experiments, a ``*.manifest.json`` sidecar.
 Exit codes: 0 success, 2 invalid arguments, 3 domain or conditioning error
 (pole, half-plane violation, lost accuracy), 4 check failed in ``--check``
 mode.  Warnings, such as an undersampling ``QuadratureWarning``, go to
-stderr as one line each.
+stderr as one line each; a ``QuadratureWarning`` does so whatever warning
+filters the caller set.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .experiments import (
     write_probe_csv,
     write_weights_csv,
 )
+from .norms import QuadratureWarning
 from .special import zeta
 from .weights import (
     TABLE1_STRIPS,
@@ -293,6 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
+            warnings.simplefilter("always", QuadratureWarning)
             warnings.showwarning = _print_warning
             return args.func(args)
     except DomainError as exc:

@@ -337,11 +337,11 @@ def run_hp_convergence(
     The coefficients are the running sums (h_k = (I - S)^-1 (I - S) h_k)
     of the closed-form kernel ``mobius_ims_partial_sums``, taken in place.
     Both quadrature levels, ``nodes`` and 2 ``nodes`` half-offset nodes,
-    come from two DFTs per checkpoint, of ``nodes`` and ``nodes``/2
-    points, that compute only the spectrum the means read
-    (``norms.two_level_means``).  Each DFT is a four-step FFT on a 2-D
-    view of its buffer: batched short transforms down the columns, a
-    separable twiddle, batched short transforms along the rows.
+    come from three DFTs per checkpoint, each of ``nodes``/2 points, that
+    compute only the spectrum the means read (``norms.two_level_means``).
+    Each DFT is a four-step FFT on a 2-D view of one shared buffer of
+    ``nodes``/2 complex numbers: batched short transforms down the
+    columns, a separable twiddle, batched short transforms along the rows.
     Each record's ``tail_bound`` column carries the quadrature refinement
     discrepancy |value at nodes - value at 2 nodes|: the truncation tail
     has no usable closed-form bound on the boundary, so the refinement

@@ -9,13 +9,16 @@ one FFT), and the only quadrature error is in the mean itself.
 
 ``boundary_values`` takes complex coefficients, for the inequality
 battery.  ``two_level_means`` serves the H^p convergence runner:
-for real coefficients it returns the p-means at M and 2M nodes from two
-DFTs, of M and M/2 points, that compute only the spectrum the means read.
-Each is a four-step FFT on a 2-D view of its buffer (batched short
-transforms down the columns, a separable twiddle, batched short
-transforms along the rows), so no transform runs on a 1-D array of M or
-M/2 points and no twiddle table has M entries.  Both levels and their
-magnitudes live in one buffer of M complex numbers.
+for real coefficients it returns the p-means at M and 2M nodes from three
+DFTs of M/2 points, one per residue mod 8 of the node indices the means
+read (the other residues are their conjugates).  Each is a four-step FFT
+on a 2-D view of its buffer (batched short transforms down the columns, a
+separable twiddle, batched short transforms along the rows), so no
+transform runs on a 1-D array of M/2 points and no twiddle table has M
+entries.  The three run one after another in one buffer of M/2 complex
+numbers, 8 bytes per node, which a weighted fold fills from the input
+read in place, and each block of rows is reduced to its sum of |.|^p as
+soon as it is transformed.
 """
 
 from __future__ import annotations
@@ -103,69 +106,59 @@ def _check_two_level_nodes(nodes: int) -> None:
 
 
 # Bytes per node of the arrays of two_level_means, derived in _two_level_bytes.
-_TRANSFORM_BYTES_PER_NODE = 32
+_TRANSFORM_BYTES_PER_NODE = 12
 
 # Rows per block of the row pass of two_level_means: each block is
 # twiddled, transformed along its rows and reduced while it is in cache.
 _ROW_BLOCK = 16
 
-# Entries per chunk of the last step of the fold in two_level_means, whose
-# float64 temporary is 256 KiB at 2^15.
-_FOLD_CHUNK = 1 << 15
+# The residues s = l mod 8 of the node indices two_level_means transforms:
+# 1 and 5 give the 2M-node level, 2 the M-node level.
+_SLICES = (1, 5, 2)
+
+# Signs of the real and imaginary parts of zeta^k = exp(-i pi k/4), k < 8;
+# the parts are 0 or 1 in magnitude for even k and sqrt(1/2) for odd k.
+_EIGHTH_ROOT_SIGNS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 def _two_level_bytes(nodes: int) -> int:
     """A bound on the peak bytes ``two_level_means`` allocates at M = ``nodes``.
 
-    Arrays, in bytes per node.  An input longer than M is folded modulo 4M
-    one quarter at a time: b_0 into x (8) and b_2 into a temporary t (8);
-    y (16) is allocated, its real part b_0 - b_2 and x then b_0 + b_2.
-    b_3 goes into the imaginary part of y and b_1 into t, and
-    x -= (t + y.imag) runs in chunks of ``_FOLD_CHUNK`` entries, one
-    float64 temporary of 8 ``_FOLD_CHUNK`` bytes, before y.imag -= t.
-    That is 8 + 8 + 16 = 32 at the fold's peak, and 24 once t goes.
-    Otherwise x is the input itself, or its zero-padded copy (8), and y
-    is allocated (16): at most 24.  Both levels then live in y's buffer.
-    The 2M-node level writes its magnitudes over the first half of it,
-    through one staging block of at most ``_ROW_BLOCK`` rows of length
-    L2, 8 min(16, L1) L2 bytes.  The M-node level packs x into the
-    first half, so x goes (16), and writes its magnitudes into the second
-    half; its butterfly holds a mirror and a difference block,
-    32 min(16, K1) K2 bytes for the split K1 K2 of K = M/2.  So 32 bytes
-    per node (``_TRANSFORM_BYTES_PER_NODE``) and the larger block bound
-    the arrays, besides a float64 copy of an input that is not a
-    contiguous float64 array.
+    Arrays, in bytes per node.  The three slices run one after another in
+    one buffer of L = M/2 complex numbers: 8.  ``_fold`` reads the input
+    in place; an input of 4M or more entries, a whole period of 8L, adds
+    one float64 temporary of L entries: 4.  So 12 bytes per node
+    (``_TRANSFORM_BYTES_PER_NODE``) bound the arrays, besides a float64
+    copy of an input that is not a contiguous float64 array.  The row
+    pass takes the magnitudes of one block of at most ``_ROW_BLOCK`` rows
+    of length L2 into a float64 temporary, 8 min(16, L1) L2 bytes.
 
-    Tables.  A level of length L = L1 L2 keeps L1 (1 + A + B) twiddles
+    Tables.  A slice of length L = L1 L2 keeps L1 (1 + A + B) twiddles
     with A = ceil(sqrt(L2)) and B = ceil(L2/A), so A, B <= sqrt(L2) + 1
     and, as L1 <= sqrt(L), at most
-    2 sqrt(L1 L) + 3 L1 <= 2 L^(3/4) + 3 L^(1/2).  The coarse
-    post-twiddle keeps K1 + A + B <= 3 K^(1/2) + 2 more, with K = M/2.
-    In all, 2 (1 + 2^(-3/4)) M^(3/4) + 3 (1 + 2^(1/2)) M^(1/2) + 2, which
-    for M >= 16 (M^(1/2) <= M^(3/4)/2, 2 <= M^(3/4)/4) is at most
-    8 M^(3/4) complex numbers, 128 M^(3/4) bytes, kept between calls.
-    ``_roots`` builds a table with 32 bytes per entry of temporaries (the
-    exponents, q, r and the angles; then the exponents, q and the powers
-    of -i), before any array above exists, so 384 M^(3/4) bytes cover the
-    tables at every moment.
+    2 sqrt(L1 L) + 3 L1 <= 2 L^(3/4) + 3 L^(1/2).  For three slices of
+    L = M/2 that is 6 2^(-3/4) M^(3/4) + 9 2^(-1/2) M^(1/2), which for
+    M >= 16 (M^(1/2) <= M^(3/4)/2) is at most 8 M^(3/4) complex
+    numbers, 128 M^(3/4) bytes, kept between calls.  ``_roots`` builds a
+    table with 32 bytes per entry of temporaries (the exponents, q, r and
+    the angles; then the exponents, q and the powers of -i), before any
+    array above exists, so 384 M^(3/4) bytes cover the tables at every
+    moment.
 
     FFT work.  numpy's pocketfft keeps a plan per transform length and a
     scratch per call, O(n) for a line of n points.  Measured with numpy
     2.4 as ``ru_maxrss`` growth in a fresh interpreter: 32 to 80 bytes per
     point for lengths with small factors, 224 for large primes (Bluestein),
     and under 1 MiB in all for short lines.  256 n + 2^20 bytes, n the
-    longest line L2 of either level, bound it.  Lines are short: L2 is
-    about sqrt(2M) for a power of two M, and reaches M/2 only when M or
-    M/2 is twice a prime.
+    longest line L2, bound it.  Lines are short: L2 is about sqrt(M/2)
+    for a power of two M, and reaches M/2 only when M/2 is prime.
     """
-    (rows, cols), (half_rows, half_cols) = _split(nodes), _split(nodes // 2)
-    blocks = max(8 * min(_ROW_BLOCK, rows) * cols, 32 * min(_ROW_BLOCK, half_rows) * half_cols)
+    rows, cols = _split(nodes // 2)
     return (
         _TRANSFORM_BYTES_PER_NODE * nodes
-        + blocks
-        + 8 * _FOLD_CHUNK
+        + 8 * min(_ROW_BLOCK, rows) * cols
         + 384 * math.ceil(nodes**0.75)
-        + 256 * max(cols, half_cols)
+        + 256 * cols
         + 2**20
     )
 
@@ -230,38 +223,31 @@ def _twiddle(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
         tail *= high[:, whole, None]
 
 
-def _level(nodes: int, length: int, shift: int, scale: float) -> tuple:
+def _level(nodes: int, length: int, shift: int) -> tuple:
     """The twiddles of a four-step DFT of length L = ``length`` of omega^(shift t) y_t.
 
-    With g = 4M/L: the pre-twiddle ``scale`` omega^(shift L2 t1) as an
-    (L1, 1) column, and the middle twiddle omega^(t2 (g k1 + shift)) as
+    With g = 4M/L: the pre-twiddle omega^(shift L2 t1) as an (L1, 1)
+    column, and the middle twiddle omega^(t2 (g k1 + shift)) as
     ``_product_tables``; see ``two_level_means``.
     """
     rows, cols = _split(length)
     k1 = np.arange(rows)
     column = _roots(shift * cols * k1, nodes)[:, None]
-    column *= scale
     return (rows, cols), column, *_product_tables(4 * nodes // length * k1 + shift, cols, nodes)
 
 
 @functools.lru_cache(maxsize=1)
 def _tables(nodes: int) -> tuple:
-    """The twiddle tables of ``two_level_means`` at M = ``nodes``, read-only.
+    """The twiddle tables of the slices ``_SLICES`` of ``two_level_means`` at M = ``nodes``, read-only.
 
-    The 2M-node level (length M, shift 1), the M-node level (length
-    K = M/2, shift 4, with the 1/2 of the packing) and the coarse
-    post-twiddle -i omega^(4j+2) = omega^(4 k1 + 2 + M) omega^(4 K1 k2),
-    a column and a one-row ``_product_tables``.  Cached for the
+    One ``_level`` of length M/2 per residue s; cached for the
     checkpoints of a run.
     """
-    fine = _level(nodes, nodes, 1, 1.0)
-    coarse = _level(nodes, nodes // 2, 4, 0.5)
-    (rows, cols), *_ = coarse
-    post = (_roots(4 * np.arange(rows) + 2 + nodes, nodes)[:, None],
-            *_product_tables(np.array([4 * rows]), cols, nodes))
-    for table in (*fine[1:], *coarse[1:], *post):
-        table.setflags(write=False)
-    return fine, coarse, post
+    slices = tuple(_level(nodes, nodes // 2, shift) for shift in _SLICES)
+    for _, *tables in slices:
+        for table in tables:
+            table.setflags(write=False)
+    return slices
 
 
 def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -281,101 +267,88 @@ def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> Iterator[t
         yield a, b
 
 
-def _fold_quarter(a: np.ndarray, nodes: int, q: int, out: np.ndarray) -> np.ndarray:
-    """b_q into ``out``: the entries a_m with floor(m/M) = q (mod 4), summed modulo M."""
-    size = 4 * nodes
-    whole = a.size - a.size % size
-    if whole:
-        a[:whole].reshape(-1, 4, nodes)[:, q].sum(axis=0, out=out)
-    else:
-        out[...] = 0.0
-    tail = a[whole + q * nodes : whole + (q + 1) * nodes]
-    out[: tail.size] += tail
-    return out
+def _fold(a: np.ndarray, shift: int, out: np.ndarray) -> None:
+    """w_r = sum_q zeta^(shift q) a_(r+qL) into the complex ``out`` of L entries, zeta = exp(-i pi/4).
+
+    The weight depends on q mod 8.  Block q of ``a``, entries qL to
+    qL + L - 1, is added to or subtracted from the real and imaginary
+    parts by the signs of its weight (``_EIGHTH_ROOT_SIGNS``), odd q
+    first; for odd ``shift`` their sums are then scaled by fl(sqrt(1/2)),
+    the one inexact weight.  The blocks of the last, incomplete period of
+    8L entries are read in place; those of whole periods are first summed,
+    q by q, into one float64 temporary of L entries.
+    """
+    half = out.size
+    whole = a.size - a.size % (8 * half)
+    periods = a[:whole].reshape(-1, 8, half)
+    spare = np.empty(half) if whole else None
+    flat = out.view(np.float64)
+    flat[...] = 0.0
+    for q in (1, 3, 5, 7, 0, 2, 4, 6):
+        if q == 0 and shift % 2:
+            flat *= math.sqrt(0.5)
+        block = a[whole + q * half : whole + (q + 1) * half]
+        if whole:
+            periods[:, q].sum(axis=0, out=spare)
+            spare[: block.size] += block
+            block = spare
+        for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], (out.real, out.imag)):
+            if sign:
+                part = part[: block.size]
+                (np.add if sign > 0 else np.subtract)(part, block, out=part)
 
 
 def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, float]:
     """p-means of |f| at M = ``nodes`` and at 2M half-offset nodes, for real coefficients.
 
     Both levels are nodes exp(2 pi i l/4M): l = 4j + 2 for the M nodes,
-    l odd for the 2M.  With b the coefficients folded modulo 4M
-    (z^(4M) = 1 at every such node) and omega = exp(-2 pi i/4M), |f| at the
-    node of index l is |X_l| for X_l = sum_(m<4M) b_m omega^(lm), and for
-    l = 4j + r
+    l odd for the 2M.  With omega = exp(-2 pi i/4M), |f| at the node of
+    index l is |X_l| for X_l = sum_m a_m omega^(lm).  Let L = M/2, so
+    omega^(8L) = 1, and write m = r + qL with r < L, and l = 8k + s with
+    k < L.  Then omega^(8k(r+qL)) = e^(-2 pi i kr/L), so
 
-        X_(4j+r) = sum_(m<M) [sum_(q<4) b_(m+qM) omega^(r(m+qM))] e^(-2 pi i jm/M),
+        X_(8k+s) = sum_(r<L) e^(-2 pi i kr/L) omega^(sr) w_r,
+        w_r = sum_q zeta^(sq) a_(r+qL),   zeta = omega^L = exp(-i pi/4):
 
-    a DFT of length M of the fold modulo M of b_m omega^(rm).
-    omega^M = -i, so only the residues r = 1 and r = 2 need work.
+    each residue s of l mod 8 is a DFT of length L, a slice, of
+    omega^(sr) times the weighted fold w (``_fold``).  For real a,
+    X_(4M-l) = conj(X_l), and 4M - l = -l (mod 8) pairs the residues
+    1 and 7, 3 and 5, 2 and 6.  So the 2M odd l are the values of the
+    slices s = 1 and 5 and their conjugates, and the mean of |f|^p over
+    the M values of those two slices is the 2M-node level's; the M-node
+    level, l = 2 or 6 (mod 8), is the slice s = 2 and its conjugate.  For
+    s = 2 the weights (-i)^q are exactly +-1 and +-i; for s = 1 and 5 the
+    weights of odd q are (+-1 +- i) sqrt(1/2).  M even makes L whole; M
+    need not be a power of two.
 
-    The 2M-node level.  For r = 1 the inner sum is omega^m y_m with
-    y = u - i v, u = b_[0,M) - b_[2M,3M) and v = b_[M,2M) - b_[3M,4M): one
-    DFT of length M gives X_l for every l = 1 (mod 4).  For real b,
-    X_(4M-l) = conj(X_l), and 4M - (4j + 1) = 4(M - 1 - j) + 3, so the
-    residue-3 values are the residue-1 values conjugated, and the mean
-    over the M residue-1 values is the mean over all 2M odd l.
-
-    The M-node level.  For r = 2 the inner sum is omega^(2m) x_m with the
-    real signed fold x_m = sum_q (-1)^q b_(m+qM), so X_(4j+2) = A_j with
-    A_j = sum_m x_m e^(-2 pi i (j + 1/2) m/M), and A_(M-1-j) = conj(A_j):
-    the values j < K = M/2 are the whole level.  Pack
-    z_t = (x_(2t) + i x_(2t+1)) omega^(4t) / 2 for t < K and take one DFT Z
-    of length K.  Let E and O be the DFTs of length K of
-    e_t = x_(2t) omega^(4t) and o_t = x_(2t+1) omega^(4t), so that
-    2 Z = E + i O and A_j = E_j + omega^(4j+2) O_j.  Because x is real,
-    conj(E_(K-1-j)) = E_j and likewise for O, so
-    2 conj(Z_(K-1-j)) = E_j - i O_j, and the butterfly
-
-        E_j = Z_j + conj(Z_(K-1-j)),   O_j = -i (Z_j - conj(Z_(K-1-j)))
-
-    splits them; the 1/2 in z spares a halving here.  M even makes K
-    whole; M need not be a power of two.
-
-    Four steps (Bailey, J. Supercomputing 4, 1990).  Each level is a DFT
-    of length L = M or K of omega^(s t) w_t, with s = 1, w = y at the
-    2M-node level and s = 4, w = (x_(2t) + i x_(2t+1))/2 at the M-node
-    level.  Let L = L1 L2 (``_split``), g = 4M/L, t = L2 t1 + t2 and
-    j = k1 + L1 k2 with t1, k1 < L1 and t2, k2 < L2.  Then
-    e^(-2 pi i/L) = omega^g, and jt is k1 t1 L2 + k1 t2 + k2 t2 L1 plus a
-    multiple of L, so
+    Four steps (Bailey, J. Supercomputing 4, 1990).  Let L = L1 L2
+    (``_split``), t = L2 t1 + t2 and j = k1 + L1 k2 with t1, k1 < L1 and
+    t2, k2 < L2.  Then e^(-2 pi i/L) = omega^8, and jt is
+    k1 t1 L2 + k1 t2 + k2 t2 L1 plus a multiple of L, so
 
         sum_t omega^(s t) w_t e^(-2 pi i jt/L)
-          = sum_(t2) e^(-2 pi i k2 t2/L2) omega^(t2 (g k1 + s))
+          = sum_(t2) e^(-2 pi i k2 t2/L2) omega^(t2 (8 k1 + s))
                 sum_(t1) e^(-2 pi i k1 t1/L1) omega^(s L2 t1) w_(L2 t1 + t2).
 
     Entry [t1, t2] of the C-ordered view w.reshape(L1, L2) is
     w_(L2 t1 + t2).  So: scale row t1 by omega^(s L2 t1); take DFTs of
     length L1 down the columns (axis 0), giving entry [k1, t2]; scale
-    entry [k1, t2] by omega^(t2 (g k1 + s)); take DFTs of length L2 along
+    entry [k1, t2] by omega^(t2 (8 k1 + s)); take DFTs of length L2 along
     the rows (axis 1), giving entry [k1, k2] = output j = k1 + L1 k2.  The
     pre-twiddle's factor omega^(s t2) is merged into the middle twiddle,
-    which with t2 = a + A b is omega^(a (g k1 + s)) omega^(A b (g k1 + s)),
-    two tables of L1 A and L1 B entries (``_product_tables``).  Every
-    output appears once in the array, so a mean over it needs no
-    permutation.  The mirror index K - 1 - j is
-    (K1 - 1 - k1) + K1 (K2 - 1 - k2), so the mirror of the coarse array
-    is the array reversed along both axes, and the butterfly's
-    -i omega^(4j+2) is omega^(4 k1 + 2 + M) omega^(4 K1 k2), a column
-    times a row.  No table has M entries: see ``_two_level_bytes``.
+    which with t2 = a + A b is omega^(a (8 k1 + s)) omega^(A b (8 k1 + s)),
+    two tables of L1 A and L1 B entries (``_product_tables``): see
+    ``_level``.  Every output appears once in the array, so a mean over
+    it needs no permutation, and no table has M entries: see
+    ``_two_level_bytes``.  ``_roots`` gives omega^e at angles in
+    [0, pi/2] times an exact power of -i.
 
-    Twiddles.  ``_roots`` gives omega^e at angles in [0, pi/2] times an
-    exact power of -i; the scalings by 1/2 are exact.
-
-    Where the magnitudes live.  Both levels run in y's buffer of M
-    complex numbers.  The 2M-node level's row pass works one block of
-    ``_ROW_BLOCK`` rows at a time (``_four_step``); each block's |Y|^p
-    goes through a one-block staging array to the first M float64 slots
-    of the buffer, in row order.  Those of rows [a, b) land in the slots
-    of complex rows [a/2, b/2), which lie below a, in rows already read,
-    once a >= 16 >= b - a; the first block is staged whole before it is
-    written.  So the M values form one contiguous (L1, L2) array, and its
-    mean is the one numpy takes of such an array.  The M-node level then
-    packs x into the first half of the buffer as z and transforms it.
-    Its butterfly reads z and the mirror block conj(Z_(K-1-j)) into two
-    block-sized temporaries and writes |A_j|^p into the second half, so z
-    is only read and the blocks may go in any order.  Each entry is
-    rounded as it would be in whole-array passes: the twiddles are
-    (w low) high and then the column, in that order.
+    Memory.  The slices run one after another in one buffer of L complex
+    numbers, which ``_fold`` fills from the input read in place.  The row
+    pass works one block of ``_ROW_BLOCK`` rows at a time
+    (``_four_step``); each block's |Y|^p is summed as soon as the block
+    is transformed, and ``exact_sum`` adds a level's block sums, exactly
+    rounded, so their order does not matter.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -383,59 +356,22 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
     if np.iscomplexobj(a):
         raise ValueError("coeffs must be real")
     _check_two_level_nodes(nodes)
-    (shape, column, *middle), coarse, (post_column, *post) = _tables(nodes)
+    tables = _tables(nodes)
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.size > nodes:
-        x = _fold_quarter(a, nodes, 0, np.empty(nodes))
-        t = _fold_quarter(a, nodes, 2, np.empty(nodes))
-        y = np.empty(nodes, dtype=np.complex128)
-        np.subtract(x, t, out=y.real)
-        x += t
-        _fold_quarter(a, nodes, 3, y.imag)
-        _fold_quarter(a, nodes, 1, t)
-        for lo in range(0, nodes, _FOLD_CHUNK):
-            chunk = slice(lo, lo + _FOLD_CHUNK)
-            x[chunk] -= t[chunk] + y.imag[chunk]
-        y.imag -= t
-        del t
-        y = y.reshape(shape)
+    buf = np.empty(nodes // 2, dtype=np.complex128)
+    sums = {}
+    for shift, (shape, column, *middle) in zip(_SLICES, tables):
+        _fold(a, shift, buf)
+        y = buf.reshape(shape)
         y *= column
-    else:
-        x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
-        y = np.multiply(x.reshape(shape), column)
-    rows, cols = shape
-    buf = y.reshape(-1)
-    flat = buf.view(np.float64)
-    stage = np.empty((min(_ROW_BLOCK, rows), cols))
-    for lo, hi in _four_step(y, *middle):
-        mags = np.abs(y[lo:hi], out=stage[: hi - lo])
-        mags **= p
-        flat[lo * cols : hi * cols] = mags.reshape(-1)
-    del stage
-    fine = float(np.mean(flat[:nodes].reshape(shape)) ** (1.0 / p))
-
-    (shape, column, *middle), half = coarse, nodes // 2
-    rows, cols = shape
-    z = buf[:half].reshape(shape)
-    np.multiply(x.view(np.complex128).reshape(shape), column, out=z)
-    del x
-    for _ in _four_step(z, *middle):
-        pass
-    coarse_mags = flat[nodes : nodes + half].reshape(shape)
-    sums = np.empty((min(_ROW_BLOCK, rows), cols), dtype=np.complex128)
-    diffs = np.empty_like(sums)
-    for lo in range(0, rows, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, rows)
-        even, odd = sums[: hi - lo], diffs[: hi - lo]
-        np.conjugate(z[rows - hi : rows - lo][::-1, ::-1], out=even)  # the mirror block
-        np.subtract(z[lo:hi], even, out=odd)
-        even += z[lo:hi]
-        _twiddle(odd, *post)
-        odd *= post_column[lo:hi]
-        odd += even
-        mags = np.abs(odd, out=coarse_mags[lo:hi])
-        mags **= p
-    return float(np.mean(coarse_mags) ** (1.0 / p)), fine
+        sums[shift] = []
+        for lo, hi in _four_step(y, *middle):
+            mags = np.abs(y[lo:hi])
+            mags **= p
+            sums[shift].append(float(np.sum(mags)))
+    coarse = exact_sum(sums[2]) / (nodes // 2)
+    fine = exact_sum(sums[1] + sums[5]) / nodes
+    return coarse ** (1.0 / p), fine ** (1.0 / p)
 
 
 def lq_norm(f: TruncatedSeries, q: float) -> float:

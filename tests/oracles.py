@@ -36,10 +36,13 @@ the M-entry quarter-turn table ``quarter_turn``.
 here verbatim with its fold and twiddle helpers: it folds the quarters
 into fresh arrays, twiddles and transforms each level as a whole, and
 takes the magnitudes and the coarse butterfly's difference into
-full-length temporaries.  It reads the twiddle tables of
-``zfhp.norms._tables``, so that ``zfhp.norms.two_level_means``, which
-keeps both levels in one buffer and works one block of rows at a time,
-must match it bit for bit.
+full-length temporaries.  ``two_level_means_one_buffer`` is the
+transform that replaced it and that the three half-length slices of
+``zfhp.norms.two_level_means`` replaced in turn, moved here verbatim with
+its fold helper: both levels in one buffer of M complex numbers, one
+block of rows at a time through ``zfhp.norms._four_step``.  Both read the
+tables ``four_step_tables`` builds from ``zfhp.norms._level``, ``_roots``
+and ``_product_tables``, and they must agree bit for bit.
 
 ``zeta_accelerated_eta`` is the zeta evaluator that ``zfhp.special.zeta``
 replaced with an exactly rounded head plus the Euler-Maclaurin tail: the
@@ -71,7 +74,7 @@ from typing import Iterable
 
 from zfhp import ConditioningError, DomainError, PoleError, zeta
 from zfhp.special import _cexpm1, require_right_half_plane
-from zfhp.norms import _check_two_level_nodes, _tables
+from zfhp.norms import _ROW_BLOCK, _four_step, _level, _product_tables, _roots, _twiddle
 from zfhp.arith import (
     _SIEVE_BLOCK,
     _check_memory,
@@ -487,20 +490,41 @@ def fold_quarter(a: np.ndarray, nodes: int, q: int) -> np.ndarray:
     return out
 
 
+def four_step_tables(nodes: int) -> tuple:
+    """The twiddle tables of the two-DFT four-step transforms at M = ``nodes``.
+
+    The 2M-node level (length M, shift 1), the M-node level (length
+    K = M/2, shift 4, with the 1/2 of the packing) and the coarse
+    post-twiddle -i omega^(4j+2) = omega^(4 k1 + 2 + M) omega^(4 K1 k2),
+    a column and a one-row ``_product_tables``.
+    """
+    fine = _level(nodes, nodes, 1)
+    (rows, cols), column, *middle = _level(nodes, nodes // 2, 4)
+    column *= 0.5  # exact
+    coarse = (rows, cols), column, *middle
+    post = (_roots(4 * np.arange(rows) + 2 + nodes, nodes)[:, None],
+            *_product_tables(np.array([4 * rows]), cols, nodes))
+    return fine, coarse, post
+
+
 def two_level_means_four_step(coeffs, p: float, nodes: int) -> tuple[float, float]:
     """p-means of |f| at M = ``nodes`` and 2M half-offset nodes from four-step DFTs of M and M/2 points.
 
-    The derivation is that of ``zfhp.norms.two_level_means``: the same
-    residue-1 and residue-2 inputs, the same four-step factorisation and
-    the same tables.  Here the fold takes all four quarters into fresh
-    arrays, each level's twiddle and DFTs run over the whole (L1, L2)
-    array, the fine level's magnitudes go to a new array, and the coarse
-    butterfly takes its difference into a new array of M/2 points.
+    The residue-1 and residue-2 inputs, the packing and the butterfly are
+    those of ``two_level_means_pruned``; each DFT, of length L = M or
+    K = M/2, is a four-step FFT with the twiddles of ``zfhp.norms._level``
+    (derived in ``zfhp.norms.two_level_means`` for L = M/2; the steps hold
+    with omega^g, g = 4M/L, for omega^8).  The mirror index K - 1 - j is
+    (K1 - 1 - k1) + K1 (K2 - 1 - k2), so the mirror of the coarse array
+    is the array reversed along both axes, and the butterfly's
+    -i omega^(4j+2) is omega^(4 k1 + 2 + M) omega^(4 K1 k2), a column
+    times a row.  The fold takes all four quarters into fresh arrays,
+    each level's twiddle and DFTs run over the whole (L1, L2) array, the
+    fine level's magnitudes go to a new array, and the coarse butterfly
+    takes its difference into a new array of M/2 points.
     """
-    a = np.asarray(coeffs)
-    _check_two_level_nodes(nodes)
-    (shape, column, *middle), coarse, (post_column, *post) = _tables(nodes)
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    (shape, column, *middle), coarse, (post_column, *post) = four_step_tables(nodes)
+    a = np.ascontiguousarray(coeffs, dtype=np.float64)
     if a.size > nodes:
         b0, b2 = fold_quarter(a, nodes, 0), fold_quarter(a, nodes, 2)
         y = np.empty(nodes, dtype=np.complex128)
@@ -532,6 +556,97 @@ def two_level_means_four_step(coeffs, p: float, nodes: int) -> tuple[float, floa
     odd *= post_column
     odd += z
     return p_mean(odd, p), fine
+
+
+# Entries per chunk of the last step of the fold in
+# ``two_level_means_one_buffer``, whose float64 temporary is 256 KiB.
+FOLD_CHUNK = 1 << 15
+
+
+def fold_quarter_into(a: np.ndarray, nodes: int, q: int, out: np.ndarray) -> np.ndarray:
+    """b_q into ``out``: the entries a_m with floor(m/M) = q (mod 4), summed modulo M."""
+    size = 4 * nodes
+    whole = a.size - a.size % size
+    if whole:
+        a[:whole].reshape(-1, 4, nodes)[:, q].sum(axis=0, out=out)
+    else:
+        out[...] = 0.0
+    tail = a[whole + q * nodes : whole + (q + 1) * nodes]
+    out[: tail.size] += tail
+    return out
+
+
+def two_level_means_one_buffer(coeffs, p: float, nodes: int) -> tuple[float, float]:
+    """p-means of |f| at M = ``nodes`` and 2M half-offset nodes, both levels in one buffer of M complex numbers.
+
+    The DFTs and tables of ``two_level_means_four_step``.  The fold takes
+    the quarters b_0 and b_2 into x and a temporary t, then b_3 and b_1
+    into y's imaginary part and t, and x -= (t + y.imag) runs in chunks
+    of ``FOLD_CHUNK`` entries.  The 2M-node level's row pass works one
+    block of ``_ROW_BLOCK`` rows at a time (``zfhp.norms._four_step``);
+    each block's |Y|^p goes through a one-block staging array to the
+    first M float64 slots of y's buffer, in row order.  Those of rows
+    [a, b) land in the slots of complex rows [a/2, b/2), which lie below
+    a, in rows already read, once a >= b - a; the first block is staged
+    whole before it is written.  The M-node level then packs x into the
+    first half of the buffer as z and transforms it.  Its butterfly reads
+    z and the mirror block conj(Z_(K-1-j)) into two block-sized
+    temporaries and writes |A_j|^p into the second half.  Each entry is
+    rounded as it is in ``two_level_means_four_step``.
+    """
+    (shape, column, *middle), coarse, (post_column, *post) = four_step_tables(nodes)
+    a = np.ascontiguousarray(coeffs, dtype=np.float64)
+    if a.size > nodes:
+        x = fold_quarter_into(a, nodes, 0, np.empty(nodes))
+        t = fold_quarter_into(a, nodes, 2, np.empty(nodes))
+        y = np.empty(nodes, dtype=np.complex128)
+        np.subtract(x, t, out=y.real)
+        x += t
+        fold_quarter_into(a, nodes, 3, y.imag)
+        fold_quarter_into(a, nodes, 1, t)
+        for lo in range(0, nodes, FOLD_CHUNK):
+            chunk = slice(lo, lo + FOLD_CHUNK)
+            x[chunk] -= t[chunk] + y.imag[chunk]
+        y.imag -= t
+        del t
+        y = y.reshape(shape)
+        y *= column
+    else:
+        x = a if a.size == nodes else np.concatenate((a, np.zeros(nodes - a.size)))
+        y = np.multiply(x.reshape(shape), column)
+    rows, cols = shape
+    buf = y.reshape(-1)
+    flat = buf.view(np.float64)
+    stage = np.empty((min(_ROW_BLOCK, rows), cols))
+    for lo, hi in _four_step(y, *middle):
+        mags = np.abs(y[lo:hi], out=stage[: hi - lo])
+        mags **= p
+        flat[lo * cols : hi * cols] = mags.reshape(-1)
+    del stage
+    fine = float(np.mean(flat[:nodes].reshape(shape)) ** (1.0 / p))
+
+    (shape, column, *middle), half = coarse, nodes // 2
+    rows, cols = shape
+    z = buf[:half].reshape(shape)
+    np.multiply(x.view(np.complex128).reshape(shape), column, out=z)
+    del x
+    for _ in _four_step(z, *middle):
+        pass
+    coarse_mags = flat[nodes : nodes + half].reshape(shape)
+    sums = np.empty((min(_ROW_BLOCK, rows), cols), dtype=np.complex128)
+    diffs = np.empty_like(sums)
+    for lo in range(0, rows, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, rows)
+        even, odd = sums[: hi - lo], diffs[: hi - lo]
+        np.conjugate(z[rows - hi : rows - lo][::-1, ::-1], out=even)  # the mirror block
+        np.subtract(z[lo:hi], even, out=odd)
+        even += z[lo:hi]
+        _twiddle(odd, *post)
+        odd *= post_column[lo:hi]
+        odd += even
+        mags = np.abs(odd, out=coarse_mags[lo:hi])
+        mags **= p
+    return float(np.mean(coarse_mags) ** (1.0 / p)), fine
 
 
 def bounded_divisor_sum(j: int, n: int, table) -> int:

@@ -11,10 +11,13 @@ import csv
 import io
 import math
 import time
+from contextlib import nullcontext
 
 import numpy as np
+import pytest
 
 from zfhp import (
+    QuadratureWarning,
     TruncatedSeries,
     build_mobius,
     classify,
@@ -185,7 +188,9 @@ def test_criterion_06_lq_convergence():
 
 def test_criterion_07_hp_convergence():
     t0 = time.perf_counter()
-    records = run_hp_convergence(0.5, [10, 100, 1000], 10**5, 8192)
+    # 8192 nodes undersample degree 10^5 on purpose, and the run says so
+    with pytest.warns(QuadratureWarning, match="nodes = 8192 undersamples degree 100000"):
+        records = run_hp_convergence(0.5, [10, 100, 1000], 10**5, 8192)
     values = [r.value for r in records]
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     # refinement control: the 8192- vs 16384-node sweeps agree to 1e-4
@@ -347,8 +352,11 @@ def test_criterion_12_determinism():
         ),
     ]
     for manifest, writer, has_wall_time in manifests:
-        first = render(rerun(manifest), writer)
-        second = render(rerun(manifest), writer)
+        # the H^p manifest's 256 nodes undersample degree 2000 on purpose
+        undersampled = manifest.experiment == "hp_convergence"
+        with pytest.warns(QuadratureWarning) if undersampled else nullcontext():
+            first = render(rerun(manifest), writer)
+            second = render(rerun(manifest), writer)
         if has_wall_time:
             same = strip_wall_time(first) == strip_wall_time(second)
             note = "bit-exact outside wall_time_ms"

@@ -35,7 +35,12 @@ from zfhp.norms import (
     two_level_means,
 )
 
-from oracles import two_level_means_four_step, two_level_means_pruned, two_level_means_rfft
+from oracles import (
+    two_level_means_four_step,
+    two_level_means_one_buffer,
+    two_level_means_pruned,
+    two_level_means_rfft,
+)
 
 
 def random_polynomials(count: int, max_degree: int = 64, seed: int = 20260809):
@@ -395,8 +400,46 @@ def four_step_error(rows: int, cols: int, norm: float, err: float) -> float:
     return fft_error_bound(cols, d_norm, e1 + theta * (d_norm + e1))
 
 
-def pruned_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
+def slices_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
     """2-norm error bounds (coarse, fine) on the values ``two_level_means`` reads.
+
+    Slice s holds X_(8k+s) for k < L = M/2: the four-step DFT of length L
+    of omega^(sr) w_r, with w_r = sum_q zeta^(sq) a_(r+qL), so
+    |w_r| <= F_r for F the fold of |a| modulo L.  ``norms._fold`` adds
+    each of the n = ceil(size/L) blocks of a once, through sums of at
+    most n terms; for odd s the odd blocks' sums are scaled by
+    fl(sqrt(1/2)), within u of sqrt(1/2), one rounding more.  Every weight
+    has parts of magnitude at most 1, so each part of w~_r is within
+    gamma_(n+2) F_r of the exact one, and |w~_r - w_r| <= sqrt 2
+    gamma_(n+2) F_r.  One complex product with the pre-twiddle column,
+    within tau (``TWIDDLE_ERR``), gives the input error rho |F| with
+    rho = (1 + tau)(1 + sqrt 2 gamma_(n+2))(1 + sqrt 2 gamma_2) - 1, and
+    ``four_step_error`` of the split of L bounds each slice.  The coarse
+    level is the slice s = 2; the fine level is s = 1 and s = 5, whose
+    errors add in quadrature.
+    """
+    half = nodes // 2
+    blocks = -(-a.size // half)
+    norm = float(np.linalg.norm(fold(np.abs(a), half)))
+    rho = (1.0 + TWIDDLE_ERR) * (1.0 + math.sqrt(2.0) * gamma(blocks + 2)) * (1.0 + PRODUCT_ERR) - 1.0
+    err = four_step_error(*_split(half), norm, rho * norm)
+    return err, math.sqrt(2.0) * err
+
+
+def slice_sum_depth(nodes: int) -> int:
+    """``sum_depth`` of the p-means of ``two_level_means``.
+
+    numpy sums each block of b = min(16, L1) rows of L2 values, for the
+    split L1 L2 of L = M/2; ``exact_sum`` adds the block sums exactly rounded,
+    one rounding, and the division by the count is one more.
+    """
+    rows, cols = _split(nodes // 2)
+    block = min(16, rows)
+    return sum_depth(block * cols, block) + 2
+
+
+def two_dft_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
+    """2-norm error bounds (coarse, fine) on ``two_level_means_four_step`` and ``two_level_means_one_buffer``.
 
     Fine: Y_j = X_(4j+1), j < M; coarse: A_j = X_(4j+2), j < K = M/2.
     |u_m - i v_m| <= F_m and |x_m| <= F_m (``input_error``).  The
@@ -420,7 +463,7 @@ def pruned_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
 def pruned_oracle_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
     """2-norm error bounds (coarse, fine) on ``two_level_means_pruned``.
 
-    As ``pruned_error``, with one FFT of length M and one of length K on
+    As ``two_dft_error``, with one FFT of length M and one of length K on
     1-D arrays, twiddles h read from the quarter-turn table (each within
     tau), and -i omega^(4j+2) one table entry applied by one product:
     sigma = (1 + tau)(1 + u)^2 (1 + sqrt 2 gamma_2) - 1.
@@ -459,7 +502,7 @@ def sum_depth(count: int, rows: int = 1) -> int:
 
 
 def p_mean_deviation(
-    value: float, count: int, p: float, lower: np.ndarray, err: float, rows: int = 1
+    value: float, count: int, p: float, lower: np.ndarray, err: float, depth: int | None = None
 ) -> float:
     """Bound on |value - exact p-mean| for a p-mean of ``count`` computed node values.
 
@@ -467,9 +510,10 @@ def p_mean_deviation(
     below, and ``err`` the 2-norm of their differences.  For 0 < p <= 1,
     | |x|^p - |y|^p | <= p |x - y| min(|x|, |y|)^(p-1) and <= |x - y|^p;
     the first, summed by Cauchy-Schwarz, serves nodes with lower >= err,
-    the second, summed by Hölder, the others.  The mean of |x|^p, over an
-    array of ``rows`` rows, carries the rounding of abs and pow (6 in all)
-    and of numpy's pairwise sum (``sum_depth``); the final pow(., 1/p)
+    the second, summed by Hölder, the others.  The mean of |x|^p carries
+    the rounding of abs and pow (6 in all) and of its sum, ``depth``
+    additions per term (by default numpy's pairwise sum of ``count``
+    contiguous values, ``sum_depth``); the final pow(., 1/p)
     adds 4u, and (A + D)^(1/p) - A^(1/p) bounds the effect of a shift |D|
     in A, since t^(1/p) is convex.
     """
@@ -478,7 +522,9 @@ def p_mean_deviation(
     shift = p * err * math.sqrt(float(np.sum(lower[large] ** (2.0 * p - 2.0))))
     shift += small ** (1.0 - p / 2.0) * err**p
     mean = value**p * (1.0 + 8.0 * U)
-    d = shift / count + 2.0 * gamma(sum_depth(count, rows) + 6) * mean
+    if depth is None:
+        depth = sum_depth(count)
+    d = shift / count + 2.0 * gamma(depth + 6) * mean
     return (mean + d) ** (1.0 / p) - mean ** (1.0 / p) + 4.0 * U * value
 
 
@@ -492,7 +538,7 @@ class TestTwoLevelMeans:
         "fold_twice": lambda m: 8 * m,
     }
 
-    # 2062 and 16382 are twice a prime: K is prime, and its split is 1 x K
+    # 2062 and 16382 are twice a prime: L = M/2 is prime, and its split is 1 x L
     @pytest.mark.parametrize("nodes", [16, 18, 1024, 1030, 2062, 16382, 24576])
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("length", list(LENGTHS))
@@ -501,25 +547,30 @@ class TestTwoLevelMeans:
         # phase multiply, fold and complex FFT; the 4M-point real FFT, which
         # reads the first half of the nodes of each level; the pruned path
         # on 1-D arrays that the four-step transform replaced; and the
-        # four-step transform in whole-array passes, which must agree bit
-        # for bit
+        # four-step transforms of M and M/2 points that the slices
+        # replaced, in whole-array passes and in one buffer, which must
+        # agree bit for bit
         count = self.LENGTHS[length](nodes)
-        rng = np.random.default_rng(nodes + count + int(100 * p))
-        a = rng.normal(size=count)
+        a = np.random.default_rng(nodes + count + int(100 * p)).normal(size=count)
         got = two_level_means(a, p, nodes)
-        assert got == two_level_means_four_step(a, p, nodes)
-        old = two_level_means_rfft(a, p, nodes)
-        pruned = two_level_means_pruned(a, p, nodes)
-        new_errs = pruned_error(a, nodes)
-        old_err = rfft_error(a, nodes)
-        pruned_errs = pruned_oracle_error(a, nodes)
+        prev = two_level_means_four_step(a, p, nodes)
+        assert two_level_means_one_buffer(a, p, nodes) == prev
+        self.assert_within_the_models(a, p, nodes, got, prev)
+
+    def assert_within_the_models(self, a, p, nodes, got, prev):
+        """Each level of ``got`` within the derived bounds of every oracle, ``prev`` the four-step one."""
         f = TruncatedSeries(a)
-        # coarse: A_j is node j of the M level, j < M/2; fine: Y_j = X_(4j+1)
-        # is node 2j of the 2M level, j < M
-        # the means of two_level_means run over 2-D arrays of L1 rows
-        for level, value, ref, prev, new_err, prev_err, read, (rows, _) in zip(
-            (nodes, 2 * nodes), got, old, pruned, new_errs, pruned_errs,
-            (slice(0, nodes // 2), slice(0, None, 2)), (_split(nodes // 2), _split(nodes)),
+        depth, old_err = slice_sum_depth(nodes), rfft_error(a, nodes)
+        # the slices read X_(8k+s): at the M level s = 2 is node 2k; at
+        # the 2M level s = 1 and 5 are nodes 4k and 4k + 2.  The two-DFT
+        # transforms read A_j = X_(4j+2), node j < M/2 of the M level,
+        # and Y_j = X_(4j+1), node 2j of the 2M level, the four-step
+        # ones' means over 2-D arrays of L1 rows
+        for level, value, ref, old, pruned, new_err, ref_err, pruned_err, read, (rows, _) in zip(
+            (nodes, 2 * nodes), got, prev, two_level_means_rfft(a, p, nodes),
+            two_level_means_pruned(a, p, nodes), slices_error(a, nodes), two_dft_error(a, nodes),
+            pruned_oracle_error(a, nodes), (slice(0, nodes // 2), slice(0, None, 2)),
+            (_split(nodes // 2), _split(nodes)),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuadratureWarning)
@@ -528,27 +579,35 @@ class TestTwoLevelMeans:
             # abs carries 2u; the exact |f| is within level_err of the
             # per-level path at each node
             lower = np.abs(boundary_values(f, level)) * (1.0 - 2.0 * U) - level_err
-            mine = lower[read]
-            new_dev = p_mean_deviation(value, mine.size, p, mine - new_err, new_err, rows)
+            mine, theirs, half = lower[::2], lower[read], lower[: level // 2]
+            new_dev = p_mean_deviation(value, mine.size, p, mine - new_err, new_err, depth)
             tol = p_mean_deviation(want, level, p, lower, level_err) + new_dev
             assert abs(value - want) <= tol, (level, value, want, tol)
-            # the derived bound still tells the paths apart; where K is prime
+            # the derived bound still tells the paths apart; where L is prime
             # pocketfft runs Bluestein, whose bound above is ~100 times looser
             assert _split(nodes // 2)[0] == 1 or tol <= 1e-11 * want
-            half = lower[: level // 2]
-            tol = p_mean_deviation(ref, level // 2, p, half - old_err, old_err) + new_dev
+            tol = new_dev + p_mean_deviation(ref, theirs.size, p, theirs - ref_err, ref_err,
+                                             sum_depth(theirs.size, rows))
             assert abs(value - ref) <= tol, (level, value, ref, tol)
-            tol = p_mean_deviation(prev, mine.size, p, mine - prev_err, prev_err) + new_dev
-            assert abs(value - prev) <= tol, (level, value, prev, tol)
+            tol = p_mean_deviation(old, level // 2, p, half - old_err, old_err) + new_dev
+            assert abs(value - old) <= tol, (level, value, old, tol)
+            tol = p_mean_deviation(pruned, theirs.size, p, theirs - pruned_err, pruned_err) + new_dev
+            assert abs(value - pruned) <= tol, (level, value, pruned, tol)
 
     @pytest.mark.parametrize("count", [40000 - 7, 9 * 40000 + 12345])
     def test_equals_whole_array_passes_across_blocks_and_chunks(self, count):
-        # M = 40000 = 200 x 200 and K = 20000 = 125 x 160: both levels end
-        # on a partial block of rows, the coarse mirror blocks straddle
-        # block boundaries, and the fold's last step runs in two chunks
+        # M = 40000 = 200 x 200 and K = M/2 = 125 x 160: the two-DFT
+        # transform in one buffer ends both levels on a partial block of
+        # rows, its coarse mirror blocks straddle block boundaries, and its
+        # fold's last step runs in two chunks, yet it equals the
+        # whole-array passes bit for bit.  The slices, of 20000 = 125 x 160
+        # points, end on a partial block too, and the longer input folds
+        # two whole periods of 8L through the temporary
         a = np.random.default_rng(count).normal(size=count)
         for p in (0.3, 0.5, 1.0):
-            assert two_level_means(a, p, 40000) == two_level_means_four_step(a, p, 40000)
+            prev = two_level_means_four_step(a, p, 40000)
+            assert two_level_means_one_buffer(a, p, 40000) == prev
+            self.assert_within_the_models(a, p, 40000, two_level_means(a, p, 40000), prev)
 
     def test_cold_and_warm_table_agree_bit_for_bit(self):
         a = np.random.default_rng(11).normal(size=3 * 1030 + 17)
@@ -562,10 +621,9 @@ class TestTwoLevelMeans:
 
     @pytest.mark.parametrize("nodes", [16, 2062, 24576, 2**21])
     def test_tables_are_small_and_read_only(self, nodes):
-        # every twiddle table is O(M^(3/4)), even where the split of K
-        # degenerates to 1 x K, and no caller can write to the cache
-        (_, column, *middle), (_, coarse_column, *coarse), post = _tables(nodes)
-        tables = [column, *middle, coarse_column, *coarse, *post]
+        # every twiddle table is O(M^(3/4)), even where the split of
+        # L = M/2 degenerates to 1 x L, and no caller can write to the cache
+        tables = [table for _, *level in _tables(nodes) for table in level]
         assert sum(t.size for t in tables) <= 8 * nodes**0.75
         assert not any(t.flags.writeable for t in tables)
 
@@ -598,27 +656,29 @@ class TestTwoLevelMeans:
 
     @staticmethod
     def beyond_the_arrays(nodes: int) -> int:
-        """The tables at their actual size and the rest of ``_two_level_bytes``: row blocks, the fold's chunk, FFT work."""
-        fine, coarse, post = _tables(nodes)
-        tables = sum(t.nbytes for t in (*fine[1:], *coarse[1:], *post))
+        """The tables at their actual size and the rest of ``_two_level_bytes``: the row block, FFT work."""
+        tables = sum(table.nbytes for _, *level in _tables(nodes) for table in level)
         return (tables + _two_level_bytes(nodes) - _TRANSFORM_BYTES_PER_NODE * nodes
                 - 384 * math.ceil(nodes**0.75))
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-    def test_peak_rss_within_the_transform_figure(self):
-        # an input of M points is x itself, so the arrays are y, 16 bytes
-        # per node (_two_level_bytes); one more full-length float64
-        # temporary, 8 bytes per node, breaks the bound
-        nodes = 2**19
-        growth = self.transform_peak_growth(nodes, nodes)
-        assert 0 < growth < 16 * nodes + self.beyond_the_arrays(nodes)
+    @pytest.mark.parametrize("length", [2**19, 100001])
+    def test_peak_rss_within_the_transform_figure(self, length):
+        # an input of at most M points is read in place, so the arrays are
+        # the buffer, 8 bytes per node (_two_level_bytes); one float64 copy
+        # of M points, 8 bytes per node more, breaks the bound.  100001 is
+        # the default cutoff's degree + 1, and 2^19 its default node count
+        nodes = default_node_count(100000)
+        assert nodes == 2**19
+        growth = self.transform_peak_growth(length, nodes)
+        assert 0 < growth < 8 * nodes + self.beyond_the_arrays(nodes)
         assert growth <= _two_level_bytes(nodes)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_peak_rss_of_a_folded_input_within_the_fold_figure(self):
-        # a longer input is folded, x, t and y at 32 bytes per node
-        # (_TRANSFORM_BYTES_PER_NODE); a full-length temporary in the
-        # fold's last step, or a fourth quarter held at once, breaks it
+        # an input of a whole period of 4M points or more adds the fold's
+        # float64 temporary of M/2 points, 12 bytes per node in all
+        # (_TRANSFORM_BYTES_PER_NODE); a second such temporary breaks it
         nodes = 2**19
         growth = self.transform_peak_growth(4 * nodes + nodes // 2 + 3, nodes)
         assert 0 < growth < _TRANSFORM_BYTES_PER_NODE * nodes + self.beyond_the_arrays(nodes)
