@@ -28,13 +28,14 @@ Values reproduce bit for bit on one platform, wall times of course do not.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .norms import (
     _undersampling,
     two_level_means,
 )
-from .series import _check_checkpoints, _kernel_bytes, mobius_ims_partial_sums
+from .series import CoefficientBlocks, _check_checkpoints, _kernel_bytes, mobius_ims_partial_sums
 from .special import (_SLACK, _U, _check_zeta_range, _g_k_given_zeta, _mellin_step_pk_bound, f_k,
                       g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta)
 from .weights import ClassificationResult, ProbeResult
@@ -180,7 +181,7 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
 
 def _convergence_records(
     norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int,
-    row: Callable[[int, np.ndarray, MobiusTable], tuple[float, float]], warning: str | None = None,
+    row: Callable[[int, CoefficientBlocks, MobiusTable], tuple[float, float]], warning: str | None = None,
     row_memory: tuple[int, str] | None = None,
 ) -> list[ConvergenceRecord]:
     """One record per n of ``row(n, coeffs, table) -> (value, tail_bound)``.
@@ -191,11 +192,11 @@ def _convergence_records(
     allocates besides the kernel's; then the kernel's bytes and these are
     checked as one sum.  Only then is ``table`` sieved, to the largest n
     and no further.  n must stay below 2^31, the cap of ``build_mobius``.
-    ``coeffs`` is ``mobius_ims_partial_sums`` at n; a record's wall time
-    covers the kernel's advance to n and the row.  ``coeffs`` is the kernel's one
-    output buffer, the same array at every n: ``row`` may overwrite it, and
-    must be done with it when it returns, because the next advance
-    overwrites it.  ``warning``, if any, is issued as a
+    ``coeffs`` is ``mobius_ims_partial_sums`` at n, a ``CoefficientBlocks``;
+    a record's wall time covers the kernel's advance to n and the row.
+    ``row`` may read ``coeffs`` in as many passes as it needs and modify
+    each block in place, and must be done with it when it returns, because
+    the next advance changes it.  ``warning``, if any, is issued as a
     ``QuadratureWarning`` once every argument has passed.
     """
     ns = [int(n) for n in n_list]
@@ -301,8 +302,10 @@ def run_lq_convergence(
     ``mobius_ims_partial_sums``, advanced from one checkpoint to the next,
     so a sweep costs O(N log n) for N = coeff_cutoff.  Each record carries
     the proved tail bound ``lq_tail_bound`` on the coefficients beyond N.
-    The norm is taken in place on the kernel's output buffer, so the row
-    holds the kernel's 10 bytes per coefficient and no more.
+    The norm is taken in one pass over the kernel's blocks, each reduced
+    in place to its sum of |r|^q (``norms._lq_of_magnitudes``), so the row
+    holds the kernel's 2 bytes per coefficient and its block buffers
+    (``series._kernel_bytes``) and no array of coeff_cutoff + 1 floats.
     q must be finite and exceed 1.  Trends should be read across decades
     of n, not adjacent values: the Möbius fluctuations make pointwise
     monotonicity false.
@@ -310,20 +313,26 @@ def run_lq_convergence(
     if not 1.0 < q < math.inf:
         raise ValueError("q must be finite and > 1")
 
-    def row(n: int, residual: np.ndarray, table: MobiusTable) -> tuple[float, float]:
-        residual[0] -= 1.0  # subtract the target 1 - z
-        residual[1] += 1.0
-        value = _lq_of_magnitudes(np.abs(residual, out=residual), q)
+    def row(n: int, residual: CoefficientBlocks, table: MobiusTable) -> tuple[float, float]:
+        value = _lq_of_magnitudes(_distance_magnitudes(residual), residual.size, q)
         # value is finite exactly when the sum of the nonnegative |r_m|^q
         # is, and that sum is finite only if every term is
         if not math.isfinite(value):
             raise ValueError("all coefficients must be finite")
         return value, lq_tail_bound(q, n, coeff_cutoff, table)
 
-    # Peak bytes per coefficient: the kernel's int16 divisor sums (2) and
-    # its float64 output (8), which the row overwrites with |r|^q; the
-    # kernel's own guard on these 10 is the row's memory guard.
+    # The row allocates nothing that grows with the cutoff, so the
+    # kernel's own guard on its buffers is the row's memory guard.
     return _convergence_records("lq", q, n_list, coeff_cutoff, row)
+
+
+def _distance_magnitudes(residual: CoefficientBlocks) -> Iterator[np.ndarray]:
+    """|r_m - t_m| in place, block by block, for the coefficients t = (1, -1) of the target 1 - z."""
+    for i, block in enumerate(residual):
+        if i == 0:
+            block[0] -= 1.0
+            block[1] += 1.0
+        yield np.abs(block, out=block)
 
 
 def run_hp_convergence(
@@ -335,7 +344,8 @@ def run_hp_convergence(
     """H^p quasi-norm of sum_{k=2..n} mu(k) h_k - 1 for 0 < p < 1.
 
     The coefficients are the running sums (h_k = (I - S)^-1 (I - S) h_k)
-    of the closed-form kernel ``mobius_ims_partial_sums``, taken in place.
+    of the closed-form kernel ``mobius_ims_partial_sums``, formed in place
+    block by block, at each of the transform's passes (``_running_sums``).
     Both quadrature levels, ``nodes`` and 2 ``nodes`` half-offset nodes,
     come from three DFTs per checkpoint, each of ``nodes``/2 points, that
     compute only the spectrum the means read (``norms.two_level_means``).
@@ -349,26 +359,45 @@ def run_hp_convergence(
 
     Memory is checked before anything is allocated: ``nodes`` (even,
     >= 16) with its transform buffers on their own
-    (``norms._two_level_bytes``), the kernel's 10 (coeff_cutoff + 1)
-    bytes on their own, then both as one sum, since the row holds the
-    kernel's output while it transforms.  A node count below
-    coeff_cutoff + 1 undersamples the series; once every argument has
-    passed, the run then warns once (``QuadratureWarning``) and the
-    records are computed as usual.
+    (``norms._two_level_bytes``), the kernel's 2 (coeff_cutoff + 1) bytes
+    and block buffers on their own (``series._kernel_bytes``), then both
+    as one sum, since the row holds the kernel's buffers while it
+    transforms.  No array of coeff_cutoff + 1 floats exists.  A node
+    count below coeff_cutoff + 1 undersamples the series; once every
+    argument has passed, the run then warns once (``QuadratureWarning``)
+    and the records are computed as usual.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     _check_two_level_nodes(nodes)
 
-    def row(n: int, coeffs: np.ndarray, table: MobiusTable) -> tuple[float, float]:
-        np.cumsum(coeffs, out=coeffs)
-        coeffs[0] -= 1.0
+    def row(n: int, residual: CoefficientBlocks, table: MobiusTable) -> tuple[float, float]:
+        coeffs = CoefficientBlocks(residual.size, functools.partial(_running_sums, residual))
         value, refined = two_level_means(coeffs, p, nodes)
         return value, abs(value - refined)
 
     warning = _undersampling(nodes, coeff_cutoff)
     memory = (_two_level_bytes(nodes), f"the transform buffers of nodes = {nodes}")
     return _convergence_records("hp", p, n_list, coeff_cutoff, row, warning, memory)
+
+
+def _running_sums(residual: CoefficientBlocks) -> Iterator[np.ndarray]:
+    """One pass of the running sums of ``residual``, minus 1 at m = 0, in place, block by block.
+
+    Each block starts from the last sum of the one before, ``carry``:
+    with r[0] += carry, ``np.cumsum`` adds the terms in the order a
+    cumsum of the whole array does, so every sum is the same float.  The
+    1 of the target is subtracted after the carry is read.
+    """
+    carry = 0.0
+    for i, block in enumerate(residual):
+        if i:
+            block[0] += carry
+        np.cumsum(block, out=block)
+        carry = float(block[-1])
+        if i == 0:
+            block[0] -= 1.0
+        yield block
 
 
 def run_lambda_sweep(

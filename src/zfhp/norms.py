@@ -16,9 +16,12 @@ on a 2-D view of its buffer (batched short transforms down the columns, a
 separable twiddle, batched short transforms along the rows), so no
 transform runs on a 1-D array of M/2 points and no twiddle table has M
 entries.  The three run one after another in one buffer of M/2 complex
-numbers, 8 bytes per node, which a weighted fold fills from the input
-read in place, and each block of rows is reduced to its sum of |.|^p as
-soon as it is transformed.
+numbers, 8 bytes per node, which a weighted fold fills from the input a
+block at a time, and each block of rows is reduced to its sum of |.|^p as
+soon as it is transformed.  The input is an array, read as views of
+itself, or a ``CoefficientBlocks`` such as the Möbius kernel's, whose
+blocks are formed again for each of the three DFTs; neither is ever held
+as a full-length float64 array.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .arith import _check_memory, exact_sum
 from .errors import ConditioningError
-from .series import TruncatedSeries
+from .series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries
 
 __all__ = [
     "QuadratureWarning",
@@ -106,11 +109,18 @@ def _check_two_level_nodes(nodes: int) -> None:
 
 
 # Bytes per node of the arrays of two_level_means, derived in _two_level_bytes.
-_TRANSFORM_BYTES_PER_NODE = 12
+_TRANSFORM_BYTES_PER_NODE = 8
 
 # Rows per block of the row pass of two_level_means: each block is
 # twiddled, transformed along its rows and reduced while it is in cache.
 _ROW_BLOCK = 16
+
+# Whole segments of L input entries that one block must hold before _fold
+# adds them as one stack: with fewer, adding them one at a time is faster.
+# The three folds of 10^6 coefficients took 12.5 ms one at a time against
+# 16.5 stacked at L = 2048, and 21.4 against 17.1 at L = 1024 (numpy 2.4,
+# one core of a 2-CPU x86-64 machine).
+_STACK_SEGMENTS = 32
 
 # The residues s = l mod 8 of the node indices two_level_means transforms:
 # 1 and 5 give the 2M-node level, 2 the M-node level.
@@ -125,25 +135,14 @@ def _two_level_bytes(nodes: int) -> int:
     """A bound on the peak bytes ``two_level_means`` allocates at M = ``nodes``.
 
     Arrays, in bytes per node.  The three slices run one after another in
-    one buffer of L = M/2 complex numbers: 8.  ``_fold`` reads the input
-    in place; an input of 4M or more entries, a whole period of 8L, adds
-    one float64 temporary of L entries: 4.  So 12 bytes per node
-    (``_TRANSFORM_BYTES_PER_NODE``) bound the arrays, besides a float64
-    copy of an input that is not a contiguous float64 array.  The row
-    pass takes the magnitudes of one block of at most ``_ROW_BLOCK`` rows
-    of length L2 into a float64 temporary, 8 min(16, L1) L2 bytes.
+    one buffer of L = M/2 complex numbers: 8 (``_TRANSFORM_BYTES_PER_NODE``).
+    ``_fold`` reads the input a block at a time, in place, and scales or
+    stacks pieces in a float64 scratch of ``_DIVIDE_BLOCK`` + min(
+    ``_DIVIDE_BLOCK``, L) entries.  The row pass takes the magnitudes of one block
+    of at most ``_ROW_BLOCK`` rows of length L2 into a float64 temporary,
+    8 min(16, L1) L2 bytes.
 
-    Tables.  A slice of length L = L1 L2 keeps L1 (1 + A + B) twiddles
-    with A = ceil(sqrt(L2)) and B = ceil(L2/A), so A, B <= sqrt(L2) + 1
-    and, as L1 <= sqrt(L), at most
-    2 sqrt(L1 L) + 3 L1 <= 2 L^(3/4) + 3 L^(1/2).  For three slices of
-    L = M/2 that is 6 2^(-3/4) M^(3/4) + 9 2^(-1/2) M^(1/2), which for
-    M >= 16 (M^(1/2) <= M^(3/4)/2) is at most 8 M^(3/4) complex
-    numbers, 128 M^(3/4) bytes, kept between calls.  ``_roots`` builds a
-    table with 32 bytes per entry of temporaries (the exponents, q, r and
-    the angles; then the exponents, q and the powers of -i), before any
-    array above exists, so 384 M^(3/4) bytes cover the tables at every
-    moment.
+    Tables: ``_table_bytes``, at every moment of their build and after it.
 
     FFT work.  numpy's pocketfft keeps a plan per transform length and a
     scratch per call, O(n) for a line of n points.  Measured with numpy
@@ -156,11 +155,38 @@ def _two_level_bytes(nodes: int) -> int:
     rows, cols = _split(nodes // 2)
     return (
         _TRANSFORM_BYTES_PER_NODE * nodes
+        + 8 * (_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, nodes // 2))
         + 8 * min(_ROW_BLOCK, rows) * cols
-        + 384 * math.ceil(nodes**0.75)
+        + _table_bytes(nodes)
         + 256 * cols
         + 2**20
     )
+
+
+def _table_bytes(nodes: int) -> int:
+    """A bound on the bytes of ``_tables(nodes)``, while it is built and after.
+
+    Let L = M/2 = L1 L2 (``_split``), A = ceil(sqrt(L2)) and
+    B = ceil(L2/A), so B <= A.  Each of the three slices keeps the
+    complex128 column of L1 roots and the tables of L1 A and L1 B roots
+    (``_level``, ``_product_tables``): T = 48 L1 (1 + A + B) bytes in all,
+    which is what the cache holds between calls.  While they are built,
+    the tables made so far are part of T, and one ``_roots`` call of
+    E <= L1 A exponents is live.  Its int64 exponents, q and r and its
+    float64 angles (or, after r and the angles are freed, the 16 bytes
+    per entry of the powers of -i) are 32 E bytes besides its output,
+    which is part of T.  ``np.cos`` writes the strided real and imaginary
+    parts through numpy's ufunc buffers, at most 8192 (the default
+    ``np.getbufsize()``) entries of 8 bytes for its input and for its
+    output: 2^17 bytes.  The rest is live for the whole ``_level``: the
+    int64 k1 and row exponents (16 L1) and a range of A or B integers
+    (8 A).  So T + 32 L1 A + 16 L1 + 8 A + 2^17 bytes, plus 2^12 for the
+    array and tuple headers, bound every moment.
+    """
+    rows, cols = _split(nodes // 2)
+    width = math.isqrt(cols - 1) + 1
+    tables = 48 * rows * (1 + width + -(-cols // width))
+    return tables + 32 * rows * width + 16 * rows + 8 * width + 2**17 + 2**12
 
 
 def _split(length: int) -> tuple[int, int]:
@@ -267,38 +293,81 @@ def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> Iterator[t
         yield a, b
 
 
-def _fold(a: np.ndarray, shift: int, out: np.ndarray) -> None:
+# zeta^k = exp(-i pi k/4), k < 8, as (real, imaginary) parts with fl(sqrt(1/2)).
+_EIGHTH_ROOTS = np.array(_EIGHTH_ROOT_SIGNS) * np.where(np.arange(8) % 2, math.sqrt(0.5), 1.0)[:, None]
+
+
+def _pieces(blocks: Iterable[np.ndarray], length: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(q, r, rows) over consecutive ``blocks``, cut at the multiples of L = ``length``.
+
+    ``rows`` is a (k, n) view of one block whose row i holds the entries
+    (q + i) L + r to (q + i) L + r + n - 1, all within segment q + i:
+    entries (q + i) L to (q + i) L + L - 1.  k > 1 only for a run of at
+    least ``_STACK_SEGMENTS`` whole segments (r = 0, n = L) in one block.
+    So L need not be a multiple of the block size.
+    """
+    start = 0
+    for block in blocks:
+        lo = 0
+        while lo < block.size:
+            q, r = divmod(start + lo, length)
+            count = (block.size - lo) // length if r == 0 else 0
+            if count >= _STACK_SEGMENTS:
+                yield q, 0, block[lo : lo + count * length].reshape(count, length)
+                lo += count * length
+            else:
+                hi = min(block.size, lo + length - r)
+                yield q, r, block[lo:hi].reshape(1, -1)
+                lo = hi
+        start += block.size
+
+
+def _fold(a: CoefficientBlocks, shift: int, out: np.ndarray, scratch: np.ndarray) -> None:
     """w_r = sum_q zeta^(shift q) a_(r+qL) into the complex ``out`` of L entries, zeta = exp(-i pi/4).
 
-    The weight depends on q mod 8.  Block q of ``a``, entries qL to
-    qL + L - 1, is added to or subtracted from the real and imaginary
-    parts by the signs of its weight (``_EIGHTH_ROOT_SIGNS``), odd q
-    first; for odd ``shift`` their sums are then scaled by fl(sqrt(1/2)),
-    the one inexact weight.  The blocks of the last, incomplete period of
-    8L entries are read in place; those of whole periods are first summed,
-    q by q, into one float64 temporary of L entries.
+    One pass over ``a``, cut into segments of L entries (``_pieces``).
+    The weight of segment q depends on q mod 8; its parts are 0, +-1 or,
+    for odd ``shift`` and odd q, +-fl(sqrt(1/2)), the one inexact weight
+    (``_EIGHTH_ROOTS``).  Each term is the product of the weight and the
+    entry, exact or one rounding, and each w_r adds its terms in the order
+    of q, whatever the blocks of ``a``: an array and a source of the same
+    coefficients fold to the same bits.
+
+    A piece of one segment is added to or subtracted from each part by the
+    signs of its weight (``_EIGHTH_ROOT_SIGNS``), after, for odd ``shift``
+    and odd q, it is scaled by fl(sqrt(1/2)) into ``scratch``.  A run of
+    whole segments in one block is added per part as one stack in
+    ``scratch``: the part's values, then the segments of nonzero weight
+    times their weights.  ``np.add.reduce`` adds the rows of this C-ordered
+    stack one after another, so these are the same operations in the same
+    order.  ``scratch`` holds at least the largest block plus min(block,
+    L) floats.
     """
     half = out.size
-    whole = a.size - a.size % (8 * half)
-    periods = a[:whole].reshape(-1, 8, half)
-    spare = np.empty(half) if whole else None
     flat = out.view(np.float64)
     flat[...] = 0.0
-    for q in (1, 3, 5, 7, 0, 2, 4, 6):
-        if q == 0 and shift % 2:
-            flat *= math.sqrt(0.5)
-        block = a[whole + q * half : whole + (q + 1) * half]
-        if whole:
-            periods[:, q].sum(axis=0, out=spare)
-            spare[: block.size] += block
-            block = spare
+    for q, r, rows in _pieces(a, half):
+        count, width = rows.shape
+        if count > 1:
+            weights = _EIGHTH_ROOTS[shift * (q + np.arange(count)) % 8]
+            for part, weight in zip((out.real[:width], out.imag[:width]), weights.T):
+                chosen = np.flatnonzero(weight)
+                stack = scratch[: (chosen.size + 1) * width].reshape(-1, width)
+                stack[0] = part
+                np.take(rows, chosen, axis=0, out=stack[1:])
+                stack[1:] *= weight[chosen, None]
+                np.add.reduce(stack, axis=0, out=part)
+            continue
+        piece = rows[0]
+        if shift * q % 2:
+            piece = np.multiply(piece, math.sqrt(0.5), out=scratch[:width])
         for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], (out.real, out.imag)):
             if sign:
-                part = part[: block.size]
-                (np.add if sign > 0 else np.subtract)(part, block, out=part)
+                part = part[r : r + width]
+                (np.add if sign > 0 else np.subtract)(part, piece, out=part)
 
 
-def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, float]:
+def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int) -> tuple[float, float]:
     """p-means of |f| at M = ``nodes`` and at 2M half-offset nodes, for real coefficients.
 
     Both levels are nodes exp(2 pi i l/4M): l = 4j + 2 for the M nodes,
@@ -344,7 +413,10 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
     [0, pi/2] times an exact power of -i.
 
     Memory.  The slices run one after another in one buffer of L complex
-    numbers, which ``_fold`` fills from the input read in place.  The row
+    numbers, which ``_fold`` fills from the input read a block at a time.
+    ``coeffs`` is a real array, which is served as views of itself
+    (``CoefficientBlocks.of_array``) and never copied, or a
+    ``CoefficientBlocks``, which is read once per slice.  The row
     pass works one block of ``_ROW_BLOCK`` rows at a time
     (``_four_step``); each block's |Y|^p is summed as soon as the block
     is transformed, and ``exact_sum`` adds a level's block sums, exactly
@@ -352,16 +424,18 @@ def two_level_means(coeffs: np.ndarray, p: float, nodes: int) -> tuple[float, fl
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    a = np.asarray(coeffs)
-    if np.iscomplexobj(a):
-        raise ValueError("coeffs must be real")
+    if not isinstance(coeffs, CoefficientBlocks):
+        a = np.asarray(coeffs)
+        if np.iscomplexobj(a):
+            raise ValueError("coeffs must be real")
+        coeffs = CoefficientBlocks.of_array(a)
     _check_two_level_nodes(nodes)
     tables = _tables(nodes)
-    a = np.ascontiguousarray(a, dtype=np.float64)
     buf = np.empty(nodes // 2, dtype=np.complex128)
+    scratch = np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, nodes // 2))
     sums = {}
     for shift, (shape, column, *middle) in zip(_SLICES, tables):
-        _fold(a, shift, buf)
+        _fold(coeffs, shift, buf, scratch)
         y = buf.reshape(shape)
         y *= column
         sums[shift] = []
@@ -378,30 +452,45 @@ def lq_norm(f: TruncatedSeries, q: float) -> float:
     """(sum |a_n|^q)^(1/q); a quasi-norm when q < 1 (triangle fails)."""
     if not 0.0 < q < math.inf:
         raise ValueError("q must be positive and finite")
-    return _lq_of_magnitudes(np.abs(f.coeffs), q)
+    return _lq_of_magnitudes([np.abs(f.coeffs)], f.coeffs.size, q)
 
 
-def _lq_of_magnitudes(mags: np.ndarray, q: float) -> float:
-    """(sum mags^q)^(1/q) for a float64 array of magnitudes, raised to q in place.
+def _lq_of_magnitudes(blocks: Iterable[np.ndarray], size: int, q: float) -> float:
+    """(sum mags^q)^(1/q) over float64 blocks of magnitudes, ``size`` in all, each raised to q in place.
 
-    With b = max mags and L = mags.size, the sum S lies in [b^q, L b^q].
+    With b = max mags and L = ``size``, the sum S lies in [b^q, L b^q].
     A term is computed within a few u = 2^-53 of itself, or within a few
     2^-1074 below 2^-1022.  So if b^q >= 2^-1022 = 2^52 2^-1074, then
     S >= 2^-1022 and the terms' errors add up to a few L u S, the order
     of the sum's own rounding.  If 0 < b^q < 2^-1022, the largest term is
     subnormal or 0 and S has lost its digits; if L b^q >= 2^1024, S can
     overflow.  Both raise ``ConditioningError``, tested as q log2 b < -1022
-    and q log2 b + log2 L >= 1024.  Non-finite magnitudes pass through.
+    and q log2 b + log2 L >= 1024.
+
+    The overflow test runs before each block is raised to q, on the
+    running max b' of the blocks so far.  b' <= b, and b' = b from the
+    block that holds b on, so it fails before any power is taken exactly
+    when the test on b fails.  The subnormal test needs b itself and runs
+    after the last block.  Non-finite magnitudes pass through: the running
+    max keeps a NaN (``np.maximum``), and neither test applies once it is
+    not finite.  numpy sums each block, and ``exact_sum`` adds the block
+    sums, exactly rounded.
     """
-    big = float(np.max(mags, initial=0.0))
-    if 0.0 < big < math.inf:
-        e = q * math.log2(big)
-        if e < -1022.0 or e + math.log2(mags.size) >= 1024.0:
-            raise ConditioningError(
-                f"the largest |r|^q = 2^{e:.6g} is outside the normal range of the l^q sum"
-            )
-    mags **= q
-    return float(np.sum(mags) ** (1.0 / q))
+    big = 0.0
+    sums = []
+    for mags in blocks:
+        big = float(np.maximum(big, np.max(mags, initial=0.0)))
+        if 0.0 < big < math.inf and q * math.log2(big) + math.log2(size) >= 1024.0:
+            _refuse_lq(q * math.log2(big))
+        mags **= q
+        sums.append(float(np.sum(mags)))
+    if 0.0 < big < math.inf and q * math.log2(big) < -1022.0:
+        _refuse_lq(q * math.log2(big))
+    return float(np.float64(exact_sum(sums)) ** (1.0 / q))
+
+
+def _refuse_lq(e: float) -> None:
+    raise ConditioningError(f"the largest |r|^q = 2^{e:.6g} is outside the normal range of the l^q sum")
 
 
 def hp_norm_estimate(f: TruncatedSeries, p: float, nodes: int | None = None) -> float:

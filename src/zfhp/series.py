@@ -18,16 +18,19 @@ Summing the closed form against mu(k) gives the Möbius partial sums of
 the paper's convergence statement in closed form as well: coefficient m of
 sum_{k=2..n} mu(k) (I - S) h_k is an exact integer divisor sum combined
 with one scalar.  ``mobius_ims_partial_sums`` is the single kernel that
-evaluates it, for both the l^q and the H^p convergence runners.
+evaluates it, for both the l^q and the H^p convergence runners.  It
+serves each checkpoint a block at a time (``CoefficientBlocks``), so only
+its int16 divisor sums, 2 bytes per coefficient, grow with the degree.
 
 A ``TruncatedSeries`` stores its coefficients read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .arith import MobiusTable, _check_memory, mobius_logsum_over_k, mobius_sum_
 
 __all__ = [
     "TruncatedSeries",
+    "CoefficientBlocks",
     "ims_hk_coeffs",
     "hk_coeffs",
     "hk_coefficient_envelope",
@@ -152,15 +156,39 @@ def hk_coefficient_envelope(k: int, degree: int) -> float:
     return bound * _ENVELOPE_ROUNDING_FACTOR
 
 
-# Coefficients per block of the division by m in _advance_ims: the block's
-# float64 range of m is 256 KiB at 2^15, against 8 bytes per coefficient
-# for a full-length range; 2^13..2^19 time alike at degree 10^6 (CHANGES.md).
+# Coefficients per block of the kernel's output (``CoefficientBlocks``):
+# the block buffer and the block's float64 range of m are 256 KiB each at
+# 2^15, against 8 bytes per coefficient for a full-length array; 2^13..2^19
+# time alike at degree 10^6 (CHANGES.md).
 _DIVIDE_BLOCK = 1 << 15
+
+
+@dataclass(frozen=True)
+class CoefficientBlocks:
+    """Coefficients 0..size-1 of a real series, served one block at a time.
+
+    Iterating is one pass over the coefficients: ``passes()`` returns an
+    iterator of consecutive float64 blocks of at most ``_DIVIDE_BLOCK``
+    entries, coefficient 0 first.  A block may be a buffer that the next
+    block overwrites, so a caller reads or modifies it in place before it
+    asks for the next one; every pass yields the same values.
+    ``of_array`` serves an array as views of itself.
+    """
+
+    size: int
+    passes: Callable[[], Iterator[np.ndarray]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.passes()
+
+    @classmethod
+    def of_array(cls, a: np.ndarray) -> CoefficientBlocks:
+        return cls(a.size, lambda: (a[lo : lo + _DIVIDE_BLOCK] for lo in range(0, a.size, _DIVIDE_BLOCK)))
 
 
 def mobius_ims_partial_sums(
     n_list: Sequence[int], degree: int, table: MobiusTable
-) -> Iterator[np.ndarray]:
+) -> Iterator[CoefficientBlocks]:
     """Coefficients of sum_{k=2..n} mu(k) (I - S) h_k for each n in ``n_list``.
 
     This is the one Möbius partial-sum kernel.  It uses the closed form
@@ -188,24 +216,26 @@ def mobius_ims_partial_sums(
 
     ``n_list`` must be strictly increasing with 2 <= n <= table.limit;
     the arguments are checked at the call (``_check_checkpoints``), before
-    any array is allocated or yielded.  The output is allocated once:
-    every checkpoint yields the same float64 array of length degree + 1,
-    overwritten at the next advance, so a caller reads or modifies it in
-    place before asking for the next one.
+    any array is allocated or yielded.  Each checkpoint yields a
+    ``CoefficientBlocks`` that forms the coefficients from ``d`` a block
+    at a time, in one block buffer of ``_DIVIDE_BLOCK`` floats shared by
+    every block, pass and checkpoint: no array of degree + 1 floats
+    exists.  It is valid until the next checkpoint is asked for, which
+    advances ``d``.
     """
     ns = _check_checkpoints(n_list, degree)
     if ns[-1] > table.limit:
         raise ValueError(f"n = {ns[-1]} exceeds table limit {table.limit}")
     d = np.zeros(degree + 1, dtype=np.int16)
-    out = np.empty(degree + 1, dtype=np.float64)
-    return (_advance_ims(d, out, prev, n, table) for prev, n in zip([1, *ns], ns))
+    buf = np.empty(min(degree + 1, _DIVIDE_BLOCK), dtype=np.float64)
+    return (_advance_ims(d, buf, prev, n, table) for prev, n in zip([1, *ns], ns))
 
 
 def _check_checkpoints(n_list: Sequence[int], degree: int) -> list[int]:
     """``n_list`` as ints, refused unless nonempty, strictly increasing and >= 2.
 
-    A negative degree is refused, and so is one whose int16 ``d`` and
-    float64 output, 10 (degree + 1) bytes, exceed physical memory.
+    A negative degree is refused, and so is one whose kernel buffers
+    (``_kernel_bytes``) exceed physical memory.
     """
     ns = [int(n) for n in n_list]
     if not ns or ns[0] < 2:
@@ -219,32 +249,53 @@ def _check_checkpoints(n_list: Sequence[int], degree: int) -> list[int]:
 
 
 def _kernel_bytes(degree: int) -> int:
-    """The int16 ``d`` and float64 output of ``mobius_ims_partial_sums``: 10 (degree + 1) bytes."""
-    return 10 * (degree + 1)
+    """The peak bytes of ``mobius_ims_partial_sums``: 2 (degree + 1) + 16 ``_DIVIDE_BLOCK``.
+
+    The int16 ``d`` holds 2 bytes per coefficient.  Forming a block takes
+    the block buffer and the block's float64 range of m, at most
+    ``_DIVIDE_BLOCK`` entries of 8 bytes each; nothing else the kernel
+    allocates grows with the degree.
+    """
+    return 2 * (degree + 1) + 16 * _DIVIDE_BLOCK
 
 
-def _advance_ims(
-    d: np.ndarray, out: np.ndarray, prev: int, n: int, table: MobiusTable
-) -> np.ndarray:
-    """Sieve mu(k), prev < k <= n, into ``d``; overwrite ``out`` with the closed form at n.
+def _advance_ims(d: np.ndarray, buf: np.ndarray, prev: int, n: int, table: MobiusTable) -> CoefficientBlocks:
+    """Sieve mu(k), prev < k <= n, into ``d``; return the blocks of the closed form at n.
 
-    The division by m runs in blocks of ``_DIVIDE_BLOCK`` coefficients,
-    each over its own float64 range of m; the m are exact integers, so
-    every quotient is the one a full-length range gives.  A module-level
-    function rather than a generator body, so that the work is attributed
-    to this module by tracers that wrap its functions.
+    A module-level function rather than a generator body, so that the work
+    is attributed to this module by tracers that wrap its functions.
     """
     for k in range(prev + 1, min(n, d.size - 1) + 1):
         mu = int(table.values[k])
         if mu:
             d[k::k] += mu
     c_n = mobius_sum_over_k(table, n) - 1.0
-    out[0] = -mobius_logsum_over_k(table, n)
-    np.subtract(c_n, d[1:], out=out[1:])
-    for lo in range(1, d.size, _DIVIDE_BLOCK):
-        hi = min(lo + _DIVIDE_BLOCK, d.size)
-        out[lo:hi] /= np.arange(lo, hi, dtype=np.float64)
-    return out
+    head = -mobius_logsum_over_k(table, n)
+    return CoefficientBlocks(d.size, functools.partial(_ims_blocks, d, buf, c_n, head))
+
+
+def _ims_blocks(d: np.ndarray, buf: np.ndarray, c_n: float, head: float) -> Iterator[np.ndarray]:
+    """One pass of ``_ims_block`` over the coefficients, in blocks of ``_DIVIDE_BLOCK``."""
+    for lo in range(0, d.size, _DIVIDE_BLOCK):
+        yield _ims_block(d, buf, c_n, head, lo)
+
+
+def _ims_block(d: np.ndarray, buf: np.ndarray, c_n: float, head: float, lo: int) -> np.ndarray:
+    """The block of coefficients from lo on into ``buf``: ``head`` at m = 0, (c_n - D_m)/m after.
+
+    The block ends before lo + ``_DIVIDE_BLOCK`` and the degree.  Each
+    m is divided over the block's own float64 range of m; the m are
+    exact integers, so every quotient is the one a full-length range gives.
+    """
+    hi = min(lo + _DIVIDE_BLOCK, d.size)
+    block = buf[: hi - lo]
+    first = max(lo, 1)
+    tail = block[first - lo :]
+    np.subtract(c_n, d[first:hi], out=tail)
+    tail /= np.arange(first, hi, dtype=np.float64)
+    if lo == 0:
+        block[0] = head
+    return block
 
 
 def _check_k(k: int) -> None:

@@ -9,6 +9,11 @@ from divisor sums.
 ``advance_ims_allocating`` is the kernel step that
 ``zfhp.series._advance_ims`` replaced: it returns a new output array at
 every checkpoint and divides by one full-length float64 range of m.
+``advance_ims_one_buffer`` is the step that replaced it and that the
+block source of ``zfhp.series.mobius_ims_partial_sums`` replaced in turn,
+moved here verbatim, with ``mobius_ims_one_buffer`` to drive it: every
+checkpoint overwrites one float64 array of degree + 1 entries, divided in
+blocks of ``zfhp.series._DIVIDE_BLOCK``.
 
 ``mobius_linear_sieve`` is the pure-Python linear sieve that
 ``zfhp.arith.build_mobius`` replaced, ``mobius_whole_table_sieve`` the
@@ -43,6 +48,11 @@ its fold helper: both levels in one buffer of M complex numbers, one
 block of rows at a time through ``zfhp.norms._four_step``.  Both read the
 tables ``four_step_tables`` builds from ``zfhp.norms._level``, ``_roots``
 and ``_product_tables``, and they must agree bit for bit.
+``fold_periods`` is the weighted fold of ``zfhp.norms.two_level_means``
+that the streamed ``zfhp.norms._fold`` replaced, moved here verbatim: it
+reads an array, adds the odd segments first and scales their sums once,
+and sums whole periods of 8L entries q by q in a float64 temporary of L
+entries.
 
 ``zeta_accelerated_eta`` is the zeta evaluator that ``zfhp.special.zeta``
 replaced with an exactly rounded head plus the Euler-Maclaurin tail: the
@@ -74,7 +84,9 @@ from typing import Iterable
 
 from zfhp import ConditioningError, DomainError, PoleError, zeta
 from zfhp.special import _cexpm1, require_right_half_plane
-from zfhp.norms import _ROW_BLOCK, _four_step, _level, _product_tables, _roots, _twiddle
+from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _four_step, _level, _product_tables, _roots,
+                        _twiddle)
+from zfhp.series import _DIVIDE_BLOCK
 from zfhp.arith import (
     _SIEVE_BLOCK,
     _check_memory,
@@ -112,6 +124,38 @@ def advance_ims_allocating(d: np.ndarray, prev: int, n: int, table) -> np.ndarra
     out[0] = -mobius_logsum_over_k(table, n)
     np.subtract(c_n, d[1:], out=out[1:])
     out[1:] /= np.arange(1, d.size, dtype=np.float64)
+    return out
+
+
+def mobius_ims_one_buffer(n_list, degree: int, table):
+    """The coefficients at each n of ``n_list``, in one float64 array overwritten at every advance."""
+    ns = [int(n) for n in n_list]
+    d = np.zeros(degree + 1, dtype=np.int16)
+    out = np.empty(degree + 1, dtype=np.float64)
+    return (advance_ims_one_buffer(d, out, prev, n, table) for prev, n in zip([1, *ns], ns))
+
+
+def advance_ims_one_buffer(
+    d: np.ndarray, out: np.ndarray, prev: int, n: int, table
+) -> np.ndarray:
+    """Sieve mu(k), prev < k <= n, into ``d``; overwrite ``out`` with the closed form at n.
+
+    The division by m runs in blocks of ``_DIVIDE_BLOCK`` coefficients,
+    each over its own float64 range of m; the m are exact integers, so
+    every quotient is the one a full-length range gives.  A module-level
+    function rather than a generator body, so that the work is attributed
+    to this module by tracers that wrap its functions.
+    """
+    for k in range(prev + 1, min(n, d.size - 1) + 1):
+        mu = int(table.values[k])
+        if mu:
+            d[k::k] += mu
+    c_n = mobius_sum_over_k(table, n) - 1.0
+    out[0] = -mobius_logsum_over_k(table, n)
+    np.subtract(c_n, d[1:], out=out[1:])
+    for lo in range(1, d.size, _DIVIDE_BLOCK):
+        hi = min(lo + _DIVIDE_BLOCK, d.size)
+        out[lo:hi] /= np.arange(lo, hi, dtype=np.float64)
     return out
 
 
@@ -574,6 +618,37 @@ def fold_quarter_into(a: np.ndarray, nodes: int, q: int, out: np.ndarray) -> np.
     tail = a[whole + q * nodes : whole + (q + 1) * nodes]
     out[: tail.size] += tail
     return out
+
+
+def fold_periods(a: np.ndarray, shift: int, out: np.ndarray) -> None:
+    """w_r = sum_q zeta^(shift q) a_(r+qL) into the complex ``out`` of L entries, zeta = exp(-i pi/4).
+
+    The weight depends on q mod 8.  Block q of ``a``, entries qL to
+    qL + L - 1, is added to or subtracted from the real and imaginary
+    parts by the signs of its weight (``_EIGHTH_ROOT_SIGNS``), odd q
+    first; for odd ``shift`` their sums are then scaled by fl(sqrt(1/2)),
+    the one inexact weight.  The blocks of the last, incomplete period of
+    8L entries are read in place; those of whole periods are first summed,
+    q by q, into one float64 temporary of L entries.
+    """
+    half = out.size
+    whole = a.size - a.size % (8 * half)
+    periods = a[:whole].reshape(-1, 8, half)
+    spare = np.empty(half) if whole else None
+    flat = out.view(np.float64)
+    flat[...] = 0.0
+    for q in (1, 3, 5, 7, 0, 2, 4, 6):
+        if q == 0 and shift % 2:
+            flat *= math.sqrt(0.5)
+        block = a[whole + q * half : whole + (q + 1) * half]
+        if whole:
+            periods[:, q].sum(axis=0, out=spare)
+            spare[: block.size] += block
+            block = spare
+        for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], (out.real, out.imag)):
+            if sign:
+                part = part[: block.size]
+                (np.add if sign > 0 else np.subtract)(part, block, out=part)
 
 
 def two_level_means_one_buffer(coeffs, p: float, nodes: int) -> tuple[float, float]:

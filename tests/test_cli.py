@@ -27,7 +27,7 @@ from zfhp.experiments import (
     write_mellin_csv,
 )
 from zfhp.norms import QuadratureWarning, _two_level_bytes
-from zfhp.series import _kernel_bytes
+from zfhp.series import _DIVIDE_BLOCK, _kernel_bytes
 from zfhp.weights import _prime_sieve_bytes
 
 
@@ -425,9 +425,10 @@ class TestConvergenceCommand:
     def test_lq_row_beyond_memory_refused(self, capsys, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}  # 1 GiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        cutoff = 2**30 // 10
-        # the smallest cutoff whose 10 bytes per coefficient do not fit
-        assert 10 * cutoff <= 2**30 < 10 * (cutoff + 1)
+        cutoff = (2**30 - 16 * _DIVIDE_BLOCK) // 2
+        # the smallest cutoff whose 2 bytes per coefficient and two block
+        # buffers of 8 bytes per entry do not fit
+        assert _kernel_bytes(cutoff - 1) <= 2**30 < _kernel_bytes(cutoff)
         tracemalloc.start()
         try:
             code = main(["convergence", "--space", "lq", "--q", "2", "--n", "10",

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -28,10 +29,19 @@ from zfhp.experiments import (
     write_probe_csv,
     write_weights_csv,
 )
-from zfhp.norms import half_offset_points
+from zfhp.norms import _two_level_bytes, half_offset_points
+from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, _kernel_bytes
 from zfhp.weights import WeightFamily, all_integers, extremal_probe
 
 from oracles import lq_residual_oracle
+
+# Small runs of both runners, which load every module and the FFT before
+# a VmHWM measurement starts.
+RUNNER_WARMUP = (
+    "from zfhp.experiments import run_hp_convergence, run_lq_convergence\n"
+    "run_lq_convergence(2.0, [10], 100)\n"
+    "run_hp_convergence(0.5, [10], 100, 256)"
+)
 
 
 # Sidecars as the CLI wrote them while it took --mobius-limit (here 5000,
@@ -106,9 +116,9 @@ class TestLqConvergence:
                 assert bound >= brute, (q, n, bound, brute)
 
     def test_row_holds_only_the_kernel_buffers(self):
-        # the kernel's int16 divisor sums and float64 output, 10 bytes per
-        # coefficient, plus one division block; a copy of the residual
-        # would add 8 more
+        # the kernel's int16 divisor sums, 2 bytes per coefficient, and its
+        # two block buffers; a float64 copy of the residual would add 8
+        # bytes per coefficient more
         cutoff = 10**6
         tracemalloc.start()
         try:
@@ -116,14 +126,21 @@ class TestLqConvergence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10.5 * (cutoff + 1)
+        assert peak <= _kernel_bytes(cutoff) + 2**16
+
+    def test_peak_rss_within_the_kernel_figure(self, vmhwm_growth):
+        # VmHWM sees what tracemalloc cannot; one float64 array of
+        # cutoff + 1 entries, 8 MiB here, breaks the bound
+        cutoff = 2**20 - 1
+        growth = vmhwm_growth(RUNNER_WARMUP, f"run_lq_convergence(2.0, [10, 100, 1000], {cutoff})")
+        assert 0 < growth < _kernel_bytes(cutoff) + 2**20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_refuses_a_nonfinite_residual(self, bad, monkeypatch):
         def poisoned(n_list, degree, table):
             coeffs = np.zeros(degree + 1)
             coeffs[degree] = bad
-            return iter([coeffs])
+            return iter([CoefficientBlocks.of_array(coeffs)])
 
         monkeypatch.setattr(experiments, "mobius_ims_partial_sums", poisoned)
         with pytest.raises(ValueError, match="finite"):
@@ -146,6 +163,26 @@ class TestLqConvergence:
 
 
 class TestHpConvergence:
+    @pytest.mark.parametrize("degree", [5, _DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, 3 * _DIVIDE_BLOCK + 5])
+    def test_running_sums_equal_a_whole_array_cumsum(self, degree, mobius_1k):
+        # every sum is the whole-array cumsum's bit for bit, at every pass,
+        # with the target's 1 taken from a_0 alone
+        (blocks,) = experiments.mobius_ims_partial_sums([100], degree, mobius_1k)
+        want = np.cumsum(np.concatenate([block.copy() for block in blocks]))
+        want[0] -= 1.0
+        coeffs = CoefficientBlocks(blocks.size, functools.partial(experiments._running_sums, blocks))
+        for _ in range(2):
+            got = np.concatenate([block.copy() for block in coeffs])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_peak_rss_within_the_kernel_and_transform_figures(self, vmhwm_growth):
+        # the run's own memory guard, the kernel's and the transform's bytes
+        # as one sum, bounds it; one float64 array of cutoff + 1 entries,
+        # 8 MiB here, breaks the bound
+        cutoff, nodes = 2**20 - 1, 2**20
+        growth = vmhwm_growth(RUNNER_WARMUP, f"run_hp_convergence(0.5, [10, 100], {cutoff}, {nodes})")
+        assert 0 < growth < _kernel_bytes(cutoff) + _two_level_bytes(nodes)
+
     def test_n2_fixture_direct_evaluation(self):
         # independent path: polyval on the half-offset nodes instead of the
         # folded FFT evaluation

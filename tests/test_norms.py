@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +18,12 @@ from zfhp import (
     reverse_holder_check,
 )
 from zfhp.norms import (
+    _SLICES,
     _TRANSFORM_BYTES_PER_NODE,
+    _fold,
+    _lq_of_magnitudes,
     _split,
+    _table_bytes,
     _tables,
     _two_level_bytes,
     boundary_values,
@@ -35,7 +35,10 @@ from zfhp.norms import (
     two_level_means,
 )
 
+from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks
+
 from oracles import (
+    fold_periods,
     two_level_means_four_step,
     two_level_means_one_buffer,
     two_level_means_pruned,
@@ -77,6 +80,35 @@ class TestLqNorm:
     def test_refuses_terms_outside_the_normal_range(self, coeffs, q):
         with pytest.raises(ConditioningError):
             lq_norm(TruncatedSeries(coeffs), q)
+
+    @pytest.mark.parametrize(
+        "coeffs, q, raises",
+        [([1.0] * 5 + [1e300], 4.0, True), ([1e-300] * 6, 4.0, True), ([0.5, 0.25] * 3, 1100.0, True),
+         ([2.0**-300] * 5 + [1.0], 4.0, False), ([1.0] * 5 + [math.inf], 2.0, False),
+         ([1.0, math.nan] + [1.0] * 4, 2.0, False)],
+        ids=["overflow-in-the-last-block", "subnormal-in-every-block", "subnormal-and-normal",
+             "normal-after-subnormal", "infinite", "nan-in-the-first-block"],
+    )
+    def test_blocks_conditioned_as_the_whole_array(self, coeffs, q, raises):
+        # the running max tests overflow before each block's power, and
+        # the subnormal test waits for the last block: blocks of 2 raise
+        # exactly where the whole array does, with no power taken that
+        # would overflow (a RuntimeWarning fails tier-1)
+        def blocks():
+            mags = np.array(coeffs)
+            return (mags[i : i + 2] for i in range(0, mags.size, 2))
+
+        if raises:
+            with pytest.raises(ConditioningError):
+                _lq_of_magnitudes(blocks(), len(coeffs), q)
+            with pytest.raises(ConditioningError):
+                lq_norm(TruncatedSeries(coeffs), q)
+        else:
+            got = _lq_of_magnitudes(blocks(), len(coeffs), q)
+            if all(map(math.isfinite, coeffs)):
+                assert got == lq_norm(TruncatedSeries(coeffs), q)
+            else:  # non-finite magnitudes pass through
+                assert not math.isfinite(got)
 
     def test_edges_of_the_normal_range(self):
         # the largest term exactly 2^-1022, and a sum of 2^1023 that fits
@@ -406,8 +438,8 @@ def slices_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
     Slice s holds X_(8k+s) for k < L = M/2: the four-step DFT of length L
     of omega^(sr) w_r, with w_r = sum_q zeta^(sq) a_(r+qL), so
     |w_r| <= F_r for F the fold of |a| modulo L.  ``norms._fold`` adds
-    each of the n = ceil(size/L) blocks of a once, through sums of at
-    most n terms; for odd s the odd blocks' sums are scaled by
+    each of the n = ceil(size/L) segments of a once, through sums of at
+    most n terms; for odd s each odd segment is first scaled by
     fl(sqrt(1/2)), within u of sqrt(1/2), one rounding more.  Every weight
     has parts of magnitude at most 1, so each part of w~_r is within
     gamma_(n+2) F_r of the exact one, and |w~_r - w_r| <= sqrt 2
@@ -528,6 +560,84 @@ def p_mean_deviation(
     return (mean + d) ** (1.0 / p) - mean ** (1.0 / p) + 4.0 * U * value
 
 
+class TestStreamedFold:
+    """``norms._fold`` of blocks against the period fold it replaced, ``fold_periods``."""
+
+    @staticmethod
+    def streamed(source: CoefficientBlocks, shift: int, half: int) -> np.ndarray:
+        out = np.empty(half, dtype=np.complex128)
+        _fold(source, shift, out, np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, half)))
+        return out
+
+    @staticmethod
+    def periods(a: np.ndarray, shift: int, half: int) -> np.ndarray:
+        out = np.empty(half, dtype=np.complex128)
+        fold_periods(a, shift, out)
+        return out
+
+    # segments of 1000 points, several per block; of 32771 (prime)
+    # points, straddling the block ends
+    @pytest.mark.parametrize("half", [1000, 32771])
+    @pytest.mark.parametrize("shift", _SLICES)
+    def test_bit_equal_to_the_period_fold_up_to_three_segments(self, half, shift):
+        # with at most one odd segment, scaling it alone or the sum of the
+        # odd segments is one rounding of the same number, and the even
+        # segments add in the same order
+        rng = np.random.default_rng(half + shift)
+        for size in (half // 2, half, 2 * half, 3 * half - 7, 3 * half):
+            a = rng.normal(size=size)
+            got = self.streamed(CoefficientBlocks.of_array(a), shift, half)
+            assert np.array_equal(got.view(np.int64), self.periods(a, shift, half).view(np.int64)), size
+
+    @pytest.mark.parametrize("shift", _SLICES)
+    def test_within_the_fold_error_of_the_period_fold(self, shift):
+        # two whole periods of 8L and an incomplete third: each fold adds
+        # n = 20 segments per entry, each part within gamma_(n+2) F_r of
+        # the exact w_r (see ``slices_error``), so they differ by at most
+        # twice that
+        half = 1000
+        a = np.random.default_rng(shift).normal(size=16 * half + 3 * half + 17)
+        got = self.streamed(CoefficientBlocks.of_array(a), shift, half)
+        want = self.periods(a, shift, half)
+        tol = 2.0 * gamma(-(-a.size // half) + 2) * fold(np.abs(a), half)
+        assert np.all(np.abs(got.real - want.real) <= tol)
+        assert np.all(np.abs(got.imag - want.imag) <= tol)
+        assert not np.array_equal(got, want)  # the summation order did change
+
+    # L = 8 (16 nodes) and 777: many whole segments per block, stacked
+    @pytest.mark.parametrize("half", [8, 777])
+    @pytest.mark.parametrize("shift", _SLICES)
+    def test_independent_of_the_block_cuts(self, shift, half):
+        # each w_r adds its terms in the order of q whatever the blocks, so
+        # blocks of random sizes, holding a part of one segment or several
+        # whole ones, fold to the bits of the array's own views and to
+        # those of blocks of one segment each
+        a = np.random.default_rng(7 + shift).normal(size=40 * half + 5)
+        cuts = np.cumsum(np.random.default_rng(shift).integers(1, 4 * half, size=40))
+        cuts = [0, *cuts[cuts < a.size].tolist(), a.size]
+        source = CoefficientBlocks(a.size, lambda: (a[lo:hi] for lo, hi in zip(cuts, cuts[1:])))
+        segments = CoefficientBlocks(a.size, lambda: (a[lo : lo + half] for lo in range(0, a.size, half)))
+        want = self.streamed(CoefficientBlocks.of_array(a), shift, half).view(np.int64)
+        assert np.array_equal(self.streamed(source, shift, half).view(np.int64), want)
+        assert np.array_equal(self.streamed(segments, shift, half).view(np.int64), want)
+
+    def test_means_of_a_source_equal_those_of_its_array(self):
+        # one fold path: a block source and its concatenation give the same
+        # bits, here with a source whose blocks are a reused buffer
+        a = np.random.default_rng(5).normal(size=5 * _DIVIDE_BLOCK + 11)
+        buf = np.empty(_DIVIDE_BLOCK)
+
+        def passes():
+            for lo in range(0, a.size, _DIVIDE_BLOCK):
+                block = buf[: min(_DIVIDE_BLOCK, a.size - lo)]
+                block[...] = a[lo : lo + block.size]
+                yield block
+
+        for nodes in (2000, 65542):
+            got = two_level_means(CoefficientBlocks(a.size, passes), 0.5, nodes)
+            assert got == two_level_means(a, 0.5, nodes)
+
+
 class TestTwoLevelMeans:
     LENGTHS = {
         "below": lambda m: m - 5,
@@ -601,8 +711,8 @@ class TestTwoLevelMeans:
         # rows, its coarse mirror blocks straddle block boundaries, and its
         # fold's last step runs in two chunks, yet it equals the
         # whole-array passes bit for bit.  The slices, of 20000 = 125 x 160
-        # points, end on a partial block too, and the longer input folds
-        # two whole periods of 8L through the temporary
+        # points, end on a partial block too, and the longer input spans
+        # two whole periods of 8L, read in blocks that straddle segments
         a = np.random.default_rng(count).normal(size=count)
         for p in (0.3, 0.5, 1.0):
             prev = two_level_means_four_step(a, p, 40000)
@@ -627,60 +737,60 @@ class TestTwoLevelMeans:
         assert sum(t.size for t in tables) <= 8 * nodes**0.75
         assert not any(t.flags.writeable for t in tables)
 
-    @staticmethod
-    def transform_peak_growth(length: int, nodes: int) -> int:
-        """VmHWM growth of a fresh interpreter over one ``two_level_means`` of ``length`` points.
+    @pytest.mark.parametrize("nodes", [2**19, 2**21, 65542])
+    def test_table_charge_covers_a_fresh_build(self, nodes):
+        # the peak of a fresh build includes the tables it returns,
+        # sum(nbytes), and the build's temporaries; 65542 has M/2 prime
+        _tables.cache_clear()
+        tracemalloc.start()
+        try:
+            tables = _tables(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(table.nbytes for _, *level in tables for table in level)
+        assert kept <= peak <= _table_bytes(nodes)
+        if nodes != 65542:  # where the 2^17 of ufunc buffers does not dominate
+            assert _table_bytes(nodes) < 1.1 * peak
 
-        The peak resident set sees pocketfft's C++ scratch, which
-        tracemalloc cannot.  The child reads VmHWM, the high-water mark of
-        its own image: its ru_maxrss would start at the resident set of
-        the test process that forked it.
-        """
-        src = str(Path(zfhp.norms.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import re, numpy as np\n"
+    @staticmethod
+    def transform_peak_growth(vmhwm_growth, length: int, nodes: int) -> int:
+        """VmHWM growth of a fresh interpreter over one ``two_level_means`` of ``length`` points."""
+        setup = (
+            "import numpy as np\n"
             "from zfhp.norms import two_level_means\n"
-            "def peak():\n"
-            "    status = open('/proc/self/status').read()\n"
-            "    return 1024 * int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
             f"a = np.random.default_rng(3).normal(size={length})\n"
-            "two_level_means(a[:100], 0.5, 16)\n"  # loads the FFT module
-            "before = peak()\n"
-            f"two_level_means(a, 0.5, {nodes})\n"
-            "print(peak() - before)\n"
+            "two_level_means(a[:100], 0.5, 16)"  # loads the FFT module
         )
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=120, check=True)
-        return int(out.stdout)
+        return vmhwm_growth(setup, f"two_level_means(a, 0.5, {nodes})")
 
     @staticmethod
     def beyond_the_arrays(nodes: int) -> int:
-        """The tables at their actual size and the rest of ``_two_level_bytes``: the row block, FFT work."""
+        """The tables at their actual size and the rest of ``_two_level_bytes``: the scratch, row block, FFT work."""
         tables = sum(table.nbytes for _, *level in _tables(nodes) for table in level)
         return (tables + _two_level_bytes(nodes) - _TRANSFORM_BYTES_PER_NODE * nodes
-                - 384 * math.ceil(nodes**0.75))
+                - _table_bytes(nodes))
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     @pytest.mark.parametrize("length", [2**19, 100001])
-    def test_peak_rss_within_the_transform_figure(self, length):
+    def test_peak_rss_within_the_transform_figure(self, length, vmhwm_growth):
         # an input of at most M points is read in place, so the arrays are
         # the buffer, 8 bytes per node (_two_level_bytes); one float64 copy
         # of M points, 8 bytes per node more, breaks the bound.  100001 is
         # the default cutoff's degree + 1, and 2^19 its default node count
         nodes = default_node_count(100000)
         assert nodes == 2**19
-        growth = self.transform_peak_growth(length, nodes)
+        growth = self.transform_peak_growth(vmhwm_growth, length, nodes)
         assert 0 < growth < 8 * nodes + self.beyond_the_arrays(nodes)
         assert growth <= _two_level_bytes(nodes)
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-    def test_peak_rss_of_a_folded_input_within_the_fold_figure(self):
-        # an input of a whole period of 4M points or more adds the fold's
-        # float64 temporary of M/2 points, 12 bytes per node in all
-        # (_TRANSFORM_BYTES_PER_NODE); a second such temporary breaks it
+    def test_peak_rss_of_a_folded_input_within_the_transform_figure(self, vmhwm_growth):
+        # an input of a whole period of 4M points or more is read in place
+        # too, so the arrays stay the buffer, 8 bytes per node
+        # (_TRANSFORM_BYTES_PER_NODE); the float64 temporary of M/2 points
+        # in which the fold once summed whole periods, 4 more, breaks it
         nodes = 2**19
-        growth = self.transform_peak_growth(4 * nodes + nodes // 2 + 3, nodes)
+        assert _TRANSFORM_BYTES_PER_NODE == 8
+        growth = self.transform_peak_growth(vmhwm_growth, 4 * nodes + nodes // 2 + 3, nodes)
         assert 0 < growth < _TRANSFORM_BYTES_PER_NODE * nodes + self.beyond_the_arrays(nodes)
         assert growth <= _two_level_bytes(nodes)
 

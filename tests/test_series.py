@@ -12,9 +12,15 @@ from zfhp import (
     lq_norm,
     mobius_sum_over_k,
 )
-from zfhp.series import _DIVIDE_BLOCK, hk_coefficient_envelope, mobius_ims_partial_sums
+from zfhp.norms import _pieces
+from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, hk_coefficient_envelope, mobius_ims_partial_sums
 
-from oracles import accumulated_ims, advance_ims_allocating, bounded_divisor_sum
+from oracles import accumulated_ims, advance_ims_allocating, bounded_divisor_sum, mobius_ims_one_buffer
+
+
+def concatenated(blocks: CoefficientBlocks) -> np.ndarray:
+    """One pass of ``blocks`` as a new array; each block is copied before the next one overwrites it."""
+    return np.concatenate([block.copy() for block in blocks])
 
 
 def log_series_oracle(f0_coeffs: np.ndarray) -> np.ndarray:
@@ -184,16 +190,17 @@ class TestMobiusPartialSums:
     def test_n2_is_minus_ims2(self, mobius_1k):
         (got,) = mobius_ims_partial_sums([2], 50, mobius_1k)
         want = ims_hk_coeffs(2, 50)
-        assert np.array_equal(got, -want.coeffs)
+        assert np.array_equal(concatenated(got), -want.coeffs)
 
     def test_hand_coefficient_n3_m6(self, mobius_1k):
         (got,) = mobius_ims_partial_sums([3], 6, mobius_1k)
-        assert got[6] == pytest.approx(7.0 / 36.0, abs=1e-15)
+        assert concatenated(got)[6] == pytest.approx(7.0 / 36.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_coefficient_identity_cross_check(self, n, mobius_1k):
         degree = 2000
-        (got,) = mobius_ims_partial_sums([n], degree, mobius_1k)
+        (blocks,) = mobius_ims_partial_sums([n], degree, mobius_1k)
+        got = concatenated(blocks)
         c_n = mobius_sum_over_k(mobius_1k, n) - 1.0  # sum over k = 2..n
         rng = np.random.default_rng(n)
         for m in [1, 2, 6, 30, 210, *rng.integers(1, degree + 1, size=40)]:
@@ -208,7 +215,8 @@ class TestMobiusPartialSums:
         # most (n + 1)^2 eps/m (read m as 1 at m = 0); the closed form's own
         # error fits in the rest of (n + 2)^2 eps/m
         degree = 5000
-        (got,) = mobius_ims_partial_sums([n], degree, mobius_1k)
+        (blocks,) = mobius_ims_partial_sums([n], degree, mobius_1k)
+        got = concatenated(blocks)
         want = accumulated_ims(n, degree, mobius_1k)
         m = np.maximum(np.arange(degree + 1), 1)
         tol = (n + 2) ** 2 * np.finfo(np.float64).eps / m
@@ -223,25 +231,59 @@ class TestMobiusPartialSums:
     def test_bit_equal_to_allocating_oracle_across_division_blocks(self, degree, mobius_1k):
         ns = [10, 100, 1000]
         d = np.zeros(degree + 1, dtype=np.int32)
-        for prev, n, got in zip([1, *ns], ns, mobius_ims_partial_sums(ns, degree, mobius_1k)):
-            want = advance_ims_allocating(d, prev, n, mobius_1k)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+        streams = zip(mobius_ims_partial_sums(ns, degree, mobius_1k), mobius_ims_one_buffer(ns, degree, mobius_1k))
+        for prev, n, (blocks, one_buffer) in zip([1, *ns], ns, streams):
+            want = advance_ims_allocating(d, prev, n, mobius_1k).view(np.int64)
+            assert np.array_equal(one_buffer.view(np.int64), want), n
+            for _ in range(2):  # every pass forms the same bits
+                assert np.array_equal(concatenated(blocks).view(np.int64), want), n
 
-    def test_one_buffer_overwritten_at_each_advance(self, mobius_1k):
-        partial_sums = mobius_ims_partial_sums([10, 100], 500, mobius_1k)
+    # L = M/2 for M = 2000, 65534, 65542 (L = 32771 prime, so M/2 has no
+    # split) and 196618: whole segments stacked in a block, one short of
+    # a block, straddling its end, and spanning several blocks
+    @pytest.mark.parametrize("length", [1000, _DIVIDE_BLOCK - 1, 32771, 3 * _DIVIDE_BLOCK + 5])
+    def test_pieces_cut_at_segments_equal_the_oracle(self, length, mobius_1k):
+        degree = 4 * _DIVIDE_BLOCK + 17
+        d = np.zeros(degree + 1, dtype=np.int32)
+        (blocks,) = mobius_ims_partial_sums([100], degree, mobius_1k)
+        want = advance_ims_allocating(d, 1, 100, mobius_1k)
+        pieces, start = [], 0
+        for q, r, rows in _pieces(blocks, length):
+            count, width = rows.shape
+            assert q * length + r == start and r + width <= length
+            assert count == 1 or (r == 0 and width == length)
+            assert 0 < rows.size <= _DIVIDE_BLOCK
+            pieces.append(rows.ravel().copy())
+            start += rows.size
+        assert np.array_equal(np.concatenate(pieces).view(np.int64), want.view(np.int64))
+
+    def test_one_block_buffer_reused(self, mobius_1k):
+        # every block of every pass and checkpoint is one buffer of
+        # _DIVIDE_BLOCK floats, overwritten by the next block
+        degree = 3 * _DIVIDE_BLOCK + 5
+        partial_sums = mobius_ims_partial_sums([10, 100], degree, mobius_1k)
         first = next(partial_sums)
-        at_10 = first.copy()
-        assert next(partial_sums) is first
-        assert not np.array_equal(first, at_10)
-        (at_100,) = mobius_ims_partial_sums([100], 500, mobius_1k)
-        assert np.array_equal(first, at_100)
+        blocks = iter(first)
+        head = next(blocks)
+        address = head.__array_interface__["data"][0]
+        at_10 = head.copy()
+        assert head.size == _DIVIDE_BLOCK and head.flags.writeable
+        head[:] = np.nan  # a caller's change lasts only until the buffer is formed again
+        for block in blocks:
+            assert block.__array_interface__["data"][0] == address
+        assert not np.array_equal(head, at_10)
+        assert np.array_equal(next(iter(first)), at_10)
+        second = next(partial_sums)
+        assert all(b.__array_interface__["data"][0] == address for b in second)
+        (at_100,) = mobius_ims_partial_sums([100], degree, mobius_1k)
+        assert np.array_equal(concatenated(second), concatenated(at_100))
 
     def test_residual_shrinks_from_n10_to_n100(self, mobius_1k):
         degree = 10**5
         target = np.zeros(degree + 1)
         target[0], target[1] = 1.0, -1.0
         values = [
-            lq_norm(TruncatedSeries(coeffs - target), 2.0)
+            lq_norm(TruncatedSeries(concatenated(coeffs) - target), 2.0)
             for coeffs in mobius_ims_partial_sums([10, 100], degree, mobius_1k)
         ]
         assert values[1] < values[0]
