@@ -2,12 +2,12 @@
 
 One binary, ``zfhp``, with subcommands for the convergence experiments,
 the functional identity sweep, the pointwise approximation of -1/s, weight
-classification, Mellin verification and zeta evaluation.  Experiment
-commands run exactly ``rerun(manifest)``, and their options are the
-manifest's parameters: nothing the runner can work out from them, such as
-the extent of the Möbius sieve or the rounding bound each ``mellin verify``
-row is checked against, is an option.  Results are CSV on stdout,
-or in ``--out FILE`` plus, for experiments, a ``*.manifest.json`` sidecar.
+classification, Mellin verification and zeta evaluation.  Every command
+parses its options into a manifest and runs exactly ``rerun(manifest)``;
+the options are the manifest's parameters: nothing the runner can work out
+from them, such as the extent of the Möbius sieve or the rounding bound
+each ``mellin verify`` row is checked against, is an option.  Results are
+CSV on stdout, or in ``--out FILE`` plus a ``*.manifest.json`` sidecar.
 
 Exit codes: 0 success, 2 invalid arguments, 3 domain or conditioning error
 (pole, half-plane violation, lost accuracy), 4 check failed in ``--check``
@@ -37,17 +37,7 @@ from .experiments import (
     write_weights_csv,
 )
 from .norms import QuadratureWarning
-from .special import zeta
-from .weights import (
-    TABLE1_STRIPS,
-    TABLE_FAMILIES,
-    all_integers,
-    arithmetic_progression,
-    classify,
-    extremal_probe,
-    parse_weight_family,
-    prime_indices,
-)
+from .weights import TABLE1_STRIPS
 
 CHECK_FAILED = 4
 
@@ -93,27 +83,22 @@ def parse_s_grid(text: str) -> list[complex]:
     return [complex(re, im) for re in res for im in ims]
 
 
-def _subsequence(text: str):
-    text = text.strip().lower()
-    if text == "all":
-        return all_integers()
-    if text == "primes":
-        return prime_indices()
-    if text.startswith("arith:"):
-        start_text, _, step_text = text[len("arith:") :].partition(",")
-        return arithmetic_progression(int(start_text), int(step_text))
-    raise ValueError(f"unknown subsequence {text!r} (want all | primes | arith:START,STEP)")
+def _emit(path: str | None, writer, records, manifest) -> None:
+    """``records`` as CSV on stdout, or in ``path`` with the manifest in its sidecar.
 
-
-def _emit(path: str | None, writer, records, manifest=None) -> None:
+    A file that cannot be written is an invalid ``--out``: the ``OSError``
+    becomes a ``ValueError`` that names the path.
+    """
     if path is None:
         writer(records, sys.stdout)
         return
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        writer(records, out)
-    if manifest is not None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            writer(records, out)
         with open(Path(path).with_suffix(".manifest.json"), "w", encoding="utf-8") as out:
             write_manifest(manifest, out)
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 def _run(args: argparse.Namespace, manifest, writer) -> list:
@@ -186,32 +171,33 @@ def _cmd_mellin_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights_classify(args: argparse.Namespace) -> int:
-    family = parse_weight_family(args.family)
-    _emit(args.out, write_weights_csv, [classify(family)])
+    _run(args, build_manifest("weights_classify", families=[args.family]), write_weights_csv)
     return 0
 
 
 def _cmd_weights_table1(args: argparse.Namespace) -> int:
-    results = [classify(fam) for fam in TABLE_FAMILIES]
-    _emit(args.out, write_weights_csv, results)
-    wrong = [r.family.label for r in results if r.strip != TABLE1_STRIPS[r.family.kind]]
+    results = _run(args, build_manifest("weights_table1", families=list(TABLE1_STRIPS)), write_weights_csv)
+    wrong = [r.family.label for r in results if r.strip != TABLE1_STRIPS[r.family.label]]
     return _check(args, wrong and f"strips differ from the table for {', '.join(wrong)}")
 
 
 def _cmd_weights_probe(args: argparse.Namespace) -> int:
-    family = parse_weight_family(args.family)
-    result = extremal_probe(family, args.r, _subsequence(args.subsequence), args.count)
+    manifest = build_manifest(
+        "weights_probe", family=args.family, r=args.r, subsequence=args.subsequence, count=args.count
+    )
+    result = rerun(manifest)
     if args.out:
-        _emit(args.out, write_probe_csv, result)
+        _emit(args.out, write_probe_csv, result, manifest)
     print(
-        f"family={family.label} r={args.r:g} count={args.count} "
+        f"family={result.family.label} r={args.r!r} count={args.count} "
         f"running_min={result.running_min!r} running_max={result.running_max!r}"
     )
     return 0
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    result = zeta(parse_complex(args.s))
+    s = parse_complex(args.s)
+    result = rerun(build_manifest("zeta", s=[s.real, s.imag]))
     value = result.value
     print(f"zeta({args.s}) = {value.real!r} + {value.imag!r}i  [error_bound {result.error_bound!r}]")
     return 0

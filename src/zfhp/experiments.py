@@ -15,6 +15,10 @@ Runners:
 * ``run_mellin_verify``: the Mellin transform of the step function p_k,
   integrated piece by piece, against the closed form f_k(s), with a
   rounding bound proved from k and s.
+* ``run_weights_classify``, ``run_weights_probe``: the strip of each
+  weight family and the extremal ratio trace (``zfhp.weights``), the
+  family and subsequence given as the text the CLI takes.
+* ``run_zeta``: zeta(s) with its proved absolute error bound.
 
 Every record carries its coefficient cutoff and, where applicable, a tail
 bound, so no number leaves this module without its truncation context.
@@ -40,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from ._version import __version__
-from .arith import MobiusTable, _check_memory, build_mobius, exact_sum, mobius_sum_over_k
+from .arith import MobiusTable, _check_memory, _sieve_bytes, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
 from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import (
@@ -52,9 +56,10 @@ from .norms import (
     two_level_means,
 )
 from .series import CoefficientBlocks, _check_checkpoints, _kernel_bytes, mobius_ims_partial_sums
-from .special import (_SLACK, _U, _check_zeta_range, _g_k_given_zeta, _mellin_step_pk_bound, f_k,
-                      g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta)
-from .weights import ClassificationResult, ProbeResult
+from .special import (_SLACK, _U, ZetaValue, _check_zeta_range, _g_k_given_zeta, _mellin_step_pk_bound,
+                      f_k, g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta)
+from .weights import (ClassificationResult, ProbeResult, classify, extremal_probe, parse_subsequence,
+                      parse_weight_family)
 
 __all__ = [
     "ConvergenceRecord",
@@ -70,6 +75,9 @@ __all__ = [
     "run_lambda_sweep",
     "run_pointwise_approx",
     "run_mellin_verify",
+    "run_weights_classify",
+    "run_weights_probe",
+    "run_zeta",
     "write_convergence_csv",
     "write_lambda_csv",
     "write_approx_csv",
@@ -160,6 +168,12 @@ def rerun(manifest: ExperimentManifest):
         return run_pointwise_approx(grid, p["n_list"])
     if name == "mellin_verify":
         return run_mellin_verify(p["k_list"], complex(*p["s"]))
+    if name in ("weights_classify", "weights_table1"):
+        return run_weights_classify(p["families"])
+    if name == "weights_probe":
+        return run_weights_probe(p["family"], p["r"], p["subsequence"], p["count"])
+    if name == "zeta":
+        return run_zeta(complex(*p["s"]))
     raise ValueError(f"unknown experiment {name!r}")
 
 
@@ -182,16 +196,18 @@ def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
 def _convergence_records(
     norm_kind: str, param: float, n_list: Sequence[int], coeff_cutoff: int,
     row: Callable[[int, CoefficientBlocks, MobiusTable], tuple[float, float]], warning: str | None = None,
-    row_memory: tuple[int, str] | None = None,
+    row_memory: int = 0,
 ) -> list[ConvergenceRecord]:
     """One record per n of ``row(n, coeffs, table) -> (value, tail_bound)``.
 
     ``n_list`` and the cutoff are checked first, the kernel's buffers
     against physical memory included (``series._check_checkpoints``).
-    ``row_memory``, if any, is (bytes, name) of the buffers ``row``
-    allocates besides the kernel's; then the kernel's bytes and these are
-    checked as one sum.  Only then is ``table`` sieved, to the largest n
-    and no further.  n must stay below 2^31, the cap of ``build_mobius``.
+    ``row_memory`` is the bytes of the buffers ``row`` allocates besides
+    the kernel's.  Then everything the run holds at once is checked as one
+    sum: the Möbius table to the largest n and its sieve segments
+    (``arith.build_mobius``), the kernel's buffers and ``row_memory``.
+    Only then is ``table`` sieved, to the largest n and no further.  n
+    must stay below 2^31, the cap of ``build_mobius``.
     ``coeffs`` is ``mobius_ims_partial_sums`` at n, a ``CoefficientBlocks``;
     a record's wall time covers the kernel's advance to n and the row.
     ``row`` may read ``coeffs`` in as many passes as it needs and modify
@@ -206,10 +222,9 @@ def _convergence_records(
     if top >= 2**31:
         raise ValueError(f"n = {top} too large: the Möbius table needs n < 2^31")
     _check_checkpoints(ns, coeff_cutoff)
-    if row_memory:
-        need, name = row_memory
-        _check_memory(_kernel_bytes(coeff_cutoff) + need, f"coeff_cutoff = {coeff_cutoff}",
-                      f"partial-sum buffers and {name}")
+    need = top + 1 + _sieve_bytes(top) + _kernel_bytes(coeff_cutoff) + row_memory
+    _check_memory(need, f"n = {top} with coeff_cutoff = {coeff_cutoff}",
+                  "Möbius table, sieve segments, partial-sum and row buffers")
     table = build_mobius(top)
     partial_sums = mobius_ims_partial_sums(ns, coeff_cutoff, table)
     if warning:
@@ -321,8 +336,7 @@ def run_lq_convergence(
             raise ValueError("all coefficients must be finite")
         return value, lq_tail_bound(q, n, coeff_cutoff, table)
 
-    # The row allocates nothing that grows with the cutoff, so the
-    # kernel's own guard on its buffers is the row's memory guard.
+    # The row allocates nothing that grows with the cutoff.
     return _convergence_records("lq", q, n_list, coeff_cutoff, row)
 
 
@@ -361,9 +375,9 @@ def run_hp_convergence(
     >= 16) with its transform buffers on their own
     (``norms._two_level_bytes``), the kernel's 2 (coeff_cutoff + 1) bytes
     and block buffers on their own (``series._kernel_bytes``), then both
-    as one sum, since the row holds the kernel's buffers while it
-    transforms.  No array of coeff_cutoff + 1 floats exists.  A node
-    count below coeff_cutoff + 1 undersamples the series; once every
+    with the Möbius table as one sum, since the row holds all of them
+    while it transforms.  No array of coeff_cutoff + 1 floats exists.  A
+    node count below coeff_cutoff + 1 undersamples the series; once every
     argument has passed, the run then warns once (``QuadratureWarning``)
     and the records are computed as usual.
     """
@@ -377,8 +391,7 @@ def run_hp_convergence(
         return value, abs(value - refined)
 
     warning = _undersampling(nodes, coeff_cutoff)
-    memory = (_two_level_bytes(nodes), f"the transform buffers of nodes = {nodes}")
-    return _convergence_records("hp", p, n_list, coeff_cutoff, row, warning, memory)
+    return _convergence_records("hp", p, n_list, coeff_cutoff, row, warning, _two_level_bytes(nodes))
 
 
 def _running_sums(residual: CoefficientBlocks) -> Iterator[np.ndarray]:
@@ -488,6 +501,21 @@ def run_mellin_verify(k_list: Iterable[int], s: complex) -> list[MellinRecord]:
     bounds = [_mellin_step_pk_bound(k, s) for k in ks]
     errs = [abs(mellin_step_pk(k, s) - f_k(k, s)) for k in ks]
     return [MellinRecord(k, s, err, b, err <= b) for k, err, b in zip(ks, errs, bounds)]
+
+
+def run_weights_classify(families: Sequence[str]) -> list[ClassificationResult]:
+    """The strip of each family, given as ``parse_weight_family`` text (``weights.classify``)."""
+    return [classify(parse_weight_family(text)) for text in families]
+
+
+def run_weights_probe(family: str, r: float, subsequence: str, count: int) -> ProbeResult:
+    """``weights.extremal_probe`` of a family and subsequence given as text (``parse_subsequence``)."""
+    return extremal_probe(parse_weight_family(family), r, parse_subsequence(subsequence), count)
+
+
+def run_zeta(s: complex) -> ZetaValue:
+    """zeta(s) with its proved absolute ``error_bound`` (``special.zeta``)."""
+    return zeta(s)
 
 
 # ----------------------------------------------------------------------------

@@ -44,6 +44,7 @@ __all__ = [
     "ClassificationResult",
     "ProbeResult",
     "parse_weight_family",
+    "parse_subsequence",
     "c4_halfplane",
     "rm_is_bounded",
     "rm_sequence",
@@ -135,15 +136,11 @@ class WeightFamily:
     @property
     def params(self) -> str:
         names = _KINDS[self.kind]
-        return ",".join(_fmt(getattr(self, name)) for name in names)
+        return ",".join(repr(float(getattr(self, name))) for name in names)
 
     @property
     def label(self) -> str:
         return self.kind if not self.params else f"{self.kind}:{self.params}"
-
-
-def _fmt(x: float) -> str:
-    return format(x, "g")
 
 
 def parse_weight_family(text: str) -> WeightFamily:
@@ -160,6 +157,19 @@ def parse_weight_family(text: str) -> WeightFamily:
         raise ValueError(f"family {kind!r} expects parameters {want or '(none)'}, got {rest!r}")
     values = {name: float(part) for name, part in zip(names, parts)}
     return WeightFamily(kind=kind, **values)
+
+
+def parse_subsequence(text: str) -> Iterator[int]:
+    """Parse ``all | primes | arith:START,STEP`` into its index generator."""
+    text = text.strip().lower()
+    if text == "all":
+        return all_integers()
+    if text == "primes":
+        return prime_indices()
+    if text.startswith("arith:"):
+        start_text, _, step_text = text[len("arith:") :].partition(",")
+        return arithmetic_progression(int(start_text), int(step_text))
+    raise ValueError(f"unknown subsequence {text!r} (want all | primes | arith:START,STEP)")
 
 
 @dataclass(frozen=True)
@@ -313,27 +323,19 @@ def classify(family: WeightFamily) -> ClassificationResult:
     )
 
 
-# Representative parameter choices covering every classification row; the
-# labels do not depend on the parameter within each allowed range.
-TABLE_FAMILIES: tuple[WeightFamily, ...] = (
-    WeightFamily("identity"),
-    WeightFamily("power", alpha=1.0),
-    WeightFamily("powerlog", alpha=1.0, beta=1.0),
-    WeightFamily("quasiexp", alpha=1.0),
-    WeightFamily("stretchedexp", alpha=0.5),
-    WeightFamily("geometric", eps=0.5),
-    WeightFamily("superexp", alpha=2.0),
-)
-
-# The strip each kind of TABLE_FAMILIES classifies into (``weights table1 --check``).
+# One representative family of every kind, by label, and the strip it
+# classifies into (``weights table1 --check``); the strips do not depend
+# on the parameter within each allowed range.
 TABLE1_STRIPS: dict[str, str] = {
-    "identity": "Right", "power": "Right", "powerlog": "Right", "quasiexp": "None",
-    "stretchedexp": "None", "geometric": "Left", "superexp": "Left",
+    "identity": "Right", "power:1.0": "Right", "powerlog:1.0,1.0": "Right", "quasiexp:1.0": "None",
+    "stretchedexp:0.5": "None", "geometric:0.5": "Left", "superexp:2.0": "Left",
 }
+TABLE_FAMILIES: tuple[WeightFamily, ...] = tuple(map(parse_weight_family, TABLE1_STRIPS))
 
 
 @dataclass(frozen=True)
 class ProbeResult:
+    family: WeightFamily
     indices: np.ndarray
     ratios: np.ndarray
 
@@ -384,7 +386,7 @@ def extremal_probe(
     nf = idx.astype(np.float64)
     with np.errstate(over="ignore"):
         ratios = np.exp(family.log_w(nf) - (r - 0.5) * np.log(nf))
-    return ProbeResult(indices=idx, ratios=ratios)
+    return ProbeResult(family, idx, ratios)
 
 
 # Largest segment of prime_indices: 32 KiB of bool, at most about 1 MB with

@@ -47,6 +47,7 @@ from zfhp.experiments import (
     write_approx_csv,
     write_convergence_csv,
     write_lambda_csv,
+    write_probe_csv,
 )
 from zfhp.weights import WeightFamily, all_integers, extremal_probe
 
@@ -348,6 +349,11 @@ def test_criterion_12_determinism():
         (
             build_manifest("pointwise_approx", s_grid=[[2.0, 0.0]], n_list=[10, 100]),
             write_approx_csv,
+            False,
+        ),
+        (
+            build_manifest("weights_probe", family="power:0.25", r=0.75, subsequence="primes", count=1000),
+            write_probe_csv,
             False,
         ),
     ]

@@ -4,6 +4,8 @@ import inspect
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +20,7 @@ import zfhp.cli
 import zfhp.experiments
 from zfhp.cli import main, parse_complex, parse_int_range, parse_s_grid
 from zfhp.errors import ConditioningError
+from zfhp.arith import _sieve_bytes
 from zfhp.experiments import (
     ExperimentManifest,
     rerun,
@@ -25,6 +28,8 @@ from zfhp.experiments import (
     write_convergence_csv,
     write_lambda_csv,
     write_mellin_csv,
+    write_probe_csv,
+    write_weights_csv,
 )
 from zfhp.norms import QuadratureWarning, _two_level_bytes
 from zfhp.series import _DIVIDE_BLOCK, _kernel_bytes
@@ -232,6 +237,17 @@ class TestExitCodes:
         assert "empty integer list" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["approx", "--s", "2", "--n", "100"], ["weights", "table1"]],
+                             ids=["approx", "weights"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_an_invalid_argument(self, argv, target, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+        assert main([*argv, "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"invalid arguments: cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_mellin_conditioning_error_leaves_no_csv(self, tmp_path, monkeypatch):
         def refuse(k, s):
             raise ConditioningError(f"no accurate value for k={k}")
@@ -418,9 +434,34 @@ class TestConvergenceCommand:
         assert code == 2
         assert out == ""
         # nodes undersample the cutoff, but the run never starts, so no warning
-        assert err.startswith(f"invalid arguments: coeff_cutoff = {cutoff} needs an estimated")
-        assert f"of partial-sum buffers and the transform buffers of nodes = {nodes}," in err
+        assert err.startswith(f"invalid arguments: n = 10 with coeff_cutoff = {cutoff} needs an estimated")
+        assert "of Möbius table, sieve segments, partial-sum and row buffers," in err
         assert err.count("\n") == 1
+
+    def test_moebius_table_checked_with_the_kernel(self, capsys, monkeypatch):
+        # the kernel's 2.00 GiB and the table and sieve's 1.01 GiB each fit
+        # in 2.5 GiB, both together do not
+        n = 2**30
+        monkeypatch.setattr(zfhp.arith, "_physical_bytes", lambda: 5 * 2**29)
+        assert max(_kernel_bytes(n), n + 1 + _sieve_bytes(n)) < 5 * 2**29
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("table or kernel allocated")
+
+        monkeypatch.setattr(zfhp.experiments, "build_mobius", refuse)
+        monkeypatch.setattr(zfhp.experiments, "mobius_ims_partial_sums", refuse)
+        tracemalloc.start()
+        try:
+            code = main(["convergence", "--space", "lq", "--q", "2", "--n", str(n),
+                         "--coeff-cutoff", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"invalid arguments: n = {n} with coeff_cutoff = {n} needs an estimated 3.0 GiB")
+        assert peak < 2**20
 
     def test_lq_row_beyond_memory_refused(self, capsys, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}  # 1 GiB
@@ -516,7 +557,7 @@ class TestOtherCommands:
         assert out.count("None") == 2
 
     def test_weights_table1_check_fails_on_wrong_strip(self, monkeypatch, capsys):
-        real_classify = zfhp.cli.classify
+        real_classify = zfhp.experiments.classify
 
         def wrong_for_geometric(family):
             result = real_classify(family)
@@ -524,7 +565,7 @@ class TestOtherCommands:
                 return result
             return dataclasses.replace(result, strip="Right")
 
-        monkeypatch.setattr(zfhp.cli, "classify", wrong_for_geometric)
+        monkeypatch.setattr(zfhp.experiments, "classify", wrong_for_geometric)
         assert main(["weights", "table1", "--check"]) == 4
         err = capsys.readouterr().err
         assert "geometric" in err and "superexp" not in err
@@ -615,7 +656,7 @@ def _without_wall_time(text):
     return "\n".join(lines)
 
 
-# One command per experiment the CLI builds a manifest for, with its CSV writer.
+# One command per experiment that writes CSV, with its CSV writer.
 EXPERIMENT_COMMANDS = [
     (["convergence", "--space", "lq", "--q", "1.5", "--n", "10,100",
       "--coeff-cutoff", "1000"], write_convergence_csv),
@@ -625,8 +666,13 @@ EXPERIMENT_COMMANDS = [
      write_lambda_csv),
     (["approx", "--s", "0.8+3i", "--n", "100,10,1000"], write_approx_csv),
     (["mellin", "verify", "--k", "1..4", "--s", "2+1i"], write_mellin_csv),
+    (["weights", "classify", "--family", "powerlog:0.25,2"], write_weights_csv),
+    (["weights", "table1"], write_weights_csv),
+    (["weights", "probe", "--family", "power:0.25", "--r", "0.7", "--subsequence", "primes",
+      "--count", "1000"], write_probe_csv),
 ]
-EXPERIMENT_IDS = ["lq", "hp", "lambda", "approx", "mellin"]
+EXPERIMENT_IDS = ["lq", "hp", "lambda", "approx", "mellin", "weights-classify", "weights-table1",
+                  "weights-probe"]
 
 
 @pytest.mark.parametrize("argv, writer", EXPERIMENT_COMMANDS, ids=EXPERIMENT_IDS)
@@ -644,14 +690,30 @@ def test_sidecar_reproduces_cli_output(tmp_path, argv, writer):
     assert _without_wall_time(rendered.getvalue()) == _without_wall_time(out.open(newline="").read())
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in EXPERIMENT_COMMANDS], ids=EXPERIMENT_IDS)
+class _Built(Exception):
+    """Raised by a stand-in for ``rerun`` once it has recorded its manifest."""
+
+
+def _built_manifests(argv, monkeypatch) -> list[ExperimentManifest]:
+    """The manifests ``main(argv)`` passes to ``rerun``, which then stops the command."""
+    built = []
+
+    def record(manifest):
+        built.append(manifest)
+        raise _Built
+
+    monkeypatch.setattr(zfhp.cli, "rerun", record)
+    with pytest.raises(_Built):
+        main(argv)
+    return built
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in EXPERIMENT_COMMANDS] + [["zeta", "--s", "2+1i"]],
+                         ids=[*EXPERIMENT_IDS, "zeta"])
 def test_manifest_parameters_are_the_runner_parameters(argv, monkeypatch):
     # one path from the CLI to a runner: every manifest parameter is a
     # parameter of the runner that rerun calls, and nothing else is
-    built = []
-    monkeypatch.setattr(zfhp.cli, "rerun", lambda manifest: built.append(manifest) or [])
-    assert main(argv) == 0
-    (manifest,) = built
+    (manifest,) = _built_manifests(argv, monkeypatch)
     called = []
     for name in (n for n in zfhp.experiments.__all__ if n.startswith("run_")):
         runner = getattr(zfhp.experiments, name)
@@ -659,6 +721,27 @@ def test_manifest_parameters_are_the_runner_parameters(argv, monkeypatch):
     rerun(manifest)
     (runner,) = called
     assert sorted(manifest.parameters) == sorted(inspect.signature(runner).parameters)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``zfhp`` line in the README's command-line ``sh`` block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("zfhp ")]
+
+
+def test_every_readme_command_builds_one_manifest(monkeypatch):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"convergence", "lambda", "approx", "weights", "mellin", "zeta"}
+    for argv in commands:
+        assert len(_built_manifests(argv, monkeypatch)) == 1, argv
+
+
+def test_cli_computes_nothing_itself():
+    # the weight and zeta results reach the CLI only through rerun
+    imported = [name for name, obj in vars(zfhp.cli).items()
+                if callable(obj) and getattr(obj, "__module__", "") in ("zfhp.weights", "zfhp.special")]
+    assert imported == []
 
 
 def _run_python(code: str) -> subprocess.CompletedProcess:

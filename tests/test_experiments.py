@@ -466,7 +466,7 @@ class TestCsvOutput:
         results = [classify(WeightFamily("powerlog", alpha=1.0, beta=1.0))]
         rows = csv_rows(write_weights_csv, results)
         assert list(rows[0]) == ["family", "params", "c4_r", "rm_bounded", "strip"]
-        assert rows[0]["params"] == "1,1"  # comma-carrying field survives round trip
+        assert rows[0]["params"] == "1.0,1.0"  # comma-carrying field survives round trip
         assert rows[0]["strip"] == "Right"
 
     def test_probe_csv(self):

@@ -19,6 +19,7 @@ from zfhp.weights import (
     _rm_tail,
     all_integers,
     arithmetic_progression,
+    parse_subsequence,
     prime_indices,
     rm_is_bounded,
 )
@@ -38,17 +39,27 @@ ACCEPTANCE_FAMILIES = [
 
 class TestWeightFamily:
     def test_parse_round_trip(self):
-        for text in (
-            "identity",
-            "power:0.25",
-            "powerlog:1,2",
-            "quasiexp:1",
-            "stretchedexp:0.5",
-            "geometric:0.5",
-            "superexp:2",
+        for text, label in (
+            ("identity", "identity"),
+            ("power:0.25", "power:0.25"),
+            ("powerlog:1,2", "powerlog:1.0,2.0"),
+            ("quasiexp:1", "quasiexp:1.0"),
+            ("stretchedexp:0.5", "stretchedexp:0.5"),
+            ("geometric:0.5", "geometric:0.5"),
+            ("superexp:2", "superexp:2.0"),
         ):
             fam = parse_weight_family(text)
-            assert fam.label == text
+            assert fam.label == label
+            assert parse_weight_family(fam.label) == fam
+
+    def test_label_keeps_every_digit(self):
+        # parameters that agree to six significant digits print apart
+        a, b = parse_weight_family("power:0.123456789"), parse_weight_family("power:0.1234571")
+        assert (a.params, b.params) == ("0.123456789", "0.1234571")
+        awkward = [WeightFamily("power", alpha=0.25000001), WeightFamily("powerlog", alpha=1 / 3, beta=0.1),
+                   WeightFamily("geometric", eps=1 - 2**-40), WeightFamily("superexp", alpha=np.float64(1.1))]
+        for fam in [*ACCEPTANCE_FAMILIES, *TABLE_FAMILIES, *awkward]:
+            assert parse_weight_family(fam.label) == fam, fam.label
 
     def test_parse_errors(self):
         for text in ("nope", "power", "power:0", "power:1,2", "geometric:1.5", "superexp:0.5"):
@@ -289,6 +300,14 @@ class TestExtremalProbe:
         result = extremal_probe(WeightFamily("identity"), 0.75, all_integers(), 10)
         assert np.all(np.diff(result.cumulative_min()) <= 0)
         assert np.all(result.cumulative_max() == 1.0)
+
+
+def test_parse_subsequence():
+    for text, first in (("all", [1, 2, 3]), ("Primes", [2, 3, 5]), ("arith:3,4", [3, 7, 11])):
+        assert list(itertools.islice(parse_subsequence(text), 3)) == first
+    for text in ("bogus", "arith:0,2", "arith:3"):
+        with pytest.raises(ValueError):
+            parse_subsequence(text)
 
 
 def test_subsequence_generators():
