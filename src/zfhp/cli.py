@@ -19,13 +19,15 @@ filters the caller set.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import warnings
 from pathlib import Path
 
-from .arith import _check_memory
 from .errors import ConditioningError, DomainError
 from .experiments import (
+    _check_record_memory,
     build_manifest,
     rerun,
     write_approx_csv,
@@ -83,11 +85,31 @@ def parse_s_grid(text: str) -> list[complex]:
     return [complex(re, im) for re in res for im in ims]
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before the run, an ``--out`` that is a directory or whose directory is missing or read-only.
+
+    The file is not opened here: a run that then fails leaves no CSV
+    behind.  ``_emit`` still refuses what this cannot see in advance,
+    such as a full disk.
+    """
+    target = Path(path)
+    if target.is_dir():
+        error = errno.EISDIR
+    elif not target.parent.is_dir():
+        error = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    elif not os.access(target.parent, os.W_OK):
+        error = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {os.strerror(error)}")
+
+
 def _emit(path: str | None, writer, records, manifest) -> None:
     """``records`` as CSV on stdout, or in ``path`` with the manifest in its sidecar.
 
     A file that cannot be written is an invalid ``--out``: the ``OSError``
-    becomes a ``ValueError`` that names the path.
+    becomes a ``ValueError`` that names the path.  ``_check_out`` has
+    refused the foreseeable cases before the run.
     """
     if path is None:
         writer(records, sys.stdout)
@@ -131,19 +153,9 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     return _check(args, rising and "values are not strictly decreasing")
 
 
-# Bytes per record, checked before --k is made a list: per (k, s) of lambda,
-# a GeneratorEvaluation and a LambdaRecord (an object and its attribute dict,
-# about 150 bytes each, a complex and floats) and their list slots, under 512
-# (tracemalloc: 346); per k, its int, list slot and manifest JSON text, under
-# 64; per k of mellin verify, a MellinRecord, two floats and slots, under 256
-# (tracemalloc: 194).
-_LAMBDA_PAIR_BYTES, _K_BYTES, _MELLIN_K_BYTES = 512, 64, 256
-
-
 def _cmd_lambda(args: argparse.Namespace) -> int:
     k_range, grid = parse_int_range(args.k), parse_s_grid(args.s_grid)
-    need = len(k_range) * (_LAMBDA_PAIR_BYTES * len(grid) + _K_BYTES)
-    _check_memory(need, f"--k {args.k}", "lambda records")
+    _check_record_memory(len(k_range), f"--k {args.k}", len(grid))
     s_grid = [[s.real, s.imag] for s in grid]
     manifest = build_manifest(
         "lambda_sweep", k_list=list(k_range), s_grid=s_grid, coeff_cutoff=args.coeff_cutoff
@@ -163,7 +175,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 def _cmd_mellin_verify(args: argparse.Namespace) -> int:
     k_range, s = parse_int_range(args.k), parse_complex(args.s)
-    _check_memory(len(k_range) * (_MELLIN_K_BYTES + _K_BYTES), f"--k {args.k}", "mellin records")
+    _check_record_memory(len(k_range), f"--k {args.k}")
     manifest = build_manifest("mellin_verify", k_list=list(k_range), s=[s.real, s.imag])
     records = _run(args, manifest, write_mellin_csv)
     bad = sum(not r.ok for r in records)
@@ -280,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         with warnings.catch_warnings():
             warnings.simplefilter("always", QuadratureWarning)
             warnings.showwarning = _print_warning

@@ -413,8 +413,31 @@ def _running_sums(residual: CoefficientBlocks) -> Iterator[np.ndarray]:
         yield block
 
 
+# Bytes per record, checked before a list of k is built or read: per (k, s)
+# of lambda, a GeneratorEvaluation and a LambdaRecord (an object and its
+# attribute dict, about 150 bytes each, a complex and floats) and their list
+# slots, under 512 (tracemalloc: 346); per k, its int, list slot and
+# manifest JSON text, under 64; per k of mellin verify, a MellinRecord, two
+# floats and slots, under 256 (tracemalloc: 194).
+_LAMBDA_PAIR_BYTES, _K_BYTES, _MELLIN_K_BYTES = 512, 64, 256
+
+
+def _check_record_memory(k_count: int, subject: str, grid_size: int | None = None) -> None:
+    """Refuse ``k_count`` values of k whose records exceed physical memory.
+
+    The records of ``run_lambda_sweep`` over ``grid_size`` points s, or of
+    ``run_mellin_verify`` when ``grid_size`` is None.  The CLI calls this
+    on the ``--k`` range before it becomes a list, and the runners on their
+    ``k_list`` before any record is built.
+    """
+    if grid_size is None:
+        _check_memory(k_count * (_MELLIN_K_BYTES + _K_BYTES), subject, "mellin records")
+    else:
+        _check_memory(k_count * (_LAMBDA_PAIR_BYTES * grid_size + _K_BYTES), subject, "lambda records")
+
+
 def run_lambda_sweep(
-    k_list: Iterable[int],
+    k_list: Sequence[int],
     s_grid: Iterable[complex],
     coeff_cutoff: int,
 ) -> list[LambdaRecord]:
@@ -435,10 +458,12 @@ def run_lambda_sweep(
 
     Grid points must satisfy Re(s) > 1/2 (the functionals are bounded on
     the underlying Hardy-Hilbert space only there), s != 1 (pole) and
-    |s| <= 2^20 (the range of ``zeta``); like the memory guard of the
-    degree, these are checked before any buffer is built.
+    |s| <= 2^20 (the range of ``zeta``); like the memory guards of the
+    records (``_check_record_memory``) and of the degree, these are checked
+    before any buffer is built.
     """
     grid = _check_grid(s_grid)
+    _check_record_memory(len(k_list), f"k_list of {len(k_list)} values", len(grid))
     records: list[LambdaRecord] = []
     evaluations = lambda_hk_truncated(k_list, grid, coeff_cutoff)
     zetas = {s: zeta(s) for s in dict.fromkeys(grid)}
@@ -486,21 +511,22 @@ def run_pointwise_approx(s_grid: Iterable[complex], n_list: Sequence[int]) -> li
     return records
 
 
-def run_mellin_verify(k_list: Iterable[int], s: complex) -> list[MellinRecord]:
+def run_mellin_verify(k_list: Sequence[int], s: complex) -> list[MellinRecord]:
     """|M[p_k](s) - f_k(s)| per k (``mellin_step_pk``), ok when at most its bound.
 
     ``bound`` is B(k, s) of ``special._mellin_step_pk_bound``: while both
     values are within their proved rounding of f_k(s), the computed
     difference is at most B, so ok = false contradicts the identity.
-    Every k is checked against the range of that proof before any value
-    is computed.
+    Every k is checked against the range of that proof, and the records
+    against physical memory (``_check_record_memory``), before any value is
+    computed.
     """
-    ks = list(k_list)
-    if not ks:
+    if not k_list:
         raise ValueError("k_list must not be empty")
-    bounds = [_mellin_step_pk_bound(k, s) for k in ks]
-    errs = [abs(mellin_step_pk(k, s) - f_k(k, s)) for k in ks]
-    return [MellinRecord(k, s, err, b, err <= b) for k, err, b in zip(ks, errs, bounds)]
+    _check_record_memory(len(k_list), f"k_list of {len(k_list)} values")
+    bounds = [_mellin_step_pk_bound(k, s) for k in k_list]
+    errs = [abs(mellin_step_pk(k, s) - f_k(k, s)) for k in k_list]
+    return [MellinRecord(k, s, err, b, err <= b) for k, err, b in zip(k_list, errs, bounds)]
 
 
 def run_weights_classify(families: Sequence[str]) -> list[ClassificationResult]:

@@ -7,11 +7,14 @@ Quadrature nodes sit at half-step offsets 2 pi (j + 1/2)/nodes, so z = 1 is
 never sampled; evaluation at all nodes is exact (coefficient folding plus
 one FFT), and the only quadrature error is in the mean itself.
 
-``boundary_values`` takes complex coefficients, for the inequality
-battery.  ``two_level_means`` serves the H^p convergence runner:
-for real coefficients it returns the p-means at M and 2M nodes from three
-DFTs of M/2 points, one per residue mod 8 of the node indices the means
-read (the other residues are their conjugates).  Each is a four-step FFT
+There is one transform.  ``two_level_means`` serves the H^p convergence
+runner: for real coefficients it returns the p-means at M and 2M nodes
+from three DFTs of M/2 points, slices, one per residue mod 8 of the node
+indices the means read (the other residues are their conjugates).
+``boundary_values``, behind the inequality battery, returns the M node
+values themselves from the slice of the M-node level: once for real
+coefficients, once for each of their real and imaginary parts for complex
+ones.  Each slice is a four-step FFT
 on a 2-D view of its buffer (batched short transforms down the columns, a
 separable twiddle, batched short transforms along the rows), so no
 transform runs on a 1-D array of M/2 points and no twiddle table has M
@@ -78,21 +81,54 @@ def half_offset_points(nodes: int) -> np.ndarray:
 
 
 def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
-    """Exact values of f at exp(2 pi i (j + 1/2)/nodes).
+    """Exact values of f at exp(2 pi i (j + 1/2)/M), j < M = ``nodes``.
 
-    Coefficients are phase-shifted by exp(i pi m / nodes), folded modulo
-    the node count, and transformed; this is an exact polynomial
-    evaluation, not an approximation.
+    This is an exact polynomial evaluation, not an approximation: its only
+    error is rounding.  In the notation of ``two_level_means``, node j is
+    exp(2 pi i (4j + 2)/4M) = omega^(-(4j + 2)), so f there is
+    X_(4M - 4j - 2) = X_(4j' + 2) with j' = M - 1 - j.  The slice s = 2
+    holds X_(8k + 2), k < M/2: the value at node M - 1 - 2k, the odd
+    nodes.  For real a, X_(4M - l) = conj(X_l), and
+    4M - (8k + 2) = 4 (M - 1 - 2k) + 2 is node 2k: the even nodes are the
+    conjugates of the same slice.  Complex a = b + i c runs b and c
+    through the slice one after the other, in one buffer, and
+    f = f_b + i f_c: S_b + i S_c at the odd nodes and
+    conj(S_b) + i conj(S_c) at the even ones, each part of the sum one
+    rounding.  The slice's entry [k1, k2] is X_(8k + 2) for
+    k = k1 + L1 k2, so its transpose is entry k2 L1 + k1 of a C-ordered
+    (L2, L1) view of either half of the output.
+
+    Memory: ``_two_level_bytes`` bounds the buffer, fold scratch, tables
+    and FFT work of the slice (and a magnitude block that this function
+    does not take), and the output is 16 bytes per node.  The node
+    mapping writes the slice's transpose through views of the output
+    strided by 2, with no copy, so ``_two_level_bytes(M) + 16 M`` bytes
+    bound the peak, and a node count whose charge exceeds physical memory
+    is refused before anything is allocated.
     """
     _validate_nodes(nodes)
-    a = np.asarray(f.coeffs, dtype=np.complex128)
-    m = np.arange(a.size, dtype=np.float64)
-    phased = a * np.exp(1j * math.pi * m / nodes)
-    pad = (-phased.size) % nodes
-    if pad:
-        phased = np.concatenate([phased, np.zeros(pad, dtype=np.complex128)])
-    folded = phased.reshape(-1, nodes).sum(axis=0)
-    return np.fft.ifft(folded) * nodes
+    _check_memory(_two_level_bytes(nodes) + 16 * nodes, f"nodes = {nodes}", "transform buffers")
+    level = _tables(nodes)[_SLICES.index(2)]
+    rows, cols = level[0]
+    buf = np.empty(nodes // 2, dtype=np.complex128)
+    scratch = np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, nodes // 2))
+    out = np.empty(nodes, dtype=np.complex128)
+    odd, even = out[::-2].reshape(cols, rows), out[::2].reshape(cols, rows)
+    a = f.coeffs
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    for i, part in enumerate(parts):
+        for _ in _slice(CoefficientBlocks.of_array(part), 2, level, buf, scratch):
+            pass
+        y = buf.reshape(rows, cols).T
+        if i == 0:
+            odd[...] = y
+            np.conjugate(y, out=even)
+        else:
+            odd.real -= y.imag
+            odd.imag += y.real
+            even.real += y.imag
+            even.imag += y.real
+    return out
 
 
 def _p_mean(values: np.ndarray, p: float) -> float:
@@ -367,6 +403,24 @@ def _fold(a: CoefficientBlocks, shift: int, out: np.ndarray, scratch: np.ndarray
                 (np.add if sign > 0 else np.subtract)(part, piece, out=part)
 
 
+def _slice(
+    coeffs: CoefficientBlocks, shift: int, level: tuple, buf: np.ndarray, scratch: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Slice s = ``shift`` of ``two_level_means`` in ``buf``, from its entry ``level`` of ``_tables``.
+
+    Folds ``coeffs`` into ``buf`` (``_fold``), scales the rows of its
+    (L1, L2) view by the pre-twiddle column and runs ``_four_step`` on it,
+    yielding each block of rows of the view once it holds its output:
+    entry [k1, k2] is X_(8 (k1 + L1 k2) + s).
+    """
+    shape, column, *middle = level
+    _fold(coeffs, shift, buf, scratch)
+    y = buf.reshape(shape)
+    y *= column
+    for lo, hi in _four_step(y, *middle):
+        yield y[lo:hi]
+
+
 def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int) -> tuple[float, float]:
     """p-means of |f| at M = ``nodes`` and at 2M half-offset nodes, for real coefficients.
 
@@ -434,13 +488,10 @@ def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int
     buf = np.empty(nodes // 2, dtype=np.complex128)
     scratch = np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, nodes // 2))
     sums = {}
-    for shift, (shape, column, *middle) in zip(_SLICES, tables):
-        _fold(coeffs, shift, buf, scratch)
-        y = buf.reshape(shape)
-        y *= column
+    for shift, level in zip(_SLICES, tables):
         sums[shift] = []
-        for lo, hi in _four_step(y, *middle):
-            mags = np.abs(y[lo:hi])
+        for block in _slice(coeffs, shift, level, buf, scratch):
+            mags = np.abs(block)
             mags **= p
             sums[shift].append(float(np.sum(mags)))
     coarse = exact_sum(sums[2]) / (nodes // 2)
@@ -530,8 +581,8 @@ def _undersampling(nodes: int, degree: int) -> str | None:
 
 
 def sup_norm_estimate(f: TruncatedSeries, nodes: int | None = None) -> float:
-    """max_j |f| over the half-offset nodes (the p -> infinity limit)."""
-    return float(np.max(np.abs(boundary_values(f, _node_count(f, nodes)))))
+    """max_j |f| over the half-offset nodes (the p -> infinity limit); warns as ``hp_norm_estimate`` does."""
+    return float(np.max(np.abs(_sampled_boundary(f, nodes))))
 
 
 def duren_coefficient_check(

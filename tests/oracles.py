@@ -31,6 +31,13 @@ s per pass.
 ``prime_indices_incremental`` is the dictionary sieve that the segmented
 sieve of ``zfhp.weights.prime_indices`` replaced.
 
+``boundary_values_ifft`` is the evaluation at the half-offset nodes that
+``zfhp.norms.boundary_values`` replaced with the slice s = 2 of
+``zfhp.norms.two_level_means``, moved here verbatim: the coefficients
+times a phase table of one complex per coefficient, folded modulo the
+node count and transformed by one 1-D ``np.fft.ifft``.  It is the
+per-level oracle of both.
+
 ``two_level_means_rfft`` is the first H^p two-level transform: one real
 FFT of all 4M points of the fold modulo 4M, read at the indices of both
 levels.  ``two_level_means_pruned`` is the transform that replaced it and
@@ -85,8 +92,8 @@ from typing import Iterable
 from zfhp import ConditioningError, DomainError, PoleError, zeta
 from zfhp.special import _cexpm1, require_right_half_plane
 from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _four_step, _level, _product_tables, _roots,
-                        _twiddle)
-from zfhp.series import _DIVIDE_BLOCK
+                        _twiddle, _validate_nodes)
+from zfhp.series import _DIVIDE_BLOCK, TruncatedSeries
 from zfhp.arith import (
     _SIEVE_BLOCK,
     _check_memory,
@@ -368,6 +375,24 @@ def prime_indices_incremental():
             for p in witnesses.pop(q):
                 witnesses.setdefault(p + q, []).append(p)
         q += 1
+
+
+def boundary_values_ifft(f: TruncatedSeries, nodes: int) -> np.ndarray:
+    """Exact values of f at exp(2 pi i (j + 1/2)/nodes).
+
+    Coefficients are phase-shifted by exp(i pi m / nodes), folded modulo
+    the node count, and transformed; this is an exact polynomial
+    evaluation, not an approximation.
+    """
+    _validate_nodes(nodes)
+    a = np.asarray(f.coeffs, dtype=np.complex128)
+    m = np.arange(a.size, dtype=np.float64)
+    phased = a * np.exp(1j * math.pi * m / nodes)
+    pad = (-phased.size) % nodes
+    if pad:
+        phased = np.concatenate([phased, np.zeros(pad, dtype=np.complex128)])
+    folded = phased.reshape(-1, nodes).sum(axis=0)
+    return np.fft.ifft(folded) * nodes
 
 
 def two_level_means_rfft(coeffs, p: float, nodes: int) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -38,6 +39,21 @@ def test_one_summation_path():
     home = Path(inspect.getsourcefile(exact_parts))
     users = [path.name for path in sorted(home.parent.glob("*.py")) if "fsum" in path.read_text()]
     assert users == [home.name]
+
+
+def test_one_transform_path():
+    # every DFT in the package is a batch of short transforms in
+    # norms._four_step; a second path, such as a 1-D np.fft.ifft of the
+    # boundary values, fails here
+    home = Path(inspect.getsourcefile(exact_parts)).parent
+    users = []
+    for path in sorted(home.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        users += [(path.stem, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "fft" and isinstance(node.value, ast.Name)
+                  or isinstance(node, ast.alias) and node.name.split(".")[-1] == "fft"]
+    assert users == [("norms", "_four_step")] * 2
 
 
 def test_no_scipy_in_the_package():

@@ -248,6 +248,19 @@ class TestExitCodes:
         assert err.startswith(f"invalid arguments: cannot write {path}: ")
         assert err.count("\n") == 1
 
+    def test_unwritable_out_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def refuse(manifest):
+            raise AssertionError("run started")
+
+        monkeypatch.setattr(zfhp.cli, "rerun", refuse)
+        path = tmp_path / "missing" / "x.csv"
+        argv = ["convergence", "--space", "lq", "--q", "2", "--n", "100,1000,10000",
+                "--coeff-cutoff", "10000000", "--out", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"invalid arguments: cannot write {path}: No such file or directory\n"
+
     def test_mellin_conditioning_error_leaves_no_csv(self, tmp_path, monkeypatch):
         def refuse(k, s):
             raise ConditioningError(f"no accurate value for k={k}")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from zfhp import DomainError, QuadratureWarning, TruncatedSeries, build_mobius, classify, g_k, hk_coeffs, zeta
+import zfhp.arith
 from zfhp import experiments
 from zfhp.experiments import (
     ExperimentManifest,
@@ -316,6 +317,30 @@ class TestLambdaSweep:
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
             run_lambda_sweep([1], [2.0], 100)
+
+
+@pytest.mark.parametrize(
+    "manifest, stage, buffers",
+    [
+        (build_manifest("lambda_sweep", k_list=list(range(2, 5001)), s_grid=[[2.0, 0.0], [2.0, 1.0]],
+                        coeff_cutoff=1000), "lambda_hk_truncated", "lambda records"),
+        (build_manifest("mellin_verify", k_list=list(range(1, 5001)), s=[2.0, 1.0]),
+         "_mellin_step_pk_bound", "mellin records"),
+    ],
+    ids=["lambda", "mellin"],
+)
+def test_rerun_refuses_records_beyond_physical_memory(manifest, stage, buffers, monkeypatch):
+    # a sidecar's manifest meets the record guard of the command line:
+    # 4999 k over two s need 5.4 MB of lambda records, 5000 k of mellin
+    # verify 1.6 MB, on a machine of 1 MiB
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{stage} reached")
+
+    monkeypatch.setattr(zfhp.arith, "_physical_bytes", lambda: 2**20)
+    monkeypatch.setattr(experiments, stage, refuse)
+    with pytest.raises(ValueError, match=f"k_list of {len(manifest.parameters['k_list'])} values needs "
+                                         f"an estimated .* of {buffers}"):
+        rerun(manifest)
 
 
 class TestPointwiseApprox:

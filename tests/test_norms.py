@@ -1,11 +1,11 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import zfhp.arith
 import zfhp.norms
 from zfhp import (
     ConditioningError,
@@ -38,7 +38,9 @@ from zfhp.norms import (
 from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks
 
 from oracles import (
+    boundary_values_ifft,
     fold_periods,
+    p_mean,
     two_level_means_four_step,
     two_level_means_one_buffer,
     two_level_means_pruned,
@@ -127,7 +129,42 @@ class TestLqNorm:
             assert lhs <= rhs * (1 + 1e-12)
 
 
+# Coefficient counts against the node count M: below, equal to and above
+# it, and folds of several segments of M/2 (the slices) or of M
+LENGTHS = {
+    "below": lambda m: m - 5,
+    "equal": lambda m: m,
+    "between": lambda m: 2 * m + m // 2 + 3,
+    "above": lambda m: 12 * m + m // 2 + 7,
+    "fold_once": lambda m: 4 * m,
+    "fold_twice": lambda m: 8 * m,
+}
+
+
 class TestBoundaryValues:
+    # 1030 splits L = M/2 = 515 as 5 x 103; 2062 is twice a prime, so its
+    # slice is one transform of L = 1031 points, which pocketfft may run as
+    # Bluestein; 18 has L = 9 = 3 x 3
+    @pytest.mark.parametrize("nodes", [16, 18, 1030, 2062, 24576])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("length", list(LENGTHS))
+    def test_matches_the_ifft_oracle(self, nodes, kind, length):
+        # the slice s = 2 and the phase multiply, fold and 1-D ifft it
+        # replaced are each within their derived 2-norm bound of the exact
+        # values, so within the sum of the bounds of each other
+        count = LENGTHS[length](nodes)
+        rng = np.random.default_rng(nodes + count + (kind == "complex"))
+        a = rng.normal(size=count)
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=count)
+        f = TruncatedSeries(a)
+        got, want = boundary_values(f, nodes), boundary_values_ifft(f, nodes)
+        tol = boundary_error(a, nodes) + per_level_error(a, nodes)
+        assert float(np.linalg.norm(got - want)) <= tol
+        # the bound still tells the paths apart; where L is prime the
+        # Bluestein bound is ~100 times looser
+        assert _split(nodes // 2)[0] == 1 or tol <= 1e-11 * float(np.linalg.norm(want))
+
     def test_matches_polyval_oracle(self):
         rng = np.random.default_rng(2)
         f = TruncatedSeries(rng.normal(size=40) + 1j * rng.normal(size=40))
@@ -147,6 +184,39 @@ class TestBoundaryValues:
         got = boundary_values(f, nodes)
         want = np.polyval(f.coeffs[::-1], half_offset_points(nodes))
         assert np.max(np.abs(got - want)) < 1e-11
+
+    def test_peak_rss_within_the_charge(self, vmhwm_growth):
+        # hp_norm_estimate of 2^21 real coefficients at 2^21 nodes: the
+        # slice buffer and the output, 8 + 16 bytes per node, then the
+        # output and its magnitudes, 16 + 8; the phase table and 1-D ifft
+        # measured 95 bytes per node
+        nodes = 2**21
+        setup = (
+            "import numpy as np\n"
+            "from zfhp import TruncatedSeries, hp_norm_estimate\n"
+            f"a = np.random.default_rng(3).normal(size={nodes})\n"
+            "f = TruncatedSeries(a)\n"
+            "hp_norm_estimate(TruncatedSeries(a[:16]), 0.5, 16)"  # loads the FFT module
+        )
+        growth = vmhwm_growth(setup, f"hp_norm_estimate(f, 0.5, {nodes})")
+        assert 0 < growth <= _two_level_bytes(nodes) + 16 * nodes
+        assert growth < 40 * nodes
+
+    def test_refuses_nodes_beyond_memory_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        monkeypatch.setattr(zfhp.arith, "_physical_bytes", lambda: 2**20)
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        f = TruncatedSeries(np.ones(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="nodes = 16777216 needs an estimated .* of transform buffers"):
+                hp_norm_estimate(f, 1.0, 2**24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHpNorm:
@@ -351,12 +421,16 @@ def fft_error_bound(size: int, input_norm: float, input_err: float) -> float:
 
 
 def per_level_error(a: np.ndarray, nodes: int) -> float:
-    """2-norm error bound on ``boundary_values`` of real ``a`` at ``nodes`` points.
+    """2-norm error bound on ``boundary_values_ifft`` of ``a`` at ``nodes`` points.
 
     The phase exp(i pi m/nodes) is formed from an angle with relative error
     at most 5u and cos/sin within 2u each, and one rounding multiplies it
-    by a_m: an error of |a_m| (5 pi m/nodes + 4) u.  Folding r blocks adds
-    gamma_(r-1) times the folded |a| (Higham, sec. 4.2).  The inverse FFT
+    by a real a_m: an error of |a_m| (5 pi m/nodes + 4) u.  For complex
+    a_m the product is a complex one, within sqrt 2 gamma_2 < 3u (Higham
+    Lemma 3.5), so (5 pi m/nodes + 6) u.  Folding r blocks adds gamma_(r-1)
+    times the folded magnitudes of the terms to each part, c = sqrt 2
+    times that in modulus for complex a, c = 1 for real (Higham, sec.
+    4.2).  The inverse FFT
     scales each output by 1/nodes, one more rounding (2u for a complex
     value); for a power of two the scaling back by nodes is exact,
     otherwise 1/nodes and the product with nodes add two roundings, gamma_3
@@ -364,8 +438,10 @@ def per_level_error(a: np.ndarray, nodes: int) -> float:
     """
     r = -(-a.size // nodes)
     m = np.arange(a.size, dtype=np.float64)
-    phase = np.abs(a) * (5.0 * math.pi * m / nodes + 4.0) * U
-    err = (1.0 + gamma(r - 1)) * fold(phase, nodes) + gamma(r - 1) * fold(np.abs(a), nodes)
+    cplx = np.iscomplexobj(a)
+    phase = np.abs(a) * (5.0 * math.pi * m / nodes + (6.0 if cplx else 4.0)) * U
+    c = math.sqrt(2.0) if cplx else 1.0
+    err = (1.0 + c * gamma(r - 1)) * fold(phase, nodes) + c * gamma(r - 1) * fold(np.abs(a), nodes)
     norm, err_norm = float(np.linalg.norm(fold(np.abs(a), nodes))), float(np.linalg.norm(err))
     out = fft_error_bound(nodes, norm, err_norm)
     scale = 2.0 * U if nodes & (nodes - 1) == 0 else gamma(3)
@@ -456,6 +532,28 @@ def slices_error(a: np.ndarray, nodes: int) -> tuple[float, float]:
     rho = (1.0 + TWIDDLE_ERR) * (1.0 + math.sqrt(2.0) * gamma(blocks + 2)) * (1.0 + PRODUCT_ERR) - 1.0
     err = four_step_error(*_split(half), norm, rho * norm)
     return err, math.sqrt(2.0) * err
+
+
+def boundary_error(a: np.ndarray, nodes: int) -> float:
+    """2-norm error bound on ``boundary_values`` of ``a`` at ``nodes`` points.
+
+    Each real part c of a (a itself when real, b and c of a = b + i c
+    otherwise) runs through the slice s = 2 of ``two_level_means``, whose
+    values S_c at the M/2 odd nodes are within e_c in 2-norm, the coarse
+    bound of ``slices_error`` for c; |S_c| <= sqrt(M/2) |F_c| for F_c
+    the fold of |c| modulo M/2.  The even nodes are their conjugates,
+    copied exactly, so real a comes out within sqrt 2 e_a.  For complex
+    a each node adds the two computed values, one rounding per part,
+    within u of the computed sum, and over either half of the nodes that
+    sum has 2-norm at most sqrt(M/2) (|F_b| + |F_c|) + e_b + e_c.
+    """
+    half = nodes // 2
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    err = sum(slices_error(part, nodes)[0] for part in parts)
+    if len(parts) == 2:
+        norm = sum(float(np.linalg.norm(fold(np.abs(part), half))) for part in parts)
+        err += U * (math.sqrt(half) * norm + err)
+    return math.sqrt(2.0) * err
 
 
 def slice_sum_depth(nodes: int) -> int:
@@ -639,28 +737,19 @@ class TestStreamedFold:
 
 
 class TestTwoLevelMeans:
-    LENGTHS = {
-        "below": lambda m: m - 5,
-        "equal": lambda m: m,
-        "between": lambda m: 2 * m + m // 2 + 3,
-        "above": lambda m: 12 * m + m // 2 + 7,
-        "fold_once": lambda m: 4 * m,
-        "fold_twice": lambda m: 8 * m,
-    }
-
     # 2062 and 16382 are twice a prime: L = M/2 is prime, and its split is 1 x L
     @pytest.mark.parametrize("nodes", [16, 18, 1024, 1030, 2062, 16382, 24576])
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("length", list(LENGTHS))
     def test_matches_per_level_oracle(self, nodes, p, length):
-        # oracles: hp_norm_estimate at nodes and 2 nodes, each by its own
-        # phase multiply, fold and complex FFT; the 4M-point real FFT, which
+        # oracles: boundary_values_ifft at nodes and 2 nodes, each by its
+        # own phase multiply, fold and complex FFT; the 4M-point real FFT, which
         # reads the first half of the nodes of each level; the pruned path
         # on 1-D arrays that the four-step transform replaced; and the
         # four-step transforms of M and M/2 points that the slices
         # replaced, in whole-array passes and in one buffer, which must
         # agree bit for bit
-        count = self.LENGTHS[length](nodes)
+        count = LENGTHS[length](nodes)
         a = np.random.default_rng(nodes + count + int(100 * p)).normal(size=count)
         got = two_level_means(a, p, nodes)
         prev = two_level_means_four_step(a, p, nodes)
@@ -682,13 +771,12 @@ class TestTwoLevelMeans:
             pruned_oracle_error(a, nodes), (slice(0, nodes // 2), slice(0, None, 2)),
             (_split(nodes // 2), _split(nodes)),
         ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", QuadratureWarning)
-                want = hp_norm_estimate(f, p, level)
+            values = boundary_values_ifft(f, level)
+            want = p_mean(values, p)
             level_err = per_level_error(a, level)
             # abs carries 2u; the exact |f| is within level_err of the
             # per-level path at each node
-            lower = np.abs(boundary_values(f, level)) * (1.0 - 2.0 * U) - level_err
+            lower = np.abs(values) * (1.0 - 2.0 * U) - level_err
             mine, theirs, half = lower[::2], lower[read], lower[: level // 2]
             new_dev = p_mean_deviation(value, mine.size, p, mine - new_err, new_err, depth)
             tol = p_mean_deviation(want, level, p, lower, level_err) + new_dev
@@ -941,6 +1029,12 @@ class TestReverseHolder:
 def test_sup_norm_is_max_over_nodes():
     f = TruncatedSeries([1.0, 1.0])
     assert sup_norm_estimate(f, 4096) == pytest.approx(2.0, abs=1e-6)
+
+
+def test_sup_norm_warns_on_undersampling():
+    # the q = 1 end of the Hardy check samples the boundary as q = 1.5 does
+    with pytest.warns(QuadratureWarning, match="nodes = 16 undersamples degree 99"):
+        hardy_from_lq_check(TruncatedSeries(np.ones(100)), 1.0, 16)
 
 
 def test_default_node_count_policy():
