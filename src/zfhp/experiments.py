@@ -46,7 +46,7 @@ import numpy as np
 from ._version import __version__
 from .arith import MobiusTable, _check_memory, _sieve_bytes, build_mobius, exact_sum, mobius_sum_over_k
 from .errors import DomainError
-from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
+from .functionals import _LAMBDA_COEFF_BYTES, approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import (
     QuadratureWarning,
     _check_two_level_nodes,
@@ -422,18 +422,21 @@ def _running_sums(residual: CoefficientBlocks) -> Iterator[np.ndarray]:
 _LAMBDA_PAIR_BYTES, _K_BYTES, _MELLIN_K_BYTES = 512, 64, 256
 
 
-def _check_record_memory(k_count: int, subject: str, grid_size: int | None = None) -> None:
-    """Refuse ``k_count`` values of k whose records exceed physical memory.
-
-    The records of ``run_lambda_sweep`` over ``grid_size`` points s, or of
-    ``run_mellin_verify`` when ``grid_size`` is None.  The CLI calls this
-    on the ``--k`` range before it becomes a list, and the runners on their
-    ``k_list`` before any record is built.
-    """
+def _record_bytes(k_count: int, grid_size: int | None = None) -> int:
+    """Bytes of the records of ``run_lambda_sweep`` over ``grid_size`` points s, or of ``run_mellin_verify``."""
     if grid_size is None:
-        _check_memory(k_count * (_MELLIN_K_BYTES + _K_BYTES), subject, "mellin records")
-    else:
-        _check_memory(k_count * (_LAMBDA_PAIR_BYTES * grid_size + _K_BYTES), subject, "lambda records")
+        return k_count * (_MELLIN_K_BYTES + _K_BYTES)
+    return k_count * (_LAMBDA_PAIR_BYTES * grid_size + _K_BYTES)
+
+
+def _check_record_memory(k_count: int, subject: str, grid_size: int | None = None) -> None:
+    """Refuse ``k_count`` values of k whose records (``_record_bytes``) exceed physical memory.
+
+    The CLI calls this on the ``--k`` range before it becomes a list, and
+    ``run_mellin_verify`` on its ``k_list`` before any record is built.
+    """
+    buffers = "mellin records" if grid_size is None else "lambda records"
+    _check_memory(_record_bytes(k_count, grid_size), subject, buffers)
 
 
 def run_lambda_sweep(
@@ -458,12 +461,17 @@ def run_lambda_sweep(
 
     Grid points must satisfy Re(s) > 1/2 (the functionals are bounded on
     the underlying Hardy-Hilbert space only there), s != 1 (pole) and
-    |s| <= 2^20 (the range of ``zeta``); like the memory guards of the
-    records (``_check_record_memory``) and of the degree, these are checked
-    before any buffer is built.
+    |s| <= 2^20 (the range of ``zeta``); like the memory of the records
+    (``_record_bytes``) and of ``lambda_hk_truncated``'s coefficient
+    buffers, checked as one sum, these are checked before any buffer is
+    built.
     """
     grid = _check_grid(s_grid)
-    _check_record_memory(len(k_list), f"k_list of {len(k_list)} values", len(grid))
+    _check_memory(
+        _record_bytes(len(k_list), len(grid)) + _LAMBDA_COEFF_BYTES * (int(coeff_cutoff) + 1),
+        f"coeff_cutoff = {coeff_cutoff} with k_list of {len(k_list)} values",
+        "lambda records and coefficient buffers",
+    )
     records: list[LambdaRecord] = []
     evaluations = lambda_hk_truncated(k_list, grid, coeff_cutoff)
     zetas = {s: zeta(s) for s in dict.fromkeys(grid)}

@@ -101,6 +101,12 @@ class GeneratorEvaluation:
     rounding_bound: float
 
 
+# Bytes per coefficient of lambda_hk_truncated: j, log j and one s's powers
+# (8 + 8 + 16), and while a prefix takes its exact parts, their float64 copy
+# and temporaries (24): under 72 bytes (tracemalloc: 64).
+_LAMBDA_COEFF_BYTES = 72
+
+
 def lambda_hk_truncated(
     k_list: Iterable[int], s_grid: Iterable[complex], degree: int
 ) -> list[GeneratorEvaluation]:
@@ -131,7 +137,7 @@ def lambda_hk_truncated(
     The cancellations, in P_N - k^(1-s) P_M and in the small D_k, fall only
     on these exactly rounded sums, so no value depends on the rest of
     ``k_list``.  Beyond physical memory, N is refused before anything is
-    allocated (72 bytes per coefficient).
+    allocated (``_LAMBDA_COEFF_BYTES`` per coefficient).
 
     Tail.  ``tail_bound`` is ``_tail_bound`` with the proved envelope
     C = ``hk_coefficient_envelope(k, N)``, so it bounds the discarded
@@ -177,10 +183,7 @@ def lambda_hk_truncated(
         raise ValueError("k values must be >= 2")
     if n < 1:
         raise ValueError("degree must be >= 1")
-    # Per coefficient: j, log j and one s's powers (8 + 8 + 16), and while a
-    # prefix takes its exact parts, their float64 copy and temporaries (24):
-    # under 72 bytes (tracemalloc: 64).
-    _check_memory(72 * (n + 1), f"degree = {n}", "lambda coefficient buffers")
+    _check_memory(_LAMBDA_COEFF_BYTES * (n + 1), f"degree = {n}", "lambda coefficient buffers")
     cuts = sorted({n // k for k in ks} | {n})
     j = np.arange(1, n + 1, dtype=np.float64)
     harmonic = _prefix_parts(1.0 / j, cuts)

@@ -74,12 +74,6 @@ def _validate_nodes(nodes: int) -> None:
         raise ValueError("nodes must be an even integer >= 16")
 
 
-def half_offset_points(nodes: int) -> np.ndarray:
-    """The nodes exp(2 pi i (j + 1/2)/nodes), j = 0..nodes-1."""
-    theta = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
-    return np.exp(1j * theta)
-
-
 def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
     """Exact values of f at exp(2 pi i (j + 1/2)/M), j < M = ``nodes``.
 
@@ -111,7 +105,7 @@ def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
     level = _tables(nodes)[_SLICES.index(2)]
     rows, cols = level[0]
     buf = np.empty(nodes // 2, dtype=np.complex128)
-    scratch = np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, nodes // 2))
+    scratch = np.empty(min(_DIVIDE_BLOCK, nodes // 2))
     out = np.empty(nodes, dtype=np.complex128)
     odd, even = out[::-2].reshape(cols, rows), out[::2].reshape(cols, rows)
     a = f.coeffs
@@ -151,13 +145,6 @@ _TRANSFORM_BYTES_PER_NODE = 8
 # twiddled, transformed along its rows and reduced while it is in cache.
 _ROW_BLOCK = 16
 
-# Whole segments of L input entries that one block must hold before _fold
-# adds them as one stack: with fewer, adding them one at a time is faster.
-# The three folds of 10^6 coefficients took 12.5 ms one at a time against
-# 16.5 stacked at L = 2048, and 21.4 against 17.1 at L = 1024 (numpy 2.4,
-# one core of a 2-CPU x86-64 machine).
-_STACK_SEGMENTS = 32
-
 # The residues s = l mod 8 of the node indices two_level_means transforms:
 # 1 and 5 give the 2M-node level, 2 the M-node level.
 _SLICES = (1, 5, 2)
@@ -172,10 +159,10 @@ def _two_level_bytes(nodes: int) -> int:
 
     Arrays, in bytes per node.  The three slices run one after another in
     one buffer of L = M/2 complex numbers: 8 (``_TRANSFORM_BYTES_PER_NODE``).
-    ``_fold`` reads the input a block at a time, in place, and scales or
-    stacks pieces in a float64 scratch of ``_DIVIDE_BLOCK`` + min(
-    ``_DIVIDE_BLOCK``, L) entries.  The row pass takes the magnitudes of one block
-    of at most ``_ROW_BLOCK`` rows of length L2 into a float64 temporary,
+    ``_fold`` reads the input a block at a time, in place, and scales the
+    pieces of odd weight in a float64 scratch of min(``_DIVIDE_BLOCK``, L)
+    entries.  The row pass takes the magnitudes of one block of at most
+    ``_ROW_BLOCK`` rows of length L2 into a float64 temporary,
     8 min(16, L1) L2 bytes.
 
     Tables: ``_table_bytes``, at every moment of their build and after it.
@@ -191,7 +178,7 @@ def _two_level_bytes(nodes: int) -> int:
     rows, cols = _split(nodes // 2)
     return (
         _TRANSFORM_BYTES_PER_NODE * nodes
-        + 8 * (_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, nodes // 2))
+        + 8 * min(_DIVIDE_BLOCK, nodes // 2)
         + 8 * min(_ROW_BLOCK, rows) * cols
         + _table_bytes(nodes)
         + 256 * cols
@@ -329,77 +316,47 @@ def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> Iterator[t
         yield a, b
 
 
-# zeta^k = exp(-i pi k/4), k < 8, as (real, imaginary) parts with fl(sqrt(1/2)).
-_EIGHTH_ROOTS = np.array(_EIGHTH_ROOT_SIGNS) * np.where(np.arange(8) % 2, math.sqrt(0.5), 1.0)[:, None]
-
-
 def _pieces(blocks: Iterable[np.ndarray], length: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(q, r, rows) over consecutive ``blocks``, cut at the multiples of L = ``length``.
+    """(q, r, piece) over consecutive ``blocks``, cut at the multiples of L = ``length``.
 
-    ``rows`` is a (k, n) view of one block whose row i holds the entries
-    (q + i) L + r to (q + i) L + r + n - 1, all within segment q + i:
-    entries (q + i) L to (q + i) L + L - 1.  k > 1 only for a run of at
-    least ``_STACK_SEGMENTS`` whole segments (r = 0, n = L) in one block.
-    So L need not be a multiple of the block size.
+    ``piece`` is a view of one block holding the entries qL + r to
+    qL + r + n - 1, n = ``piece.size``, all within segment q: entries qL
+    to qL + L - 1.  So L need not be a multiple of the block size.
     """
     start = 0
     for block in blocks:
         lo = 0
         while lo < block.size:
             q, r = divmod(start + lo, length)
-            count = (block.size - lo) // length if r == 0 else 0
-            if count >= _STACK_SEGMENTS:
-                yield q, 0, block[lo : lo + count * length].reshape(count, length)
-                lo += count * length
-            else:
-                hi = min(block.size, lo + length - r)
-                yield q, r, block[lo:hi].reshape(1, -1)
-                lo = hi
+            hi = min(block.size, lo + length - r)
+            yield q, r, block[lo:hi]
+            lo = hi
         start += block.size
 
 
 def _fold(a: CoefficientBlocks, shift: int, out: np.ndarray, scratch: np.ndarray) -> None:
     """w_r = sum_q zeta^(shift q) a_(r+qL) into the complex ``out`` of L entries, zeta = exp(-i pi/4).
 
-    One pass over ``a``, cut into segments of L entries (``_pieces``).
-    The weight of segment q depends on q mod 8; its parts are 0, +-1 or,
-    for odd ``shift`` and odd q, +-fl(sqrt(1/2)), the one inexact weight
-    (``_EIGHTH_ROOTS``).  Each term is the product of the weight and the
-    entry, exact or one rounding, and each w_r adds its terms in the order
-    of q, whatever the blocks of ``a``: an array and a source of the same
-    coefficients fold to the same bits.
-
-    A piece of one segment is added to or subtracted from each part by the
-    signs of its weight (``_EIGHTH_ROOT_SIGNS``), after, for odd ``shift``
-    and odd q, it is scaled by fl(sqrt(1/2)) into ``scratch``.  A run of
-    whole segments in one block is added per part as one stack in
-    ``scratch``: the part's values, then the segments of nonzero weight
-    times their weights.  ``np.add.reduce`` adds the rows of this C-ordered
-    stack one after another, so these are the same operations in the same
-    order.  ``scratch`` holds at least the largest block plus min(block,
-    L) floats.
+    One pass over ``a``, cut into pieces of segments of L entries
+    (``_pieces``).  The weight of segment q depends on q mod 8; its parts
+    are 0, +-1 or, for odd ``shift`` and odd q, +-fl(sqrt(1/2)), the one
+    inexact weight.  Each piece is added to or subtracted from each part
+    by the signs of its weight (``_EIGHTH_ROOT_SIGNS``), after, for odd
+    ``shift`` and odd q, it is scaled by fl(sqrt(1/2)) into ``scratch``.
+    So each term is the product of the weight and the entry, exact or one
+    rounding, and each w_r adds its terms in the order of q, whatever the
+    blocks of ``a``: an array and a source of the same coefficients fold
+    to the same bits.  ``scratch`` holds at least min(block, L) floats.
     """
     half = out.size
     flat = out.view(np.float64)
     flat[...] = 0.0
-    for q, r, rows in _pieces(a, half):
-        count, width = rows.shape
-        if count > 1:
-            weights = _EIGHTH_ROOTS[shift * (q + np.arange(count)) % 8]
-            for part, weight in zip((out.real[:width], out.imag[:width]), weights.T):
-                chosen = np.flatnonzero(weight)
-                stack = scratch[: (chosen.size + 1) * width].reshape(-1, width)
-                stack[0] = part
-                np.take(rows, chosen, axis=0, out=stack[1:])
-                stack[1:] *= weight[chosen, None]
-                np.add.reduce(stack, axis=0, out=part)
-            continue
-        piece = rows[0]
+    for q, r, piece in _pieces(a, half):
         if shift * q % 2:
-            piece = np.multiply(piece, math.sqrt(0.5), out=scratch[:width])
+            piece = np.multiply(piece, math.sqrt(0.5), out=scratch[: piece.size])
         for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], (out.real, out.imag)):
             if sign:
-                part = part[r : r + width]
+                part = part[r : r + piece.size]
                 (np.add if sign > 0 else np.subtract)(part, piece, out=part)
 
 
@@ -486,7 +443,7 @@ def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int
     _check_two_level_nodes(nodes)
     tables = _tables(nodes)
     buf = np.empty(nodes // 2, dtype=np.complex128)
-    scratch = np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, nodes // 2))
+    scratch = np.empty(min(_DIVIDE_BLOCK, nodes // 2))
     sums = {}
     for shift, level in zip(_SLICES, tables):
         sums[shift] = []
@@ -658,15 +615,29 @@ def reverse_holder_check(
     remainder, which vanishes at z = 1, by the half-offset node mean.
     Both sides read one transform of h, which warns as
     ``hp_norm_estimate`` does when the nodes undersample h.
+
+    At node j of M, |1 - z_j| = 2 sin(pi (j + 1/2)/M).  Memory: the
+    node values (``boundary_values``, charged ``_two_level_bytes(M) +
+    16 M`` bytes) are dropped once their magnitudes are taken, and the
+    rest works in place on the magnitudes and on one more array of M
+    floats at a time (the p-mean's powers, then the closed form): 16 M
+    bytes besides the transform's charge, checked with it before
+    anything is allocated.
     """
     _check_reverse_holder(p, q)
-    hv = _sampled_boundary(h, nodes)
-    z = half_offset_points(hv.size)
+    nodes = _node_count(h, nodes)
+    _check_memory(_two_level_bytes(nodes) + 32 * nodes, f"nodes = {nodes}", "transform buffers and node arrays")
+    mags = np.abs(_sampled_boundary(h, nodes))
+    rhs = reverse_holder_constant(p, q) * _p_mean(mags, p)
     base = abs(exact_sum(h.coeffs)) ** q
-    sing = np.abs(1.0 - z) ** (-q)
-    integral = base * circle_abs_power_integral(-q) + float(
-        np.mean((np.abs(hv) ** q - base) * sing)
-    )
+    sing = np.arange(0.5, nodes)
+    sing *= math.pi / nodes
+    np.sin(sing, out=sing)
+    sing *= 2.0
+    sing **= -q
+    mags **= q
+    mags -= base
+    mags *= sing
+    integral = base * circle_abs_power_integral(-q) + float(np.mean(mags))
     lhs = max(integral, 0.0) ** (1.0 / q)
-    rhs = reverse_holder_constant(p, q) * _p_mean(hv, p)
     return lhs, rhs

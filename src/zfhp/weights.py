@@ -167,8 +167,12 @@ def parse_subsequence(text: str) -> Iterator[int]:
     if text == "primes":
         return prime_indices()
     if text.startswith("arith:"):
-        start_text, _, step_text = text[len("arith:") :].partition(",")
-        return arithmetic_progression(int(start_text), int(step_text))
+        rest = text[len("arith:") :]
+        try:
+            start, step = (int(part) for part in rest.split(","))
+        except ValueError:
+            raise ValueError(f"arith expects START,STEP, got {rest!r}") from None
+        return arithmetic_progression(start, step)
     raise ValueError(f"unknown subsequence {text!r} (want all | primes | arith:START,STEP)")
 
 

@@ -31,12 +31,14 @@ s per pass.
 ``prime_indices_incremental`` is the dictionary sieve that the segmented
 sieve of ``zfhp.weights.prime_indices`` replaced.
 
-``boundary_values_ifft`` is the evaluation at the half-offset nodes that
-``zfhp.norms.boundary_values`` replaced with the slice s = 2 of
-``zfhp.norms.two_level_means``, moved here verbatim: the coefficients
-times a phase table of one complex per coefficient, folded modulo the
-node count and transformed by one 1-D ``np.fft.ifft``.  It is the
-per-level oracle of both.
+``half_offset_points`` gives the nodes themselves as complex numbers, the
+form ``zfhp.norms.reverse_holder_check`` read before it took |1 - z| in
+closed form.  ``boundary_values_ifft`` is the evaluation at the
+half-offset nodes that ``zfhp.norms.boundary_values`` replaced with the
+slice s = 2 of ``zfhp.norms.two_level_means``, moved here verbatim: the
+coefficients times a phase table of one complex per coefficient, folded
+modulo the node count and transformed by one 1-D ``np.fft.ifft``.  It is
+the per-level oracle of both.
 
 ``two_level_means_rfft`` is the first H^p two-level transform: one real
 FFT of all 4M points of the fold modulo 4M, read at the indices of both
@@ -60,6 +62,10 @@ that the streamed ``zfhp.norms._fold`` replaced, moved here verbatim: it
 reads an array, adds the odd segments first and scales their sums once,
 and sums whole periods of 8L entries q by q in a float64 temporary of L
 entries.
+``fold_stacked`` is the streamed fold as it was before ``zfhp.norms._fold``
+kept only its per-piece add, moved here verbatim with ``pieces_stacked``:
+a run of at least ``STACK_SEGMENTS`` whole segments in one block is added
+as one stack of weighted rows, by ``np.take`` and ``np.add.reduce``.
 
 ``zeta_accelerated_eta`` is the zeta evaluator that ``zfhp.special.zeta``
 replaced with an exactly rounded head plus the Euler-Maclaurin tail: the
@@ -87,13 +93,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from zfhp import ConditioningError, DomainError, PoleError, zeta
 from zfhp.special import _cexpm1, require_right_half_plane
 from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _four_step, _level, _product_tables, _roots,
                         _twiddle, _validate_nodes)
-from zfhp.series import _DIVIDE_BLOCK, TruncatedSeries
+from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries
 from zfhp.arith import (
     _SIEVE_BLOCK,
     _check_memory,
@@ -375,6 +381,12 @@ def prime_indices_incremental():
             for p in witnesses.pop(q):
                 witnesses.setdefault(p + q, []).append(p)
         q += 1
+
+
+def half_offset_points(nodes: int) -> np.ndarray:
+    """The nodes exp(2 pi i (j + 1/2)/nodes), j = 0..nodes-1."""
+    theta = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
+    return np.exp(1j * theta)
 
 
 def boundary_values_ifft(f: TruncatedSeries, nodes: int) -> np.ndarray:
@@ -674,6 +686,84 @@ def fold_periods(a: np.ndarray, shift: int, out: np.ndarray) -> None:
             if sign:
                 part = part[: block.size]
                 (np.add if sign > 0 else np.subtract)(part, block, out=part)
+
+
+# Whole segments of L input entries that one block must hold before
+# ``fold_stacked`` adds them as one stack.
+STACK_SEGMENTS = 32
+
+# zeta^k = exp(-i pi k/4), k < 8, as (real, imaginary) parts with fl(sqrt(1/2)).
+EIGHTH_ROOTS = np.array(_EIGHTH_ROOT_SIGNS) * np.where(np.arange(8) % 2, math.sqrt(0.5), 1.0)[:, None]
+
+
+def pieces_stacked(blocks: Iterable[np.ndarray], length: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(q, r, rows) over consecutive ``blocks``, cut at the multiples of L = ``length``.
+
+    ``rows`` is a (k, n) view of one block whose row i holds the entries
+    (q + i) L + r to (q + i) L + r + n - 1, all within segment q + i:
+    entries (q + i) L to (q + i) L + L - 1.  k > 1 only for a run of at
+    least ``STACK_SEGMENTS`` whole segments (r = 0, n = L) in one block.
+    So L need not be a multiple of the block size.
+    """
+    start = 0
+    for block in blocks:
+        lo = 0
+        while lo < block.size:
+            q, r = divmod(start + lo, length)
+            count = (block.size - lo) // length if r == 0 else 0
+            if count >= STACK_SEGMENTS:
+                yield q, 0, block[lo : lo + count * length].reshape(count, length)
+                lo += count * length
+            else:
+                hi = min(block.size, lo + length - r)
+                yield q, r, block[lo:hi].reshape(1, -1)
+                lo = hi
+        start += block.size
+
+
+def fold_stacked(a: CoefficientBlocks, shift: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """w_r = sum_q zeta^(shift q) a_(r+qL) into the complex ``out`` of L entries, zeta = exp(-i pi/4).
+
+    One pass over ``a``, cut into segments of L entries (``pieces_stacked``).
+    The weight of segment q depends on q mod 8; its parts are 0, +-1 or,
+    for odd ``shift`` and odd q, +-fl(sqrt(1/2)), the one inexact weight
+    (``EIGHTH_ROOTS``).  Each term is the product of the weight and the
+    entry, exact or one rounding, and each w_r adds its terms in the order
+    of q, whatever the blocks of ``a``: an array and a source of the same
+    coefficients fold to the same bits.
+
+    A piece of one segment is added to or subtracted from each part by the
+    signs of its weight (``_EIGHTH_ROOT_SIGNS``), after, for odd ``shift``
+    and odd q, it is scaled by fl(sqrt(1/2)) into ``scratch``.  A run of
+    whole segments in one block is added per part as one stack in
+    ``scratch``: the part's values, then the segments of nonzero weight
+    times their weights.  ``np.add.reduce`` adds the rows of this C-ordered
+    stack one after another, so these are the same operations in the same
+    order.  ``scratch`` holds at least the largest block plus min(block,
+    L) floats.
+    """
+    half = out.size
+    flat = out.view(np.float64)
+    flat[...] = 0.0
+    for q, r, rows in pieces_stacked(a, half):
+        count, width = rows.shape
+        if count > 1:
+            weights = EIGHTH_ROOTS[shift * (q + np.arange(count)) % 8]
+            for part, weight in zip((out.real[:width], out.imag[:width]), weights.T):
+                chosen = np.flatnonzero(weight)
+                stack = scratch[: (chosen.size + 1) * width].reshape(-1, width)
+                stack[0] = part
+                np.take(rows, chosen, axis=0, out=stack[1:])
+                stack[1:] *= weight[chosen, None]
+                np.add.reduce(stack, axis=0, out=part)
+            continue
+        piece = rows[0]
+        if shift * q % 2:
+            piece = np.multiply(piece, math.sqrt(0.5), out=scratch[:width])
+        for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], (out.real, out.imag)):
+            if sign:
+                part = part[r : r + width]
+                (np.add if sign > 0 else np.subtract)(part, piece, out=part)
 
 
 def two_level_means_one_buffer(coeffs, p: float, nodes: int) -> tuple[float, float]:

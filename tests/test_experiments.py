@@ -30,11 +30,11 @@ from zfhp.experiments import (
     write_probe_csv,
     write_weights_csv,
 )
-from zfhp.norms import _two_level_bytes, half_offset_points
+from zfhp.norms import _two_level_bytes
 from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, _kernel_bytes
 from zfhp.weights import WeightFamily, all_integers, extremal_probe
 
-from oracles import lq_residual_oracle
+from oracles import half_offset_points, lq_residual_oracle
 
 # Small runs of both runners, which load every module and the FFT before
 # a VmHWM measurement starts.

@@ -29,7 +29,6 @@ from zfhp.norms import (
     boundary_values,
     circle_abs_power_integral,
     default_node_count,
-    half_offset_points,
     reverse_holder_constant,
     sup_norm_estimate,
     two_level_means,
@@ -40,7 +39,10 @@ from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks
 from oracles import (
     boundary_values_ifft,
     fold_periods,
+    fold_stacked,
+    half_offset_points,
     p_mean,
+    pieces_stacked,
     two_level_means_four_step,
     two_level_means_one_buffer,
     two_level_means_pruned,
@@ -664,7 +666,7 @@ class TestStreamedFold:
     @staticmethod
     def streamed(source: CoefficientBlocks, shift: int, half: int) -> np.ndarray:
         out = np.empty(half, dtype=np.complex128)
-        _fold(source, shift, out, np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, half)))
+        _fold(source, shift, out, np.empty(min(_DIVIDE_BLOCK, half)))
         return out
 
     @staticmethod
@@ -702,14 +704,14 @@ class TestStreamedFold:
         assert np.all(np.abs(got.imag - want.imag) <= tol)
         assert not np.array_equal(got, want)  # the summation order did change
 
-    # L = 8 (16 nodes) and 777: many whole segments per block, stacked
+    # L = 8 (16 nodes) and 777: many whole segments per block
     @pytest.mark.parametrize("half", [8, 777])
     @pytest.mark.parametrize("shift", _SLICES)
     def test_independent_of_the_block_cuts(self, shift, half):
         # each w_r adds its terms in the order of q whatever the blocks, so
         # blocks of random sizes, holding a part of one segment or several
-        # whole ones, fold to the bits of the array's own views and to
-        # those of blocks of one segment each
+        # whole ones, each added piece by piece, fold to the bits of the
+        # array's own views and to those of blocks of one segment each
         a = np.random.default_rng(7 + shift).normal(size=40 * half + 5)
         cuts = np.cumsum(np.random.default_rng(shift).integers(1, 4 * half, size=40))
         cuts = [0, *cuts[cuts < a.size].tolist(), a.size]
@@ -718,6 +720,41 @@ class TestStreamedFold:
         want = self.streamed(CoefficientBlocks.of_array(a), shift, half).view(np.int64)
         assert np.array_equal(self.streamed(source, shift, half).view(np.int64), want)
         assert np.array_equal(self.streamed(segments, shift, half).view(np.int64), want)
+
+    @staticmethod
+    def aligned_cuts(size: int, half: int, seed: int) -> list[int]:
+        """Block bounds from 0 to ``size``: each block random, of at most ``_DIVIDE_BLOCK`` entries, or,
+        as often, one up to the next segment start or a full ``_DIVIDE_BLOCK`` from it."""
+        rng = np.random.default_rng(seed)
+        cuts = [0]
+        while cuts[-1] < size:
+            lo = cuts[-1]
+            if rng.random() < 0.5:
+                step = int(rng.integers(1, _DIVIDE_BLOCK + 1))
+            else:
+                step = -lo % half or _DIVIDE_BLOCK
+            cuts.append(min(size, lo + step))
+        return cuts
+
+    # L = 8 (16 nodes), 777 and 1024: a block of _DIVIDE_BLOCK entries holds
+    # 4096, 42 and 32 whole segments, enough for the stacked fold
+    @pytest.mark.parametrize("half", [8, 777, 1024])
+    @pytest.mark.parametrize("shift", _SLICES)
+    def test_bit_equal_to_the_stacked_fold(self, shift, half):
+        # the stacked fold adds a run of whole segments per part as one
+        # stack, np.add.reduce over its rows; _fold adds the same products
+        # piece by piece, so the two agree bit for bit as long as numpy
+        # adds the rows of an axis-0 reduce one after another
+        a = np.random.default_rng(half + shift).normal(size=3 * _DIVIDE_BLOCK + 5)
+        cuts = self.aligned_cuts(a.size, half, half * shift)
+        array = CoefficientBlocks.of_array(a)
+        source = CoefficientBlocks(a.size, lambda: (a[lo:hi] for lo, hi in zip(cuts, cuts[1:])))
+        for blocks in (array, source):
+            stacks = [rows.shape[0] for _, _, rows in pieces_stacked(blocks, half)]
+            assert max(stacks) >= 32  # the oracle does take its stacked path
+            want = np.empty(half, dtype=np.complex128)
+            fold_stacked(blocks, shift, want, np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, half)))
+            assert np.array_equal(self.streamed(blocks, shift, half).view(np.int64), want.view(np.int64))
 
     def test_means_of_a_source_equal_those_of_its_array(self):
         # one fold path: a block source and its concatenation give the same
@@ -1014,6 +1051,31 @@ class TestReverseHolder:
         long = TruncatedSeries(np.ones(100))
         with pytest.warns(QuadratureWarning, match="nodes = 16 undersamples degree 99"):
             reverse_holder_check(long, 1.0, 0.4, 16)
+
+    def test_peak_rss_within_the_charge(self, vmhwm_growth):
+        # 2^21 real coefficients at 2^21 nodes: the transform's buffer and
+        # values, 8 + 16 bytes per node, then the values and their
+        # magnitudes, 16 + 8; complex nodes, |1 - z|^(-q), |h|^q and their
+        # product as full-length temporaries measured 57-65 bytes per node
+        nodes = 2**21
+        setup = (
+            "import numpy as np\n"
+            "from zfhp import TruncatedSeries, reverse_holder_check\n"
+            f"f = TruncatedSeries(np.random.default_rng(3).normal(size={nodes}))\n"
+            "reverse_holder_check(TruncatedSeries(f.coeffs[:16]), 1.0, 0.4, 16)"  # loads the FFT module
+        )
+        growth = vmhwm_growth(setup, f"reverse_holder_check(f, 1.0, 0.4, {nodes})")
+        assert 0 < growth <= _two_level_bytes(nodes) + 32 * nodes
+        assert growth < 40 * nodes
+
+    def test_refuses_nodes_beyond_memory_before_allocating(self, monkeypatch):
+        # room for the transform's own charge, not for the arrays after it
+        nodes = 2**20
+        monkeypatch.setattr(zfhp.arith, "_physical_bytes", lambda: _two_level_bytes(nodes) + 24 * nodes)
+        monkeypatch.setattr(zfhp.norms, "boundary_values", pytest.fail)
+        message = f"nodes = {nodes} needs an estimated .* of transform buffers and node arrays"
+        with pytest.raises(ValueError, match=message):
+            reverse_holder_check(TruncatedSeries(np.ones(4)), 1.0, 0.4, nodes)
 
     def test_random_battery_with_refinement(self):
         for f in random_polynomials(100):

@@ -239,7 +239,7 @@ class TestMobiusPartialSums:
                 assert np.array_equal(concatenated(blocks).view(np.int64), want), n
 
     # L = M/2 for M = 2000, 65534, 65542 (L = 32771 prime, so M/2 has no
-    # split) and 196618: whole segments stacked in a block, one short of
+    # split) and 196618: several whole segments in a block, one short of
     # a block, straddling its end, and spanning several blocks
     @pytest.mark.parametrize("length", [1000, _DIVIDE_BLOCK - 1, 32771, 3 * _DIVIDE_BLOCK + 5])
     def test_pieces_cut_at_segments_equal_the_oracle(self, length, mobius_1k):
@@ -248,13 +248,11 @@ class TestMobiusPartialSums:
         (blocks,) = mobius_ims_partial_sums([100], degree, mobius_1k)
         want = advance_ims_allocating(d, 1, 100, mobius_1k)
         pieces, start = [], 0
-        for q, r, rows in _pieces(blocks, length):
-            count, width = rows.shape
-            assert q * length + r == start and r + width <= length
-            assert count == 1 or (r == 0 and width == length)
-            assert 0 < rows.size <= _DIVIDE_BLOCK
-            pieces.append(rows.ravel().copy())
-            start += rows.size
+        for q, r, piece in _pieces(blocks, length):
+            assert q * length + r == start and r + piece.size <= length
+            assert 0 < piece.size <= _DIVIDE_BLOCK
+            pieces.append(piece.copy())
+            start += piece.size
         assert np.array_equal(np.concatenate(pieces).view(np.int64), want.view(np.int64))
 
     def test_one_block_buffer_reused(self, mobius_1k):
