@@ -64,13 +64,15 @@ def parse_int_list(text: str) -> list[int]:
 def parse_int_range(text: str) -> range | list[int]:
     """Accepts ``2..10`` (inclusive, as a range, not yet a list) or a comma list ``2,3,5``."""
     text = text.strip()
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return range(lo, hi + 1)
-    return parse_int_list(text)
+    if ".." not in text:
+        return parse_int_list(text)
+    try:
+        lo, hi = map(int, text.split(".."))
+    except ValueError:
+        raise ValueError(f"cannot parse integer range from {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def parse_s_grid(text: str) -> list[complex]:

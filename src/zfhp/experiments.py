@@ -50,7 +50,7 @@ from .functionals import _LAMBDA_COEFF_BYTES, approx_reciprocal_s_partial_sums, 
 from .norms import (
     QuadratureWarning,
     _check_two_level_nodes,
-    _lq_of_magnitudes,
+    _sum_of_powers,
     _two_level_bytes,
     _undersampling,
     two_level_means,
@@ -318,7 +318,7 @@ def run_lq_convergence(
     so a sweep costs O(N log n) for N = coeff_cutoff.  Each record carries
     the proved tail bound ``lq_tail_bound`` on the coefficients beyond N.
     The norm is taken in one pass over the kernel's blocks, each reduced
-    in place to its sum of |r|^q (``norms._lq_of_magnitudes``), so the row
+    in place to its sum of |r|^q (``norms._sum_of_powers``), so the row
     holds the kernel's 2 bytes per coefficient and its block buffers
     (``series._kernel_bytes``) and no array of coeff_cutoff + 1 floats.
     q must be finite and exceed 1.  Trends should be read across decades
@@ -329,7 +329,7 @@ def run_lq_convergence(
         raise ValueError("q must be finite and > 1")
 
     def row(n: int, residual: CoefficientBlocks, table: MobiusTable) -> tuple[float, float]:
-        value = _lq_of_magnitudes(_distance_magnitudes(residual), residual.size, q)
+        value = float(np.float64(_sum_of_powers(_distance_magnitudes(residual), residual.size, q)) ** (1.0 / q))
         # value is finite exactly when the sum of the nonnegative |r_m|^q
         # is, and that sum is finite only if every term is
         if not math.isfinite(value):

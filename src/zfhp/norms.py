@@ -25,6 +25,14 @@ soon as it is transformed.  The input is an array, read as views of
 itself, or a ``CoefficientBlocks`` such as the Möbius kernel's, whose
 blocks are formed again for each of the three DFTs; neither is ever held
 as a full-length float64 array.
+
+There is one sum of |x|^p, ``_sum_of_powers``.  Every l^q norm and every
+p-mean is that sum followed by the caller's own root: ``lq_norm`` and the
+l^q convergence row, both levels of ``two_level_means``, and the p-means
+behind ``hp_norm_estimate`` and the inequality battery.  So each of them
+refuses with ``ConditioningError`` (exit code 3 on the command line) a
+largest term |x|^p below the normal range and a sum that could overflow,
+instead of printing 0 or inf.
 """
 
 from __future__ import annotations
@@ -126,10 +134,8 @@ def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
 
 
 def _p_mean(values: np.ndarray, p: float) -> float:
-    """(mean |values|^p)^(1/p)."""
-    mags = np.abs(values)
-    mags **= p
-    return float(np.mean(mags) ** (1.0 / p))
+    """(mean |values|^p)^(1/p), from one ``_sum_of_powers`` over a single block."""
+    return (_sum_of_powers([np.abs(values)], values.size, p) / values.size) ** (1.0 / p)
 
 
 def _check_two_level_nodes(nodes: int) -> None:
@@ -429,9 +435,15 @@ def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int
     (``CoefficientBlocks.of_array``) and never copied, or a
     ``CoefficientBlocks``, which is read once per slice.  The row
     pass works one block of ``_ROW_BLOCK`` rows at a time
-    (``_four_step``); each block's |Y|^p is summed as soon as the block
-    is transformed, and ``exact_sum`` adds a level's block sums, exactly
-    rounded, so their order does not matter.
+    (``_four_step``), and each block's |Y| is raised to p and summed as
+    soon as the block is transformed.
+
+    Sums.  Each level is one ``_sum_of_powers``, the package's one sum of
+    |x|^p, over the |Y| blocks of its slices: 1 and 5 (M values) for the
+    2M-node level, 2 (M/2 values) for the M-node level.  Its
+    ``exact_sum`` of the block sums makes their order irrelevant, and it
+    refuses with ``ConditioningError``, as the l^q norms do, a largest
+    |Y|^p below the normal range or a sum that could overflow.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -441,18 +453,15 @@ def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int
             raise ValueError("coeffs must be real")
         coeffs = CoefficientBlocks.of_array(a)
     _check_two_level_nodes(nodes)
-    tables = _tables(nodes)
+    levels = dict(zip(_SLICES, _tables(nodes)))
     buf = np.empty(nodes // 2, dtype=np.complex128)
     scratch = np.empty(min(_DIVIDE_BLOCK, nodes // 2))
-    sums = {}
-    for shift, level in zip(_SLICES, tables):
-        sums[shift] = []
-        for block in _slice(coeffs, shift, level, buf, scratch):
-            mags = np.abs(block)
-            mags **= p
-            sums[shift].append(float(np.sum(mags)))
-    coarse = exact_sum(sums[2]) / (nodes // 2)
-    fine = exact_sum(sums[1] + sums[5]) / nodes
+
+    def mags(*shifts: int) -> Iterator[np.ndarray]:
+        return (np.abs(block) for shift in shifts for block in _slice(coeffs, shift, levels[shift], buf, scratch))
+
+    fine = _sum_of_powers(mags(1, 5), nodes, p) / nodes
+    coarse = _sum_of_powers(mags(2), nodes // 2, p) / (nodes // 2)
     return coarse ** (1.0 / p), fine ** (1.0 / p)
 
 
@@ -460,11 +469,15 @@ def lq_norm(f: TruncatedSeries, q: float) -> float:
     """(sum |a_n|^q)^(1/q); a quasi-norm when q < 1 (triangle fails)."""
     if not 0.0 < q < math.inf:
         raise ValueError("q must be positive and finite")
-    return _lq_of_magnitudes([np.abs(f.coeffs)], f.coeffs.size, q)
+    return float(np.float64(_sum_of_powers([np.abs(f.coeffs)], f.coeffs.size, q)) ** (1.0 / q))
 
 
-def _lq_of_magnitudes(blocks: Iterable[np.ndarray], size: int, q: float) -> float:
-    """(sum mags^q)^(1/q) over float64 blocks of magnitudes, ``size`` in all, each raised to q in place.
+def _sum_of_powers(blocks: Iterable[np.ndarray], size: int, q: float) -> float:
+    """sum mags^q over float64 blocks of magnitudes, ``size`` in all, each raised to q in place.
+
+    The package's one sum of |x|^q: every l^q norm (``lq_norm``, the l^q
+    convergence row) and every p-mean (``two_level_means``, ``_p_mean``)
+    is this sum, and each caller takes its own root.
 
     With b = max mags and L = ``size``, the sum S lies in [b^q, L b^q].
     A term is computed within a few u = 2^-53 of itself, or within a few
@@ -489,16 +502,16 @@ def _lq_of_magnitudes(blocks: Iterable[np.ndarray], size: int, q: float) -> floa
     for mags in blocks:
         big = float(np.maximum(big, np.max(mags, initial=0.0)))
         if 0.0 < big < math.inf and q * math.log2(big) + math.log2(size) >= 1024.0:
-            _refuse_lq(q * math.log2(big))
+            _refuse_powers(q, q * math.log2(big))
         mags **= q
         sums.append(float(np.sum(mags)))
     if 0.0 < big < math.inf and q * math.log2(big) < -1022.0:
-        _refuse_lq(q * math.log2(big))
-    return float(np.float64(exact_sum(sums)) ** (1.0 / q))
+        _refuse_powers(q, q * math.log2(big))
+    return exact_sum(sums)
 
 
-def _refuse_lq(e: float) -> None:
-    raise ConditioningError(f"the largest |r|^q = 2^{e:.6g} is outside the normal range of the l^q sum")
+def _refuse_powers(q: float, e: float) -> None:
+    raise ConditioningError(f"the largest term |x|^{q:g} = 2^{e:.6g} is outside the normal range of a sum of powers")
 
 
 def hp_norm_estimate(f: TruncatedSeries, p: float, nodes: int | None = None) -> float:
@@ -614,7 +627,10 @@ def reverse_holder_check(
     |h(1)|^q int |1-z|^(-q) dm is evaluated in closed form and the
     remainder, which vanishes at z = 1, by the half-offset node mean.
     Both sides read one transform of h, which warns as
-    ``hp_norm_estimate`` does when the nodes undersample h.
+    ``hp_norm_estimate`` does when the nodes undersample h.  The right
+    side's p-mean is one ``_sum_of_powers``, so a largest |h|^p below
+    the normal range, or a sum of them that could overflow, raises
+    ``ConditioningError`` as the l^q norms do.
 
     At node j of M, |1 - z_j| = 2 sin(pi (j + 1/2)/M).  Memory: the
     node values (``boundary_values``, charged ``_two_level_bytes(M) +

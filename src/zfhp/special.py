@@ -71,11 +71,13 @@ def _power_error(a: float, log_c):
     return _U * (12.0 * a * log_c + 24.0)
 
 
-def _zeta_tail(n, s, terms: int = 8):
+def _zeta_tail(n, s):
     """Euler-Maclaurin tails sum_{j>=N} j^(-s) at the integers N >= 1 of ``n``: value, remainder, rounding.
 
-    Value.  With 1 <= M <= ``terms`` <= 8, (s)_m = s (s+1) ... (s+m-1) the
-    rising factorial and T_j(N) = B_2j/(2j)! (s)_(2j-1) N^(-s-2j+1),
+    Value.  Let K = 8, one less than the number of coefficients B_2j/(2j)! in
+    ``_EM_COEFFS``, since the remainder after T_M reads T_(M+1).  With
+    1 <= M <= K, (s)_m = s (s+1) ... (s+m-1) the rising factorial and
+    T_j(N) = B_2j/(2j)! (s)_(2j-1) N^(-s-2j+1),
 
         F(N) = N^(1-s)/(s-1) + N^(-s)/2 + sum_{j=1..M} T_j(N) + R,
         |R| <= |s + 2M + 1| / (sigma + 2M + 1) |T_(M+1)(N)|,
@@ -91,7 +93,7 @@ def _zeta_tail(n, s, terms: int = 8):
 
     in which zeta(s), or gamma, cancels.  M is the first j at which the
     bound on |R| falls below 2^-60 H (H below), far under the rounding, or
-    ``terms``.  This is the one tail of the package: the approx recursion
+    K.  This is the one tail of the package: the approx recursion
     takes its differences, and ``zeta`` takes it whole at N = ceil(|s|) + 10.
     The remainder returned is the bound on |R|.
 
@@ -114,7 +116,7 @@ def _zeta_tail(n, s, terms: int = 8):
 
         r = (e + 11u) |first term| + (e + (12M + 2)u) H + u |value|
 
-    of the formula above (the code takes ``terms`` >= M in place of M), and
+    of the formula above (the code takes K >= M in place of M), and
     the remainder's formula, evaluated at t_(M+1), is within
     e + 11(M + 1)u relative.  Both are returned times
     ``_SLACK``, which covers the second-order terms and the rounding of
@@ -126,6 +128,7 @@ def _zeta_tail(n, s, terms: int = 8):
     else:
         p = np.exp(-s * np.log(n))
         first, e = p * n / (s - 1.0), _power_error(abs(s), np.log(n))
+    terms = len(_EM_COEFFS) - 1
     inv_n2 = 1.0 / (n * n)
     t = s * p / n
     h, size = 0.5 * p, 0.5 * np.abs(p)

@@ -221,7 +221,9 @@ def rm_sequence(
     integral comparison T^(1-2 alpha)/(2 alpha - 1); quasiexp and
     stretchedexp use integral comparisons of their exponential integrands;
     superexp uses a first-omitted-term bracket.  Doubling ``tail_cutoff``
-    therefore moves finite values by less than the tail bound in use.
+    therefore moves finite values by less than the tail bound in use.  A
+    ``tail_cutoff`` whose buffers would exceed physical memory is refused
+    before anything is allocated.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -229,6 +231,17 @@ def rm_sequence(
         tail_cutoff = 10**7 if family.kind in ("identity", "power", "powerlog") else 10**3
     if m_max > tail_cutoff:
         raise ValueError("m_max must not exceed tail_cutoff")
+    # Peak bytes per entry of 0..tail_cutoff: at most seven float64 arrays
+    # of at most tail_cutoff + 1 entries are live at once, 56.  The power
+    # kinds hold the indices, log w, the reciprocal squares and their suffix
+    # sums, then w_m^2, the shifted suffix sums and their product for m <=
+    # m_max; log_w holds the indices and at most five more (powerlog's
+    # clamped n, its log and the two powers before their sum); the per-m
+    # loop of the exponential kinds, the indices, log w, the output and
+    # two temporaries.  tracemalloc peaks at 48 per entry for power and
+    # powerlog at m_max = tail_cutoff and 41 otherwise (numpy elides a
+    # temporary); 4 KiB covers the array headers.
+    _check_memory(56 * (tail_cutoff + 1) + 2**12, f"tail_cutoff = {tail_cutoff}", "r_m buffers")
     if family.kind == "identity" or (
         family.kind in ("power", "powerlog") and family.alpha <= 0.5
     ):

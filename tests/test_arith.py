@@ -107,6 +107,12 @@ def test_mobius_rejects_zero_limit():
         build_mobius(0)
 
 
+@pytest.mark.parametrize("n", [0, 13])
+def test_mu_outside_the_table_refused(n):
+    with pytest.raises(ValueError, match=f"^n = {n} outside table range 1..12$"):
+        build_mobius(12).mu(n)
+
+
 def test_mobius_rejects_limit_beyond_int32_radical():
     # refused before any allocation; never test this by allocating
     with pytest.raises(ValueError, match="2\\^31"):

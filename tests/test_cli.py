@@ -254,6 +254,41 @@ class TestExitCodes:
         assert "empty integer list" in captured.err
         assert captured.out == ""
 
+    # each refusal names what it expected, with nothing on stdout
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["lambda", "--k", "2..x", "--s-grid", "2 x 0"], 2,
+             "invalid arguments: cannot parse integer range from '2..x'"),
+            (["lambda", "--k", "..5", "--s-grid", "2 x 0"], 2,
+             "invalid arguments: cannot parse integer range from '..5'"),
+            (["mellin", "verify", "--k", "2..", "--s", "2"], 2,
+             "invalid arguments: cannot parse integer range from '2..'"),
+            (["convergence", "--space", "lq", "--n", "10", "--coeff-cutoff", "100"], 2,
+             "invalid arguments: --q is required for --space lq"),
+            (["convergence", "--space", "lq", "--q", "2", "--n", "10,a"], 2,
+             "invalid arguments: cannot parse integer list from '10,a'"),
+            (["lambda", "--k", "2..3", "--s-grid", "2 x"], 2,
+             "invalid arguments: s-grid needs at least one real and one imaginary part"),
+            (["weights", "probe", "--family", "identity", "--r", "0.75", "--count", "0"], 2,
+             "invalid arguments: count must be >= 1"),
+            (["weights", "classify", "--family", "powerlog:1,-1"], 2,
+             "invalid arguments: powerlog requires alpha > 0 and beta > 0"),
+            (["weights", "classify", "--family", "quasiexp:-1"], 2,
+             "invalid arguments: quasiexp requires alpha > 0"),
+            (["weights", "classify", "--family", "stretchedexp:1.5"], 2,
+             "invalid arguments: stretchedexp requires 0 < alpha < 1"),
+            (["approx", "--s", "nan", "--n", "10"], 3, "domain error: s must be finite, got (nan+0j)"),
+        ],
+        ids=["lambda-k-range", "lambda-k-range-no-start", "mellin-k-range-no-end", "lq-without-q",
+             "n-list", "s-grid", "probe-count", "powerlog", "quasiexp", "stretchedexp", "approx-nan"],
+    )
+    def test_refusal_names_what_it_expected(self, argv, code, err, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == err + "\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [["approx", "--s", "2", "--n", "100"], ["weights", "table1"]],
                              ids=["approx", "weights"])
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
@@ -296,7 +331,7 @@ class TestConvergenceCommand:
         out, err = capsys.readouterr()
         assert code == 3
         assert out == ""
-        assert err.startswith("conditioning error: the largest |r|^q")
+        assert err.startswith("conditioning error: the largest term |x|^500 = 2^")
 
     @pytest.mark.parametrize("q", ["inf", "nan"])
     def test_lq_refuses_a_nonfinite_q(self, q, capsys):
@@ -774,6 +809,13 @@ def test_every_readme_command_builds_one_manifest(monkeypatch):
     assert {argv[0] for argv in commands} == {"convergence", "lambda", "approx", "weights", "mellin", "zeta"}
     for argv in commands:
         assert len(_built_manifests(argv, monkeypatch)) == 1, argv
+
+
+def test_readme_zeta_line_is_the_command_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (quoted,) = re.findall(r"`(zeta\(2\+0i\) = [^`]*)`", readme)
+    assert main(["zeta", "--s", "2+0i"]) == 0
+    assert capsys.readouterr().out == quoted + "\n"
 
 
 def test_cli_computes_nothing_itself():

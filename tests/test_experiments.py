@@ -147,6 +147,11 @@ class TestLqConvergence:
         with pytest.raises(ValueError, match="finite"):
             run_lq_convergence(2.0, [10], 100)
 
+    @pytest.mark.parametrize("n, cutoff", [(1, 100), (101, 100), (10, 2**53)])
+    def test_tail_bound_refuses_n_and_cutoff_outside_its_proof(self, n, cutoff, mobius_1k):
+        with pytest.raises(ValueError, match=r"need 2 <= n <= coeff_cutoff < 2\^53"):
+            lq_tail_bound(2.0, n, cutoff, mobius_1k)
+
     def test_validation(self, mobius_1k):
         with pytest.raises(ValueError):
             run_lq_convergence(1.0, [10], 100)

@@ -61,6 +61,10 @@ class TestLambdaApply:
         with pytest.raises(DomainError):
             lambda_apply(TruncatedSeries([1.0]), -1.0)
 
+    def test_rejects_a_negative_coeff_bound(self):
+        with pytest.raises(ValueError, match="coeff_bound must be nonnegative"):
+            lambda_apply(TruncatedSeries([1.0, 0.5]), 2.0, coeff_bound=-1.0)
+
     def test_hk_value_matches_gk_within_tail(self):
         h2 = hk_coeffs(2, 10**5)
         ev = lambda_apply(h2, 2.0, coeff_bound=hk_coefficient_envelope(2, 10**5))

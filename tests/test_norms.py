@@ -21,8 +21,8 @@ from zfhp.norms import (
     _SLICES,
     _TRANSFORM_BYTES_PER_NODE,
     _fold,
-    _lq_of_magnitudes,
     _split,
+    _sum_of_powers,
     _table_bytes,
     _tables,
     _two_level_bytes,
@@ -104,11 +104,11 @@ class TestLqNorm:
 
         if raises:
             with pytest.raises(ConditioningError):
-                _lq_of_magnitudes(blocks(), len(coeffs), q)
+                _sum_of_powers(blocks(), len(coeffs), q)
             with pytest.raises(ConditioningError):
                 lq_norm(TruncatedSeries(coeffs), q)
         else:
-            got = _lq_of_magnitudes(blocks(), len(coeffs), q)
+            got = float(np.float64(_sum_of_powers(blocks(), len(coeffs), q)) ** (1.0 / q))
             if all(map(math.isfinite, coeffs)):
                 assert got == lq_norm(TruncatedSeries(coeffs), q)
             else:  # non-finite magnitudes pass through
@@ -255,6 +255,25 @@ class TestHpNorm:
         f = TruncatedSeries(np.ones(100))
         with pytest.warns(QuadratureWarning):
             hp_norm_estimate(f, 2.0, 16)
+
+    # Every p-mean is the l^q sum of |x|^p and refuses as it does: max |f|
+    # is 150 for fifty 3s, so 150^p overflows at p = 200 and beyond (401
+    # is the conjugate of q = 1.0025), and (50e-5)^100 = 2^-1099 is below
+    # the normal range.  Without the refusal these print inf, or 0.
+    @pytest.mark.parametrize(
+        "value, call",
+        [
+            (3.0, lambda f: hp_norm_estimate(f, 200.0, 256)),
+            (1e-5, lambda f: hp_norm_estimate(f, 100.0, 256)),
+            (3.0, lambda f: hardy_from_lq_check(f, 1.0025, 256)),
+            (3.0, lambda f: reverse_holder_check(f, 300.0, 0.5, 256)),
+            (3.0, lambda f: two_level_means(f.coeffs, 200.0, 256)),
+        ],
+        ids=["hp-overflow", "hp-subnormal", "hardy", "reverse-holder", "two-level-means"],
+    )
+    def test_p_means_refuse_terms_outside_the_normal_range(self, value, call):
+        with pytest.raises(ConditioningError, match="outside the normal range of a sum of powers"):
+            call(TruncatedSeries(np.full(50, value)))
 
     def test_nesting_in_p(self):
         for f in random_polynomials(10, seed=4):

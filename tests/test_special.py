@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import zfhp.special
 from zfhp import (
     DomainError,
     PoleError,
@@ -20,7 +21,7 @@ from zfhp import (
     zeta,
 )
 
-from zfhp.special import _U, _mellin_step_pk_bound, _zeta_tail, g_k_error_bound
+from zfhp.special import _EM_COEFFS, _U, _mellin_step_pk_bound, _zeta_tail, g_k_error_bound
 
 from oracles import ETA_TARGET, f_k_scalar, mellin_step_pk_quadrature, zeta_accelerated_eta
 
@@ -339,9 +340,14 @@ class TestZetaTail:
         assert abs(diff - true) <= bound
         assert bound <= 1e-10 * abs(true)
 
-    def test_remainder_falls_with_the_terms(self):
+    def test_remainder_falls_with_the_terms(self, monkeypatch):
+        # the tail takes as many terms as the coefficients allow, at most
+        # len(_EM_COEFFS) - 1: fewer coefficients cap it at 2 and 4 terms
         n = np.array([15.0, 101.0])
-        remainders = [_zeta_tail(n, 0.75 + 5j, terms)[1] for terms in (2, 4, 8)]
+        remainders = []
+        for terms in (2, 4, 8):
+            monkeypatch.setattr(zfhp.special, "_EM_COEFFS", _EM_COEFFS[: terms + 1])
+            remainders.append(_zeta_tail(n, 0.75 + 5j)[1])
         assert np.all(remainders[0] > remainders[1]) and np.all(remainders[1] > remainders[2])
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import zfhp.arith
 from zfhp import (
     WeightFamily,
     c4_halfplane,
@@ -187,6 +188,43 @@ class TestRmSequence:
     def test_m_max_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
             rm_sequence(WeightFamily("geometric", eps=0.5), 100, 50)
+
+    @pytest.mark.parametrize(
+        "family, m_max, cutoff, message",
+        [("power:2", -1, None, "m_max must be >= 0"), ("quasiexp:1", 1, 2, "tail_cutoff must be >= 3")],
+        ids=["negative-m-max", "quasiexp-cutoff-below-3"],
+    )
+    def test_invalid_arguments_refused(self, family, m_max, cutoff, message):
+        with pytest.raises(ValueError, match=message):
+            rm_sequence(parse_weight_family(family), m_max, cutoff)
+
+    # every kind with a finite tail at 10^6 entries; m_max = cutoff holds
+    # the most arrays for the power kinds, the exponential kinds loop over m
+    @pytest.mark.parametrize(
+        "family, m_max",
+        [("identity", 10**6), ("power:2", 10**6), ("powerlog:1,2", 10**6), ("quasiexp:1", 3),
+         ("stretchedexp:0.5", 3), ("geometric:0.5", 3), ("superexp:2", 3)],
+    )
+    def test_peak_within_the_charge(self, family, m_max):
+        cutoff = 10**6
+        tracemalloc.start()
+        try:
+            rm_sequence(parse_weight_family(family), m_max, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * (cutoff + 1) + 2**12
+
+    def test_refuses_a_cutoff_beyond_memory_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(zfhp.arith, "_physical_bytes", lambda: 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^tail_cutoff = 1000000 needs an estimated 0\.1 GiB of r_m buffers"):
+                rm_sequence(WeightFamily("power", alpha=2.0), 5, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestClassify:
