@@ -11,7 +11,10 @@ approx kernel of ``zfhp.functionals`` to about the 2/3 power of its
 largest n.  ``_check_memory`` is the package's one physical-memory guard:
 sizes whose buffers cannot fit are refused before anything is allocated.
 ``exact_sum`` is the package's one exactly rounded sum of a float array:
-it does not depend on the order or grouping of the terms.
+it does not depend on the order or grouping of the terms.  Long sums over
+an index range, the Möbius sums here among them, walk it in blocks of
+``_DIVIDE_BLOCK`` entries (``_walk_parts``), so they hold no array as
+long as the range.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +34,21 @@ __all__ = [
     "exact_parts",
     "exact_sum",
 ]
+
+# Entries per block of every walk over an index range: the blocked exact
+# sums (``_walk_parts``) and the partial-sum kernel's output blocks
+# (``series.CoefficientBlocks``).  A float64 block is 256 KiB at 2^15;
+# 2^13..2^19 time alike in the kernel at degree 10^6 (CHANGES.md).
+_DIVIDE_BLOCK = 1 << 15
+
+# Peak bytes of one step of ``_walk_parts`` on the package's sums, per block
+# entry: while the terms are formed, at most 40 (the l^q tail's int64 d and
+# floor(N/d) and two float64 temporaries); while they are read, what their
+# source keeps, at most 24 (lambda's log j and one s's complex powers), plus
+# inside ``exact_parts`` the piece joined to the running parts, its copy, a
+# pass's temporary and the |x| of its maximum, 32.  Under 64 bytes in all
+# (tracemalloc: 56 for lambda, 32 for the Möbius sums and the l^q tail).
+_WALK_BYTES = 64 * _DIVIDE_BLOCK
 
 # Entries per segment of the Möbius sieve: with its int32 radical, int32
 # index range, bool compare and int8 result it takes 10 bytes per entry,
@@ -164,17 +182,15 @@ def _sieve_bytes(limit: int) -> int:
 
 
 def mobius_sum_over_k(table: MobiusTable, cutoff: int) -> float:
-    """Partial sum of mu(k)/k for k = 1..cutoff (limit 0 as cutoff grows)."""
+    """Partial sum of mu(k)/k for k = 1..cutoff (limit 0 as cutoff grows), a blocked exact sum."""
     _check_cutoff(table, cutoff)
-    k = np.arange(1, cutoff + 1, dtype=np.float64)
-    return exact_sum(table.values[1 : cutoff + 1] / k)
+    return _walk_sum(lambda lo, k: table.values[lo : lo + k.size] / k, cutoff)
 
 
 def mobius_logsum_over_k(table: MobiusTable, cutoff: int) -> float:
-    """Partial sum of mu(k) log(k)/k for k = 1..cutoff (limit -1)."""
+    """Partial sum of mu(k) log(k)/k for k = 1..cutoff (limit -1), a blocked exact sum."""
     _check_cutoff(table, cutoff)
-    k = np.arange(1, cutoff + 1, dtype=np.float64)
-    return exact_sum(table.values[1 : cutoff + 1] * np.log(k) / k)
+    return _walk_sum(lambda lo, k: table.values[lo : lo + k.size] * np.log(k) / k, cutoff)
 
 
 def _physical_bytes() -> int:
@@ -193,10 +209,8 @@ def _check_memory(need: int, subject: str, buffers: str) -> None:
 
 
 def _check_cutoff(table: MobiusTable, cutoff: int) -> None:
-    if cutoff < 1:
-        raise ValueError("cutoff must be a positive integer")
-    if cutoff > table.limit:
-        raise ValueError(f"cutoff {cutoff} exceeds table limit {table.limit}")
+    if not 1 <= cutoff <= table.limit:
+        raise ValueError(f"cutoff {cutoff} outside table range 1..{table.limit}")
 
 
 def exact_parts(x) -> list[float]:
@@ -214,11 +228,54 @@ def exact_parts(x) -> list[float]:
     parts: list[float] = []
     while big:
         sigma = math.ldexp(1.0, math.frexp(big)[1] + scale)
-        q = (x + sigma) - sigma
+        q = x + sigma
+        q -= sigma  # in place, so the pass holds one temporary at any length
         x -= q
         parts.append(float(np.sum(q)))
         big = float(np.max(np.abs(x)))
     return parts
+
+
+def _walk_parts(terms: Callable[[int, np.ndarray], Iterable[np.ndarray]], count: int, cuts: Sequence[int],
+                start: int = 1) -> Iterator[list[list[float]]]:
+    """At each of the sorted ``cuts`` c, the exact parts of each of ``count`` sums of ``terms`` over j = start..c.
+
+    ``terms(lo, j)`` yields, for the float64 range j of lo, lo + 1, ...,
+    the float64 terms of each sum in turn, and each array is read before
+    the next is asked for; it may overwrite j.  The walk calls it on
+    consecutive pieces of j from ``start`` on, each of at most
+    ``_DIVIDE_BLOCK`` indices and ending at a block's end or at a cut, so
+    it holds no array as long as the range.  Each piece is added to its
+    sum's running parts by ``exact_parts`` of the parts and the piece
+    together, so the parts always sum exactly to the terms so far, and a
+    sum rounded from them (``exact_sum``) does not depend on the pieces,
+    as long as numpy forms each term the same in any piece.  A cut below
+    ``start`` gives the parts of the empty sums, [].
+
+    Length.  Let the terms be at most 1 in modulus, fewer than 2^53 of
+    them.  A piece and the running parts are L <= 2^15 + 32 floats, so a
+    pass of ``exact_parts`` on them with the largest below 2^E leaves every
+    entry below 2^(E - 36).  Its first part is within L 2^(E - 37) <=
+    2^(E - 21) of the exact sum, below 2^53, and the later parts are below
+    L 2^(E - 36) <= 2^(E - 20), so by induction every part stays below
+    2^54 and E <= 55.  Every float is a multiple of 2^-1074, so the passes
+    end before E falls below -1074: at most 32 of them, and a running list
+    holds at most 32 parts however many pieces there are (two to four on
+    the package's sums).
+    """
+    parts, lo = [[]] * count, start
+    for c in cuts:
+        for a in range(lo, c + 1, _DIVIDE_BLOCK):
+            piece = terms(a, np.arange(a, min(a + _DIVIDE_BLOCK, c + 1), dtype=np.float64))
+            parts = [exact_parts(np.concatenate((p, t))) for p, t in zip(parts, piece)]
+        lo = max(lo, c + 1)
+        yield parts
+
+
+def _walk_sum(term: Callable[[int, np.ndarray], np.ndarray], stop: int, start: int = 1) -> float:
+    """The exactly rounded sum of ``term(lo, j)`` over the pieces of j = start..stop (``_walk_parts``)."""
+    ((parts,),) = _walk_parts(lambda lo, j: [term(lo, j)], 1, [stop], start)
+    return exact_sum(parts)
 
 
 def exact_sum(x) -> float | complex:

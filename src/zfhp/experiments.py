@@ -44,9 +44,9 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from ._version import __version__
-from .arith import MobiusTable, _check_memory, _sieve_bytes, build_mobius, exact_sum, mobius_sum_over_k
+from .arith import _WALK_BYTES, MobiusTable, _check_memory, _sieve_bytes, _walk_sum, build_mobius, mobius_sum_over_k
 from .errors import DomainError
-from .functionals import _LAMBDA_COEFF_BYTES, approx_reciprocal_s_partial_sums, lambda_hk_truncated
+from .functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
 from .norms import (
     QuadratureWarning,
     _check_two_level_nodes,
@@ -205,7 +205,10 @@ def _convergence_records(
     ``row_memory`` is the bytes of the buffers ``row`` allocates besides
     the kernel's.  Then everything the run holds at once is checked as one
     sum: the Möbius table to the largest n and its sieve segments
-    (``arith.build_mobius``), the kernel's buffers and ``row_memory``.
+    (``arith.build_mobius``), one block of the blocked exact sums over k
+    and d <= n (``arith._WALK_BYTES``, taken by ``mobius_sum_over_k``, its
+    log companion and ``lq_tail_bound``), the kernel's buffers and
+    ``row_memory``.
     Only then is ``table`` sieved, to the largest n and no further.  n
     must stay below 2^31, the cap of ``build_mobius``.
     ``coeffs`` is ``mobius_ims_partial_sums`` at n, a ``CoefficientBlocks``;
@@ -222,7 +225,7 @@ def _convergence_records(
     if top >= 2**31:
         raise ValueError(f"n = {top} too large: the Möbius table needs n < 2^31")
     _check_checkpoints(ns, coeff_cutoff)
-    need = top + 1 + _sieve_bytes(top) + _kernel_bytes(coeff_cutoff) + row_memory
+    need = top + 1 + _sieve_bytes(top) + _WALK_BYTES + _kernel_bytes(coeff_cutoff) + row_memory
     _check_memory(need, f"n = {top} with coeff_cutoff = {coeff_cutoff}",
                   "Möbius table, sieve segments, partial-sum and row buffers")
     table = build_mobius(top)
@@ -254,7 +257,9 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
     w_j = (c_n - D_j(n))/j for j > N, where c_n = sum_{k=2..n} mu(k)/k and
     D_j(n) = sum_{d | j, 2 <= d <= n} mu(d).  The returned value is at
     least (sum_{j>N} |w_j|^q)^(1/q).  It is finite for every q > 1, costs
-    O(n) and needs no divisor table.
+    O(n) and needs no divisor table.  The sum over d is walked in blocks
+    (``arith._walk_sum``), so it holds no array as long as n, and an n
+    beyond ``table`` is refused before the walk.
 
     Proof.  Write w = c_n e - sum_d mu(d) e_d with e_j = 1/j and
     (e_d)_j = [d | j]/j, over squarefree 2 <= d <= n.  Minkowski's
@@ -298,12 +303,15 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
         raise ValueError("q must be finite and > 1")
     if not 2 <= n <= coeff_cutoff < 2**53:
         raise ValueError("need 2 <= n <= coeff_cutoff < 2^53")
+    c_n = abs(mobius_sum_over_k(table, n) - 1.0)  # refuses n beyond the table first
     inv_q = 1.0 / q
     r = 1.0 - inv_q
-    d = np.flatnonzero(table.values[2 : n + 1]) + 2
-    m_d = (coeff_cutoff // d).astype(np.float64)
-    s = exact_sum(m_d ** -r / d)
-    c_n = abs(mobius_sum_over_k(table, n) - 1.0)
+
+    def terms(lo: int, j: np.ndarray) -> np.ndarray:
+        d = j[table.values[lo : lo + j.size] != 0]  # the squarefree d, exact floats
+        return (coeff_cutoff // d) ** -r / d
+
+    s = _walk_sum(terms, n, start=2)
     x = c_n * math.pow(coeff_cutoff, -r) + s
     return math.pow(q - 1.0, -inv_q) * x * _TAIL_ROUNDING_FACTOR
 
@@ -433,7 +441,8 @@ def _check_record_memory(k_count: int, subject: str, grid_size: int | None = Non
     """Refuse ``k_count`` values of k whose records (``_record_bytes``) exceed physical memory.
 
     The CLI calls this on the ``--k`` range before it becomes a list, and
-    ``run_mellin_verify`` on its ``k_list`` before any record is built.
+    ``run_lambda_sweep`` and ``run_mellin_verify`` on their ``k_list``
+    before any record is built.
     """
     buffers = "mellin records" if grid_size is None else "lambda records"
     _check_memory(_record_bytes(k_count, grid_size), subject, buffers)
@@ -462,16 +471,12 @@ def run_lambda_sweep(
     Grid points must satisfy Re(s) > 1/2 (the functionals are bounded on
     the underlying Hardy-Hilbert space only there), s != 1 (pole) and
     |s| <= 2^20 (the range of ``zeta``); like the memory of the records
-    (``_record_bytes``) and of ``lambda_hk_truncated``'s coefficient
-    buffers, checked as one sum, these are checked before any buffer is
-    built.
+    (``_check_record_memory``), these are checked before any buffer is
+    built.  The closed form walks j <= coeff_cutoff in blocks, so its
+    memory does not grow with the cutoff, which must be below 2^53.
     """
     grid = _check_grid(s_grid)
-    _check_memory(
-        _record_bytes(len(k_list), len(grid)) + _LAMBDA_COEFF_BYTES * (int(coeff_cutoff) + 1),
-        f"coeff_cutoff = {coeff_cutoff} with k_list of {len(k_list)} values",
-        "lambda records and coefficient buffers",
-    )
+    _check_record_memory(len(k_list), f"k_list of {len(k_list)} values", len(grid))
     records: list[LambdaRecord] = []
     evaluations = lambda_hk_truncated(k_list, grid, coeff_cutoff)
     zetas = {s: zeta(s) for s in dict.fromkeys(grid)}

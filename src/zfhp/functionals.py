@@ -8,7 +8,9 @@ tail bound is reported.
 
 ``lambda_apply`` sums any truncated series term by term.  On the generators
 h_k, ``lambda_hk_truncated`` evaluates the same finite sum in closed form,
-with a proved coefficient envelope and a proved rounding bound.
+with a proved coefficient envelope and a proved rounding bound, from
+prefix sums of j^-s that one blocked walk over j <= N adds exactly
+(``arith._walk_parts``): its memory does not grow with the degree N.
 
 ``approx_reciprocal_s_partial_sums`` forms the Möbius combinations
 sum_{k<=n} mu(k) G_k(s) at many n and many s, each with a proved error
@@ -24,11 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import _check_memory, _physical_bytes, _sieve_bytes, build_mobius, exact_parts, exact_sum
+from .arith import _check_memory, _physical_bytes, _sieve_bytes, _walk_parts, build_mobius, exact_sum
 from .series import TruncatedSeries, hk_coefficient_envelope
 from .special import (_SLACK, _U, _check_zeta_range, _power_error, _zeta_tail, fk_values,
                       require_right_half_plane, zeta)
@@ -101,12 +103,6 @@ class GeneratorEvaluation:
     rounding_bound: float
 
 
-# Bytes per coefficient of lambda_hk_truncated: j, log j and one s's powers
-# (8 + 8 + 16), and while a prefix takes its exact parts, their float64 copy
-# and temporaries (24): under 72 bytes (tracemalloc: 64).
-_LAMBDA_COEFF_BYTES = 72
-
-
 def lambda_hk_truncated(
     k_list: Iterable[int], s_grid: Iterable[complex], degree: int
 ) -> list[GeneratorEvaluation]:
@@ -130,14 +126,18 @@ def lambda_hk_truncated(
 
     and collecting terms gives the formula.
 
-    Cost.  One pass over 1/j, j <= N, and one over j^(-s) per s keep the
-    ``exact_parts`` of the prefix sums at the cut points {floor(N/k)} and N.
-    P_c is the ``exact_sum`` of its parts, per component, and D_k that of
-    the parts of H_N and of -H_M, and -log k; each (k, s) pair costs O(1).
-    The cancellations, in P_N - k^(1-s) P_M and in the small D_k, fall only
-    on these exactly rounded sums, so no value depends on the rest of
-    ``k_list``.  Beyond physical memory, N is refused before anything is
-    allocated (``_LAMBDA_COEFF_BYTES`` per coefficient).
+    Cost.  One blocked walk over j <= N (``arith._walk_parts``) forms
+    1/j, log j and j^(-s) for every s a block of ``_DIVIDE_BLOCK`` at a
+    time and keeps the ``exact_parts`` of the prefix sums of 1/j and of
+    the real and imaginary parts of j^(-s) at the cut points
+    {floor(N/k)} and N.  P_c is the ``exact_sum`` of its parts, per
+    component, and D_k that of the parts of H_N and of -H_M, and -log k;
+    each (k, s) pair costs O(1).  The cancellations, in P_N - k^(1-s) P_M
+    and in the small D_k, fall only on these exactly rounded sums, so no
+    value depends on the rest of ``k_list`` or on the blocks.  Memory is
+    one block's arrays (``arith._WALK_BYTES``) and O(1) floats per cut
+    point and s, whatever N; N must be below 2^53, so that every j is an
+    exact float64.
 
     Tail.  ``tail_bound`` is ``_tail_bound`` with the proved envelope
     C = ``hk_coefficient_envelope(k, N)``, so it bounds the discarded
@@ -181,18 +181,21 @@ def lambda_hk_truncated(
         raise ValueError("k_list must not be empty")
     if any(k < 2 for k in ks):
         raise ValueError("k values must be >= 2")
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    _check_memory(_LAMBDA_COEFF_BYTES * (n + 1), f"degree = {n}", "lambda coefficient buffers")
+    if not 1 <= n < 2**53:
+        raise ValueError(f"degree = {n} outside 1..2^53 - 1, where every j is an exact float64")
     cuts = sorted({n // k for k in ks} | {n})
-    j = np.arange(1, n + 1, dtype=np.float64)
-    harmonic = _prefix_parts(1.0 / j, cuts)
-    log_j = np.log(j)
-    prefix = []
-    for s in grid:
-        powers = np.exp(-s * log_j)
-        re, im = _prefix_parts(powers.real, cuts), _prefix_parts(powers.imag, cuts)
-        prefix.append({c: complex(exact_sum(re[c]), exact_sum(im[c])) for c in cuts})
+
+    def terms(lo: int, j: np.ndarray) -> Iterator[np.ndarray]:
+        yield 1.0 / j
+        log_j = np.log(j, out=j)
+        for s in grid:
+            powers = np.exp(-s * log_j)
+            yield from (powers.real, powers.imag)
+
+    harmonic, prefix = {}, {}
+    for c, (h, *powers) in zip(cuts, _walk_parts(terms, 1 + 2 * len(grid), cuts)):
+        harmonic[c] = h
+        prefix[c] = [complex(exact_sum(re), exact_sum(im)) for re, im in zip(powers[::2], powers[1::2])]
     log_n1 = math.log(n + 1)
     out: list[GeneratorEvaluation] = []
     for k in ks:
@@ -200,10 +203,10 @@ def lambda_hk_truncated(
         log_k = math.log(k)
         gap = exact_sum(harmonic[n] + [-h for h in harmonic[m]] + [-log_k])
         envelope = hk_coefficient_envelope(k, n)
-        for s, p in zip(grid, prefix):
+        for s, p_n, p_m in zip(grid, prefix[n], prefix[m]):
             e = cmath.exp((1.0 - s) * log_n1)
             kappa = cmath.exp((1.0 - s) * log_k)
-            value = ((p[n] - kappa * p[m]) - e * gap) / (k * s)
+            value = ((p_n - kappa * p_m) - e * gap) / (k * s)
             out.append(
                 GeneratorEvaluation(
                     k=k,
@@ -214,18 +217,6 @@ def lambda_hk_truncated(
                 )
             )
     return out
-
-
-def _prefix_parts(terms: np.ndarray, cuts: Sequence[int]) -> dict[int, list[float]]:
-    """Exact parts of sum_{j<=c} terms[j-1] at each of the sorted cut points c."""
-    parts: list[float] = []
-    prefix: dict[int, list[float]] = {}
-    lo = 0
-    for c in cuts:
-        parts += exact_parts(terms[lo:c])
-        prefix[c] = list(parts)
-        lo = c
-    return prefix
 
 
 def _closed_form_rounding(k: int, s: complex, n: int, gap: float) -> float:

@@ -44,9 +44,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import _check_memory, exact_sum
+from .arith import _DIVIDE_BLOCK, _check_memory, exact_sum
 from .errors import ConditioningError
-from .series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries
+from .series import CoefficientBlocks, TruncatedSeries
 
 __all__ = [
     "QuadratureWarning",

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import MobiusTable, _check_memory, mobius_logsum_over_k, mobius_sum_over_k
+from .arith import _DIVIDE_BLOCK, MobiusTable, _check_memory, mobius_logsum_over_k, mobius_sum_over_k
 
 __all__ = [
     "TruncatedSeries",
@@ -154,13 +154,6 @@ def hk_coefficient_envelope(k: int, degree: int) -> float:
     m0 = (degree + 1) // k
     bound = c(m0) if m0 >= 1 else max(1.0, c(1))
     return bound * _ENVELOPE_ROUNDING_FACTOR
-
-
-# Coefficients per block of the kernel's output (``CoefficientBlocks``):
-# the block buffer and the block's float64 range of m are 256 KiB each at
-# 2^15, against 8 bytes per coefficient for a full-length array; 2^13..2^19
-# time alike at degree 10^6 (CHANGES.md).
-_DIVIDE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)

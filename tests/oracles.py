@@ -15,6 +15,18 @@ moved here verbatim, with ``mobius_ims_one_buffer`` to drive it: every
 checkpoint overwrites one float64 array of degree + 1 entries, divided in
 blocks of ``zfhp.series._DIVIDE_BLOCK``.
 
+``mobius_sum_whole`` and ``mobius_logsum_whole`` are the Möbius sums as
+they were before ``zfhp.arith.mobius_sum_over_k`` and
+``mobius_logsum_over_k`` walked their range in blocks
+(``zfhp.arith._walk_parts``), moved here verbatim: one ``exact_sum`` of a
+float64 array as long as the range.  ``lq_tail_bound_whole`` is
+``zfhp.experiments.lq_tail_bound`` as it was then, with its sum over the
+squarefree d in one array, and ``lambda_hk_truncated_whole`` is
+``zfhp.functionals.lambda_hk_truncated`` as it was then, with its helper
+``prefix_parts``: j, log j and one s's powers over all N coefficients,
+and a list of parts that grows with every cut point.  Every sum is
+exactly rounded, so each must agree with its blocked form bit for bit.
+
 ``mobius_linear_sieve`` is the pure-Python linear sieve that
 ``zfhp.arith.build_mobius`` replaced, ``mobius_whole_table_sieve`` the
 whole-table numpy sieve with a full-length int32 radical that its
@@ -99,7 +111,9 @@ from zfhp import ConditioningError, DomainError, PoleError, zeta
 from zfhp.special import _cexpm1, require_right_half_plane
 from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _four_step, _level, _product_tables, _roots,
                         _twiddle, _validate_nodes)
-from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries
+from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries, hk_coefficient_envelope
+from zfhp.experiments import _TAIL_ROUNDING_FACTOR
+from zfhp.functionals import GeneratorEvaluation, _closed_form_rounding, _tail_bound
 from zfhp.arith import (
     _SIEVE_BLOCK,
     _check_memory,
@@ -178,6 +192,79 @@ def lq_residual_oracle(q: float, n: int, degree: int, table) -> float:
     res[0] -= 1.0
     res[1] += 1.0
     return math.fsum((np.abs(res) ** q).tolist()) ** (1.0 / q)
+
+
+def mobius_sum_whole(table, cutoff: int) -> float:
+    """Partial sum of mu(k)/k for k = 1..cutoff."""
+    k = np.arange(1, cutoff + 1, dtype=np.float64)
+    return exact_sum(table.values[1 : cutoff + 1] / k)
+
+
+def mobius_logsum_whole(table, cutoff: int) -> float:
+    """Partial sum of mu(k) log(k)/k for k = 1..cutoff."""
+    k = np.arange(1, cutoff + 1, dtype=np.float64)
+    return exact_sum(table.values[1 : cutoff + 1] * np.log(k) / k)
+
+
+def lq_tail_bound_whole(q: float, n: int, coeff_cutoff: int, table) -> float:
+    """``zfhp.experiments.lq_tail_bound``, the sum over squarefree 2 <= d <= n in one array."""
+    inv_q = 1.0 / q
+    r = 1.0 - inv_q
+    d = np.flatnonzero(table.values[2 : n + 1]) + 2
+    m_d = (coeff_cutoff // d).astype(np.float64)
+    s = exact_sum(m_d ** -r / d)
+    c_n = abs(mobius_sum_whole(table, n) - 1.0)
+    x = c_n * math.pow(coeff_cutoff, -r) + s
+    return math.pow(q - 1.0, -inv_q) * x * _TAIL_ROUNDING_FACTOR
+
+
+def lambda_hk_truncated_whole(k_list, s_grid, degree: int) -> list[GeneratorEvaluation]:
+    """``zfhp.functionals.lambda_hk_truncated`` over whole arrays of the N coefficients."""
+    ks = [int(k) for k in k_list]
+    grid = [require_right_half_plane(s) for s in s_grid]
+    n = int(degree)
+    cuts = sorted({n // k for k in ks} | {n})
+    j = np.arange(1, n + 1, dtype=np.float64)
+    harmonic = prefix_parts(1.0 / j, cuts)
+    log_j = np.log(j)
+    prefix = []
+    for s in grid:
+        powers = np.exp(-s * log_j)
+        re, im = prefix_parts(powers.real, cuts), prefix_parts(powers.imag, cuts)
+        prefix.append({c: complex(exact_sum(re[c]), exact_sum(im[c])) for c in cuts})
+    log_n1 = math.log(n + 1)
+    out: list[GeneratorEvaluation] = []
+    for k in ks:
+        m = n // k
+        log_k = math.log(k)
+        gap = exact_sum(harmonic[n] + [-h for h in harmonic[m]] + [-log_k])
+        envelope = hk_coefficient_envelope(k, n)
+        for s, p in zip(grid, prefix):
+            e = cmath.exp((1.0 - s) * log_n1)
+            kappa = cmath.exp((1.0 - s) * log_k)
+            value = ((p[n] - kappa * p[m]) - e * gap) / (k * s)
+            out.append(
+                GeneratorEvaluation(
+                    k=k,
+                    s=s,
+                    value=value,
+                    tail_bound=_tail_bound(envelope, s, n),
+                    rounding_bound=_closed_form_rounding(k, s, n, gap),
+                )
+            )
+    return out
+
+
+def prefix_parts(terms: np.ndarray, cuts) -> dict[int, list[float]]:
+    """Exact parts of sum_{j<=c} terms[j-1] at each of the sorted cut points c."""
+    parts: list[float] = []
+    prefix: dict[int, list[float]] = {}
+    lo = 0
+    for c in cuts:
+        parts += exact_parts(terms[lo:c])
+        prefix[c] = list(parts)
+        lo = c
+    return prefix
 
 
 def mobius_linear_sieve(limit: int) -> np.ndarray:

@@ -12,17 +12,20 @@ from zfhp import (
 )
 
 from zfhp.arith import (
+    _DIVIDE_BLOCK,
     _SIEVE_BLOCK,
     _mobius_segments,
     _prime_bytes,
     _primes_up_to,
     _sieve_bytes,
     _sieve_segment,
+    _walk_parts,
     exact_parts,
     exact_sum,
 )
 
-from oracles import bounded_divisor_sum, mobius_linear_sieve, mobius_whole_table_sieve
+from oracles import (bounded_divisor_sum, mobius_linear_sieve, mobius_logsum_whole, mobius_sum_whole,
+                     mobius_whole_table_sieve)
 
 
 def mu_by_trial_division(n: int, primes: list[int]) -> int:
@@ -257,6 +260,62 @@ def test_partial_sums_approach_limits(mobius_1m):
     assert abs(mobius_logsum_over_k(mobius_1m, 10**6) + 1.0) < abs(
         mobius_logsum_over_k(mobius_1m, 10**4) + 1.0
     )
+
+
+@pytest.mark.parametrize("n", [_DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 1, 3 * _DIVIDE_BLOCK + 5])
+def test_blocked_sums_equal_the_whole_array_sums(n, mobius_100k):
+    # one block less one term, one block, one term into the next, and
+    # three blocks and a short one
+    assert mobius_sum_over_k(mobius_100k, n).hex() == mobius_sum_whole(mobius_100k, n).hex()
+    assert mobius_logsum_over_k(mobius_100k, n).hex() == mobius_logsum_whole(mobius_100k, n).hex()
+
+
+def test_sums_hold_one_block_at_ten_million():
+    # 400 MB at 10^7 when each sum formed its float64 arrays over the whole range
+    table = build_mobius(10**7)
+    tracemalloc.start()
+    try:
+        mobius_sum_over_k(table, 10**7)
+        mobius_logsum_over_k(table, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+
+
+class TestWalkParts:
+    B = _DIVIDE_BLOCK
+
+    def terms(self, lo, j):
+        # x at the j of the piece, and a second sum of -x/2
+        assert j[0] == lo and np.array_equal(j, np.arange(lo, lo + j.size))
+        x = self.x[lo - 1 : lo - 1 + j.size]
+        return [x, -x * 0.5]
+
+    def setup_method(self):
+        rng = np.random.default_rng(27)
+        size = 5 * self.B + 7
+        self.x = rng.uniform(-1.0, 1.0, size) * np.exp2(rng.integers(-80, 1, size))
+
+    def test_parts_at_every_cut_sum_exactly(self):
+        b = self.B
+        cuts = [0, 1, 5, b - 1, b, b + 1, 2 * b, 3 * b + 2, 3 * b + 3, 5 * b + 7]
+        got = list(_walk_parts(self.terms, 2, cuts))
+        assert len(got) == len(cuts)
+        for c, (first, second) in zip(cuts, got):
+            assert exact_sum(first) == exact_sum(self.x[:c]), c
+            assert exact_sum(second) == exact_sum(-self.x[:c] * 0.5), c
+            assert len(first) <= 32 and len(second) <= 32
+
+    def test_start_leaves_out_the_first_terms(self):
+        ((parts, _),) = _walk_parts(self.terms, 2, [2 * self.B + 9], start=3)
+        assert exact_sum(parts) == exact_sum(self.x[2 : 2 * self.B + 9])
+
+    def test_parts_stay_few_over_many_blocks_and_cuts(self):
+        # a cut every 97 indices: the running parts are re-compressed at each
+        cuts = list(range(1, 3 * self.B, 97))
+        lengths = [len(parts) for parts, _ in _walk_parts(self.terms, 2, cuts)]
+        assert max(lengths) <= 6
 
 
 def test_sum_cutoff_out_of_range(mobius_1k):

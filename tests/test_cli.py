@@ -160,9 +160,9 @@ class TestExitCodes:
         [
             (["lambda", "--k", "2..10000000000", "--s-grid", "2 x 0"],
              "--k 2..10000000000 needs an estimated 5,364.4 GiB of lambda records"),
-            (["lambda", "--k", "2..10", "--s-grid", "2 x 0", "--coeff-cutoff", "100000000000"],
-             "coeff_cutoff = 100000000000 with k_list of 9 values needs an estimated 6,705.5 GiB of lambda "
-             "records and coefficient buffers"),
+            # no memory figure grows with the cutoff: j must stay an exact float64
+            (["lambda", "--k", "2..10", "--s-grid", "2 x 0", "--coeff-cutoff", "9007199254740992"],
+             "degree = 9007199254740992 outside 1..2^53 - 1, where every j is an exact float64"),
             (["mellin", "verify", "--k", "1..10000000000", "--s", "2+1i"],
              "--k 1..10000000000 needs an estimated 2,980.2 GiB of mellin records"),
         ],
@@ -187,22 +187,6 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"invalid arguments: {message}")
         assert peak < 2**20
-
-    def test_lambda_records_checked_with_the_coefficients(self, capsys, monkeypatch):
-        # 19 k at one s: 19 (512 + 64) bytes of records, and 72 (1000 + 1)
-        # of coefficient buffers, fit alone in 80,000 bytes; their sum,
-        # 83,016, does not
-        def refuse(*args, **kwargs):
-            raise AssertionError("lambda_hk_truncated reached")
-
-        monkeypatch.setattr(zfhp.arith, "_physical_bytes", lambda: 80_000)
-        monkeypatch.setattr(zfhp.experiments, "lambda_hk_truncated", refuse)
-        code = main(["lambda", "--k", "2..20", "--s-grid", "2 x 0", "--coeff-cutoff", "1000"])
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert err.startswith("invalid arguments: coeff_cutoff = 1000 with k_list of 19 values needs an "
-                              "estimated 0.0 GiB of lambda records and coefficient buffers")
 
     @pytest.mark.parametrize("subsequence", ["all", "primes"])
     def test_probe_count_beyond_physical_memory_refused(self, subsequence, capsys, monkeypatch):

@@ -34,7 +34,7 @@ from zfhp.norms import _two_level_bytes
 from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, _kernel_bytes
 from zfhp.weights import WeightFamily, all_integers, extremal_probe
 
-from oracles import half_offset_points, lq_residual_oracle
+from oracles import half_offset_points, lq_residual_oracle, lq_tail_bound_whole
 
 # Small runs of both runners, which load every module and the FFT before
 # a VmHWM measurement starts.
@@ -70,6 +70,18 @@ def csv_rows(render, records) -> list[dict]:
     buf = io.StringIO()
     render(records, buf)
     return list(csv.DictReader(io.StringIO(buf.getvalue())))
+
+
+def checked_bytes(monkeypatch) -> list[int]:
+    """The bytes of every ``_check_memory`` call in ``zfhp.experiments`` from now on, in order."""
+    checked = []
+
+    def check(need, subject, buffers):
+        checked.append(need)
+        return zfhp.arith._check_memory(need, subject, buffers)
+
+    monkeypatch.setattr(experiments, "_check_memory", check)
+    return checked
 
 
 class TestLqConvergence:
@@ -129,6 +141,19 @@ class TestLqConvergence:
             tracemalloc.stop()
         assert peak <= _kernel_bytes(cutoff) + 2**16
 
+    def test_peak_within_the_checked_bytes(self, monkeypatch):
+        # 14.09 MB against 3.94 MB checked when the Möbius sums and the tail
+        # bound formed float64 arrays over k and d <= n
+        checked = checked_bytes(monkeypatch)
+        tracemalloc.start()
+        try:
+            run_lq_convergence(2.0, [2**18], 2**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (need,) = checked
+        assert peak <= need
+
     def test_peak_rss_within_the_kernel_figure(self, vmhwm_growth):
         # VmHWM sees what tracemalloc cannot; one float64 array of
         # cutoff + 1 entries, 8 MiB here, breaks the bound
@@ -146,6 +171,21 @@ class TestLqConvergence:
         monkeypatch.setattr(experiments, "mobius_ims_partial_sums", poisoned)
         with pytest.raises(ValueError, match="finite"):
             run_lq_convergence(2.0, [10], 100)
+
+    @pytest.mark.parametrize("n", [_DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 1, 3 * _DIVIDE_BLOCK + 5])
+    def test_tail_bound_equals_the_whole_array_oracle(self, n, mobius_100k):
+        # the squarefree d = 2..n in blocks of the walk, which starts at d = 2
+        for q in (1.5, 2.0, 1.737):
+            got = lq_tail_bound(q, n, 10**6, mobius_100k)
+            assert got.hex() == lq_tail_bound_whole(q, n, 10**6, mobius_100k).hex(), q
+
+    def test_tail_bound_refuses_n_beyond_the_table_before_the_walk(self, mobius_1k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk started")
+
+        monkeypatch.setattr(zfhp.arith, "_walk_parts", refuse)
+        with pytest.raises(ValueError, match=r"cutoff 1001 outside table range 1\.\.1000"):
+            lq_tail_bound(2.0, 1001, 2000, mobius_1k)
 
     @pytest.mark.parametrize("n, cutoff", [(1, 100), (101, 100), (10, 2**53)])
     def test_tail_bound_refuses_n_and_cutoff_outside_its_proof(self, n, cutoff, mobius_1k):
@@ -180,6 +220,20 @@ class TestHpConvergence:
         for _ in range(2):
             got = np.concatenate([block.copy() for block in coeffs])
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_peak_within_the_checked_bytes(self, monkeypatch):
+        # 11.54 MB against 5.24 MB checked when the Möbius sums formed
+        # float64 arrays over k <= n; 4096 nodes undersample the cutoff
+        checked = checked_bytes(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.warns(QuadratureWarning):
+                run_hp_convergence(0.5, [2**18], 2**18, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (need,) = checked
+        assert peak <= need
 
     def test_peak_rss_within_the_kernel_and_transform_figures(self, vmhwm_growth):
         # the run's own memory guard, the kernel's and the transform's bytes

@@ -18,6 +18,7 @@ from zfhp import (
 )
 from zfhp import arith, functionals
 from zfhp.functionals import approx_reciprocal_s_partial_sums, lambda_hk_truncated
+from zfhp.arith import _DIVIDE_BLOCK
 from zfhp.series import hk_coefficient_envelope
 
 import oracles
@@ -25,6 +26,7 @@ from oracles import (
     approx_reciprocal_s_oracle,
     approx_reciprocal_s_stream,
     approx_reciprocal_s_table_kernel,
+    lambda_hk_truncated_whole,
 )
 
 U = 2.0**-53
@@ -171,6 +173,40 @@ class TestLambdaHkTruncated:
             for e in lambda_hk_truncated([k], grid, 100000):
                 assert e.value == sweep[k, e.s], (k, e.s)
 
+    @pytest.mark.parametrize(
+        "n",
+        [_DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 1, 2 * _DIVIDE_BLOCK, 3 * _DIVIDE_BLOCK + 5],
+    )
+    def test_blocked_walk_equals_the_whole_array_oracle(self, n):
+        # k = 2 at n = 2 B cuts on the block edge B, k = 3 at 3 B + 5 one past
+        # it, and k = n + 1 > n gives the cut 0
+        ks = [2, 3, 7, 20, 1000, n + 1]
+        grid = [0.6 + 5j, 2.0, 0.75 + 1j, 0.55 + 40j]
+        got = lambda_hk_truncated(ks, grid, n)
+        want = lambda_hk_truncated_whole(ks, grid, n)
+        assert repr(got) == repr(want)
+
+    def test_peak_does_not_grow_with_the_degree(self):
+        # 6.4 MB at N = 10^5 and 64 MB at 10^6 with whole-array prefix sums
+        def peak(n: int) -> int:
+            tracemalloc.start()
+            try:
+                lambda_hk_truncated(range(2, 21), [0.6 + 5j, 2.0], n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10**5), peak(10**6)
+        assert large < 1.1 * small
+
+    def test_refuses_a_degree_beyond_float64_integers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk started")
+
+        monkeypatch.setattr(functionals, "_walk_parts", refuse)
+        with pytest.raises(ValueError, match=r"degree = 9007199254740992 outside 1\.\.2\^53 - 1"):
+            lambda_hk_truncated([2], [2.0], 2**53)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_hk_truncated([], [2.0], 100)
@@ -311,14 +347,14 @@ class TestApproxReciprocal:
 
     def test_table_rows_take_no_exact_parts(self, monkeypatch):
         # every n, on either side of L, comes from the weighted-Mertens
-        # tables or recursion, not from a re-summation of its terms
-        def refuse(x):
+        # tables or recursion, not from a blocked re-summation of its terms
+        def refuse(*args):
             raise AssertionError("exact parts taken")
 
         limit = ceil_two_thirds(10**5)
         ns, grid = [2, 100, limit, limit + 1, 10**5], [2.0, 0.75 + 3j]
         want = approx_reciprocal_s_stream(ns, grid)
-        monkeypatch.setattr(functionals, "exact_parts", refuse)
+        monkeypatch.setattr(functionals, "_walk_parts", refuse)
         assert_agrees(ns, grid, want)
 
     def test_peak_within_the_memory_estimate(self):
