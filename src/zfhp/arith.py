@@ -44,10 +44,11 @@ _DIVIDE_BLOCK = 1 << 15
 # Peak bytes of one step of ``_walk_parts`` on the package's sums, per block
 # entry: while the terms are formed, at most 40 (the l^q tail's int64 d and
 # floor(N/d) and two float64 temporaries); while they are read, what their
-# source keeps, at most 24 (lambda's log j and one s's complex powers), plus
-# inside ``exact_parts`` the piece joined to the running parts, its copy, a
-# pass's temporary and the |x| of its maximum, 32.  Under 64 bytes in all
-# (tracemalloc: 56 for lambda, 32 for the Möbius sums and the l^q tail).
+# source keeps, at most 24 (log j and one s's complex powers, in lambda and
+# zeta), plus inside ``exact_parts`` the piece joined to the running parts,
+# its copy, a pass's temporary and the |x| of its maximum, 32.  Under 64
+# bytes in all (tracemalloc: 56 for lambda and zeta, 32 for the Möbius sums
+# and the l^q tail).
 _WALK_BYTES = 64 * _DIVIDE_BLOCK
 
 # Entries per segment of the Möbius sieve: with its int32 radical, int32

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import math
 import time
@@ -127,7 +126,11 @@ class MellinRecord:
 
 @dataclass(frozen=True)
 class ExperimentManifest:
-    """Everything needed to reproduce a run: name, parameters, seed, version."""
+    """Everything needed to reproduce a run: name, parameters, seed, version.
+
+    ``manifest_id`` imports ``hashlib`` only when the id is hashed, as the
+    sidecar is written: it maps OpenSSL, about 3.7 MB, that no run needs.
+    """
 
     experiment: str
     parameters: dict
@@ -145,6 +148,8 @@ class ExperimentManifest:
 
     @property
     def manifest_id(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
@@ -327,8 +332,9 @@ def run_lq_convergence(
     the proved tail bound ``lq_tail_bound`` on the coefficients beyond N.
     The norm is taken in one pass over the kernel's blocks, each reduced
     in place to its sum of |r|^q (``norms._sum_of_powers``), so the row
-    holds the kernel's 2 bytes per coefficient and its block buffers
-    (``series._kernel_bytes``) and no array of coeff_cutoff + 1 floats.
+    holds the kernel's divisor sums, 1 byte per coefficient below
+    coeff_cutoff 9,699,690 and 2 from it, and its block buffers
+    (``series._kernel_bytes``), and no array of coeff_cutoff + 1 floats.
     q must be finite and exceed 1.  Trends should be read across decades
     of n, not adjacent values: the Möbius fluctuations make pointwise
     monotonicity false.
@@ -381,10 +387,11 @@ def run_hp_convergence(
 
     Memory is checked before anything is allocated: ``nodes`` (even,
     >= 16) with its transform buffers on their own
-    (``norms._two_level_bytes``), the kernel's 2 (coeff_cutoff + 1) bytes
-    and block buffers on their own (``series._kernel_bytes``), then both
-    with the Möbius table as one sum, since the row holds all of them
-    while it transforms.  No array of coeff_cutoff + 1 floats exists.  A
+    (``norms._two_level_bytes``), the kernel's divisor sums (1 byte per
+    coefficient below coeff_cutoff 9,699,690, 2 from it) and block buffers
+    on their own (``series._kernel_bytes``), then both with the Möbius
+    table as one sum, since the row holds all of them while it
+    transforms.  No array of coeff_cutoff + 1 floats exists.  A
     node count below coeff_cutoff + 1 undersamples the series; once every
     argument has passed, the run then warns once (``QuadratureWarning``)
     and the records are computed as usual.

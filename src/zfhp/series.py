@@ -20,7 +20,8 @@ sum_{k=2..n} mu(k) (I - S) h_k is an exact integer divisor sum combined
 with one scalar.  ``mobius_ims_partial_sums`` is the single kernel that
 evaluates it, for both the l^q and the H^p convergence runners.  It
 serves each checkpoint a block at a time (``CoefficientBlocks``), so only
-its int16 divisor sums, 2 bytes per coefficient, grow with the degree.
+its divisor sums grow with the degree: int8, 1 byte per coefficient, below
+degree 9,699,690, and int16, 2 bytes, from there on.
 
 A ``TruncatedSeries`` stores its coefficients read-only.
 """
@@ -197,15 +198,19 @@ def mobius_ims_partial_sums(
     O(degree log n) and each coefficient m >= 1 is one subtraction and one
     division of exact integers.
 
-    D is int16, which holds every D_m(n) exactly.  Only squarefree d
-    contribute, and a squarefree divisor of m is a product of distinct
-    primes dividing m, so D_m(n), and every partial sum the sieve passes
-    through on its way there, has at most 2^omega(m) - 1 terms of modulus
-    1 (d = 1 is left out); omega(m) is the number of distinct primes of m.
-    Every m is an array index, below 2^63, and the product of the first 16
-    primes, 3.3 10^19, exceeds 2^63, so omega(m) <= 15 and
-    |D_m(n)| <= 2^15 - 1 = 32767, the largest int16.  (For m < 2^53,
-    omega(m) <= 13, as the first 14 primes multiply to 1.3 10^16.)
+    D is int8 for degree < 9,699,690 and int16 from it (``_divisor_dtype``),
+    which holds every D_m(n) exactly.  Only squarefree d contribute, and a
+    squarefree divisor of m is a product of distinct primes dividing m.
+    The sieve adds mu(k) into D_m once for each k | m, so every partial sum
+    it passes through on its way to D_m(n), D_m(n) included, is a sum over
+    a subset of the squarefree divisors d >= 2 of m: at most 2^omega(m) - 1
+    units (d = 1 is left out), where omega(m) is the number of distinct
+    primes of m.  The least m with omega(m) = 8 is 2 3 5 7 11 13 17 19 =
+    9,699,690, so below that degree omega(m) <= 7 and |D| <= 2^7 - 1 = 127,
+    the largest int8.  Every m is an array index, below 2^63, and the
+    product of the first 16 primes, 3.3 10^19, exceeds 2^63, so
+    omega(m) <= 15 and |D| <= 2^15 - 1 = 32767, the largest int16.  (For
+    m < 2^53, omega(m) <= 13, as the first 14 primes multiply to 1.3 10^16.)
 
     ``n_list`` must be strictly increasing with 2 <= n <= table.limit;
     the arguments are checked at the call (``_check_checkpoints``), before
@@ -219,7 +224,7 @@ def mobius_ims_partial_sums(
     ns = _check_checkpoints(n_list, degree)
     if ns[-1] > table.limit:
         raise ValueError(f"n = {ns[-1]} exceeds table limit {table.limit}")
-    d = np.zeros(degree + 1, dtype=np.int16)
+    d = np.zeros(degree + 1, dtype=_divisor_dtype(degree))
     buf = np.empty(min(degree + 1, _DIVIDE_BLOCK), dtype=np.float64)
     return (_advance_ims(d, buf, prev, n, table) for prev, n in zip([1, *ns], ns))
 
@@ -241,15 +246,25 @@ def _check_checkpoints(n_list: Sequence[int], degree: int) -> list[int]:
     return ns
 
 
-def _kernel_bytes(degree: int) -> int:
-    """The peak bytes of ``mobius_ims_partial_sums``: 2 (degree + 1) + 16 ``_DIVIDE_BLOCK``.
+def _divisor_dtype(degree: int) -> type:
+    """The dtype of the kernel's divisor sums up to ``degree``: int8 below 9,699,690, int16 from it.
 
-    The int16 ``d`` holds 2 bytes per coefficient.  Forming a block takes
-    the block buffer and the block's float64 range of m, at most
+    9,699,690 = 2 3 5 7 11 13 17 19 is the least m with 8 distinct primes
+    (the proof is in ``mobius_ims_partial_sums``).
+    """
+    return np.int8 if degree < 9_699_690 else np.int16
+
+
+def _kernel_bytes(degree: int) -> int:
+    """The peak bytes of ``mobius_ims_partial_sums``: b (degree + 1) + 16 ``_DIVIDE_BLOCK``.
+
+    The divisor sums ``d`` hold b bytes per coefficient, 1 below degree
+    9,699,690 (int8) and 2 from it (int16).  Forming a block takes the
+    block buffer and the block's float64 range of m, at most
     ``_DIVIDE_BLOCK`` entries of 8 bytes each; nothing else the kernel
     allocates grows with the degree.
     """
-    return 2 * (degree + 1) + 16 * _DIVIDE_BLOCK
+    return np.dtype(_divisor_dtype(degree)).itemsize * (degree + 1) + 16 * _DIVIDE_BLOCK
 
 
 def _advance_ims(d: np.ndarray, buf: np.ndarray, prev: int, n: int, table: MobiusTable) -> CoefficientBlocks:

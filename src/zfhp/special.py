@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import exact_sum
+from .arith import _walk_parts, exact_sum
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -214,8 +214,11 @@ def zeta(s) -> ZetaValue:
 
         zeta(s) = sum_{j<N} j^(-s) + F(N),
 
-    with the head the ``exact_sum`` of exp(-s log j), j < N, the same
-    powers as the prefix sums of ``zfhp.functionals.lambda_hk_truncated``.
+    with the head the exactly rounded sum of exp(-s log j), j < N, per
+    component, walked in blocks of ``_DIVIDE_BLOCK`` terms
+    (``arith._walk_parts``), the same powers as the prefix sums of
+    ``zfhp.functionals.lambda_hk_truncated``.  The head holds one block,
+    about 2 MB, whatever N is.
     No division by 1 - 2^(1-s) occurs, so no line of Re(s) = 1 is special.
 
     Bound.  u = 2^-53, sigma = Re(s), with the arithmetic assumed in
@@ -223,7 +226,7 @@ def zeta(s) -> ZetaValue:
       1. Each computed power is within e_j j^(-sigma) of j^(-s), with
          e_j = ``_power_error(|s|, log j)`` (step 1 of its rounding proof),
          so their exact sum is within sum_{j<N} e_j j^(-sigma) of the head.
-      2. ``exact_sum`` rounds that exact sum once per component: u |head~|.
+      2. The walk rounds that exact sum once per component: u |head~|.
       3. ``_zeta_tail`` at N returns F~ with |F~ - F(N)| <= remainder +
          rounding, both proved there for |s| <= 2^20.
       4. The sum head~ + F~ adds u |value| per component.
@@ -235,9 +238,10 @@ def zeta(s) -> ZetaValue:
     second-order terms and the rounding of the bound's own evaluation:
     step 1's sum is evaluated within 2^-25 of itself, as its powers
     j^(-sigma) come within e(sigma, log j) <= 2^-25 and its N <= 2^20 + 11
-    nonnegative terms add under 2^-32.  An underflowed power, possible
-    only where sigma log N > 700 and so |zeta(s)| > 1/2, is off by at most
-    2^-1074, far inside u |value|.
+    nonnegative terms, summed per block and the block sums added in turn,
+    add under 2^-32.  An underflowed power, possible only where
+    sigma log N > 700 and so |zeta(s)| > 1/2, is off by at most 2^-1074,
+    far inside u |value|.
 
     With N >= |s| + 10 the ratio of consecutive Euler-Maclaurin terms is
     at most about 1/(4 pi^2), so the remainder stays below the tail's own
@@ -254,12 +258,19 @@ def zeta(s) -> ZetaValue:
         raise PoleError("zeta has a pole at s = 1")
     _check_zeta_range(s)
     n = math.ceil(abs(s)) + 10
-    log_j = np.log(np.arange(1, n, dtype=np.float64))
-    head = exact_sum(np.exp(-s * log_j))
+    powers = []  # step 1 of the bound, one np.sum per block
+
+    def head_terms(lo: int, log_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.log(log_j, out=log_j)
+        powers.append(np.sum(_power_error(abs(s), log_j) * np.exp(-s.real * log_j)))
+        w = np.exp(-s * log_j)
+        return w.real, w.imag
+
+    ((re, im),) = _walk_parts(head_terms, 2, [n - 1])
+    head = complex(exact_sum(re), exact_sum(im))
     tail, remainder, rounding = _zeta_tail(np.array([float(n)]), s)
     value = head + complex(tail[0])
-    powers = np.sum(_power_error(abs(s), log_j) * np.exp(-s.real * log_j))
-    bound = float(powers + remainder[0] + rounding[0]) + _U * (abs(head) + abs(value))
+    bound = float(sum(powers) + remainder[0] + rounding[0]) + _U * (abs(head) + abs(value))
     return ZetaValue(value=value, error_bound=bound * _SLACK, terms_used=n)
 
 

@@ -828,6 +828,22 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_openssl_loaded_only_to_hash_the_sidecar():
+    # hashlib maps OpenSSL's libcrypto, about 3.7 MB of resident set; only
+    # the manifest id needs it, once the run has returned
+    out = _run_python(
+        "import io, sys\n"
+        "import zfhp.cli\n"
+        "from zfhp.experiments import build_manifest, rerun, write_manifest\n"
+        "manifest = build_manifest('lq_convergence', q=2.0, n_list=[10, 100], coeff_cutoff=1000)\n"
+        "rerun(manifest)\n"
+        "print('_hashlib' in sys.modules)\n"
+        "write_manifest(manifest, io.StringIO())\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_runs_with_scipy_blocked():
     # None in sys.modules makes every import of scipy raise ImportError
     out = _run_python(

@@ -129,7 +129,7 @@ class TestLqConvergence:
                 assert bound >= brute, (q, n, bound, brute)
 
     def test_row_holds_only_the_kernel_buffers(self):
-        # the kernel's int16 divisor sums, 2 bytes per coefficient, and its
+        # the kernel's int8 divisor sums, 1 byte per coefficient, and its
         # two block buffers; a float64 copy of the residual would add 8
         # bytes per coefficient more
         cutoff = 10**6
@@ -445,6 +445,17 @@ class TestManifests:
         m3 = build_manifest("lq_convergence", q=1.5, n_list=[10], coeff_cutoff=100)
         assert m1.manifest_id == m2.manifest_id
         assert m1.manifest_id != m3.manifest_id
+
+    def test_manifest_id_pinned(self):
+        # the first 12 hex digits of the SHA-256 of the canonical JSON; a
+        # sidecar's id must not move with the code that hashes it
+        manifest = ExperimentManifest("lq_convergence", {"q": 2.0, "n_list": [10, 100], "coeff_cutoff": 1000},
+                                      None, "0.1.0")
+        assert manifest.canonical_json() == (
+            '{"experiment":"lq_convergence","parameters":{"coeff_cutoff":1000,"n_list":[10,100],"q":2.0},'
+            '"seed":null,"version":"0.1.0"}'
+        )
+        assert manifest.manifest_id == "168a4ec9ab72"
 
     def test_rerun_reproduces_values_bit_exactly(self):
         manifest = build_manifest("lq_convergence", q=2.0, n_list=[10, 100], coeff_cutoff=2000)

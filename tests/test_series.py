@@ -7,13 +7,15 @@ import pytest
 
 from zfhp import (
     TruncatedSeries,
+    build_mobius,
     hk_coeffs,
     ims_hk_coeffs,
     lq_norm,
     mobius_sum_over_k,
 )
 from zfhp.norms import _pieces
-from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, hk_coefficient_envelope, mobius_ims_partial_sums
+from zfhp.series import (_DIVIDE_BLOCK, CoefficientBlocks, _kernel_bytes, hk_coefficient_envelope,
+                         mobius_ims_partial_sums)
 
 from oracles import accumulated_ims, advance_ims_allocating, bounded_divisor_sum, mobius_ims_one_buffer
 
@@ -223,7 +225,8 @@ class TestMobiusPartialSums:
         assert np.all(np.abs(got - want) <= tol)
 
     # 510510 = 2 3 5 7 11 13 17 is the least m with omega(m) = 7: the
-    # kernel sums its divisors in int16 ``d``, the oracle in int32
+    # kernel sums its divisors in int8 ``d`` at these degrees, the oracle
+    # in int32
     @pytest.mark.parametrize(
         "degree",
         [_DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 1, 3 * _DIVIDE_BLOCK + 5, 510510 + 1000],
@@ -237,6 +240,31 @@ class TestMobiusPartialSums:
             assert np.array_equal(one_buffer.view(np.int64), want), n
             for _ in range(2):  # every pass forms the same bits
                 assert np.array_equal(concatenated(blocks).view(np.int64), want), n
+
+    def test_int8_divisor_sums_at_seven_primes(self):
+        # every divisor d >= 2 of 510510 = 2 3 5 7 11 13 17, the least m
+        # with omega(m) = 7, is sieved by n = 510510; on the way its
+        # partial sum D falls to -8 at n = 455, in the int8 ``d`` of the
+        # kernel and the int32 ``d`` of the oracle alike
+        degree = 510510 + 1000
+        table = build_mobius(degree)
+        ns = [455, 1000, 510510, degree]
+        d = np.zeros(degree + 1, dtype=np.int32)
+        extremes = []
+        for prev, n, blocks in zip([1, *ns], ns, mobius_ims_partial_sums(ns, degree, table)):
+            assert blocks.passes.args[0].dtype == np.int8
+            want = advance_ims_allocating(d, prev, n, table).view(np.int64)
+            assert np.array_equal(concatenated(blocks).view(np.int64), want), n
+            extremes.append(int(d[510510]))
+        assert extremes == [-8, -6, -1, -1]
+
+    def test_divisor_dtype_and_charge_at_the_cut(self, mobius_1k):
+        # 9,699,690 = 2 3 5 7 11 13 17 19, the least m with omega(m) = 8:
+        # int8, 1 byte per coefficient, below it and int16, 2 bytes, from it
+        for degree, dtype in ((9_699_689, np.int8), (9_699_690, np.int16)):
+            assert _kernel_bytes(degree) == np.dtype(dtype).itemsize * (degree + 1) + 16 * _DIVIDE_BLOCK
+            (blocks,) = mobius_ims_partial_sums([2], degree, mobius_1k)
+            assert blocks.passes.args[0].dtype == dtype and blocks.size == degree + 1
 
     # L = M/2 for M = 2000, 65534, 65542 (L = 32771 prime, so M/2 has no
     # split) and 196618: several whole segments in a block, one short of

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,9 +22,10 @@ from zfhp import (
     zeta,
 )
 
+from zfhp.arith import _DIVIDE_BLOCK
 from zfhp.special import _EM_COEFFS, _U, _mellin_step_pk_bound, _zeta_tail, g_k_error_bound
 
-from oracles import ETA_TARGET, f_k_scalar, mellin_step_pk_quadrature, zeta_accelerated_eta
+from oracles import ETA_TARGET, f_k_scalar, mellin_step_pk_quadrature, zeta_accelerated_eta, zeta_whole
 
 GRID = [complex(re, im) for re in (0.6, 0.75, 1.5, 2.0) for im in (0.0, 1.0, 5.0)]
 
@@ -190,6 +192,31 @@ class TestZeta:
         result = zeta(s)
         oracle = zeta_accelerated_eta(s)
         assert abs(result.value - oracle) <= result.error_bound + ETA_TARGET * abs(oracle)
+
+    # N - 1 = ceil(|s|) + 9 terms in the head: 32767, 32768 (one block),
+    # 32769 (a block and one term), 100010 and 300010
+    @pytest.mark.parametrize("s", [0.6 + 32757j, 0.6 + 32758j, 0.6 + 32759j, 0.6 + 1e5j, 1.5 + 3e5j])
+    def test_blocked_head_equals_the_whole_array_oracle(self, s):
+        got, want = zeta(s), zeta_whole(s)
+        assert got.terms_used == want.terms_used
+        assert (got.value.real.hex(), got.value.imag.hex()) == (want.value.real.hex(), want.value.imag.hex())
+        if got.terms_used <= _DIVIDE_BLOCK + 1:
+            # the bound's step 1 is one np.sum over one block, as over the whole array
+            assert got.error_bound.hex() == want.error_bound.hex()
+        else:
+            # its block sums are added in turn, which may move the last bits
+            assert got.error_bound == pytest.approx(want.error_bound, rel=2**-48)
+
+    def test_peak_holds_one_block(self):
+        # whole arrays of the N = 10^6 + 11 terms take about 48 MB; one
+        # block of the walk takes under 2 MB
+        tracemalloc.start()
+        try:
+            zeta(0.6 + 1e6j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
 
     def test_range(self):
         # |s| <= 2^20 is the range of the tail's rounding proof
