@@ -124,12 +124,32 @@ class MellinRecord:
     ok: bool
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``, from CPython's built-in SHA-256.
+
+    ``hashlib`` maps OpenSSL's libcrypto, about 3.7 MB of resident set
+    that no command needs.  ``_sha2`` (CPython 3.12 on) and ``_sha256``
+    (3.10 and 3.11) give the same digest without it, as CPython's own
+    ``random`` loads ``_sha512``; ``hashlib`` is the fallback where
+    neither exists.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
     """Everything needed to reproduce a run: name, parameters, seed, version.
 
-    ``manifest_id`` imports ``hashlib`` only when the id is hashed, as the
-    sidecar is written: it maps OpenSSL, about 3.7 MB, that no run needs.
+    ``manifest_id`` is the first 12 hex digits of the SHA-256 of
+    ``canonical_json``, hashed by ``_sha256_hex``, so no command loads
+    OpenSSL.
     """
 
     experiment: str
@@ -148,9 +168,7 @@ class ExperimentManifest:
 
     @property
     def manifest_id(self) -> str:
-        import hashlib
-
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
+        return _sha256_hex(self.canonical_json().encode())[:12]
 
 
 def build_manifest(experiment: str, seed: int | None = None, **parameters) -> ExperimentManifest:

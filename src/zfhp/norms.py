@@ -17,11 +17,12 @@ coefficients, once for each of their real and imaginary parts for complex
 ones.  Each slice is a four-step FFT
 on a 2-D view of its buffer (batched short transforms down the columns, a
 separable twiddle, batched short transforms along the rows), so no
-transform runs on a 1-D array of M/2 points and no twiddle table has M
-entries.  The three run one after another in one buffer of M/2 complex
-numbers, 8 bytes per node, which a weighted fold fills from the input a
-block at a time, and each block of rows is reduced to its sum of |.|^p as
-soon as it is transformed.  The input is an array, read as views of
+transform runs on a 1-D array of M/2 points.  The twiddles are formed for
+one group of rows at a time, and nothing outlives a call.  The three run
+one after another in one buffer of M/2 complex numbers, 8 bytes per node,
+which a weighted fold fills from the input a block at a time, and each
+block of rows is reduced to its sum of |.|^p as soon as it is
+transformed.  The input is an array, read as views of
 itself, or a ``CoefficientBlocks`` such as the Möbius kernel's, whose
 blocks are formed again for each of the three DFTs; neither is ever held
 as a full-length float64 array.
@@ -37,7 +38,6 @@ instead of printing 0 or inf.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from typing import Iterable, Iterator
@@ -100,26 +100,25 @@ def boundary_values(f: TruncatedSeries, nodes: int) -> np.ndarray:
     k = k1 + L1 k2, so its transpose is entry k2 L1 + k1 of a C-ordered
     (L2, L1) view of either half of the output.
 
-    Memory: ``_two_level_bytes`` bounds the buffer, fold scratch, tables
-    and FFT work of the slice (and a magnitude block that this function
-    does not take), and the output is 16 bytes per node.  The node
-    mapping writes the slice's transpose through views of the output
+    Memory: ``_two_level_bytes`` bounds the buffer, fold scratch,
+    twiddles and FFT work of the slice (and a magnitude block that this
+    function does not take), and the output is 16 bytes per node.  The
+    node mapping writes the slice's transpose through views of the output
     strided by 2, with no copy, so ``_two_level_bytes(M) + 16 M`` bytes
     bound the peak, and a node count whose charge exceeds physical memory
     is refused before anything is allocated.
     """
     _validate_nodes(nodes)
     _check_memory(_two_level_bytes(nodes) + 16 * nodes, f"nodes = {nodes}", "transform buffers")
-    level = _tables(nodes)[_SLICES.index(2)]
-    rows, cols = level[0]
+    rows, cols = _split(nodes // 2)
     buf = np.empty(nodes // 2, dtype=np.complex128)
-    scratch = np.empty(min(_DIVIDE_BLOCK, nodes // 2))
+    a = f.coeffs
+    scratch = np.empty(min(_DIVIDE_BLOCK, a.size))
     out = np.empty(nodes, dtype=np.complex128)
     odd, even = out[::-2].reshape(cols, rows), out[::2].reshape(cols, rows)
-    a = f.coeffs
     parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
     for i, part in enumerate(parts):
-        for _ in _slice(CoefficientBlocks.of_array(part), 2, level, buf, scratch):
+        for _ in _slice(CoefficientBlocks.of_array(part), 2, nodes, buf, scratch):
             pass
         y = buf.reshape(rows, cols).T
         if i == 0:
@@ -151,6 +150,10 @@ _TRANSFORM_BYTES_PER_NODE = 8
 # twiddled, transformed along its rows and reduced while it is in cache.
 _ROW_BLOCK = 16
 
+# Rows per group of the row pass whose twiddles _four_step forms at once
+# and drops before the next group: 16 row blocks.
+_TWIDDLE_ROWS = 16 * _ROW_BLOCK
+
 # The residues s = l mod 8 of the node indices two_level_means transforms:
 # 1 and 5 give the 2M-node level, 2 the M-node level.
 _SLICES = (1, 5, 2)
@@ -159,19 +162,22 @@ _SLICES = (1, 5, 2)
 # the parts are 0 or 1 in magnitude for even k and sqrt(1/2) for odd k.
 _EIGHTH_ROOT_SIGNS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
 
+# The parts themselves, (real, imaginary) per row k, with fl(sqrt(1/2)).
+_EIGHTH_ROOTS = np.array(_EIGHTH_ROOT_SIGNS) * np.where(np.arange(8) % 2, math.sqrt(0.5), 1.0)[:, None]
+
 
 def _two_level_bytes(nodes: int) -> int:
     """A bound on the peak bytes ``two_level_means`` allocates at M = ``nodes``.
 
     Arrays, in bytes per node.  The three slices run one after another in
     one buffer of L = M/2 complex numbers: 8 (``_TRANSFORM_BYTES_PER_NODE``).
-    ``_fold`` reads the input a block at a time, in place, and scales the
-    pieces of odd weight in a float64 scratch of min(``_DIVIDE_BLOCK``, L)
-    entries.  The row pass takes the magnitudes of one block of at most
-    ``_ROW_BLOCK`` rows of length L2 into a float64 temporary,
-    8 min(16, L1) L2 bytes.
+    ``_fold`` reads the input a block at a time, in place, and scales
+    pieces or stacks whole segments in a float64 scratch of at most
+    ``_DIVIDE_BLOCK`` entries.  The row pass takes the magnitudes of one
+    block of at most ``_ROW_BLOCK`` rows of length L2 into a float64
+    temporary, 8 min(16, L1) L2 bytes.
 
-    Tables: ``_table_bytes``, at every moment of their build and after it.
+    Twiddles: ``_table_bytes``, at every moment of a slice.
 
     FFT work.  numpy's pocketfft keeps a plan per transform length and a
     scratch per call, O(n) for a line of n points.  Measured with numpy
@@ -184,7 +190,7 @@ def _two_level_bytes(nodes: int) -> int:
     rows, cols = _split(nodes // 2)
     return (
         _TRANSFORM_BYTES_PER_NODE * nodes
-        + 8 * min(_DIVIDE_BLOCK, nodes // 2)
+        + 8 * _DIVIDE_BLOCK
         + 8 * min(_ROW_BLOCK, rows) * cols
         + _table_bytes(nodes)
         + 256 * cols
@@ -193,29 +199,34 @@ def _two_level_bytes(nodes: int) -> int:
 
 
 def _table_bytes(nodes: int) -> int:
-    """A bound on the bytes of ``_tables(nodes)``, while it is built and after.
+    """A bound on the bytes of the twiddles of one slice, at every moment of it.
 
-    Let L = M/2 = L1 L2 (``_split``), A = ceil(sqrt(L2)) and
-    B = ceil(L2/A), so B <= A.  Each of the three slices keeps the
-    complex128 column of L1 roots and the tables of L1 A and L1 B roots
-    (``_level``, ``_product_tables``): T = 48 L1 (1 + A + B) bytes in all,
-    which is what the cache holds between calls.  While they are built,
-    the tables made so far are part of T, and one ``_roots`` call of
-    E <= L1 A exponents is live.  Its int64 exponents, q and r and its
+    Let L = M/2 = L1 L2 (``_split``), A = ceil(sqrt(L2)),
+    B = ceil(L2/A) <= A and G = min(``_TWIDDLE_ROWS``, L1).  A ``_roots``
+    call of E exponents holds its int64 exponents, q and r and its
     float64 angles (or, after r and the angles are freed, the 16 bytes
-    per entry of the powers of -i) are 32 E bytes besides its output,
-    which is part of T.  ``np.cos`` writes the strided real and imaginary
+    per entry of the powers of -i): 32 E bytes besides its complex128
+    output of 16 E.  ``np.cos`` writes the strided real and imaginary
     parts through numpy's ufunc buffers, at most 8192 (the default
     ``np.getbufsize()``) entries of 8 bytes for its input and for its
-    output: 2^17 bytes.  The rest is live for the whole ``_level``: the
-    int64 k1 and row exponents (16 L1) and a range of A or B integers
-    (8 A).  So T + 32 L1 A + 16 L1 + 8 A + 2^17 bytes, plus 2^12 for the
-    array and tuple headers, bound every moment.
+    output: 2^17 bytes.
+
+    ``_level`` forms the column of L1 roots from int64 k1 and exponents,
+    56 L1 bytes while ``_roots`` runs, and keeps the column and the int64
+    row multipliers k, 24 L1, for the slice.  ``_four_step`` forms one
+    group's tables at a time (``_product_tables``) and drops them before
+    the next: while the G A-entry table is formed, 48 G A bytes and a
+    range of A integers; while the G B-entry one is, that table's 16 G A
+    and 48 G B bytes and two ranges of B integers.  Both are at most
+    64 G A + 16 A.  So 24 L1 + max(32 L1, 64 G A + 16 A) + 2^17 bytes,
+    plus 2^12 for the array and tuple headers, bound every moment: O(256
+    sqrt(L2)) bytes, where the whole-run tables of every row were
+    O(M^(3/4)).
     """
     rows, cols = _split(nodes // 2)
     width = math.isqrt(cols - 1) + 1
-    tables = 48 * rows * (1 + width + -(-cols // width))
-    return tables + 32 * rows * width + 16 * rows + 8 * width + 2**17 + 2**12
+    group = 64 * min(_TWIDDLE_ROWS, rows) * width + 16 * width
+    return 24 * rows + max(32 * rows, group) + 2**17 + 2**12
 
 
 def _split(length: int) -> tuple[int, int]:
@@ -278,109 +289,113 @@ def _twiddle(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
         tail *= high[:, whole, None]
 
 
-def _level(nodes: int, length: int, shift: int) -> tuple:
-    """The twiddles of a four-step DFT of length L = ``length`` of omega^(shift t) y_t.
+def _level(nodes: int, shift: int) -> tuple:
+    """The twiddles of slice s = ``shift`` of ``two_level_means`` at M = ``nodes``.
 
-    With g = 4M/L: the pre-twiddle omega^(shift L2 t1) as an (L1, 1)
-    column, and the middle twiddle omega^(t2 (g k1 + shift)) as
-    ``_product_tables``; see ``two_level_means``.
+    With L = M/2 = L1 L2: the shape (L1, L2), the pre-twiddle
+    omega^(s L2 t1) as an (L1, 1) column, and the row multipliers
+    k = 8 k1 + s of the middle twiddle omega^(t2 k), which ``_four_step``
+    forms a group of rows at a time.
     """
-    rows, cols = _split(length)
+    rows, cols = _split(nodes // 2)
     k1 = np.arange(rows)
     column = _roots(shift * cols * k1, nodes)[:, None]
-    return (rows, cols), column, *_product_tables(4 * nodes // length * k1 + shift, cols, nodes)
+    return (rows, cols), column, 8 * k1 + shift
 
 
-@functools.lru_cache(maxsize=1)
-def _tables(nodes: int) -> tuple:
-    """The twiddle tables of the slices ``_SLICES`` of ``two_level_means`` at M = ``nodes``, read-only.
-
-    One ``_level`` of length M/2 per residue s; cached for the
-    checkpoints of a run.
-    """
-    slices = tuple(_level(nodes, nodes // 2, shift) for shift in _SLICES)
-    for _, *tables in slices:
-        for table in tables:
-            table.setflags(write=False)
-    return slices
-
-
-def _four_step(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> Iterator[tuple[int, int]]:
+def _four_step(buf: np.ndarray, k: np.ndarray, nodes: int) -> Iterator[tuple[int, int]]:
     """The DFT of the pre-twiddled (L1, L2) ``buf``, in place; see ``two_level_means``.
 
-    The DFTs down the columns run first; then each block of
-    ``_ROW_BLOCK`` rows is twiddled and transformed along its rows, and
-    its row range (a, b) is yielded once rows a to b - 1 hold their output.
+    The DFTs down the columns run first.  Then, for each group of
+    ``_TWIDDLE_ROWS`` rows, the middle twiddle omega^(t2 k_i) of its rows
+    is formed (``_product_tables``), each block of ``_ROW_BLOCK`` rows of
+    the group is twiddled and transformed along its rows, and its row
+    range (a, b) is yielded once rows a to b - 1 hold their output.  A
+    group's tables are dropped before the next group's are formed.
     """
     np.fft.fft(buf, axis=0, out=buf)
-    rows = buf.shape[0]
-    for a in range(0, rows, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, rows)
-        block = buf[a:b]
-        _twiddle(block, low[a:b], high[a:b])
-        np.fft.fft(block, axis=1, out=block)
-        yield a, b
-
-
-def _pieces(blocks: Iterable[np.ndarray], length: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(q, r, piece) over consecutive ``blocks``, cut at the multiples of L = ``length``.
-
-    ``piece`` is a view of one block holding the entries qL + r to
-    qL + r + n - 1, n = ``piece.size``, all within segment q: entries qL
-    to qL + L - 1.  So L need not be a multiple of the block size.
-    """
-    start = 0
-    for block in blocks:
-        lo = 0
-        while lo < block.size:
-            q, r = divmod(start + lo, length)
-            hi = min(block.size, lo + length - r)
-            yield q, r, block[lo:hi]
-            lo = hi
-        start += block.size
+    rows, cols = buf.shape
+    for g in range(0, rows, _TWIDDLE_ROWS):
+        low, high = _product_tables(k[g : g + _TWIDDLE_ROWS], cols, nodes)
+        for a in range(g, min(g + _TWIDDLE_ROWS, rows), _ROW_BLOCK):
+            b = min(a + _ROW_BLOCK, rows)
+            block = buf[a:b]
+            _twiddle(block, low[a - g : b - g], high[a - g : b - g])
+            np.fft.fft(block, axis=1, out=block)
+            yield a, b
+        del low, high
 
 
 def _fold(a: CoefficientBlocks, shift: int, out: np.ndarray, scratch: np.ndarray) -> None:
     """w_r = sum_q zeta^(shift q) a_(r+qL) into the complex ``out`` of L entries, zeta = exp(-i pi/4).
 
-    One pass over ``a``, cut into pieces of segments of L entries
-    (``_pieces``).  The weight of segment q depends on q mod 8; its parts
-    are 0, +-1 or, for odd ``shift`` and odd q, +-fl(sqrt(1/2)), the one
-    inexact weight.  Each piece is added to or subtracted from each part
-    by the signs of its weight (``_EIGHTH_ROOT_SIGNS``), after, for odd
-    ``shift`` and odd q, it is scaled by fl(sqrt(1/2)) into ``scratch``.
-    So each term is the product of the weight and the entry, exact or one
-    rounding, and each w_r adds its terms in the order of q, whatever the
-    blocks of ``a``: an array and a source of the same coefficients fold
-    to the same bits.  ``scratch`` holds at least min(block, L) floats.
+    One pass over ``a``, each block cut at the multiples of L: segment q
+    is entries qL to qL + L - 1.  The weight of segment q depends on
+    q mod 8; its parts are 0, +-1 or, for odd ``shift`` and odd q,
+    +-fl(sqrt(1/2)), the one inexact weight (``_EIGHTH_ROOTS``).
+
+    The whole segments within a block are one (segments, L) view.  For
+    each part, its rows of nonzero weight are taken into ``scratch``,
+    in q order, times their weights, the current part is added to the
+    first, and ``np.add.accumulate`` down the rows leaves the part in the
+    last.  A piece of a segment at a block edge is added to or subtracted
+    from each part by the signs of its weight (``_EIGHTH_ROOT_SIGNS``),
+    after, for odd ``shift`` and odd q, it is scaled by fl(sqrt(1/2))
+    into ``scratch``.  Either way each term is the product of the weight
+    and the entry, exact or one rounding, and each w_r adds its terms one
+    after another in the order of q, whatever the blocks of ``a``: an
+    array and a source of the same coefficients fold to the same bits.
+    ``scratch`` holds at least as many floats as the largest block.
     """
     half = out.size
-    flat = out.view(np.float64)
-    flat[...] = 0.0
-    for q, r, piece in _pieces(a, half):
-        if shift * q % 2:
-            piece = np.multiply(piece, math.sqrt(0.5), out=scratch[: piece.size])
-        for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], (out.real, out.imag)):
-            if sign:
-                part = part[r : r + piece.size]
-                (np.add if sign > 0 else np.subtract)(part, piece, out=part)
+    parts = (out.real, out.imag)
+    out.view(np.float64)[...] = 0.0
+    start = 0
+    for block in a:
+        lo = 0
+        while lo < block.size:
+            q, r = divmod(start + lo, half)
+            count = (block.size - lo) // half if r == 0 else 0
+            if count:
+                rows = block[lo : lo + count * half].reshape(count, half)
+                weights = _EIGHTH_ROOTS[shift * (q + np.arange(count)) % 8]
+                for part, weight in zip(parts, weights.T):
+                    chosen = np.flatnonzero(weight)
+                    if chosen.size:
+                        stack = scratch[: chosen.size * half].reshape(-1, half)
+                        np.take(rows, chosen, axis=0, out=stack)
+                        stack *= weight[chosen, None]
+                        np.add(part, stack[0], out=stack[0])
+                        np.add.accumulate(stack, axis=0, out=stack)
+                        part[...] = stack[-1]
+                lo += count * half
+            else:
+                piece = block[lo : min(block.size, lo + half - r)]
+                if shift * q % 2:
+                    piece = np.multiply(piece, math.sqrt(0.5), out=scratch[: piece.size])
+                for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], parts):
+                    if sign:
+                        part = part[r : r + piece.size]
+                        (np.add if sign > 0 else np.subtract)(part, piece, out=part)
+                lo += piece.size
+        start += block.size
 
 
 def _slice(
-    coeffs: CoefficientBlocks, shift: int, level: tuple, buf: np.ndarray, scratch: np.ndarray
+    coeffs: CoefficientBlocks, shift: int, nodes: int, buf: np.ndarray, scratch: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Slice s = ``shift`` of ``two_level_means`` in ``buf``, from its entry ``level`` of ``_tables``.
+    """Slice s = ``shift`` of ``two_level_means`` at M = ``nodes`` in ``buf``.
 
     Folds ``coeffs`` into ``buf`` (``_fold``), scales the rows of its
-    (L1, L2) view by the pre-twiddle column and runs ``_four_step`` on it,
-    yielding each block of rows of the view once it holds its output:
-    entry [k1, k2] is X_(8 (k1 + L1 k2) + s).
+    (L1, L2) view by the pre-twiddle column of ``_level`` and runs
+    ``_four_step`` on it, yielding each block of rows of the view once it
+    holds its output: entry [k1, k2] is X_(8 (k1 + L1 k2) + s).
     """
-    shape, column, *middle = level
+    shape, column, k = _level(nodes, shift)
     _fold(coeffs, shift, buf, scratch)
     y = buf.reshape(shape)
     y *= column
-    for lo, hi in _four_step(y, *middle):
+    for lo, hi in _four_step(y, k, nodes):
         yield y[lo:hi]
 
 
@@ -423,11 +438,12 @@ def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int
     the rows (axis 1), giving entry [k1, k2] = output j = k1 + L1 k2.  The
     pre-twiddle's factor omega^(s t2) is merged into the middle twiddle,
     which with t2 = a + A b is omega^(a (8 k1 + s)) omega^(A b (8 k1 + s)),
-    two tables of L1 A and L1 B entries (``_product_tables``): see
-    ``_level``.  Every output appears once in the array, so a mean over
-    it needs no permutation, and no table has M entries: see
-    ``_two_level_bytes``.  ``_roots`` gives omega^e at angles in
-    [0, pi/2] times an exact power of -i.
+    two tables of A and B entries per row (``_product_tables``), formed
+    for one group of ``_TWIDDLE_ROWS`` rows at a time (``_four_step``):
+    O(256 sqrt(L2)) entries, see ``_table_bytes``.  Every output appears
+    once in the array, so a mean over it needs no permutation.
+    ``_roots`` gives omega^e at angles in [0, pi/2] times an exact power
+    of -i, so a twiddle has the same bits whichever group forms it.
 
     Memory.  The slices run one after another in one buffer of L complex
     numbers, which ``_fold`` fills from the input read a block at a time.
@@ -436,7 +452,9 @@ def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int
     ``CoefficientBlocks``, which is read once per slice.  The row
     pass works one block of ``_ROW_BLOCK`` rows at a time
     (``_four_step``), and each block's |Y| is raised to p and summed as
-    soon as the block is transformed.
+    soon as the block is transformed.  Each slice forms its own twiddles,
+    the middle ones a group of ``_TWIDDLE_ROWS`` rows at a time, and
+    nothing is cached between calls.
 
     Sums.  Each level is one ``_sum_of_powers``, the package's one sum of
     |x|^p, over the |Y| blocks of its slices: 1 and 5 (M values) for the
@@ -453,12 +471,11 @@ def two_level_means(coeffs: np.ndarray | CoefficientBlocks, p: float, nodes: int
             raise ValueError("coeffs must be real")
         coeffs = CoefficientBlocks.of_array(a)
     _check_two_level_nodes(nodes)
-    levels = dict(zip(_SLICES, _tables(nodes)))
     buf = np.empty(nodes // 2, dtype=np.complex128)
-    scratch = np.empty(min(_DIVIDE_BLOCK, nodes // 2))
+    scratch = np.empty(min(_DIVIDE_BLOCK, coeffs.size))
 
     def mags(*shifts: int) -> Iterator[np.ndarray]:
-        return (np.abs(block) for shift in shifts for block in _slice(coeffs, shift, levels[shift], buf, scratch))
+        return (np.abs(block) for shift in shifts for block in _slice(coeffs, shift, nodes, buf, scratch))
 
     fine = _sum_of_powers(mags(1, 5), nodes, p) / nodes
     coarse = _sum_of_powers(mags(2), nodes // 2, p) / (nodes // 2)

@@ -66,9 +66,17 @@ full-length temporaries.  ``two_level_means_one_buffer`` is the
 transform that replaced it and that the three half-length slices of
 ``zfhp.norms.two_level_means`` replaced in turn, moved here verbatim with
 its fold helper: both levels in one buffer of M complex numbers, one
-block of rows at a time through ``zfhp.norms._four_step``.  Both read the
-tables ``four_step_tables`` builds from ``zfhp.norms._level``, ``_roots``
-and ``_product_tables``, and they must agree bit for bit.
+block of rows at a time through ``four_step_whole_tables``.  Both read the
+tables ``four_step_tables`` builds from ``level_whole``,
+``zfhp.norms._roots`` and ``_product_tables``, and they must agree bit
+for bit.
+``level_whole``, ``tables_whole`` and ``four_step_whole_tables`` are the
+twiddles of ``zfhp.norms.two_level_means`` as they were before
+``zfhp.norms._four_step`` formed them one group of rows at a time, moved
+here verbatim: each slice's tables of every row, cached read-only for
+the run.  ``two_level_means_whole_tables`` runs the slices through them;
+every twiddle comes from the same exponent through the same ``_roots``,
+so it must agree with ``zfhp.norms.two_level_means`` bit for bit.
 ``fold_periods`` is the weighted fold of ``zfhp.norms.two_level_means``
 that the streamed ``zfhp.norms._fold`` replaced, moved here verbatim: it
 reads an array, adds the odd segments first and scales their sums once,
@@ -78,6 +86,9 @@ entries.
 kept only its per-piece add, moved here verbatim with ``pieces_stacked``:
 a run of at least ``STACK_SEGMENTS`` whole segments in one block is added
 as one stack of weighted rows, by ``np.take`` and ``np.add.reduce``.
+``fold_pieces`` is the fold as it was before ``zfhp.norms._fold`` added
+the whole segments of a block with one ``np.add.accumulate``, moved here
+verbatim with ``pieces``: one add or subtract per piece of a segment.
 
 ``zeta_accelerated_eta`` is the zeta evaluator that ``zfhp.special.zeta``
 replaced with an exactly rounded head plus the Euler-Maclaurin tail: the
@@ -103,6 +114,7 @@ falsify ``zfhp.weights.c4_halfplane`` numerically.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -114,8 +126,8 @@ from typing import Iterable, Iterator
 from zfhp import ConditioningError, DomainError, PoleError, zeta
 from zfhp.special import (_SLACK, _U, ZetaValue, _cexpm1, _check_zeta_range, _power_error, _zeta_tail,
                           require_right_half_plane)
-from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _four_step, _level, _product_tables, _roots,
-                        _twiddle, _validate_nodes)
+from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _SLICES, _fold, _product_tables, _roots, _split,
+                        _sum_of_powers, _twiddle, _validate_nodes)
 from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries, hk_coefficient_envelope
 from zfhp.experiments import _TAIL_ROUNDING_FACTOR
 from zfhp.functionals import GeneratorEvaluation, _closed_form_rounding, _tail_bound
@@ -671,8 +683,8 @@ def four_step_tables(nodes: int) -> tuple:
     post-twiddle -i omega^(4j+2) = omega^(4 k1 + 2 + M) omega^(4 K1 k2),
     a column and a one-row ``_product_tables``.
     """
-    fine = _level(nodes, nodes, 1)
-    (rows, cols), column, *middle = _level(nodes, nodes // 2, 4)
+    fine = level_whole(nodes, nodes, 1)
+    (rows, cols), column, *middle = level_whole(nodes, nodes // 2, 4)
     column *= 0.5  # exact
     coarse = (rows, cols), column, *middle
     post = (_roots(4 * np.arange(rows) + 2 + nodes, nodes)[:, None],
@@ -865,7 +877,7 @@ def two_level_means_one_buffer(coeffs, p: float, nodes: int) -> tuple[float, flo
     the quarters b_0 and b_2 into x and a temporary t, then b_3 and b_1
     into y's imaginary part and t, and x -= (t + y.imag) runs in chunks
     of ``FOLD_CHUNK`` entries.  The 2M-node level's row pass works one
-    block of ``_ROW_BLOCK`` rows at a time (``zfhp.norms._four_step``);
+    block of ``_ROW_BLOCK`` rows at a time (``four_step_whole_tables``);
     each block's |Y|^p goes through a one-block staging array to the
     first M float64 slots of y's buffer, in row order.  Those of rows
     [a, b) land in the slots of complex rows [a/2, b/2), which lie below
@@ -900,7 +912,7 @@ def two_level_means_one_buffer(coeffs, p: float, nodes: int) -> tuple[float, flo
     buf = y.reshape(-1)
     flat = buf.view(np.float64)
     stage = np.empty((min(_ROW_BLOCK, rows), cols))
-    for lo, hi in _four_step(y, *middle):
+    for lo, hi in four_step_whole_tables(y, *middle):
         mags = np.abs(y[lo:hi], out=stage[: hi - lo])
         mags **= p
         flat[lo * cols : hi * cols] = mags.reshape(-1)
@@ -912,7 +924,7 @@ def two_level_means_one_buffer(coeffs, p: float, nodes: int) -> tuple[float, flo
     z = buf[:half].reshape(shape)
     np.multiply(x.view(np.complex128).reshape(shape), column, out=z)
     del x
-    for _ in _four_step(z, *middle):
+    for _ in four_step_whole_tables(z, *middle):
         pass
     coarse_mags = flat[nodes : nodes + half].reshape(shape)
     sums = np.empty((min(_ROW_BLOCK, rows), cols), dtype=np.complex128)
@@ -929,6 +941,119 @@ def two_level_means_one_buffer(coeffs, p: float, nodes: int) -> tuple[float, flo
         mags = np.abs(odd, out=coarse_mags[lo:hi])
         mags **= p
     return float(np.mean(coarse_mags) ** (1.0 / p)), fine
+
+
+def level_whole(nodes: int, length: int, shift: int) -> tuple:
+    """The twiddles of a four-step DFT of length L = ``length`` of omega^(shift t) y_t.
+
+    With g = 4M/L: the pre-twiddle omega^(shift L2 t1) as an (L1, 1)
+    column, and the middle twiddle omega^(t2 (g k1 + shift)) as
+    ``_product_tables``; see ``two_level_means``.
+    """
+    rows, cols = _split(length)
+    k1 = np.arange(rows)
+    column = _roots(shift * cols * k1, nodes)[:, None]
+    return (rows, cols), column, *_product_tables(4 * nodes // length * k1 + shift, cols, nodes)
+
+
+@functools.lru_cache(maxsize=1)
+def tables_whole(nodes: int) -> tuple:
+    """The twiddle tables of the slices ``_SLICES`` of ``two_level_means`` at M = ``nodes``, read-only.
+
+    One ``level_whole`` of length M/2 per residue s; cached for the
+    checkpoints of a run.
+    """
+    slices = tuple(level_whole(nodes, nodes // 2, shift) for shift in _SLICES)
+    for _, *tables in slices:
+        for table in tables:
+            table.setflags(write=False)
+    return slices
+
+
+def four_step_whole_tables(buf: np.ndarray, low: np.ndarray, high: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The DFT of the pre-twiddled (L1, L2) ``buf``, in place; see ``two_level_means``.
+
+    The DFTs down the columns run first; then each block of
+    ``_ROW_BLOCK`` rows is twiddled and transformed along its rows, and
+    its row range (a, b) is yielded once rows a to b - 1 hold their output.
+    """
+    np.fft.fft(buf, axis=0, out=buf)
+    rows = buf.shape[0]
+    for a in range(0, rows, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, rows)
+        block = buf[a:b]
+        _twiddle(block, low[a:b], high[a:b])
+        np.fft.fft(block, axis=1, out=block)
+        yield a, b
+
+
+def two_level_means_whole_tables(coeffs, p: float, nodes: int) -> tuple[float, float]:
+    """``zfhp.norms.two_level_means`` with each slice's twiddles from ``tables_whole``.
+
+    The fold (``zfhp.norms._fold``), pre-twiddle, DFTs and sums of
+    |Y|^p are those of the package; only the middle twiddle's tables
+    cover every row, formed once and cached, as they were.
+    """
+    a = CoefficientBlocks.of_array(np.asarray(coeffs, dtype=np.float64))
+    buf = np.empty(nodes // 2, dtype=np.complex128)
+    scratch = np.empty(min(_DIVIDE_BLOCK, a.size))
+
+    def mags(*shifts: int) -> Iterator[np.ndarray]:
+        for shift in shifts:
+            shape, column, *middle = tables_whole(nodes)[_SLICES.index(shift)]
+            _fold(a, shift, buf, scratch)
+            y = buf.reshape(shape)
+            y *= column
+            for lo, hi in four_step_whole_tables(y, *middle):
+                yield np.abs(y[lo:hi])
+
+    fine = _sum_of_powers(mags(1, 5), nodes, p) / nodes
+    coarse = _sum_of_powers(mags(2), nodes // 2, p) / (nodes // 2)
+    return coarse ** (1.0 / p), fine ** (1.0 / p)
+
+
+def pieces(blocks: Iterable[np.ndarray], length: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(q, r, piece) over consecutive ``blocks``, cut at the multiples of L = ``length``.
+
+    ``piece`` is a view of one block holding the entries qL + r to
+    qL + r + n - 1, n = ``piece.size``, all within segment q: entries qL
+    to qL + L - 1.  So L need not be a multiple of the block size.
+    """
+    start = 0
+    for block in blocks:
+        lo = 0
+        while lo < block.size:
+            q, r = divmod(start + lo, length)
+            hi = min(block.size, lo + length - r)
+            yield q, r, block[lo:hi]
+            lo = hi
+        start += block.size
+
+
+def fold_pieces(a: CoefficientBlocks, shift: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """w_r = sum_q zeta^(shift q) a_(r+qL) into the complex ``out`` of L entries, zeta = exp(-i pi/4).
+
+    One pass over ``a``, cut into pieces of segments of L entries
+    (``pieces``).  The weight of segment q depends on q mod 8; its parts
+    are 0, +-1 or, for odd ``shift`` and odd q, +-fl(sqrt(1/2)), the one
+    inexact weight.  Each piece is added to or subtracted from each part
+    by the signs of its weight (``_EIGHTH_ROOT_SIGNS``), after, for odd
+    ``shift`` and odd q, it is scaled by fl(sqrt(1/2)) into ``scratch``.
+    So each term is the product of the weight and the entry, exact or one
+    rounding, and each w_r adds its terms in the order of q, whatever the
+    blocks of ``a``: an array and a source of the same coefficients fold
+    to the same bits.  ``scratch`` holds at least min(block, L) floats.
+    """
+    half = out.size
+    flat = out.view(np.float64)
+    flat[...] = 0.0
+    for q, r, piece in pieces(a, half):
+        if shift * q % 2:
+            piece = np.multiply(piece, math.sqrt(0.5), out=scratch[: piece.size])
+        for sign, part in zip(_EIGHTH_ROOT_SIGNS[shift * q % 8], (out.real, out.imag)):
+            if sign:
+                part = part[r : r + piece.size]
+                (np.add if sign > 0 else np.subtract)(part, piece, out=part)
 
 
 def bounded_divisor_sum(j: int, n: int, table) -> int:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -828,20 +829,29 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_openssl_loaded_only_to_hash_the_sidecar():
-    # hashlib maps OpenSSL's libcrypto, about 3.7 MB of resident set; only
-    # the manifest id needs it, once the run has returned
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, about 3.7 MB of resident set; the
+    # sidecar id is hashed by CPython's built-in SHA-256, so a command
+    # that writes its sidecar never loads it.  The ids are then checked
+    # here against hashlib's digest of the canonical JSON
+    commands = {
+        "lq": ["convergence", "--space", "lq", "--q", "2.0", "--n", "10,100", "--coeff-cutoff", "1000"],
+        "hp": ["convergence", "--space", "hp", "--p", "0.5", "--n", "10,100", "--coeff-cutoff", "1000",
+               "--nodes", "4096"],
+    }
     out = _run_python(
-        "import io, sys\n"
-        "import zfhp.cli\n"
-        "from zfhp.experiments import build_manifest, rerun, write_manifest\n"
-        "manifest = build_manifest('lq_convergence', q=2.0, n_list=[10, 100], coeff_cutoff=1000)\n"
-        "rerun(manifest)\n"
-        "print('_hashlib' in sys.modules)\n"
-        "write_manifest(manifest, io.StringIO())\n"
+        "import sys\n"
+        "from zfhp.cli import main\n"
+        f"for name, argv in {commands!r}.items():\n"
+        f"    assert main([*argv, '--out', {str(tmp_path)!r} + '/' + name + '.csv']) == 0\n"
         "print('_hashlib' in sys.modules)\n"
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False"]
+    for name in commands:
+        payload = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        manifest_id = payload.pop("id")
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert manifest_id == hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def test_runs_with_scipy_blocked():

@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import functools
+import hashlib
+import importlib.util
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -456,6 +459,24 @@ class TestManifests:
             '"seed":null,"version":"0.1.0"}'
         )
         assert manifest.manifest_id == "168a4ec9ab72"
+
+    def test_manifest_id_without_the_builtin_sha256(self, monkeypatch):
+        # None in sys.modules makes an import of that name raise
+        # ImportError: without _sha2 (CPython 3.12 on) the id is hashed by
+        # _sha256 (3.10 and 3.11), without both by hashlib, and it stays
+        manifest = ExperimentManifest("lq_convergence", {"q": 2.0, "n_list": [10, 100], "coeff_cutoff": 1000},
+                                      None, "0.1.0")
+        data = manifest.canonical_json().encode()
+        has_sha256 = importlib.util.find_spec("_sha256") is not None
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        assert manifest.manifest_id == "168a4ec9ab72"
+        assert calls == ([] if has_sha256 else [data])
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert manifest.manifest_id == "168a4ec9ab72"
+        assert calls[-1:] == [data]
 
     def test_rerun_reproduces_values_bit_exactly(self):
         manifest = build_manifest("lq_convergence", q=2.0, n_list=[10, 100], coeff_cutoff=2000)

@@ -18,13 +18,17 @@ from zfhp import (
     reverse_holder_check,
 )
 from zfhp.norms import (
+    _EIGHTH_ROOT_SIGNS,
     _SLICES,
     _TRANSFORM_BYTES_PER_NODE,
+    _TWIDDLE_ROWS,
     _fold,
+    _level,
+    _product_tables,
+    _slice,
     _split,
     _sum_of_powers,
     _table_bytes,
-    _tables,
     _two_level_bytes,
     boundary_values,
     circle_abs_power_integral,
@@ -39,6 +43,7 @@ from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks
 from oracles import (
     boundary_values_ifft,
     fold_periods,
+    fold_pieces,
     fold_stacked,
     half_offset_points,
     p_mean,
@@ -47,6 +52,7 @@ from oracles import (
     two_level_means_one_buffer,
     two_level_means_pruned,
     two_level_means_rfft,
+    two_level_means_whole_tables,
 )
 
 
@@ -685,7 +691,7 @@ class TestStreamedFold:
     @staticmethod
     def streamed(source: CoefficientBlocks, shift: int, half: int) -> np.ndarray:
         out = np.empty(half, dtype=np.complex128)
-        _fold(source, shift, out, np.empty(min(_DIVIDE_BLOCK, half)))
+        _fold(source, shift, out, np.empty(min(_DIVIDE_BLOCK, source.size)))
         return out
 
     @staticmethod
@@ -774,6 +780,35 @@ class TestStreamedFold:
             want = np.empty(half, dtype=np.complex128)
             fold_stacked(blocks, shift, want, np.empty(_DIVIDE_BLOCK + min(_DIVIDE_BLOCK, half)))
             assert np.array_equal(self.streamed(blocks, shift, half).view(np.int64), want.view(np.int64))
+
+    # L = 8 (16 nodes), 777 and 1024: many whole segments per block;
+    # _DIVIDE_BLOCK - 1 and _DIVIDE_BLOCK: one per block; _DIVIDE_BLOCK + 3:
+    # none, every piece at a block edge
+    @pytest.mark.parametrize("half", [8, 777, 1024, _DIVIDE_BLOCK - 1, _DIVIDE_BLOCK, _DIVIDE_BLOCK + 3])
+    @pytest.mark.parametrize("shift", _SLICES)
+    def test_bit_equal_to_the_per_piece_fold(self, shift, half):
+        # the whole segments of a block are added as one stack, each part's
+        # rows of nonzero weight after the part itself, by np.add.accumulate:
+        # the same terms in the same order as the per-piece fold, so the two
+        # agree bit for bit on both sides of every segment and block edge.
+        # An infinite entry in segment 2, whose weight has a zero part for
+        # each shift, leaves that part finite: its row is left out
+        rng = np.random.default_rng(half + shift)
+        a = rng.normal(size=2 * _DIVIDE_BLOCK + 2 * half + 5)
+        a[2 * half + 1] = np.inf
+        edges = (half, 2 * half, 3 * half, _DIVIDE_BLOCK, 2 * _DIVIDE_BLOCK, a.size)
+        sizes = sorted({n for edge in edges for n in (edge - 1, edge, edge + 1) if 0 < n <= a.size})
+        cuts = self.aligned_cuts(a.size, half, half + shift)
+        sources = [CoefficientBlocks.of_array(a[:size]) for size in sizes]
+        sources.append(CoefficientBlocks(a.size, lambda: (a[lo:hi] for lo, hi in zip(cuts, cuts[1:]))))
+        for source in sources:
+            want = np.empty(half, dtype=np.complex128)
+            fold_pieces(source, shift, want, np.empty(min(_DIVIDE_BLOCK, half)))
+            got = self.streamed(source, shift, half)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), source.size
+            if source.size > 2 * half + 1:
+                zero = _EIGHTH_ROOT_SIGNS[shift * 2 % 8].index(0)
+                assert np.isfinite((got.real, got.imag)[zero][1])
 
     def test_means_of_a_source_equal_those_of_its_array(self):
         # one fold path: a block source and its concatenation give the same
@@ -864,38 +899,94 @@ class TestTwoLevelMeans:
             self.assert_within_the_models(a, p, 40000, two_level_means(a, p, 40000), prev)
 
     def test_cold_and_warm_table_agree_bit_for_bit(self):
+        # no twiddle is cached: repeated calls, with other node counts
+        # between them, form the same twiddles, and nothing a call
+        # allocates outlives it.  The untraced first round lets numpy make
+        # its own one-time allocations; the slack of 1 KiB is far below the
+        # 331 KB of whole-run tables a cache would keep at 24576 nodes
         a = np.random.default_rng(11).normal(size=3 * 1030 + 17)
-        _tables.cache_clear()
-        cold = two_level_means(a, 0.5, 1030)
-        warm = two_level_means(a, 0.5, 1030)
-        assert _tables.cache_info().hits == 1
-        two_level_means(a, 0.5, 16)  # evicts the 1030-node tables
-        again = two_level_means(a, 0.5, 1030)
-        assert cold == warm == again
+        sequence = (1030, 16, 24576, 1030)
+        first = [two_level_means(a, 0.5, nodes) for nodes in sequence]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            again = [two_level_means(a, 0.5, nodes) for nodes in sequence]
+            del again[:]
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert first[0] == first[-1]
+        assert [two_level_means(a, 0.5, nodes) for nodes in sequence] == first
+        assert left < 2**10
 
     @pytest.mark.parametrize("nodes", [16, 2062, 24576, 2**21])
     def test_tables_are_small_and_read_only(self, nodes):
-        # every twiddle table is O(M^(3/4)), even where the split of
-        # L = M/2 degenerates to 1 x L, and no caller can write to the cache
-        tables = [table for _, *level in _tables(nodes) for table in level]
-        assert sum(t.size for t in tables) <= 8 * nodes**0.75
-        assert not any(t.flags.writeable for t in tables)
+        # a slice keeps its column and row multipliers, L1 entries each, and
+        # one group of rows' twiddles at a time, O(256 sqrt(L2)) entries,
+        # even where the split of L = M/2 degenerates to 1 x L; no table of
+        # every row exists that a caller could write to or keep
+        rows, cols = _split(nodes // 2)
+        for shift in _SLICES:
+            shape, column, k = _level(nodes, shift)
+            assert shape == (rows, cols) and column.size == k.size == rows
+            low, high = _product_tables(k[:_TWIDDLE_ROWS], cols, nodes)
+            assert low.shape[0] == high.shape[0] == min(_TWIDDLE_ROWS, rows)
+            assert low.size + high.size <= 2 * _TWIDDLE_ROWS * (math.sqrt(cols) + 1)
+        assert not hasattr(zfhp.norms, "_tables")
 
     @pytest.mark.parametrize("nodes", [2**19, 2**21, 65542])
-    def test_table_charge_covers_a_fresh_build(self, nodes):
-        # the peak of a fresh build includes the tables it returns,
-        # sum(nbytes), and the build's temporaries; 65542 has M/2 prime
-        _tables.cache_clear()
+    def test_table_charge_covers_a_fresh_build(self, nodes, monkeypatch):
+        # the peak of a fresh build of a slice's column, row multipliers and
+        # one group's tables includes what it returns, sum(nbytes), and the
+        # build's temporaries; 65542 has M/2 prime.  A whole slice forms
+        # its groups one after another (four at 2^21 nodes), each after the
+        # previous one's tables are dropped
+        rows, cols = _split(nodes // 2)
+        buf = np.empty(nodes // 2, dtype=np.complex128)
+        source = CoefficientBlocks.of_array(np.random.default_rng(nodes).normal(size=nodes // 2 + 3))
+        scratch = np.empty(_DIVIDE_BLOCK)
+        live = []
+
+        def recorded(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return product_tables(*args)
+
+        product_tables = zfhp.norms._product_tables
         tracemalloc.start()
         try:
-            tables = _tables(nodes)
+            _, column, k = _level(nodes, 5)
+            low, high = _product_tables(k[:_TWIDDLE_ROWS], cols, nodes)
             peak = tracemalloc.get_traced_memory()[1]
+            kept = column.nbytes + k.nbytes + low.nbytes + high.nbytes
+            group = low.nbytes + high.nbytes
+            del column, k, low, high
+            monkeypatch.setattr(zfhp.norms, "_product_tables", recorded)
+            for _ in _slice(source, 5, nodes, buf, scratch):
+                pass
         finally:
             tracemalloc.stop()
-        kept = sum(table.nbytes for _, *level in tables for table in level)
         assert kept <= peak <= _table_bytes(nodes)
         if nodes != 65542:  # where the 2^17 of ufunc buffers does not dominate
-            assert _table_bytes(nodes) < 1.1 * peak
+            # the bound's only terms beyond a derived count of bytes
+            assert _table_bytes(nodes) - peak <= 2**17 + 2**12
+        # what is live as each group's tables are formed does not grow by
+        # the previous group's tables
+        assert len(live) == -(-rows // _TWIDDLE_ROWS)
+        assert max(live) - min(live) < min(group, 2**12)
+
+    # M/2 = 8 = 2 x 4, 515 = 5 x 103, 1031 (prime, 1 x 1031),
+    # 12288 = 96 x 128, 20000 = 125 x 160, 2^18 = 512 x 512 and
+    # 105000 = 300 x 350: fewer rows than a group, two whole groups, and a
+    # whole group and a partial one of 44 rows, ending on a partial block
+    @pytest.mark.parametrize("nodes", [16, 1030, 2062, 24576, 40000, 2**19, 210000])
+    def test_bit_equal_to_the_whole_table_oracle(self, nodes):
+        # every twiddle comes from the same exponent through the same
+        # _roots, whichever group of rows forms it
+        rng = np.random.default_rng(nodes)
+        for count in (nodes // 2 - 3, 3 * nodes + 17):
+            a = rng.normal(size=count)
+            for p in (0.5, 1.0):
+                assert two_level_means(a, p, nodes) == two_level_means_whole_tables(a, p, nodes), (count, p)
 
     @staticmethod
     def transform_peak_growth(vmhwm_growth, length: int, nodes: int) -> int:
@@ -910,8 +1001,10 @@ class TestTwoLevelMeans:
 
     @staticmethod
     def beyond_the_arrays(nodes: int) -> int:
-        """The tables at their actual size and the rest of ``_two_level_bytes``: the scratch, row block, FFT work."""
-        tables = sum(table.nbytes for _, *level in _tables(nodes) for table in level)
+        """One slice's twiddles at their actual size and the rest of ``_two_level_bytes``: the scratch, row block,
+        FFT work."""
+        (_, cols), column, k = _level(nodes, 1)
+        tables = column.nbytes + k.nbytes + sum(t.nbytes for t in _product_tables(k[:_TWIDDLE_ROWS], cols, nodes))
         return (tables + _two_level_bytes(nodes) - _TRANSFORM_BYTES_PER_NODE * nodes
                 - _table_bytes(nodes))
 

@@ -13,11 +13,10 @@ from zfhp import (
     lq_norm,
     mobius_sum_over_k,
 )
-from zfhp.norms import _pieces
 from zfhp.series import (_DIVIDE_BLOCK, CoefficientBlocks, _kernel_bytes, hk_coefficient_envelope,
                          mobius_ims_partial_sums)
 
-from oracles import accumulated_ims, advance_ims_allocating, bounded_divisor_sum, mobius_ims_one_buffer
+from oracles import accumulated_ims, advance_ims_allocating, bounded_divisor_sum, mobius_ims_one_buffer, pieces
 
 
 def concatenated(blocks: CoefficientBlocks) -> np.ndarray:
@@ -275,13 +274,13 @@ class TestMobiusPartialSums:
         d = np.zeros(degree + 1, dtype=np.int32)
         (blocks,) = mobius_ims_partial_sums([100], degree, mobius_1k)
         want = advance_ims_allocating(d, 1, 100, mobius_1k)
-        pieces, start = [], 0
-        for q, r, piece in _pieces(blocks, length):
+        cut, start = [], 0
+        for q, r, piece in pieces(blocks, length):
             assert q * length + r == start and r + piece.size <= length
             assert 0 < piece.size <= _DIVIDE_BLOCK
-            pieces.append(piece.copy())
+            cut.append(piece.copy())
             start += piece.size
-        assert np.array_equal(np.concatenate(pieces).view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.concatenate(cut).view(np.int64), want.view(np.int64))
 
     def test_one_block_buffer_reused(self, mobius_1k):
         # every block of every pass and checkpoint is one buffer of
