@@ -6,10 +6,11 @@ numpy sieve over the primes up to sqrt(limit) only, run in cache-sized
 segments that each carry their own radical (``_sieve_segment``).
 ``build_mobius`` copies the segments that ``_mobius_segments`` yields one
 at a time into the int8 table, its only full-length array, for limits
-below 2^31; the l^q and H^p runners build it to their largest n, and the
-approx kernel of ``zfhp.functionals`` to about the 2/3 power of its
-largest n.  ``_check_memory`` is the package's one physical-memory guard:
-sizes whose buffers cannot fit are refused before anything is allocated.
+below 2^31; the l^q and H^p runners build it to their largest n.  The
+approx kernel of ``zfhp.functionals`` reads the segments themselves, to
+about the 2/3 power of its largest n, and keeps none.  ``_check_memory``
+is the package's one physical-memory guard: sizes whose buffers cannot
+fit are refused before anything is allocated.
 ``exact_sum`` is the package's one exactly rounded sum of a float array:
 it does not depend on the order or grouping of the terms.  Long sums over
 an index range, the Möbius sums here among them, walk it in blocks of
@@ -280,7 +281,7 @@ def _walk_sum(term: Callable[[int, np.ndarray], np.ndarray], stop: int, start: i
 
 
 def exact_sum(x) -> float | complex:
-    """The exact sum of the array ``x`` rounded once to nearest, per component.
+    """The exact sum of the array ``x``, or of a list of floats, rounded once to nearest, per component.
 
     Lemma (binary64, round to nearest).  Let L = len(x), max|x| < 2^e and
     sigma = 2^(e + ceil(log2(L + 2))).  Then q = (sigma + x) - sigma and
@@ -294,7 +295,14 @@ def exact_sum(x) -> float | complex:
     sigma <= 2^-1022 a pass takes all of x.  So the parts add up exactly to
     sum(x), and ``math.fsum`` rounds that once: the result depends only on
     the exact sum, not on the order, grouping or blocks of the terms.
+
+    A list, such as the parts of a blocked sum (``_walk_parts``), must hold
+    real floats.  It goes to ``math.fsum`` as it is: its ``exact_parts``
+    have the same exact sum, so the float is the same, without a numpy
+    array per list.
     """
+    if isinstance(x, list):
+        return math.fsum(x)
     x = np.asarray(x)
     if np.iscomplexobj(x):
         return complex(math.fsum(exact_parts(x.real)), math.fsum(exact_parts(x.imag)))

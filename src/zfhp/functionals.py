@@ -14,11 +14,12 @@ prefix sums of j^-s that one blocked walk over j <= N adds exactly
 
 ``approx_reciprocal_s_partial_sums`` forms the Möbius combinations
 sum_{k<=n} mu(k) G_k(s) at many n and many s, each with a proved error
-bound, in O(n^(2/3)) operations and memory: the Möbius table and the
-weighted prefix sums reach only about (max n)^(2/3).  Each n up to there
-is a table entry, and each larger n comes from the weighted Mertens
-recursion, with the Euler-Maclaurin tail ``special._zeta_tail`` above the
-tables, so n may reach 2^53 - 1.
+bound, in O(n^(2/3)) operations and O(sqrt(n)) memory: one pass over the
+Möbius sieve segments forms the weighted prefix sums to about
+(max n)^(2/3) and keeps only the entries that the weighted Mertens
+recursion reads.  Each n up to there is a table entry, and each larger n
+comes from the recursion, with the Euler-Maclaurin tail
+``special._zeta_tail`` above the tables, so n may reach 2^53 - 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import _check_memory, _physical_bytes, _sieve_bytes, _walk_parts, build_mobius, exact_sum
+from .arith import _SIEVE_BLOCK, _check_memory, _mobius_segments, _sieve_bytes, _walk_parts, exact_sum
 from .series import TruncatedSeries, hk_coefficient_envelope
 from .special import (_SLACK, _U, _check_zeta_range, _power_error, _zeta_tail, fk_values,
                       require_right_half_plane, zeta)
@@ -256,11 +257,15 @@ def approx_reciprocal_s_partial_sums(
 
     Method.  G_k(s) = -(zeta(s)/s) (k^(-s) - 1/k), so the value is
     -(zeta(s)/s) (M_s(n) - M_1(n)) with M_s(x) = sum_{k<=x} mu(k) k^(-s).
-    Every n must lie in 2..2^53 - 1, and |s| may not exceed 2^20.  mu is
-    sieved once, to L = ``_approx_limit(max n)``, about (max n)^(2/3), and
+    Every n must lie in 2..2^53 - 1, and |s| may not exceed 2^20.  One
+    pass over the Möbius sieve segments, to L = ``_approx_limit(max n)``,
+    about (max n)^(2/3), builds the table entries that the recursion
+    reads for s = 1 and every s of the grid (``_mertens_tables``), and
     ``_weighted_mertens`` gives M_s(n) and M_1(n) with their bounds: a
     table entry for n <= L, and the recursion for n > L, in
-    O(L + n / sqrt(L)) = O(n^(2/3)) operations and O(L) memory.
+    O(L + n / sqrt(L)) = O(n^(2/3)) operations and O(sqrt(n)) memory per s.
+    A run whose ``_approx_bytes`` exceed physical memory is refused before
+    anything is allocated.
 
     Bound.  u = 2^-53, c = -zeta(s)/s, D = M_s(n) - M_1(n) and c~, D~
     their computed values, and Z = ``zeta(s).error_bound``, the proved
@@ -289,13 +294,14 @@ def approx_reciprocal_s_partial_sums(
     for s in grid:
         _check_zeta_range(s)
     limit = _approx_limit(max(ns))
+    _check_memory(_approx_bytes(ns, grid, limit), f"n = {max(ns)}", "approx tables and temporaries")
     zetas = [zeta(s) for s in grid]
-    mu = build_mobius(limit).values
-    ones = _weighted_mertens(mu, 1.0, ns)
+    tables = _mertens_tables(limit, [1.0, *grid], ns)
+    ones = _weighted_mertens(tables[0], ns)
     out = []
-    for s, z in zip(grid, zetas):
+    for s, z, table in zip(grid, zetas, tables[1:]):
         scale, z_err = -(z.value / s), z.error_bound / abs(s)  # c~ and Z/|s|
-        weighted = _weighted_mertens(mu, s, ns)
+        weighted = _weighted_mertens(table, ns)
         row = []
         for n in ns:
             (m_s, e_s), (m_1, e_1) = weighted[n], ones[n]
@@ -306,16 +312,84 @@ def approx_reciprocal_s_partial_sums(
     return out
 
 
-def _weighted_mertens(mu: np.ndarray, s, n_list: list[int]):
-    """M_s(n) with a proved bound, for each n in ``n_list``.
+class _KeptTables:
+    """The entries of the tables P~ and M~ of one s that ``_weighted_mertens`` reads, to L = ``limit``.
+
+    With S = ``root``: ``dense`` holds P~(y) and M~(y) for y <= S (index 0
+    holds 0); ``by_k[n]``, for each n in ``big``, P~ and M~ at floor(n/k),
+    stored at k, for the k with S < floor(n/k) <= L (the other columns
+    hold 0); ``at_limit`` P~(L) and M~(L); and ``small[n]`` M~(n) for each
+    n <= L.  float64 at real s, complex128 otherwise.
+    """
+
+    def __init__(self, s, limit: int, root: int, big: list[int]):
+        kind = np.float64 if s.imag == 0 else np.complex128
+        self.s, self.limit = s, limit
+        self.dense = np.zeros((2, root + 1), kind)
+        self.by_k = {n: np.zeros((2, n // (root + 1) + 1), kind) for n in big}
+        self.at_limit = np.zeros(2, kind)
+        self.small: dict[int, complex] = {}
+
+
+def _mertens_tables(limit: int, grid: list, n_list: list[int]) -> list[_KeptTables]:
+    """The ``_KeptTables`` of each s in ``grid``, from one pass over the Möbius sieve segments to ``limit``.
+
+    The segments of ``arith._mobius_segments`` come one at a time, so no
+    array of L entries is made.  Each is cut into chunks of at most
+    ``_APPROX_CHUNK`` entries, and per chunk j, log j and the indices
+    floor(n/k) - lo of the kept entries are formed once for every s.  Per
+    s, w_j is 1/j at s = 1 and np.exp(-s log j) otherwise, its real part
+    at real s, and the running sums of w_j and mu(j) w_j continue the
+    Sum2 carries of the chunk before (``_running_sum``).  Every operation
+    is elementwise or a running sum in increasing j, so each entry is the
+    float that a table of all L + 1 entries holds, whatever the chunks.
+    """
+    root = math.isqrt(max(n_list))
+    big = sorted({n for n in n_list if n > limit})
+    small = {n for n in n_list if n <= limit}
+    tables = [_KeptTables(s, limit, root, big) for s in grid]
+    carries = [[[0.0, 0.0], [0.0, 0.0]] for _ in grid]
+    for base, segment in _mobius_segments(limit):
+        end = base + segment.size
+        for lo in range(max(base, 1), end, _APPROX_CHUNK):
+            hi = min(lo + _APPROX_CHUNK, end)
+            j = np.arange(lo, hi, dtype=np.float64)
+            log_j, mu = np.log(j), segment[lo - base : hi - base]
+            picks = []  # per n > L: the k with lo <= floor(n/k) < hi and S < floor(n/k) <= L, and floor(n/k) - lo
+            for n in big:
+                k = np.arange(max(n // hi, n // (limit + 1)) + 1, min(n // lo, n // (root + 1)) + 1)
+                if k.size:
+                    picks.append((n, k, n // k - lo))
+            dense = min(hi, root + 1) - lo  # entries of the chunk at j <= S
+            ends = [n for n in small if lo <= n < hi]
+            for table, carry in zip(tables, carries):
+                w = _powers(table.s, j, log_j, table.dense.dtype)
+                sums = np.empty((2, hi - lo), table.dense.dtype)  # P~ and M~ on [lo, hi)
+                for out, x, c in zip(sums, (w, mu * w), carry):
+                    _running_sum(x, out, c)
+                if dense > 0:
+                    table.dense[:, lo : lo + dense] = sums[:, :dense]
+                for n, k, y in picks:
+                    table.by_k[n][:, k] = sums[:, y]
+                for n in ends:
+                    table.small[n] = sums[1, n - lo]
+                if hi == limit + 1:
+                    table.at_limit[:] = sums[:, -1]
+    return tables
+
+
+def _weighted_mertens(table: _KeptTables, n_list: list[int]):
+    """M_s(n) with a proved bound, for each n in ``n_list``, from the kept entries of ``table``.
 
     Returns {n: (M~_s(n), E_s(n))} with |M~_s(n) - M_s(n)| <= E_s(n): an
     n <= L is the table entry M~(n) with E(n) of (T1), and a larger n
     comes from the recursion below.
 
-    Tables.  With L = mu.size - 1, sigma = Re s and w_j = fl(j^(-s)) (= fl(1/j)
-    at s = 1), the tables hold P~(y) and M~(y), y <= L: running sums of w_j
-    and of mu(j) w_j, built in chunks of ``_APPROX_CHUNK`` entries.  Each is
+    Tables.  With L = ``table.limit``, sigma = Re s and w_j = fl(j^(-s))
+    (= fl(1/j) at s = 1), the tables are P~(y) and M~(y), y <= L: running
+    sums of w_j and of mu(j) w_j, built in chunks of ``_APPROX_CHUNK``
+    entries, of which only the entries the recursion reads are kept
+    (``_KeptTables``, built by ``_mertens_tables``).  Each is
     Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005,
     Algorithm 4.4 and Proposition 4.5), per component: the recursive sum,
     plus the recursive sum of the exact errors of its additions (TwoSum),
@@ -335,6 +409,9 @@ def _weighted_mertens(mu: np.ndarray, s, n_list: list[int]):
       (T3) Above L, P_s(b) - P_s(a) = F(a + 1) - F(b + 1), with the tails F
            of ``special._zeta_tail``: within their remainders and rounding
            bounds, plus u of the difference and u of the sum it is added to.
+    At real s the imaginary parts of w_j and of F are zeros, so float64
+    tables and sums, of the real parts of the same complex values, give
+    the values and bounds that complex128 ones would.
 
     Recursion.  The Dirichlet convolution mu * 1 = epsilon, weighted by
     j^(-s), gives sum_{j<=x} j^(-s) M_s(floor(x/j)) = 1 for x >= 1
@@ -344,11 +421,16 @@ def _weighted_mertens(mu: np.ndarray, s, n_list: list[int]):
         M_s(x) = 1 - sum_{2<=j<=r} j^(-s) M_s(floor(x/j))
                    - sum_{1<=q<=x/(r+1)} M_s(q) (P_s(b_q) - P_s(a_q)),
 
-    b_q = floor(x/q), a_q = max(floor(x/(q+1)), r).  floor(x/j) =
+    b_q = floor(x/q), a_q = max(floor(x/(q+1)), r) = b_(q+1): with
+    Q = floor(x/(r+1)), floor(x/(q+1)) > r for q < Q, and floor(x/(Q+1))
+    = r, since Q = r for x >= r (r+1) and Q = r - 1 below.  floor(x/j) =
     floor(n/(dj)) is a table entry or, above L, the memo entry at dj, which
     is done before d since d runs down from floor(n/(L+1)).  Each x costs
     O(sqrt(x)) numpy work, so n costs O(n / sqrt(L)); the P differences
-    take (T2) up to L and (T3) above.
+    take (T2) up to L and (T3) above.  Every index the recursion reads,
+    clipped to L, is L, at most S = isqrt(max n) (r, q, and floor(x/i)
+    with i > floor(x/(S+1))), or floor(n/k) with S < floor(n/k) <= L: the
+    kept entries, read by ``_gather``.
 
     Bound.  The two sums are added in one exactly rounded sum T~
     (``exact_sum``), and M~(x) = fl(1 - T~).  Let v~_j be the value taken for
@@ -367,59 +449,54 @@ def _weighted_mertens(mu: np.ndarray, s, n_list: list[int]):
     nonnegative terms.  An underflowing power is off by at most 2^-1074, far
     below the u |c~| / |s| that ``run_pointwise_approx`` adds.  []
     """
-    limit, sigma, real = mu.size - 1, s.real, s == 1
-    kind = np.float64 if real else np.complex128
-    table_p, table_m = tables = np.zeros((2, limit + 1), kind)  # P~ and M~
-    powers = np.zeros(math.isqrt(max(n_list)) + 1, kind)  # w_j, j <= sqrt(max n)
-    carries = [[0.0, 0.0], [0.0, 0.0]]
-    for lo in range(1, limit + 1, _APPROX_CHUNK):
-        hi = min(lo + _APPROX_CHUNK, limit + 1)
-        j = np.arange(lo, hi, dtype=np.float64)
-        w = 1.0 / j if real else np.exp(-s * np.log(j))
-        powers[lo : min(hi, powers.size)] = w[: max(powers.size - lo, 0)]
-        for out, x, carry in zip(tables[:, lo:hi], (w, mu[lo:hi] * w), carries):
-            _running_sum(x, out, carry)
-    e = (lambda y: _U) if real else (lambda y: _power_error(abs(s), np.log(y)))
+    s, limit, (table_p, table_m) = table.s, table.limit, table.dense
+    root, sigma, kind = table_p.size - 1, s.real, table_p.dtype
+    j = np.arange(1, root + 1, dtype=np.float64)
+    powers = np.concatenate(([0], _powers(s, j, np.log(j), kind)))  # w_j, j <= S
+    e = (lambda y: _U) if s == 1 else (lambda y: _power_error(abs(s), np.log(y)))
     g_table = 4 * (limit * _U) ** 2 * _power_sum(sigma, limit)
 
     def table_bound(y):
         """E(y) of (T1), at an integer or an array y <= L."""
         return (e(y) + 3 * _U) * _power_sum(sigma, y, np) + g_table
 
-    e_table, e_small = table_bound(limit), table_bound(np.arange(1, powers.size + 1))  # E(L); E(q) at q - 1
+    e_table, e_small = table_bound(limit), table_bound(np.arange(1, root + 2))  # E(L); E(q) at q - 1
     abs_powers = np.abs(powers)
 
-    def groups(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P_s(b) - P_s(a) per group, with its bound D, by (T2) and (T3)."""
+    def groups(a: np.ndarray, b: np.ndarray, p_lo: np.ndarray, p_hi: np.ndarray, tail: int):
+        """P_s(b) - P_s(a) per group, with its bound D, by (T2) and (T3); the first ``tail`` have b > L."""
         lo, hi = np.minimum(a, limit), np.minimum(b, limit)
-        p_lo, p_hi = table_p[lo], table_p[hi]
         g = p_hi - p_lo
         bound = 2 * _U * (np.abs(p_lo) + np.abs(p_hi) + np.abs(g)) + 2 * g_table
         bound += e(hi[0]) * (hi - lo) * (lo + 1.0) ** -sigma
-        tail = np.flatnonzero(b > limit)
-        if tail.size:  # F(max(a, L) + 1) and F(b + 1) from one call
-            f, rem, rnd = _zeta_tail(np.concatenate((np.maximum(a[tail], limit), b[tail])) + 1.0, s)
-            diff = f[: tail.size] - f[tail.size :]
-            g[tail] += diff
-            bound[tail] += (rem + rnd).reshape(2, -1).sum(axis=0) + 2 * _U * (np.abs(diff) + np.abs(g[tail]))
+        if tail:  # F(max(a, L) + 1) and F(b + 1) from one call
+            f, rem, rnd = _zeta_tail(np.concatenate((np.maximum(a[:tail], limit), b[:tail])) + 1.0, s)
+            diff = (f[:tail] - f[tail:]).real if kind == np.float64 else f[:tail] - f[tail:]
+            g[:tail] += diff
+            bound[:tail] += (rem + rnd).reshape(2, -1).sum(axis=0) + 2 * _U * (np.abs(diff) + np.abs(g[:tail]))
         return g, bound
 
     results = {}
     for n in set(n_list):
         if n <= limit:
-            results[n] = table_m[n], table_bound(n)
+            results[n] = table.small[n], table_bound(n)
             continue
+        (p_k, m_k), (p_top, m_top) = table.by_k[n], table.at_limit
         top = n // (limit + 1)
         memo, memo_err = np.zeros(top + 1, kind), np.zeros(top + 1)
         for d in range(top, 0, -1):
             x, r = n // d, math.isqrt(n // d)
+            cuts = x // (limit + 1), x // (root + 1)  # floor(x/i) > L for i up to the first, > S up to the second
             j = np.arange(2, r + 1)
-            y = x // j
-            v, ev = table_m[np.minimum(y, limit)], np.full(y.size, e_table)
-            big = d * j[y > limit]
+            v = _gather(table_m, m_k, m_top, d, 2, j, x // j, cuts)
+            ev = np.full(j.size, e_table)
+            big = d * j[: max(cuts[0] - 1, 0)]
             v[: big.size], ev[: big.size] = memo[big], memo_err[big]
-            q = np.arange(1, x // (r + 1) + 1)
-            g, eg = groups(np.maximum(x // (q + 1), r), x // q)
+            i = np.arange(1, x // (r + 1) + 2)  # q = 1..x // (r + 1), and one more
+            y = x // i  # y[:-1] is b_q, and y[1:] is a_q
+            p = _gather(table_p, p_k, p_top, d, 1, i, y, cuts)
+            q = i[:-1]
+            g, eg = groups(y[1:], y[:-1], p[1:], p[:-1], min(cuts[0], q.size))
             m = table_m[q]
             total = exact_sum(np.concatenate((powers[2 : r + 1] * v, m * g)))
             value = 1.0 - total
@@ -430,6 +507,30 @@ def _weighted_mertens(mu: np.ndarray, s, n_list: list[int]):
             memo[d], memo_err[d] = value, err * _SLACK
         results[n] = memo[1], memo_err[1]
     return results
+
+
+def _powers(s, j: np.ndarray, log_j: np.ndarray, kind) -> np.ndarray:
+    """w_j = fl(j^(-s)) of the tables: 1/j at s = 1, else np.exp(-s log j), its real part for float64 ``kind``."""
+    w = 1.0 / j if s == 1 else np.exp(-s * log_j)
+    return w.real if kind == np.float64 else w
+
+
+def _gather(dense: np.ndarray, by_k: np.ndarray, at_limit, d: int, first: int, i: np.ndarray, y: np.ndarray,
+            cuts: tuple[int, int]) -> np.ndarray:
+    """A table at min(y, L), for y = floor(x/i), i = first, first + 1, ....
+
+    y does not increase with i, so with cuts = (floor(x/(L+1)),
+    floor(x/(S+1))) the i up to the first cut have y > L and read
+    ``at_limit``, those up to the second have S < y <= L and read ``by_k``
+    at k = d i (floor(x/i) = floor(n/(d i))), and the rest read ``dense``
+    at y <= S.
+    """
+    lo, hi = min(max(cuts[0] - first + 1, 0), i.size), min(max(cuts[1] - first + 1, 0), i.size)
+    out = np.empty(i.size, dense.dtype)
+    out[:lo] = at_limit
+    out[lo:hi] = by_k[d * i[lo:hi]]
+    out[hi:] = dense[y[hi:]]
+    return out
 
 
 def _running_sum(t: np.ndarray, out: np.ndarray, carry: list[float]) -> None:
@@ -449,41 +550,41 @@ def _running_sum(t: np.ndarray, out: np.ndarray, carry: list[float]) -> None:
     carry[:] = c[-1], corr[-1]
 
 
-# Bytes of the approx tables per entry: the int8 mu, and P~ and M~ of one s.
-_TABLE_BYTES = 33
-
-
 def _approx_limit(top: int) -> int:
-    """L for ``approx_reciprocal_s_partial_sums`` up to n = ``top``, refused if it cannot fit.
+    """L for ``approx_reciprocal_s_partial_sums`` up to n = ``top``.
 
-    L = min(ceil(top^(2/3)), 2^31 - 1, the largest L whose ``_approx_bytes``
-    fit in physical memory), and at least isqrt(top), which the recursion
-    needs.  Beyond physical memory, ``_check_memory`` refuses before
-    anything is allocated.
+    L = min(ceil(top^(2/3)), 2^31 - 1), and at least isqrt(top), which the
+    recursion needs.  Memory does not grow with L beyond one sieve
+    segment, so no smaller L is taken to fit it.
     """
     limit = int(top ** (2 / 3)) + 2
     while (limit - 1) ** 3 >= top * top:
         limit -= 1
-    rest = _approx_bytes(top, limit) - _TABLE_BYTES * (limit + 1)  # also bounds it at any smaller L
-    limit = max(min(limit, 2**31 - 1, (_physical_bytes() - rest) // _TABLE_BYTES - 1), math.isqrt(top))
-    _check_memory(_approx_bytes(top, limit), f"n = {top}", "approx tables and temporaries")
-    return limit
+    return max(min(limit, 2**31 - 1), math.isqrt(top))
 
 
-def _approx_bytes(top: int, limit: int) -> int:
-    """Peak bytes of ``approx_reciprocal_s_partial_sums`` up to n = ``top`` with tables to ``limit``.
+def _approx_bytes(n_list: list[int], grid: list, limit: int) -> int:
+    """Peak bytes of ``approx_reciprocal_s_partial_sums`` at the n of ``n_list`` and s of ``grid``, with tables to ``limit``.
 
-    Per table entry, the int8 mu and the complex128 P~ and M~ of one s at a
-    time (the float64 tables at s = 1 come first, and are freed), 33 bytes,
-    and the sieve's segment buffers and base primes
-    (``arith._sieve_bytes``).  Per chunk entry, the chunk's arrays: j,
-    log j, -s log j, w and mu w, and the temporaries of their running
-    sums (the cumulative sums, the TwoSum errors and their
-    concatenations), under 256 bytes.  Per entry of the recursion's arrays, of at most
-    isqrt(top) + 1 entries each: the powers and their moduli (24), the
-    memo's complex128 value and float64 bound (24; top / (limit + 1) <=
-    isqrt(top) entries, as limit >= isqrt(top)), and the j, q, index,
-    value, bound and group arrays of one x, under 512 bytes.
+    With S = isqrt(max n): the ``_KeptTables`` of s = 1 and of every s,
+    8 bytes per entry at real s and 16 otherwise, two dense rows of S + 1
+    entries and, per n > L, two rows of floor(n/(S+1)) + 1 columns, with
+    256 bytes per s and n for M~(n), its result and its row.  A chunk
+    fills each column once, from its int64 k and index (16 bytes per
+    column, held for one chunk).  One sieve segment and the base primes
+    (``arith._sieve_bytes``) and the segment before it, held while the
+    next one is sieved.  Per chunk entry, the chunk's arrays: j, log j,
+    -s log j, w, mu w and the running sums, and the temporaries of
+    ``_running_sum`` (the cumulative sums, the TwoSum errors and their
+    concatenations), under 256 bytes.  Per entry of the recursion's
+    arrays, of at most S + 1 entries each: the powers w_j, their moduli
+    and E(q) (32), the memo's complex128 value and float64 bound (24;
+    floor(n/(L+1)) <= S entries, as L >= S), and the j, q, index, value,
+    bound and group arrays of one x, under 512 bytes.
     """
-    return (_TABLE_BYTES * (limit + 1) + _sieve_bytes(limit) + 256 * _APPROX_CHUNK
-            + 560 * (math.isqrt(top) + 1))
+    root = math.isqrt(max(n_list))
+    ns = set(n_list)
+    columns = sum(n // (root + 1) + 1 for n in ns if n > limit)
+    kept = sum((8 if s.imag == 0 else 16) * 2 * (root + 1 + columns) + 256 * len(ns) for s in [1.0, *grid])
+    return (kept + 16 * columns + _sieve_bytes(limit) + min(_SIEVE_BLOCK, limit + 1) + 256 * _APPROX_CHUNK
+            + 568 * (root + 1))

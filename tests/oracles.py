@@ -39,7 +39,13 @@ verbatim with its block helper and memory estimate: it streams the Möbius
 sieve segments through blocks of the squarefree k, for a whole s-grid in
 one pass.  ``approx_reciprocal_s_table_kernel`` is that block kernel as it
 was before it streamed the segments: it reads a full ``MobiusTable``, one
-s per pass.
+s per pass.  ``weighted_mertens_full_table`` is the weighted Mertens
+recursion of ``zfhp.functionals._weighted_mertens`` as it was before that
+kept only the table entries it reads, moved here verbatim: P~ and M~ at
+every y <= L, one s per pass over a full Möbius table.
+``approx_reciprocal_s_full_tables`` drives it as the production kernel
+did; each kept entry is the float of the full table, so the two must
+agree bit for bit, value and bound.
 ``prime_indices_incremental`` is the dictionary sieve that the segmented
 sieve of ``zfhp.weights.prime_indices`` replaced.
 
@@ -123,14 +129,14 @@ from scipy.special import gammaincc
 
 from typing import Iterable, Iterator
 
-from zfhp import ConditioningError, DomainError, PoleError, zeta
+from zfhp import ConditioningError, DomainError, PoleError, build_mobius, zeta
 from zfhp.special import (_SLACK, _U, ZetaValue, _cexpm1, _check_zeta_range, _power_error, _zeta_tail,
                           require_right_half_plane)
 from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _SLICES, _fold, _product_tables, _roots, _split,
                         _sum_of_powers, _twiddle, _validate_nodes)
 from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries, hk_coefficient_envelope
 from zfhp.experiments import _TAIL_ROUNDING_FACTOR
-from zfhp.functionals import GeneratorEvaluation, _closed_form_rounding, _tail_bound
+from zfhp.functionals import GeneratorEvaluation, _closed_form_rounding, _power_sum, _running_sum, _tail_bound
 from zfhp.arith import (
     _SIEVE_BLOCK,
     _check_memory,
@@ -471,6 +477,163 @@ def approx_stream_bytes(top: int, grid_size: int) -> int:
     """
     parts = grid_size * 2 * 40 * (APPROX_BLOCK + 64)
     return _sieve_bytes(top) + _SIEVE_BLOCK + 96 * APPROX_BLOCK + parts
+
+
+# Table entries per chunk of ``weighted_mertens_full_table``.
+MERTENS_CHUNK = 1 << 13
+
+
+def approx_reciprocal_s_full_tables(n_list, s_grid, limit: int) -> list[list[tuple[complex, float]]]:
+    """(value, bound) of sum_{k=2..n} mu(k) G_k(s), as ``zfhp.functionals.approx_reciprocal_s_partial_sums`` gave them from full tables to ``limit``.
+
+    One Möbius table to ``limit`` (``build_mobius``) and, for s = 1 and then
+    each s, ``weighted_mertens_full_table``; the value and bound are formed
+    from M_s(n) and M_1(n) as in the production kernel, whose docstring
+    proves the bound.
+    """
+    ns = [int(n) for n in n_list]
+    grid = [complex(s) for s in s_grid]
+    zetas = [zeta(s) for s in grid]
+    mu = build_mobius(limit).values
+    ones = weighted_mertens_full_table(mu, 1.0, ns)
+    out = []
+    for s, z in zip(grid, zetas):
+        scale, z_err = -(z.value / s), z.error_bound / abs(s)
+        weighted = weighted_mertens_full_table(mu, s, ns)
+        row = []
+        for n in ns:
+            (m_s, e_s), (m_1, e_1) = weighted[n], ones[n]
+            d = complex(m_s) - float(m_1)
+            err = float(e_s + e_1 + _U * abs(d))
+            row.append((scale * d, _SLACK * (abs(scale) * (12 * _U * abs(d) + err) + z_err * (abs(d) + err))))
+        out.append(row)
+    return out
+
+
+def weighted_mertens_full_table(mu: np.ndarray, s, n_list: list[int]):
+    """M_s(n) with a proved bound, for each n in ``n_list``.
+
+    Returns {n: (M~_s(n), E_s(n))} with |M~_s(n) - M_s(n)| <= E_s(n): an
+    n <= L is the table entry M~(n) with E(n) of (T1), and a larger n
+    comes from the recursion below.
+
+    Tables.  With L = mu.size - 1, sigma = Re s and w_j = fl(j^(-s)) (= fl(1/j)
+    at s = 1), the tables hold P~(y) and M~(y), y <= L: running sums of w_j
+    and of mu(j) w_j, built in chunks of ``MERTENS_CHUNK`` entries.  Each is
+    Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26, 2005,
+    Algorithm 4.4 and Proposition 4.5), per component: the recursive sum,
+    plus the recursive sum of the exact errors of its additions (TwoSum),
+    added once.  So each entry is within u |exact| + gamma_L^2 sum |terms|
+    of the exact sum of the computed terms, per component, with
+    gamma_L = L u / (1 - L u).  Let e(y) =
+    ``_power_error(|s|, log y)`` (u at s = 1), so w_j is within e(j) j^-sigma
+    of j^(-s), S(y) = ``_power_sum(sigma, y)`` >= sum_{j<=y} j^-sigma and
+    G = 4 (L u)^2 S(L) > sqrt(2) gamma_L^2 (1 + e(L)) S(L), as L < 2^31.
+    For y <= L and a <= b <= L:
+      (T1) |M~(y) - M_s(y)| <= E(y) = (e(y) + 3u) S(y) + G, as the terms
+           are within e(y) S(y) in all and |M~(y)| <= S(y) (1 + 2e(y)).
+           E_M = E(L) bounds them all.
+      (T2) fl(P~(b) - P~(a)) is within 2u (|P~(a)| + |P~(b)| + |difference|)
+           + 2G + e(b) (b - a) (a + 1)^-sigma of P_s(b) - P_s(a): the
+           terms a < j <= b are within e(b) j^-sigma <= e(b) (a + 1)^-sigma.
+      (T3) Above L, P_s(b) - P_s(a) = F(a + 1) - F(b + 1), with the tails F
+           of ``special._zeta_tail``: within their remainders and rounding
+           bounds, plus u of the difference and u of the sum it is added to.
+
+    Recursion.  The Dirichlet convolution mu * 1 = epsilon, weighted by
+    j^(-s), gives sum_{j<=x} j^(-s) M_s(floor(x/j)) = 1 for x >= 1
+    (Deleglise and Rivat, Experiment. Math. 5, 1996).  For x = floor(n/d) > L
+    and r = isqrt(x), group the j > r by q = floor(x/j) <= r <= L:
+
+        M_s(x) = 1 - sum_{2<=j<=r} j^(-s) M_s(floor(x/j))
+                   - sum_{1<=q<=x/(r+1)} M_s(q) (P_s(b_q) - P_s(a_q)),
+
+    b_q = floor(x/q), a_q = max(floor(x/(q+1)), r).  floor(x/j) =
+    floor(n/(dj)) is a table entry or, above L, the memo entry at dj, which
+    is done before d since d runs down from floor(n/(L+1)).  Each x costs
+    O(sqrt(x)) numpy work, so n costs O(n / sqrt(L)); the P differences
+    take (T2) up to L and (T3) above.
+
+    Bound.  The two sums are added in one exactly rounded sum T~
+    (``exact_sum``), and M~(x) = fl(1 - T~).  Let v~_j be the value taken for
+    M_s(floor(x/j)), E_j its bound (E_M or a memo bound), g~_q the computed
+    group difference, D_q its bound from (T2) and (T3), m~_q = M~(q) and
+    E_q = E(q).
+    Products are within 3u, and w~_j within e(r), so M~(x) is within
+
+        E(x) = sum_j |w~_j| (E_j + (e(r) + 4u) |v~_j|)
+               + sum_q ((|m~_q| + E_q) D_q + (E_q + 4u |m~_q|) |g~_q|)
+               + 2u (|T~| + |M~(x)|)
+
+    of M_s(x), to first order.  Every bound is stored times ``_SLACK``,
+    which covers the second-order terms (e <= 2^-22 for |s| <= 2^20) and
+    the rounding of the bound's own evaluation, sums of fewer than 2^31
+    nonnegative terms.  An underflowing power is off by at most 2^-1074, far
+    below the u |c~| / |s| that ``run_pointwise_approx`` adds.  []
+    """
+    limit, sigma, real = mu.size - 1, s.real, s == 1
+    kind = np.float64 if real else np.complex128
+    table_p, table_m = tables = np.zeros((2, limit + 1), kind)  # P~ and M~
+    powers = np.zeros(math.isqrt(max(n_list)) + 1, kind)  # w_j, j <= sqrt(max n)
+    carries = [[0.0, 0.0], [0.0, 0.0]]
+    for lo in range(1, limit + 1, MERTENS_CHUNK):
+        hi = min(lo + MERTENS_CHUNK, limit + 1)
+        j = np.arange(lo, hi, dtype=np.float64)
+        w = 1.0 / j if real else np.exp(-s * np.log(j))
+        powers[lo : min(hi, powers.size)] = w[: max(powers.size - lo, 0)]
+        for out, x, carry in zip(tables[:, lo:hi], (w, mu[lo:hi] * w), carries):
+            _running_sum(x, out, carry)
+    e = (lambda y: _U) if real else (lambda y: _power_error(abs(s), np.log(y)))
+    g_table = 4 * (limit * _U) ** 2 * _power_sum(sigma, limit)
+
+    def table_bound(y):
+        """E(y) of (T1), at an integer or an array y <= L."""
+        return (e(y) + 3 * _U) * _power_sum(sigma, y, np) + g_table
+
+    e_table, e_small = table_bound(limit), table_bound(np.arange(1, powers.size + 1))  # E(L); E(q) at q - 1
+    abs_powers = np.abs(powers)
+
+    def groups(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_s(b) - P_s(a) per group, with its bound D, by (T2) and (T3)."""
+        lo, hi = np.minimum(a, limit), np.minimum(b, limit)
+        p_lo, p_hi = table_p[lo], table_p[hi]
+        g = p_hi - p_lo
+        bound = 2 * _U * (np.abs(p_lo) + np.abs(p_hi) + np.abs(g)) + 2 * g_table
+        bound += e(hi[0]) * (hi - lo) * (lo + 1.0) ** -sigma
+        tail = np.flatnonzero(b > limit)
+        if tail.size:  # F(max(a, L) + 1) and F(b + 1) from one call
+            f, rem, rnd = _zeta_tail(np.concatenate((np.maximum(a[tail], limit), b[tail])) + 1.0, s)
+            diff = f[: tail.size] - f[tail.size :]
+            g[tail] += diff
+            bound[tail] += (rem + rnd).reshape(2, -1).sum(axis=0) + 2 * _U * (np.abs(diff) + np.abs(g[tail]))
+        return g, bound
+
+    results = {}
+    for n in set(n_list):
+        if n <= limit:
+            results[n] = table_m[n], table_bound(n)
+            continue
+        top = n // (limit + 1)
+        memo, memo_err = np.zeros(top + 1, kind), np.zeros(top + 1)
+        for d in range(top, 0, -1):
+            x, r = n // d, math.isqrt(n // d)
+            j = np.arange(2, r + 1)
+            y = x // j
+            v, ev = table_m[np.minimum(y, limit)], np.full(y.size, e_table)
+            big = d * j[y > limit]
+            v[: big.size], ev[: big.size] = memo[big], memo_err[big]
+            q = np.arange(1, x // (r + 1) + 1)
+            g, eg = groups(np.maximum(x // (q + 1), r), x // q)
+            m = table_m[q]
+            total = exact_sum(np.concatenate((powers[2 : r + 1] * v, m * g)))
+            value = 1.0 - total
+            am, em = np.abs(m), e_small[: q.size]
+            err = (abs_powers[2 : r + 1] @ (ev + (e(r) + 4 * _U) * np.abs(v))
+                   + (am + em) @ eg + (em + 4 * _U * am) @ np.abs(g)
+                   + 2 * _U * (abs(total) + abs(value)))
+            memo[d], memo_err[d] = value, err * _SLACK
+        results[n] = memo[1], memo_err[1]
+    return results
 
 
 def prime_indices_incremental():

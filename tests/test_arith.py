@@ -446,3 +446,13 @@ def test_exact_parts_leaves_its_input_alone():
     before = x.copy()
     exact_parts(x)
     assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_sum_of_a_list_is_that_of_its_array(seed):
+    # a list of floats goes to math.fsum as it is: the same float as the
+    # exact parts of its array, since both are exactly rounded
+    rng = np.random.default_rng(seed)
+    x = spread_array(rng, 2000)
+    for values in (x.tolist(), np.concatenate([x, -x[::-1], [2.0**-1074]]).tolist(), exact_parts(x), [], [-0.0]):
+        assert_same_float(exact_sum(values), exact_sum(np.array(values)))

@@ -139,9 +139,11 @@ class TestExitCodes:
             monkeypatch.setattr(np, name, refuse)
         monkeypatch.setattr(zfhp.arith, "_primes_up_to", refuse)
         monkeypatch.setattr(zfhp.arith, "_sieve_segment", refuse)
-        # no table fits, so the estimate is at the smallest limit, isqrt(n):
-        # 2^26 + 1 entries of the tables (33 bytes each) and of the
-        # recursion's arrays (560 bytes each), about 37.1 GiB
+        # S = isqrt(n) = 2^26: the kept table entries of s = 2 and s = 1,
+        # four float64 rows of about S entries each (8 bytes), the indices
+        # that fill them (16 bytes per column) and the recursion's arrays
+        # (568 bytes per entry of S + 1), about 40.5 GiB; L = 2^31 - 1
+        # adds only one sieve segment
         n = 2**52
         tracemalloc.start()
         try:
@@ -152,7 +154,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err.startswith(f"invalid arguments: n = {n} needs an estimated 37.1 GiB")
+        assert err.startswith(f"invalid arguments: n = {n} needs an estimated 40.5 GiB")
         assert "Traceback" not in err
         assert peak < 2**20
 

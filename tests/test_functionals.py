@@ -23,10 +23,12 @@ from zfhp.series import hk_coefficient_envelope
 
 import oracles
 from oracles import (
+    approx_reciprocal_s_full_tables,
     approx_reciprocal_s_oracle,
     approx_reciprocal_s_stream,
     approx_reciprocal_s_table_kernel,
     lambda_hk_truncated_whole,
+    weighted_mertens_full_table,
 )
 
 U = 2.0**-53
@@ -345,6 +347,30 @@ class TestApproxReciprocal:
             got = approx_reciprocal_s_stream(ns, [s])[0]
             assert got == approx_reciprocal_s_table_kernel(ns, s, mobius_100k)
 
+    @pytest.mark.parametrize("block", [B, 3001], ids=["segments", "segments-inside-chunks"])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 2.466, 0.75 + 3j, 2 + 14.13j])
+    def test_kept_entries_equal_the_full_tables(self, s, block, monkeypatch):
+        # unsorted, with duplicates, across S = 1000 and L = 10^4, with L,
+        # L + 1, squares, cubes and 10^6 = 100^3 = 1000^2; a sieve segment of
+        # 3001 entries cuts every chunk at other points than the oracle's
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
+        ns = [10**6, 2, 999, 1000, 1001, 9999, 10**4, 10**4 + 1, 961, 4096, 65536, 99999, 12, 2, 10**4, 123457]
+        limit = functionals._approx_limit(10**6)
+        assert limit == 10**4
+        mu = build_mobius(limit).values
+        (table,) = functionals._mertens_tables(limit, [s if s == 1 else complex(s)], ns)
+        assert functionals._weighted_mertens(table, ns) == weighted_mertens_full_table(mu, s, ns)
+        if s != 1:
+            assert approx_reciprocal_s_partial_sums(ns, [s]) == approx_reciprocal_s_full_tables(ns, [s], limit)
+
+    def test_kept_entries_equal_the_full_tables_across_segments(self):
+        # L = 542,884 > 2^19, S = 20,000: 4 * 10^8 = 20000^2, 343 * 10^6 = 700^3
+        ns = [4 * 10**8, 542884, 542885, 20000, 20001, 343 * 10**6, B, B + 1, 3, 4 * 10**8]
+        limit = functionals._approx_limit(4 * 10**8)
+        assert limit == 542884
+        grid = [2.466, 2 + 14.13j]
+        assert approx_reciprocal_s_partial_sums(ns, grid) == approx_reciprocal_s_full_tables(ns, grid, limit)
+
     def test_table_rows_take_no_exact_parts(self, monkeypatch):
         # every n, on either side of L, comes from the weighted-Mertens
         # tables or recursion, not from a blocked re-summation of its terms
@@ -377,7 +403,30 @@ class TestApproxReciprocal:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= functionals._approx_bytes(n, limit)
+        assert peak <= functionals._approx_bytes([n, 10**6, 100], [2.0, 0.75 + 3j], limit)
+
+    def test_peak_within_the_estimate_for_many_n(self):
+        # 100 n above L = 10^4: their kept entries at floor(n/k), about
+        # 2 * 800 per n and s, outweigh the sieve, the chunk and the recursion
+        ns = list(range(10**6, 6 * 10**5, -4000))
+        tracemalloc.start()
+        try:
+            approx_reciprocal_s_partial_sums(ns, [0.75 + 3j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= functionals._approx_bytes(ns, [0.75 + 3j], 10**4)
+
+    def test_peak_is_of_order_sqrt_n(self):
+        # tables to L = 215,444 would take 7 MB; the kept entries, the sieve
+        # segment and the recursion's arrays stay below 4 MB
+        tracemalloc.start()
+        try:
+            approx_reciprocal_s_partial_sums([10**8], [2.0, 0.75 + 3j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("s", [2.0, 1.5 + 1j, 0.75 + 5j, 0.51 + 14.13j])
     def test_within_bound_of_the_stream_to_1e7(self, s):
@@ -386,29 +435,37 @@ class TestApproxReciprocal:
         assert_agrees(ns, [s], want)
 
     def test_sieve_limit_is_two_thirds_power(self, monkeypatch):
-        # a complexity pin: one sieve, to about n^(2/3), not to n
-        limits = []
-        build = functionals.build_mobius
+        # a complexity pin: one pass over the sieve segments, to about
+        # n^(2/3), not to n
+        calls = []
+        sieve = arith._sieve_segment
 
-        def recorded(limit):
-            limits.append(limit)
-            return build(limit)
+        def counted(lo, hi, primes):
+            calls.append((lo, hi))
+            return sieve(lo, hi, primes)
 
-        monkeypatch.setattr(functionals, "build_mobius", recorded)
+        monkeypatch.setattr(arith, "_sieve_segment", counted)
         n = 10**9
         (value, bound), = approx_reciprocal_s_partial_sums([n], [2.0])[0]
-        assert len(limits) == 1 and limits[0] <= ceil_two_thirds(n) + 1
+        assert [lo for lo, _ in calls] == list(range(0, calls[-1][1], B))
+        assert all(hi == lo + B for lo, hi in calls[:-1])
+        assert calls[-1][1] - 1 <= ceil_two_thirds(n) + 1
         assert abs(value + 0.5) < 1e-3 and bound < 1e-9
 
-    def test_memory_budget_lowers_the_table_limit(self, monkeypatch):
-        # physical memory for tables to 3000, where 10^4 = n^(2/3) is asked
-        n = 10**6
-        rest = functionals._approx_bytes(n, 10**4) - 33 * (10**4 + 1)
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": rest + 33 * 3001}
-        want = approx_reciprocal_s_stream([n, 2000, 4000], [0.75 + 3j])
+    def test_memory_budget_leaves_the_table_limit(self, monkeypatch):
+        # memory no longer grows with L: a budget that holds the O(sqrt n)
+        # charge keeps L = n^(2/3), and one that does not is refused
+        n, grid = 10**6, [0.75 + 3j]
+        need = functionals._approx_bytes([n, 2000, 4000], grid, 10**4)
+        want = approx_reciprocal_s_stream([n, 2000, 4000], grid)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        assert functionals._approx_limit(n) == 3000
-        assert_agrees([n, 2000, 4000], [0.75 + 3j], want)
+        assert functionals._approx_limit(n) == 10**4
+        assert_agrees([n, 2000, 4000], grid, want)
+        pages["SC_PHYS_PAGES"] = need - 1
+        assert functionals._approx_limit(n) == 10**4
+        with pytest.raises(ValueError, match=f"n = {n} needs an estimated"):
+            approx_reciprocal_s_partial_sums([n, 2000, 4000], grid)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -437,9 +494,9 @@ class TestApproxReciprocal:
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**12}  # 16 MiB
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(arith, "_sieve_segment", refuse)
-        monkeypatch.setattr(functionals, "build_mobius", refuse)
+        monkeypatch.setattr(arith, "_primes_up_to", refuse)
         n = 10**12
-        assert functionals._approx_bytes(n, math.isqrt(n)) > 2**24
+        assert functionals._approx_bytes([n], [2.0], functionals._approx_limit(n)) > 2**24
         with pytest.raises(ValueError, match=f"n = {n} needs an estimated"):
             approx([n], 2.0)
 
