@@ -17,9 +17,11 @@ sum_{k<=n} mu(k) G_k(s) at many n and many s, each with a proved error
 bound, in O(n^(2/3)) operations and O(sqrt(n)) memory: one pass over the
 Möbius sieve segments forms the weighted prefix sums to about
 (max n)^(2/3) and keeps only the entries that the weighted Mertens
-recursion reads.  Each n up to there is a table entry, and each larger n
-comes from the recursion, with the Euler-Maclaurin tail
-``special._zeta_tail`` above the tables, so n may reach 2^53 - 1.
+recursion reads: a dense row to sqrt(max n) and, per larger n, a column
+per k at floor(n/k), where the recursion also writes its own values.
+Each n up to that limit is a table entry, and each larger n comes from the
+recursion, with the Euler-Maclaurin tail ``special._zeta_tail`` above
+the tables, so n may reach 2^53 - 1.
 """
 
 from __future__ import annotations
@@ -316,19 +318,18 @@ class _KeptTables:
     """The entries of the tables P~ and M~ of one s that ``_weighted_mertens`` reads, to L = ``limit``.
 
     With S = ``root``: ``dense`` holds P~(y) and M~(y) for y <= S (index 0
-    holds 0); ``by_k[n]``, for each n in ``big``, P~ and M~ at floor(n/k),
-    stored at k, for the k with S < floor(n/k) <= L (the other columns
-    hold 0); ``at_limit`` P~(L) and M~(L); and ``small[n]`` M~(n) for each
-    n <= L.  float64 at real s, complex128 otherwise.
+    holds 0), and ``by_k[n]``, for each n > S of ``n_list``, P~ and M~ at
+    min(floor(n/k), L) in column k, for k = 1..floor(n/(S+1)) (column 0
+    holds 0).  ``_weighted_mertens`` writes M~(floor(n/k)) over the M~(L)
+    of the columns with floor(n/k) > L.  float64 at real s, complex128
+    otherwise.
     """
 
-    def __init__(self, s, limit: int, root: int, big: list[int]):
+    def __init__(self, s, limit: int, root: int, n_list: list[int]):
         kind = np.float64 if s.imag == 0 else np.complex128
         self.s, self.limit = s, limit
         self.dense = np.zeros((2, root + 1), kind)
-        self.by_k = {n: np.zeros((2, n // (root + 1) + 1), kind) for n in big}
-        self.at_limit = np.zeros(2, kind)
-        self.small: dict[int, complex] = {}
+        self.by_k = {n: np.zeros((2, n // (root + 1) + 1), kind) for n in n_list if n > root}
 
 
 def _mertens_tables(limit: int, grid: list, n_list: list[int]) -> list[_KeptTables]:
@@ -336,8 +337,10 @@ def _mertens_tables(limit: int, grid: list, n_list: list[int]) -> list[_KeptTabl
 
     The segments of ``arith._mobius_segments`` come one at a time, so no
     array of L entries is made.  Each is cut into chunks of at most
-    ``_APPROX_CHUNK`` entries, and per chunk j, log j and the indices
-    floor(n/k) - lo of the kept entries are formed once for every s.  Per
+    ``_APPROX_CHUNK`` entries, and per chunk j, log j and, per n > S, the
+    columns k it fills and their indices min(floor(n/k), L) - lo are
+    formed once for every s.  The chunk that ends at L fills its columns
+    from k = 1, so those with floor(n/k) > L get P~(L) and M~(L).  Per
     s, w_j is 1/j at s = 1 and np.exp(-s log j) otherwise, its real part
     at real s, and the running sums of w_j and mu(j) w_j continue the
     Sum2 carries of the chunk before (``_running_sum``).  Every operation
@@ -345,9 +348,7 @@ def _mertens_tables(limit: int, grid: list, n_list: list[int]) -> list[_KeptTabl
     float that a table of all L + 1 entries holds, whatever the chunks.
     """
     root = math.isqrt(max(n_list))
-    big = sorted({n for n in n_list if n > limit})
-    small = {n for n in n_list if n <= limit}
-    tables = [_KeptTables(s, limit, root, big) for s in grid]
+    tables = [_KeptTables(s, limit, root, n_list) for s in grid]
     carries = [[[0.0, 0.0], [0.0, 0.0]] for _ in grid]
     for base, segment in _mobius_segments(limit):
         end = base + segment.size
@@ -355,13 +356,12 @@ def _mertens_tables(limit: int, grid: list, n_list: list[int]) -> list[_KeptTabl
             hi = min(lo + _APPROX_CHUNK, end)
             j = np.arange(lo, hi, dtype=np.float64)
             log_j, mu = np.log(j), segment[lo - base : hi - base]
-            picks = []  # per n > L: the k with lo <= floor(n/k) < hi and S < floor(n/k) <= L, and floor(n/k) - lo
-            for n in big:
-                k = np.arange(max(n // hi, n // (limit + 1)) + 1, min(n // lo, n // (root + 1)) + 1)
+            picks = []  # per n > S: the k <= floor(n/(S+1)) with lo <= min(floor(n/k), L) < hi, and that index - lo
+            for n in tables[0].by_k:
+                k = np.arange(1 if hi == limit + 1 else n // hi + 1, min(n // lo, n // (root + 1)) + 1)
                 if k.size:
-                    picks.append((n, k, n // k - lo))
+                    picks.append((n, k, np.minimum(n // k, limit) - lo))
             dense = min(hi, root + 1) - lo  # entries of the chunk at j <= S
-            ends = [n for n in small if lo <= n < hi]
             for table, carry in zip(tables, carries):
                 w = _powers(table.s, j, log_j, table.dense.dtype)
                 sums = np.empty((2, hi - lo), table.dense.dtype)  # P~ and M~ on [lo, hi)
@@ -371,10 +371,6 @@ def _mertens_tables(limit: int, grid: list, n_list: list[int]) -> list[_KeptTabl
                     table.dense[:, lo : lo + dense] = sums[:, :dense]
                 for n, k, y in picks:
                     table.by_k[n][:, k] = sums[:, y]
-                for n in ends:
-                    table.small[n] = sums[1, n - lo]
-                if hi == limit + 1:
-                    table.at_limit[:] = sums[:, -1]
     return tables
 
 
@@ -424,19 +420,20 @@ def _weighted_mertens(table: _KeptTables, n_list: list[int]):
     b_q = floor(x/q), a_q = max(floor(x/(q+1)), r) = b_(q+1): with
     Q = floor(x/(r+1)), floor(x/(q+1)) > r for q < Q, and floor(x/(Q+1))
     = r, since Q = r for x >= r (r+1) and Q = r - 1 below.  floor(x/j) =
-    floor(n/(dj)) is a table entry or, above L, the memo entry at dj, which
-    is done before d since d runs down from floor(n/(L+1)).  Each x costs
-    O(sqrt(x)) numpy work, so n costs O(n / sqrt(L)); the P differences
-    take (T2) up to L and (T3) above.  Every index the recursion reads,
-    clipped to L, is L, at most S = isqrt(max n) (r, q, and floor(x/i)
-    with i > floor(x/(S+1))), or floor(n/k) with S < floor(n/k) <= L: the
-    kept entries, read by ``_gather``.
+    floor(n/(dj)) is a table entry or, above L, the M~ that the recursion
+    wrote to column dj of ``by_k[n]``, which is done before d since d runs
+    down from floor(n/(L+1)).  Each x costs O(sqrt(x)) numpy work, so n
+    costs O(n / sqrt(L)); the P differences take (T2) up to L and (T3)
+    above.  Every index the recursion reads, clipped to L, is at most
+    S = isqrt(max n) (r, q, and floor(x/i) with i > floor(x/(S+1))), or
+    floor(n/k) with k = d i <= floor(n/(S+1)): a dense entry or column k
+    of ``by_k[n]``, read by ``_gather``.
 
     Bound.  The two sums are added in one exactly rounded sum T~
     (``exact_sum``), and M~(x) = fl(1 - T~).  Let v~_j be the value taken for
-    M_s(floor(x/j)), E_j its bound (E_M or a memo bound), g~_q the computed
-    group difference, D_q its bound from (T2) and (T3), m~_q = M~(q) and
-    E_q = E(q).
+    M_s(floor(x/j)), E_j its bound (E_M, or E(floor(n/(dj))) above L),
+    g~_q the computed group difference, D_q its bound from (T2) and (T3),
+    m~_q = M~(q) and E_q = E(q).
     Products are within 3u, and w~_j within e(r), so M~(x) is within
 
         E(x) = sum_j |w~_j| (E_j + (e(r) + 4u) |v~_j|)
@@ -478,25 +475,25 @@ def _weighted_mertens(table: _KeptTables, n_list: list[int]):
 
     results = {}
     for n in set(n_list):
-        if n <= limit:
-            results[n] = table.small[n], table_bound(n)
+        if n <= limit:  # a table entry: dense to S, column 1 of by_k[n] above
+            results[n] = (table_m[n] if n <= root else table.by_k[n][1, 1]), table_bound(n)
             continue
-        (p_k, m_k), (p_top, m_top) = table.by_k[n], table.at_limit
+        p_k, m_k = table.by_k[n]
         top = n // (limit + 1)
-        memo, memo_err = np.zeros(top + 1, kind), np.zeros(top + 1)
+        memo_err = np.zeros(top + 1)  # E(floor(n/d)), as m_k[d] gets M~(floor(n/d))
         for d in range(top, 0, -1):
             x, r = n // d, math.isqrt(n // d)
-            cuts = x // (limit + 1), x // (root + 1)  # floor(x/i) > L for i up to the first, > S up to the second
+            over, cut = x // (limit + 1), x // (root + 1)  # floor(x/i) > L for i <= over, > S for i <= cut
             j = np.arange(2, r + 1)
-            v = _gather(table_m, m_k, m_top, d, 2, j, x // j, cuts)
+            v = _gather(table_m, m_k, d, 2, j, x // j, cut)
             ev = np.full(j.size, e_table)
-            big = d * j[: max(cuts[0] - 1, 0)]
-            v[: big.size], ev[: big.size] = memo[big], memo_err[big]
+            big = d * j[: max(over - 1, 0)]
+            ev[: big.size] = memo_err[big]
             i = np.arange(1, x // (r + 1) + 2)  # q = 1..x // (r + 1), and one more
             y = x // i  # y[:-1] is b_q, and y[1:] is a_q
-            p = _gather(table_p, p_k, p_top, d, 1, i, y, cuts)
+            p = _gather(table_p, p_k, d, 1, i, y, cut)
             q = i[:-1]
-            g, eg = groups(y[1:], y[:-1], p[1:], p[:-1], min(cuts[0], q.size))
+            g, eg = groups(y[1:], y[:-1], p[1:], p[:-1], min(over, q.size))
             m = table_m[q]
             total = exact_sum(np.concatenate((powers[2 : r + 1] * v, m * g)))
             value = 1.0 - total
@@ -504,8 +501,8 @@ def _weighted_mertens(table: _KeptTables, n_list: list[int]):
             err = (abs_powers[2 : r + 1] @ (ev + (e(r) + 4 * _U) * np.abs(v))
                    + (am + em) @ eg + (em + 4 * _U * am) @ np.abs(g)
                    + 2 * _U * (abs(total) + abs(value)))
-            memo[d], memo_err[d] = value, err * _SLACK
-        results[n] = memo[1], memo_err[1]
+            m_k[d], memo_err[d] = value, err * _SLACK
+        results[n] = m_k[1], memo_err[1]
     return results
 
 
@@ -515,21 +512,18 @@ def _powers(s, j: np.ndarray, log_j: np.ndarray, kind) -> np.ndarray:
     return w.real if kind == np.float64 else w
 
 
-def _gather(dense: np.ndarray, by_k: np.ndarray, at_limit, d: int, first: int, i: np.ndarray, y: np.ndarray,
-            cuts: tuple[int, int]) -> np.ndarray:
-    """A table at min(y, L), for y = floor(x/i), i = first, first + 1, ....
+def _gather(dense: np.ndarray, by_k: np.ndarray, d: int, first: int, i: np.ndarray, y: np.ndarray,
+            cut: int) -> np.ndarray:
+    """A row of the tables at y = floor(x/i), i = first, first + 1, ...: P~(min(y, L)), or M~(y) (above L, as written by the recursion).
 
-    y does not increase with i, so with cuts = (floor(x/(L+1)),
-    floor(x/(S+1))) the i up to the first cut have y > L and read
-    ``at_limit``, those up to the second have S < y <= L and read ``by_k``
-    at k = d i (floor(x/i) = floor(n/(d i))), and the rest read ``dense``
-    at y <= S.
+    y does not increase with i, so with cut = floor(x/(S+1)) the i up to
+    the cut have y > S and read ``by_k`` at k = d i (floor(x/i) =
+    floor(n/(d i))), and the rest read ``dense`` at y <= S.
     """
-    lo, hi = min(max(cuts[0] - first + 1, 0), i.size), min(max(cuts[1] - first + 1, 0), i.size)
+    at = min(max(cut - first + 1, 0), i.size)
     out = np.empty(i.size, dense.dtype)
-    out[:lo] = at_limit
-    out[lo:hi] = by_k[d * i[lo:hi]]
-    out[hi:] = dense[y[hi:]]
+    out[:at] = by_k[d * i[:at]]
+    out[at:] = dense[y[at:]]
     return out
 
 
@@ -553,14 +547,15 @@ def _running_sum(t: np.ndarray, out: np.ndarray, carry: list[float]) -> None:
 def _approx_limit(top: int) -> int:
     """L for ``approx_reciprocal_s_partial_sums`` up to n = ``top``.
 
-    L = min(ceil(top^(2/3)), 2^31 - 1), and at least isqrt(top), which the
-    recursion needs.  Memory does not grow with L beyond one sieve
-    segment, so no smaller L is taken to fit it.
+    L = min(ceil(top^(2/3)), 2^31 - 1).  The recursion needs L >= isqrt(top),
+    and both terms are: ceil(top^(2/3)) >= top^(1/2) for top >= 1, and
+    2^31 - 1 > isqrt(2^53 - 1) = 94,906,265.  Memory does not grow with L
+    beyond one sieve segment, so no smaller L is taken to fit it.
     """
     limit = int(top ** (2 / 3)) + 2
     while (limit - 1) ** 3 >= top * top:
         limit -= 1
-    return max(min(limit, 2**31 - 1), math.isqrt(top))
+    return min(limit, 2**31 - 1)
 
 
 def _approx_bytes(n_list: list[int], grid: list, limit: int) -> int:
@@ -568,23 +563,25 @@ def _approx_bytes(n_list: list[int], grid: list, limit: int) -> int:
 
     With S = isqrt(max n): the ``_KeptTables`` of s = 1 and of every s,
     8 bytes per entry at real s and 16 otherwise, two dense rows of S + 1
-    entries and, per n > L, two rows of floor(n/(S+1)) + 1 columns, with
-    256 bytes per s and n for M~(n), its result and its row.  A chunk
-    fills each column once, from its int64 k and index (16 bytes per
-    column, held for one chunk).  One sieve segment and the base primes
-    (``arith._sieve_bytes``) and the segment before it, held while the
-    next one is sieved.  Per chunk entry, the chunk's arrays: j, log j,
-    -s log j, w, mu w and the running sums, and the temporaries of
-    ``_running_sum`` (the cumulative sums, the TwoSum errors and their
-    concatenations), under 256 bytes.  Per entry of the recursion's
-    arrays, of at most S + 1 entries each: the powers w_j, their moduli
-    and E(q) (32), the memo's complex128 value and float64 bound (24;
-    floor(n/(L+1)) <= S entries, as L >= S), and the j, q, index, value,
-    bound and group arrays of one x, under 512 bytes.
+    entries and, per n > S, two rows of floor(n/(S+1)) + 1 columns, with
+    256 bytes per s and n for its arrays' headers and its result.  A
+    chunk fills each column once, from its int64 k and index (16 bytes
+    per column, held for one chunk; one n's temporaries, 16 bytes for
+    each of at most S + 1 columns, are freed before the recursion's
+    arrays below exist).  One sieve segment and the base primes (``arith._sieve_bytes``)
+    and the segment before it, held while the next one is sieved.  Per
+    chunk entry, the chunk's arrays: j, log j, -s log j, w, mu w and the
+    running sums, and the temporaries of ``_running_sum`` (the cumulative
+    sums, the TwoSum errors and their concatenations), under 256 bytes.
+    Per entry of the recursion's arrays, of at most S + 1 entries each:
+    the powers w_j, their moduli and E(q) (32), the float64 bounds of the
+    M~ it writes to ``by_k`` (8; floor(n/(L+1)) <= S entries, as L >= S),
+    and the j, q, index, value, bound and group arrays of one x, under
+    512 bytes.
     """
     root = math.isqrt(max(n_list))
     ns = set(n_list)
-    columns = sum(n // (root + 1) + 1 for n in ns if n > limit)
+    columns = sum(n // (root + 1) + 1 for n in ns if n > root)
     kept = sum((8 if s.imag == 0 else 16) * 2 * (root + 1 + columns) + 256 * len(ns) for s in [1.0, *grid])
     return (kept + 16 * columns + _sieve_bytes(limit) + min(_SIEVE_BLOCK, limit + 1) + 256 * _APPROX_CHUNK
-            + 568 * (root + 1))
+            + 552 * (root + 1))

@@ -142,7 +142,7 @@ class TestExitCodes:
         # S = isqrt(n) = 2^26: the kept table entries of s = 2 and s = 1,
         # four float64 rows of about S entries each (8 bytes), the indices
         # that fill them (16 bytes per column) and the recursion's arrays
-        # (568 bytes per entry of S + 1), about 40.5 GiB; L = 2^31 - 1
+        # (552 bytes per entry of S + 1), about 39.5 GiB; L = 2^31 - 1
         # adds only one sieve segment
         n = 2**52
         tracemalloc.start()
@@ -154,7 +154,7 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err.startswith(f"invalid arguments: n = {n} needs an estimated 40.5 GiB")
+        assert err.startswith(f"invalid arguments: n = {n} needs an estimated 39.5 GiB")
         assert "Traceback" not in err
         assert peak < 2**20
 

@@ -371,6 +371,34 @@ class TestApproxReciprocal:
         grid = [2.466, 2 + 14.13j]
         assert approx_reciprocal_s_partial_sums(ns, grid) == approx_reciprocal_s_full_tables(ns, grid, limit)
 
+    @pytest.mark.parametrize("s", [1.0, 2.466, 0.75 + 3j])
+    def test_recursion_rereads_its_own_writes(self, s):
+        # the recursion writes M~(floor(n/d)) into the by-k columns it reads:
+        # a second call, and a call on fewer n, find the same values there.
+        # S = 1000 and L = 10^4; 10^6 and 10^6 - 1 share most floor(n/k), and
+        # 5 * 10^5 shares floor(n/2k) with 10^6
+        ns = [10**6, 10**6 - 1, 5 * 10**5, 10**4 + 1, 10**4, 9999, 2000, 1001, 1000, 7]
+        limit = functionals._approx_limit(10**6)
+        (table,) = functionals._mertens_tables(limit, [s if s == 1 else complex(s)], ns)
+        first = functionals._weighted_mertens(table, ns)
+        assert functionals._weighted_mertens(table, ns) == first
+        assert functionals._weighted_mertens(table, [5 * 10**5, 1001]) == {n: first[n] for n in (5 * 10**5, 1001)}
+
+    @pytest.mark.parametrize(
+        "ns",
+        [range(2, 10**4 + 1),
+         [k**2 for k in range(2, 94906266, 9973)] + [k**3 for k in range(2, 208064, 97)],
+         range(math.isqrt((2**31 - 1) ** 3) - 50, math.isqrt((2**31 - 1) ** 3) + 51),
+         range(10**14 - 50, 10**14 + 51),
+         [2**53 - 1]],
+        ids=["to-1e4", "squares-and-cubes", "cap-starts", "around-1e14", "2^53-1"])
+    def test_table_limit_needs_no_floor(self, ns):
+        # ceil(n^(2/3)) >= sqrt(n), and 2^31 - 1 > isqrt(2^53 - 1): the limit
+        # is what it was with a floor of isqrt(n), and at least that
+        for n in ns:
+            floor = math.isqrt(n)
+            assert functionals._approx_limit(n) == max(min(ceil_two_thirds(n), 2**31 - 1), floor) >= floor, n
+
     def test_table_rows_take_no_exact_parts(self, monkeypatch):
         # every n, on either side of L, comes from the weighted-Mertens
         # tables or recursion, not from a blocked re-summation of its terms
