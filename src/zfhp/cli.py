@@ -6,8 +6,11 @@ classification, Mellin verification and zeta evaluation.  Every command
 parses its options into a manifest and runs exactly ``rerun(manifest)``;
 the options are the manifest's parameters: nothing the runner can work out
 from them, such as the extent of the Möbius sieve or the rounding bound
-each ``mellin verify`` row is checked against, is an option.  Results are
-CSV on stdout, or in ``--out FILE`` plus a ``*.manifest.json`` sidecar.
+each ``mellin verify`` row is checked against, is an option.  A command
+passes the values it parsed, complex numbers included, to
+``build_manifest``, and writes its records with the CSV writer of the
+experiment's ``experiments.EXPERIMENTS`` entry.  Results are CSV on
+stdout, or in ``--out FILE`` plus a ``*.manifest.json`` sidecar.
 
 Exit codes: 0 success, 2 invalid arguments, 3 domain or conditioning error
 (pole, half-plane violation, lost accuracy), 4 check failed in ``--check``
@@ -26,18 +29,7 @@ import warnings
 from pathlib import Path
 
 from .errors import ConditioningError, DomainError
-from .experiments import (
-    _check_record_memory,
-    build_manifest,
-    rerun,
-    write_approx_csv,
-    write_convergence_csv,
-    write_lambda_csv,
-    write_manifest,
-    write_mellin_csv,
-    write_probe_csv,
-    write_weights_csv,
-)
+from .experiments import EXPERIMENTS, _check_record_memory, build_manifest, rerun, write_manifest
 from .norms import QuadratureWarning
 from .weights import TABLE1_STRIPS
 
@@ -106,13 +98,16 @@ def _check_out(path: str) -> None:
     raise ValueError(f"cannot write {path}: {os.strerror(error)}")
 
 
-def _emit(path: str | None, writer, records, manifest) -> None:
+def _emit(path: str | None, records, manifest) -> None:
     """``records`` as CSV on stdout, or in ``path`` with the manifest in its sidecar.
+
+    The CSV writer is the experiment's ``EXPERIMENTS`` entry.
 
     A file that cannot be written is an invalid ``--out``: the ``OSError``
     becomes a ``ValueError`` that names the path.  ``_check_out`` has
     refused the foreseeable cases before the run.
     """
+    writer = EXPERIMENTS[manifest.experiment][1]
     if path is None:
         writer(records, sys.stdout)
         return
@@ -125,10 +120,10 @@ def _emit(path: str | None, writer, records, manifest) -> None:
         raise ValueError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
-def _run(args: argparse.Namespace, manifest, writer) -> list:
+def _run(args: argparse.Namespace, manifest) -> list:
     """The one path from a command to its runner: ``rerun(manifest)``, then write."""
     records = rerun(manifest)
-    _emit(args.out, writer, records, manifest)
+    _emit(args.out, records, manifest)
     return records
 
 
@@ -150,7 +145,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         if args.p is None:
             raise ValueError("--p is required for --space hp")
         manifest = build_manifest("hp_convergence", p=args.p, nodes=args.nodes, **common)
-    records = _run(args, manifest, write_convergence_csv)
+    records = _run(args, manifest)
     rising = any(b.value >= a.value for a, b in zip(records, records[1:]))
     return _check(args, rising and "values are not strictly decreasing")
 
@@ -158,39 +153,32 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 def _cmd_lambda(args: argparse.Namespace) -> int:
     k_range, grid = parse_int_range(args.k), parse_s_grid(args.s_grid)
     _check_record_memory(len(k_range), f"--k {args.k}", len(grid))
-    s_grid = [[s.real, s.imag] for s in grid]
-    manifest = build_manifest(
-        "lambda_sweep", k_list=list(k_range), s_grid=s_grid, coeff_cutoff=args.coeff_cutoff
-    )
-    records = _run(args, manifest, write_lambda_csv)
+    manifest = build_manifest("lambda_sweep", k_list=list(k_range), s_grid=grid, coeff_cutoff=args.coeff_cutoff)
+    records = _run(args, manifest)
     bad = sum(not r.passed for r in records)
     return _check(args, bad and f"{bad} of {len(records)} residuals above bound")
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    s = parse_complex(args.s)
-    n_list = parse_int_list(args.n)
-    manifest = build_manifest("pointwise_approx", s_grid=[[s.real, s.imag]], n_list=n_list)
-    _run(args, manifest, write_approx_csv)
+    _run(args, build_manifest("pointwise_approx", s_grid=[parse_complex(args.s)], n_list=parse_int_list(args.n)))
     return 0
 
 
 def _cmd_mellin_verify(args: argparse.Namespace) -> int:
     k_range, s = parse_int_range(args.k), parse_complex(args.s)
     _check_record_memory(len(k_range), f"--k {args.k}")
-    manifest = build_manifest("mellin_verify", k_list=list(k_range), s=[s.real, s.imag])
-    records = _run(args, manifest, write_mellin_csv)
+    records = _run(args, build_manifest("mellin_verify", k_list=list(k_range), s=s))
     bad = sum(not r.ok for r in records)
     return _check(args, bad and f"{bad} of {len(records)} errors above their rounding bound")
 
 
 def _cmd_weights_classify(args: argparse.Namespace) -> int:
-    _run(args, build_manifest("weights_classify", families=[args.family]), write_weights_csv)
+    _run(args, build_manifest("weights_classify", families=[args.family]))
     return 0
 
 
 def _cmd_weights_table1(args: argparse.Namespace) -> int:
-    results = _run(args, build_manifest("weights_table1", families=list(TABLE1_STRIPS)), write_weights_csv)
+    results = _run(args, build_manifest("weights_table1", families=list(TABLE1_STRIPS)))
     wrong = [r.family.label for r in results if r.strip != TABLE1_STRIPS[r.family.label]]
     return _check(args, wrong and f"strips differ from the table for {', '.join(wrong)}")
 
@@ -201,7 +189,7 @@ def _cmd_weights_probe(args: argparse.Namespace) -> int:
     )
     result = rerun(manifest)
     if args.out:
-        _emit(args.out, write_probe_csv, result, manifest)
+        _emit(args.out, result, manifest)
     print(
         f"family={result.family.label} r={args.r!r} count={args.count} "
         f"running_min={result.running_min!r} running_max={result.running_max!r}"
@@ -210,8 +198,7 @@ def _cmd_weights_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    s = parse_complex(args.s)
-    result = rerun(build_manifest("zeta", s=[s.real, s.imag]))
+    result = rerun(build_manifest("zeta", s=parse_complex(args.s)))
     value = result.value
     print(f"zeta({args.s}) = {value.real!r} + {value.imag!r}i  [error_bound {result.error_bound!r}]")
     return 0

@@ -22,10 +22,12 @@ Runners:
 
 Every record carries its coefficient cutoff and, where applicable, a tail
 bound, so no number leaves this module without its truncation context.
-A manifest (parameters + code version) fully determines a run: ``rerun``
-is the one dispatch from a manifest to its runner, the CLI included, and
-each runner takes exactly its manifest's parameters.  No parameter sizes a
-Möbius table: the l^q and H^p runners sieve one to their largest n.
+A manifest (parameters + code version) fully determines a run.
+``EXPERIMENTS`` holds each experiment's runner and CSV writer, one entry
+per name; ``rerun`` is the one dispatch from a manifest to its runner, the
+CLI included, and each runner takes exactly its manifest's parameters.
+No parameter sizes a Möbius table: the l^q and H^p runners sieve one to
+their largest n.
 Values reproduce bit for bit on one platform, wall times of course do not.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import inspect
 import json
 import math
 import time
@@ -54,7 +57,7 @@ from .norms import (
     _undersampling,
     two_level_means,
 )
-from .series import CoefficientBlocks, _check_checkpoints, _kernel_bytes, mobius_ims_partial_sums
+from .series import _ROUNDING_FACTOR, CoefficientBlocks, _check_checkpoints, _kernel_bytes, mobius_ims_partial_sums
 from .special import (_SLACK, _U, ZetaValue, _check_zeta_range, _g_k_given_zeta, _mellin_step_pk_bound,
                       f_k, g_k_error_bound, lambda_on_constant, mellin_step_pk, zeta)
 from .weights import (ClassificationResult, ProbeResult, classify, extremal_probe, parse_subsequence,
@@ -68,6 +71,7 @@ __all__ = [
     "ExperimentManifest",
     "build_manifest",
     "rerun",
+    "EXPERIMENTS",
     "run_lq_convergence",
     "lq_tail_bound",
     "run_hp_convergence",
@@ -172,32 +176,37 @@ class ExperimentManifest:
 
 
 def build_manifest(experiment: str, seed: int | None = None, **parameters) -> ExperimentManifest:
-    return ExperimentManifest(experiment=experiment, parameters=parameters, seed=seed)
+    """The manifest of ``experiment`` run with ``parameters``.
+
+    JSON has no complex numbers: a complex value, or each complex item of a
+    list, is stored as its ``[re, im]`` pair, which ``rerun`` turns back.
+    """
+    def pair(v):
+        return [v.real, v.imag] if isinstance(v, complex) else v
+
+    stored = {k: [pair(x) for x in v] if isinstance(v, list) else pair(v) for k, v in parameters.items()}
+    return ExperimentManifest(experiment=experiment, parameters=stored, seed=seed)
 
 
 def rerun(manifest: ExperimentManifest):
-    """Re-execute the run a manifest describes, returning its records."""
-    p = manifest.parameters
-    name = manifest.experiment
-    if name == "lq_convergence":
-        return run_lq_convergence(p["q"], p["n_list"], p["coeff_cutoff"])
-    if name == "hp_convergence":
-        return run_hp_convergence(p["p"], p["n_list"], p["coeff_cutoff"], p["nodes"])
-    if name == "lambda_sweep":
-        grid = [complex(re, im) for re, im in p["s_grid"]]
-        return run_lambda_sweep(p["k_list"], grid, p["coeff_cutoff"])
-    if name == "pointwise_approx":
-        grid = [complex(re, im) for re, im in p["s_grid"]]
-        return run_pointwise_approx(grid, p["n_list"])
-    if name == "mellin_verify":
-        return run_mellin_verify(p["k_list"], complex(*p["s"]))
-    if name in ("weights_classify", "weights_table1"):
-        return run_weights_classify(p["families"])
-    if name == "weights_probe":
-        return run_weights_probe(p["family"], p["r"], p["subsequence"], p["count"])
-    if name == "zeta":
-        return run_zeta(complex(*p["s"]))
-    raise ValueError(f"unknown experiment {name!r}")
+    """Re-execute the run a manifest describes, returning its records.
+
+    The runner is the manifest's ``EXPERIMENTS`` entry, called with the
+    manifest parameters its signature names, the ``[re, im]`` pairs of
+    ``s`` and ``s_grid`` as complex numbers.  A parameter it does not name
+    is ignored, so an old sidecar that still carries one, such as
+    ``mobius_limit`` or ``tol``, reruns.  An unknown experiment raises
+    ``ValueError``.
+    """
+    if manifest.experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {manifest.experiment!r}")
+    runner = EXPERIMENTS[manifest.experiment][0]
+    args = {name: manifest.parameters[name] for name in inspect.signature(runner).parameters}
+    if "s" in args:
+        args["s"] = complex(*args["s"])
+    if "s_grid" in args:
+        args["s_grid"] = [complex(*s) for s in args["s_grid"]]
+    return runner(**args)
 
 
 def _check_grid(s_grid: Iterable[complex]) -> list[complex]:
@@ -266,12 +275,6 @@ def _convergence_records(
     return records
 
 
-# 1 + 2^-40 covers the relative rounding error of lq_tail_bound (at most
-# 220 u, u = 2^-53, derived in its docstring) and that of a residual and
-# its budget in run_lambda_sweep (under 8 u) with a wide margin.
-_TAIL_ROUNDING_FACTOR = 1.0 + 2.0**-40
-
-
 def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> float:
     """Proved bound on the l^q norm of the residual coefficients beyond the cutoff.
 
@@ -336,7 +339,7 @@ def lq_tail_bound(q: float, n: int, coeff_cutoff: int, table: MobiusTable) -> fl
 
     s = _walk_sum(terms, n, start=2)
     x = c_n * math.pow(coeff_cutoff, -r) + s
-    return math.pow(q - 1.0, -inv_q) * x * _TAIL_ROUNDING_FACTOR
+    return math.pow(q - 1.0, -inv_q) * x * _ROUNDING_FACTOR
 
 
 def run_lq_convergence(
@@ -516,7 +519,7 @@ def run_lambda_sweep(
                 s=ev.s,
                 residual=residual,
                 tail_bound=ev.tail_bound,
-                passed=residual <= budget * _TAIL_ROUNDING_FACTOR,
+                passed=residual <= budget * _ROUNDING_FACTOR,
             )
         )
     return records
@@ -670,3 +673,18 @@ def write_manifest(manifest: ExperimentManifest, out: TextIO) -> None:
     payload = json.loads(manifest.canonical_json())
     payload["id"] = manifest.manifest_id
     out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# Each experiment's runner and CSV writer (None: the command prints its
+# result instead).  ``rerun`` and the CLI read an experiment from here.
+EXPERIMENTS: dict[str, tuple[Callable, Callable | None]] = {
+    "lq_convergence": (run_lq_convergence, write_convergence_csv),
+    "hp_convergence": (run_hp_convergence, write_convergence_csv),
+    "lambda_sweep": (run_lambda_sweep, write_lambda_csv),
+    "pointwise_approx": (run_pointwise_approx, write_approx_csv),
+    "mellin_verify": (run_mellin_verify, write_mellin_csv),
+    "weights_classify": (run_weights_classify, write_weights_csv),
+    "weights_table1": (run_weights_classify, write_weights_csv),
+    "weights_probe": (run_weights_probe, write_probe_csv),
+    "zeta": (run_zeta, None),
+}

@@ -35,7 +35,7 @@ import numpy as np
 
 from .arith import _SIEVE_BLOCK, _check_memory, _mobius_segments, _sieve_bytes, _walk_parts, exact_sum
 from .series import TruncatedSeries, hk_coefficient_envelope
-from .special import (_SLACK, _U, _check_zeta_range, _power_error, _zeta_tail, fk_values,
+from .special import (_SLACK, _U, _power_error, _zeta_tail, fk_values,
                       require_right_half_plane, zeta)
 
 __all__ = [
@@ -261,11 +261,17 @@ def approx_reciprocal_s_partial_sums(
     -(zeta(s)/s) (M_s(n) - M_1(n)) with M_s(x) = sum_{k<=x} mu(k) k^(-s).
     Every n must lie in 2..2^53 - 1, and |s| may not exceed 2^20.  One
     pass over the Möbius sieve segments, to L = ``_approx_limit(max n)``,
-    about (max n)^(2/3), builds the table entries that the recursion
-    reads for s = 1 and every s of the grid (``_mertens_tables``), and
+    about (max n)^(2/3), or to N - 1 if larger, with N = ceil(|s|) + 10
+    the largest cut ``terms_used`` of ``zeta`` over the grid, builds the
+    table entries that the recursion reads for s = 1 and every s of the
+    grid (``_mertens_tables``), and
     ``_weighted_mertens`` gives M_s(n) and M_1(n) with their bounds: a
     table entry for n <= L, and the recursion for n > L, in
     O(L + n / sqrt(L)) = O(n^(2/3)) operations and O(sqrt(n)) memory per s.
+    The recursion's Euler-Maclaurin tails (``special._zeta_tail``) start
+    above L, so at N or later, where zeta's own tail starts: far below
+    |s| the Euler-Maclaurin terms grow, so the value loses its digits
+    while its bound, still proved, grows with them.
     A run whose ``_approx_bytes`` exceed physical memory is refused before
     anything is allocated.
 
@@ -293,11 +299,9 @@ def approx_reciprocal_s_partial_sums(
     grid = [complex(s) for s in s_grid]
     if not grid:
         raise ValueError("s_grid must not be empty")
-    for s in grid:
-        _check_zeta_range(s)
-    limit = _approx_limit(max(ns))
+    zetas = [zeta(s) for s in grid]  # refuses an s outside its domain or range first
+    limit = max(_approx_limit(max(ns)), *(z.terms_used - 1 for z in zetas))
     _check_memory(_approx_bytes(ns, grid, limit), f"n = {max(ns)}", "approx tables and temporaries")
-    zetas = [zeta(s) for s in grid]
     tables = _mertens_tables(limit, [1.0, *grid], ns)
     ones = _weighted_mertens(tables[0], ns)
     out = []

@@ -96,9 +96,13 @@ def hk_coeffs(k: int, degree: int) -> TruncatedSeries:
     return TruncatedSeries(np.cumsum(ims_hk_coeffs(k, degree).coeffs))
 
 
-# 1 + 2^-40 = 1 + 8192 u covers the rounding of hk_coefficient_envelope and
-# of the tail formula C |1-s|/|s| N^-sigma / sigma it feeds (under 40 u).
-_ENVELOPE_ROUNDING_FACTOR = 1.0 + 2.0**-40
+# 1 + 2^-40 = 1 + 8192 u, u = 2^-53, covers with a wide margin the relative
+# rounding of the three bounds multiplied by it: the h_k envelope of
+# hk_coefficient_envelope and the tail formula C |1-s|/|s| N^-sigma / sigma
+# it feeds (under 40 u), experiments.lq_tail_bound (at most 220 u, derived
+# in its docstring) and the pass budget of a residual in
+# experiments.run_lambda_sweep (under 8 u).
+_ROUNDING_FACTOR = 1.0 + 2.0**-40
 
 
 def hk_coefficient_envelope(k: int, degree: int) -> float:
@@ -154,7 +158,7 @@ def hk_coefficient_envelope(k: int, degree: int) -> float:
 
     m0 = (degree + 1) // k
     bound = c(m0) if m0 >= 1 else max(1.0, c(1))
-    return bound * _ENVELOPE_ROUNDING_FACTOR
+    return bound * _ROUNDING_FACTOR
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,9 @@ def _zeta_tail(n, s):
     bound on |R| falls below 2^-60 H (H below), far under the rounding, or
     K.  This is the one tail of the package: the approx recursion
     takes its differences, and ``zeta`` takes it whole at N = ceil(|s|) + 10.
+    The recursion's tails start at that N or later too: for N far below
+    |s| the terms T_j(N) grow with j, so the value loses its digits while
+    the bound on R, still proved, grows with them.
     The remainder returned is the bound on |R|.
 
     Rounding.  u = 2^-53, with the arithmetic assumed in

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,18 +53,31 @@ __all__ = [
     "all_integers",
     "prime_indices",
     "arithmetic_progression",
-    "TABLE_FAMILIES",
     "TABLE1_STRIPS",
 ]
 
+
+class _Kind(NamedTuple):
+    """The facts of one kind of ``WeightFamily`` that the code reads, one row of ``_KINDS``."""
+
+    params: dict[str, tuple[float, float]]  # each parameter, in order, and the open interval it lies in
+    polynomial: bool  # w_n grows like n^alpha (alpha = 0 for identity), so c4_halfplane is 1/2 + alpha
+    rm_bounded: bool  # rm_is_bounded
+
+
+# One row per kind: a name selects its parameters and their ranges
+# (WeightFamily.__post_init__, parse_weight_family), its half-plane
+# (c4_halfplane) and whether r_m stays bounded (rm_is_bounded), and the
+# r_m code reads which kinds grow polynomially.  The formulas of log w and
+# of the r_m tails stay code.
 _KINDS = {
-    "identity": (),
-    "power": ("alpha",),
-    "powerlog": ("alpha", "beta"),
-    "quasiexp": ("alpha",),
-    "stretchedexp": ("alpha",),
-    "geometric": ("eps",),
-    "superexp": ("alpha",),
+    "identity": _Kind({}, True, False),
+    "power": _Kind({"alpha": (0, math.inf)}, True, False),
+    "powerlog": _Kind({"alpha": (0, math.inf), "beta": (0, math.inf)}, True, False),
+    "quasiexp": _Kind({"alpha": (0, math.inf)}, False, False),
+    "stretchedexp": _Kind({"alpha": (0, 1)}, False, False),
+    "geometric": _Kind({"eps": (0, 1)}, False, True),
+    "superexp": _Kind({"alpha": (1, math.inf)}, False, True),
 }
 
 
@@ -80,6 +93,11 @@ class WeightFamily:
         stretchedexp      w_n = exp(n^alpha)               (0 < alpha < 1)
         geometric         w_n = (1/eps)^n                  (0 < eps < 1)
         superexp          w_n = exp(n^alpha)               (alpha > 1)
+
+    The parameter ranges are the rows of ``_KINDS``, and one rule checks
+    them all: a parameter outside its open interval, or missing, raises
+    ``ValueError`` naming the kind's range, such as "stretchedexp requires
+    0 < alpha < 1".  A parameter the kind does not take is ignored.
     """
 
     kind: str
@@ -92,20 +110,11 @@ class WeightFamily:
             raise ValueError(f"unknown weight family kind {self.kind!r}")
         if any(x is not None and not math.isfinite(x) for x in (self.alpha, self.beta, self.eps)):
             raise ValueError("weight family parameters must be finite")
-        if self.kind == "power" and not (self.alpha is not None and self.alpha > 0):
-            raise ValueError("power requires alpha > 0")
-        if self.kind == "powerlog" and not (
-            self.alpha is not None and self.alpha > 0 and self.beta is not None and self.beta > 0
-        ):
-            raise ValueError("powerlog requires alpha > 0 and beta > 0")
-        if self.kind == "quasiexp" and not (self.alpha is not None and self.alpha > 0):
-            raise ValueError("quasiexp requires alpha > 0")
-        if self.kind == "stretchedexp" and not (self.alpha is not None and 0 < self.alpha < 1):
-            raise ValueError("stretchedexp requires 0 < alpha < 1")
-        if self.kind == "geometric" and not (self.eps is not None and 0 < self.eps < 1):
-            raise ValueError("geometric requires 0 < eps < 1")
-        if self.kind == "superexp" and not (self.alpha is not None and self.alpha > 1):
-            raise ValueError("superexp requires alpha > 1")
+        params = _KINDS[self.kind].params
+        if not all(getattr(self, x) is not None and lo < getattr(self, x) < hi for x, (lo, hi) in params.items()):
+            rule = " and ".join(f"{x} > {lo}" if hi == math.inf else f"{lo} < {x} < {hi}"
+                                for x, (lo, hi) in params.items())
+            raise ValueError(f"{self.kind} requires {rule}")
 
     def log_w(self, n) -> np.ndarray:
         """log w(n), vectorized over integer n >= 0 (w(0) = 1)."""
@@ -135,7 +144,7 @@ class WeightFamily:
 
     @property
     def params(self) -> str:
-        names = _KINDS[self.kind]
+        names = _KINDS[self.kind].params
         return ",".join(repr(float(getattr(self, name))) for name in names)
 
     @property
@@ -150,7 +159,7 @@ def parse_weight_family(text: str) -> WeightFamily:
     kind = kind.strip().lower()
     if kind not in _KINDS:
         raise ValueError(f"unknown weight family kind {kind!r}")
-    names = _KINDS[kind]
+    names = _KINDS[kind].params
     parts = [p for p in rest.split(",") if p.strip()] if rest else []
     if len(parts) != len(names):
         want = ",".join(name.upper() for name in names)
@@ -191,11 +200,10 @@ def c4_halfplane(family: WeightFamily) -> float | None:
     log term is asymptotically negligible); the super-polynomial kinds
     (quasiexp, stretchedexp, geometric, superexp) admit no r at all.
     """
-    if family.kind == "identity":
-        return 0.5
-    if family.kind in ("power", "powerlog"):
-        return 0.5 + float(family.alpha)
-    return None
+    row = _KINDS[family.kind]
+    if not row.polynomial:
+        return None
+    return 0.5 + (float(family.alpha) if "alpha" in row.params else 0.0)
 
 
 def rm_is_bounded(family: WeightFamily) -> bool:
@@ -207,7 +215,7 @@ def rm_is_bounded(family: WeightFamily) -> bool:
     quasiexp and stretchedexp the exponent gaps vanish and r_m grows
     without bound.
     """
-    return family.kind in ("geometric", "superexp")
+    return _KINDS[family.kind].rm_bounded
 
 
 def rm_sequence(
@@ -227,8 +235,9 @@ def rm_sequence(
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    polynomial = _KINDS[family.kind].polynomial
     if tail_cutoff is None:
-        tail_cutoff = 10**7 if family.kind in ("identity", "power", "powerlog") else 10**3
+        tail_cutoff = 10**7 if polynomial else 10**3
     if m_max > tail_cutoff:
         raise ValueError("m_max must not exceed tail_cutoff")
     # Peak bytes per entry of 0..tail_cutoff: at most seven float64 arrays
@@ -242,14 +251,12 @@ def rm_sequence(
     # powerlog at m_max = tail_cutoff and 41 otherwise (numpy elides a
     # temporary); 4 KiB covers the array headers.
     _check_memory(56 * (tail_cutoff + 1) + 2**12, f"tail_cutoff = {tail_cutoff}", "r_m buffers")
-    if family.kind == "identity" or (
-        family.kind in ("power", "powerlog") and family.alpha <= 0.5
-    ):
+    if family.kind == "identity" or (polynomial and family.alpha <= 0.5):
         return np.full(m_max + 1, np.inf)
     n = np.arange(0, tail_cutoff + 1, dtype=np.float64)
     log_w = family.log_w(n)
     tail = _rm_tail(family, tail_cutoff)
-    if family.kind in ("power", "powerlog"):
+    if polynomial:
         # weights stay in float range here; plain suffix sums suffice
         inv_sq = np.exp(-2.0 * log_w)
         suffix = np.cumsum(inv_sq[::-1])[::-1]
@@ -288,7 +295,7 @@ def _rm_tail(family: WeightFamily, t: int) -> float:
     if family.kind == "geometric":
         e2 = family.eps * family.eps
         return e2 ** (t + 1) / (1.0 - e2)
-    if family.kind in ("power", "powerlog"):
+    if _KINDS[family.kind].polynomial:  # power or powerlog: rm_sequence returns before identity
         a = family.alpha
         return float(t) ** (1.0 - 2.0 * a) / (2.0 * a - 1.0)
     if family.kind == "quasiexp":
@@ -347,7 +354,6 @@ TABLE1_STRIPS: dict[str, str] = {
     "identity": "Right", "power:1.0": "Right", "powerlog:1.0,1.0": "Right", "quasiexp:1.0": "None",
     "stretchedexp:0.5": "None", "geometric:0.5": "Left", "superexp:2.0": "Left",
 }
-TABLE_FAMILIES: tuple[WeightFamily, ...] = tuple(map(parse_weight_family, TABLE1_STRIPS))
 
 
 @dataclass(frozen=True)

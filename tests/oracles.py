@@ -135,7 +135,7 @@ from zfhp.special import (_SLACK, _U, ZetaValue, _cexpm1, _check_zeta_range, _po
 from zfhp.norms import (_EIGHTH_ROOT_SIGNS, _ROW_BLOCK, _SLICES, _fold, _product_tables, _roots, _split,
                         _sum_of_powers, _twiddle, _validate_nodes)
 from zfhp.series import _DIVIDE_BLOCK, CoefficientBlocks, TruncatedSeries, hk_coefficient_envelope
-from zfhp.experiments import _TAIL_ROUNDING_FACTOR
+from zfhp.experiments import _ROUNDING_FACTOR
 from zfhp.functionals import GeneratorEvaluation, _closed_form_rounding, _power_sum, _running_sum, _tail_bound
 from zfhp.arith import (
     _SIEVE_BLOCK,
@@ -238,7 +238,7 @@ def lq_tail_bound_whole(q: float, n: int, coeff_cutoff: int, table) -> float:
     s = exact_sum(m_d ** -r / d)
     c_n = abs(mobius_sum_whole(table, n) - 1.0)
     x = c_n * math.pow(coeff_cutoff, -r) + s
-    return math.pow(q - 1.0, -inv_q) * x * _TAIL_ROUNDING_FACTOR
+    return math.pow(q - 1.0, -inv_q) * x * _ROUNDING_FACTOR
 
 
 def lambda_hk_truncated_whole(k_list, s_grid, degree: int) -> list[GeneratorEvaluation]:

@@ -23,7 +23,9 @@ from zfhp.cli import main, parse_complex, parse_int_range, parse_s_grid
 from zfhp.errors import ConditioningError
 from zfhp.arith import _sieve_bytes
 from zfhp.experiments import (
+    EXPERIMENTS,
     ExperimentManifest,
+    build_manifest,
     rerun,
     write_approx_csv,
     write_convergence_csv,
@@ -773,15 +775,35 @@ def _built_manifests(argv, monkeypatch) -> list[ExperimentManifest]:
                          ids=[*EXPERIMENT_IDS, "zeta"])
 def test_manifest_parameters_are_the_runner_parameters(argv, monkeypatch):
     # one path from the CLI to a runner: every manifest parameter is a
-    # parameter of the runner that rerun calls, and nothing else is
+    # parameter of the runner that rerun calls, its EXPERIMENTS entry, and
+    # nothing else is
     (manifest,) = _built_manifests(argv, monkeypatch)
-    called = []
-    for name in (n for n in zfhp.experiments.__all__ if n.startswith("run_")):
-        runner = getattr(zfhp.experiments, name)
-        monkeypatch.setattr(zfhp.experiments, name, lambda *a, r=runner: called.append(r) or [])
-    rerun(manifest)
-    (runner,) = called
+    runner = EXPERIMENTS[manifest.experiment][0]
     assert sorted(manifest.parameters) == sorted(inspect.signature(runner).parameters)
+
+
+# The README's lambda, approx and mellin verify commands and zeta at 2+0i,
+# each with the manifest build_manifest makes from complex arguments and the
+# sidecar id: a complex value is stored as its [re, im] pair, and moving that
+# encoding must not change an id.
+MANIFEST_IDS = [
+    (["lambda", "--k", "2..10", "--s-grid", "0.6,0.75,1.5,2 x 0,1,5", "--coeff-cutoff", "100000"],
+     build_manifest("lambda_sweep", k_list=list(range(2, 11)), coeff_cutoff=100000,
+                    s_grid=[complex(re, im) for re in (0.6, 0.75, 1.5, 2) for im in (0, 1, 5)]),
+     "cf41a4404944"),
+    (["approx", "--s", "2+0i", "--n", "100,10000,1000000"],
+     build_manifest("pointwise_approx", s_grid=[2 + 0j], n_list=[100, 10000, 1000000]), "a40d078f501c"),
+    (["mellin", "verify", "--k", "1..10", "--s", "2+1i"],
+     build_manifest("mellin_verify", k_list=list(range(1, 11)), s=2 + 1j), "d38e1dc9ed1a"),
+    (["zeta", "--s", "2+0i"], build_manifest("zeta", s=2 + 0j), "94abc0eede4a"),
+]
+
+
+@pytest.mark.parametrize("argv, built, manifest_id", MANIFEST_IDS, ids=["lambda", "approx", "mellin", "zeta"])
+def test_manifest_ids_pinned(argv, built, manifest_id, monkeypatch):
+    (manifest,) = _built_manifests(argv, monkeypatch)
+    assert manifest == built
+    assert manifest.manifest_id == manifest_id
 
 
 def _readme_commands() -> list[list[str]]:

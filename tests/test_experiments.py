@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -439,6 +440,19 @@ class TestPointwiseApprox:
         for ns in ([], [1, 10]):
             with pytest.raises(ValueError):
                 run_pointwise_approx([2.0], ns)
+
+    @pytest.mark.parametrize("s", [2 + 100j, 2 + 1000j, 0.75 + 30j, 0.75 + 1e5j])
+    def test_agrees_with_mpmath_far_up_the_critical_strip(self, s):
+        # n = 10 puts L below |s|: the recursion's tails must still start at
+        # zeta's own cut, ceil(|s|) + 10, where their series converge
+        mu = {2: -1, 3: -1, 5: -1, 6: 1, 7: -1, 10: 1}
+        with mpmath.workdps(40):
+            sm = mpmath.mpc(s.real, s.imag)
+            c = -mpmath.zeta(sm) / sm  # G_k(s) = c (k^-s - 1/k)
+            want = abs(sum(m * c * (mpmath.power(k, -sm) - mpmath.mpf(1) / k) for k, m in mu.items()) + 1 / sm)
+        (record,) = run_pointwise_approx([s], [10])
+        assert record.bound < 1e-12
+        assert abs(record.residual - want) <= record.bound
 
 
 class TestManifests:

@@ -15,7 +15,7 @@ from zfhp import (
     rm_sequence,
 )
 from zfhp.weights import (
-    TABLE_FAMILIES,
+    TABLE1_STRIPS,
     _prime_sieve_bytes,
     _rm_tail,
     all_integers,
@@ -26,6 +26,9 @@ from zfhp.weights import (
 )
 
 from oracles import c4_partial_sums, prime_indices_incremental, stretchedexp_tail_gammaincc
+
+# one representative family of every kind, in the order of the table
+TABLE_FAMILIES = [parse_weight_family(label) for label in TABLE1_STRIPS]
 
 ACCEPTANCE_FAMILIES = [
     *(WeightFamily("power", alpha=a) for a in (0.25, 1.0, 2.0)),
